@@ -88,6 +88,9 @@ class TransitionKernel:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"transition matrix must be square, got shape {m.shape}")
         n = m.shape[0]
+        if not np.isfinite(m).all():
+            i, j = (int(v) for v in np.argwhere(~np.isfinite(m))[0])
+            raise ValidationError(f"row {i}: non-finite probability at column {j}")
         for i in range(n):
             if (m[i] < -ROW_SUM_TOL).any():
                 j = int(np.argmin(m[i]))
@@ -168,6 +171,9 @@ def _validate_walk(kernel: TransitionKernel) -> None:
     for x, row in kernel.exceptions.items():
         if not space.contains_state(x):
             raise ValidationError(f"exception row for state {x} outside support")
+        for y, p in row.items():
+            if not math.isfinite(p):
+                raise ValidationError(f"exception row {x}: non-finite probability at {y}")
         s = math.fsum(row.values())
         if abs(s - 1.0) > ROW_SUM_TOL:
             raise ValidationError(f"exception row {x} sums to {s!r}, expected 1")
@@ -177,6 +183,10 @@ def _validate_walk(kernel: TransitionKernel) -> None:
             if not space.contains_state(y):
                 raise ValidationError(f"exception row {x}: target {y} outside support")
     for e, tail in kernel.tails.items():
+        for part in (tail.relative, tail.to_finite, tail.to_other_end):
+            for k, p in part.items():
+                if not math.isfinite(p):
+                    raise ValidationError(f"tail row {e}: non-finite probability at {k}")
         s = tail.mass()
         if abs(s - 1.0) > ROW_SUM_TOL:
             raise ValidationError(f"tail row {e}: mass sums to {s!r}, expected 1")

@@ -296,6 +296,12 @@ def measure_from_json(space: StateSpace, obj: dict) -> FAMeasure:
         ends = {str(k): float(v) for k, v in obj.get("ends", {}).items()}
     except (TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"bad measure literal: {exc}") from exc
+    for field_name, weights in (("atoms", atoms), ("ends", ends)):
+        if not all(map(math.isfinite, weights.values())):
+            k, v = next((k, v) for k, v in weights.items() if not math.isfinite(v))
+            raise ValidationError(
+                f"measure literal: non-finite weight {v!r} at {field_name}[{k!r}]"
+            )
     return FAMeasure(space, atoms, ends)
 
 

@@ -93,6 +93,9 @@ def applicable_tasks(kernel: TransitionKernel, requested: tuple[str, ...]) -> li
 def run_analysis(request: AnalysisRequest) -> dict:
     if request.n_max < 1 or request.k_max < 1:
         raise ValidationError("horizons must be positive")
+    for eps in request.eps_grid:
+        if not 0.0 < eps < 1.0:
+            raise ValidationError(f"eps grid (--eps-grid) values must lie in (0, 1), got {eps}")
     kernel, source = request.load()
     tasks = applicable_tasks(kernel, request.tasks)
     basis = invariant_basis(kernel)

@@ -52,6 +52,38 @@ def test_malformed_chain_exits_2(tmp_path: Path):
     assert run_cli(["analyze", "--chain", str(bad), "--out", str(tmp_path / "x.json")]) == 2
 
 
+def test_non_finite_chain_exits_2(tmp_path: Path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "finite", "matrix": [[float("nan"), 1.0], [0.5, 0.5]]}))
+    assert run_cli(["analyze", "--chain", str(bad), "--out", str(tmp_path / "x.json")]) == 2
+    assert "row 0: non-finite" in capsys.readouterr().err
+    walk = tmp_path / "walk.json"
+    walk.write_text(json.dumps({
+        "kind": "walk", "support": "N",
+        "exceptions": {"0": {"0": 0.5, "1": float("inf")}},
+        "tail_+inf": {"relative": {"-1": 0.5, "1": 0.5}},
+    }))
+    assert run_cli(["analyze", "--chain", str(walk), "--out", str(tmp_path / "y.json")]) == 2
+    assert "exception row 0: non-finite" in capsys.readouterr().err
+
+
+def test_non_finite_measure_in_report_exits_2(tmp_path: Path, capsys):
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--catalog", "two_absorbing", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    rep["invariants"]["measures"][0]["atoms"]["0"] = float("nan")
+    out.write_text(json.dumps(rep))
+    assert run_cli(["verify-report", "--report", str(out)]) == 2
+    assert "non-finite weight" in capsys.readouterr().err
+
+
+def test_eps_grid_outside_unit_interval_exits_2(tmp_path: Path, capsys):
+    for grid in ("0.5,1.5", "1", "0", "-0.1", "nan"):
+        argv = ["doeblin", "--catalog", "finite_uniform", "--eps-grid", grid]
+        assert run_cli(argv + ["--out", str(tmp_path / "x.json")]) == 2
+        assert "--eps-grid" in capsys.readouterr().err
+
+
 def test_capacity_exits_3(tmp_path: Path):
     big = tmp_path / "big.json"
     m = [[1.0 if i == j else 0.0 for j in range(25)] for i in range(25)]

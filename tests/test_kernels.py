@@ -62,6 +62,39 @@ def test_walk_validation():
         TransitionKernel.walk("N", tails={END_POS: TailRow(relative={100: 1.0})})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_matrix_entries_rejected(bad):
+    with pytest.raises(ValidationError, match="row 1: non-finite probability at column 0"):
+        TransitionKernel.finite([[0.5, 0.5], [bad, 1.0]])
+    with pytest.raises(ValidationError, match="row 0"):
+        kernel_from_spec({"kind": "finite", "matrix": [[bad, 1.0], [0.5, 0.5]]})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_walk_rows_rejected(bad):
+    tail = TailRow(relative={-1: 0.5, 1: 0.5})
+    with pytest.raises(ValidationError, match="exception row 0: non-finite probability at 1"):
+        TransitionKernel.walk("N", exceptions={0: {0: 1.0, 1: bad}}, tails={END_POS: tail})
+    with pytest.raises(ValidationError, match=r"tail row \+inf: non-finite probability at 2"):
+        TransitionKernel.walk(
+            "N", exceptions={0: {1: 1.0}}, tails={END_POS: TailRow(relative={1: 1.0, 2: bad})}
+        )
+    with pytest.raises(ValidationError, match=r"tail row \+inf: non-finite probability at 0"):
+        TransitionKernel.walk(
+            "N",
+            exceptions={0: {1: 1.0}},
+            tails={END_POS: TailRow(relative={1: 1.0}, to_finite={0: bad})},
+        )
+    with pytest.raises(ValidationError, match=r"tail row -inf: non-finite probability at \+inf"):
+        TransitionKernel.walk(
+            "Z",
+            tails={
+                END_POS: tail,
+                END_NEG: TailRow(relative={-1: 1.0}, to_other_end={END_POS: bad}),
+            },
+        )
+
+
 def test_tail_row_after_exceptions_can_step_back():
     k = drift_walk_N(0.7)  # reflects at 0 through an exception row
     assert k.row(0) == {0: pytest.approx(0.3), 1: pytest.approx(0.7)}

@@ -12,6 +12,7 @@ from chargechain import (
     PreconditionError,
     CapacityError,
     StateSpace,
+    ValidationError,
     dirac,
     end_charge,
     evaluate,
@@ -269,6 +270,15 @@ def test_json_literals_round_trip():
     assert measure_from_json(space, mu.to_json()) == mu
     e = measurable(space, atoms=[0], tails=[(END_POS, 5)])
     assert set_from_json(space, e.to_json()) == e
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_measure_literals_rejected(bad):
+    space = StateSpace.half_line()
+    with pytest.raises(ValidationError, match=r"non-finite weight .* at atoms\[3\]"):
+        measure_from_json(space, {"atoms": {"0": 0.5, "3": bad}, "ends": {}})
+    with pytest.raises(ValidationError, match=r"non-finite weight .* at ends\['\+inf'\]"):
+        measure_from_json(space, {"atoms": {"0": 0.5}, "ends": {END_POS: bad}})
 
 
 def test_set_canonicalization():

@@ -1,0 +1,204 @@
+"""Small-set maximization against a brute-force oracle, the per-search kernel cache,
+the eps range, and the truncation trend on round-off stationary weights."""
+
+import math
+
+import numpy as np
+import pytest
+
+from chargechain import (
+    FAMeasure,
+    PreconditionError,
+    TransitionKernel,
+    ValidationError,
+    birth_death,
+    check_doeblin,
+    check_doeblin_tilde,
+    doeblin_truncation_trend,
+    from_vector,
+    kernel_from_spec,
+    measurable,
+    search_doeblin,
+)
+from chargechain import conditions
+from chargechain.conditions import DoeblinOutcome, _small_set_max
+from chargechain.kernels import cesaro_kernel, kernel_power
+from chargechain.measures import _subset_sums, to_vector
+
+
+def brute_small_set_max(kernel, phi, eps, order, *, averaged, strict, stepped=None):
+    """Full 2^n enumeration of every subset for every row: the reference."""
+    n = kernel.size
+    matrix = (cesaro_kernel(kernel, order) if averaged else kernel_power(kernel, order)).matrix
+    phis = _subset_sums(to_vector(phi))
+    adm = phis < eps if strict else phis <= eps
+    vacuous = not bool(adm[1:].any())
+    worst_val = -math.inf
+    worst = None
+    for x in range(n):
+        vals = np.where(adm, _subset_sums(matrix[x]), -np.inf)
+        i = int(np.argmax(vals))
+        if vals[i] > worst_val:
+            worst_val = float(vals[i])
+            worst = (i, x)
+    holds = worst_val <= 1.0 - eps
+    counter = None
+    if not holds:
+        mask, x = worst
+        members = [j for j in range(n) if mask >> j & 1]
+        counter = (measurable(kernel.space, atoms=members), x, worst_val)
+    return DoeblinOutcome(holds, vacuous, worst_val, counter)
+
+
+def _random_matrix(rng, n):
+    kind = int(rng.integers(4))
+    if kind == 0:  # quarter grid: equal entries, so subset sums tie
+        rows = [rng.multinomial(4, np.full(n, 1.0 / n)) / 4.0 for _ in range(n)]
+        return np.array(rows)
+    m = rng.random((n, n))
+    if kind == 1:  # sparse rows
+        m *= rng.random((n, n)) < 0.3
+    if kind == 2:  # some absorbing states, whose rows are zero off the diagonal
+        for x in np.flatnonzero(rng.random(n) < 0.4):
+            m[x] = 0.0
+            m[x, x] = 1.0
+    for x in range(n):
+        if m[x].sum() == 0.0:
+            m[x, int(rng.integers(n))] = 1.0
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def _random_phi(rng, space, n):
+    kind = int(rng.integers(3))
+    if kind == 0:  # quarter grid: subset sums land exactly on eps
+        w = rng.integers(0, 4, n) / 4.0
+    elif kind == 1:
+        w = rng.random(n) / n
+    else:
+        w = rng.random(n) * (rng.random(n) < 0.5)
+    w[rng.random(n) < 0.25] = 0.0  # zero-phi states
+    return from_vector(space, w)
+
+
+def test_row_support_enumeration_matches_brute_force():
+    rng = np.random.default_rng(2024)
+    eps_choices = (0.25, 0.5, 0.75, 0.1, 0.3, 0.01)
+    compared = holds = counter = vacuous = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 11))
+        kernel = TransitionKernel.finite(_random_matrix(rng, n))
+        phi = _random_phi(rng, kernel.space, n)
+        if rng.random() < 0.7:
+            eps = float(rng.choice(eps_choices))
+        else:
+            eps = float(rng.uniform(0.01, 0.99))
+        order = int(rng.integers(1, 4))
+        for averaged in (False, True):
+            for strict in (False, True):
+                mode = {"averaged": averaged, "strict": strict}
+                got = _small_set_max(kernel, phi, eps, order, **mode)
+                want = brute_small_set_max(kernel, phi, eps, order, **mode)
+                assert got.holds == want.holds
+                assert got.vacuous == want.vacuous
+                assert got.max_value == want.max_value
+                assert got.counterexample == want.counterexample
+                assert got == want
+                compared += 1
+                holds += got.holds
+                counter += got.counterexample is not None
+                vacuous += got.vacuous
+    # the draw covers every kind of outcome
+    assert compared == 600 and holds > 50 and counter > 50 and vacuous > 10
+
+
+def test_public_checkers_match_brute_force_on_ties():
+    # uniform rows and a uniform phi make every set of a given size tie
+    k = TransitionKernel.finite(np.full((4, 4), 0.25))
+    phi = from_vector(k.space, [0.25] * 4)
+    for eps in (0.25, 0.5, 0.75):
+        assert check_doeblin(k, phi, eps, 1) == brute_small_set_max(
+            k, phi, eps, 1, averaged=False, strict=False
+        )
+        assert check_doeblin_tilde(k, phi, eps, 2) == brute_small_set_max(
+            k, phi, eps, 2, averaged=True, strict=True
+        )
+
+
+def test_search_matches_brute_force_search(monkeypatch):
+    chains = [birth_death(9, 0.05, 0.15), birth_death(6, 0.3, 0.2)]
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        chains.append(TransitionKernel.finite(_random_matrix(rng, int(rng.integers(2, 8)))))
+    for averaged in (False, True):
+        got = [search_doeblin(k, averaged=averaged) for k in chains]
+        with monkeypatch.context() as m:
+            m.setattr(conditions, "_small_set_max", brute_small_set_max)
+            want = [search_doeblin(k, averaged=averaged) for k in chains]
+        assert got == want
+
+
+def test_search_computes_each_stepped_kernel_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(kernel, order):
+            calls.append(order)
+            return fn(kernel, order)
+
+        return wrapper
+
+    monkeypatch.setattr(conditions, "kernel_power", counted(kernel_power))
+    monkeypatch.setattr(conditions, "cesaro_kernel", counted(cesaro_kernel))
+    # a slowly mixing chain has no witness under the basis sum, so the search
+    # scans the whole grid and falls back to the vacuous counting witness
+    kernel = birth_death(12, 0.05, 0.15)
+    for averaged in (False, True):
+        for k_max in (1, 5):
+            calls.clear()
+            assert search_doeblin(kernel, k_max=k_max, averaged=averaged).vacuous
+            assert sorted(calls) == list(range(1, k_max + 1))
+
+
+def test_vacuous_means_no_single_state_fits():
+    k = TransitionKernel.finite(np.full((3, 3), 1 / 3))
+    phi = from_vector(k.space, [0.5, 0.25, 0.25])
+    assert not check_doeblin(k, phi, 0.25, 1).vacuous  # phi_1 = eps is admitted
+    assert check_doeblin_tilde(k, phi, 0.25, 1).vacuous  # strict admission admits none
+    assert check_doeblin_tilde(k, phi, 0.25, 1) == DoeblinOutcome(True, True, 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, 1.0, 1.5, math.nan, math.inf])
+def test_eps_outside_unit_interval_rejected(eps):
+    k = TransitionKernel.finite([[0.5, 0.5], [0.5, 0.5]])
+    phi = from_vector(k.space, [0.5, 0.5])
+    with pytest.raises(ValidationError, match="eps"):
+        check_doeblin(k, phi, eps, 1)
+    with pytest.raises(ValidationError, match="eps"):
+        check_doeblin_tilde(k, phi, eps, 1)
+
+
+# A reach-1 walk on Z with exception rows: the stationary solve on its width-8
+# truncation leaves weights like -7e-18, which the trend used to reject.
+ROUNDOFF_WALK = {
+    "kind": "walk",
+    "support": "Z",
+    "exceptions": {
+        "-1": {"-3": 0.18, "-2": 0.2, "-1": 0.2, "0": 0.21, "1": 0.21},
+        "0": {"-2": 0.2, "-1": 0.21, "0": 0.2, "1": 0.2, "2": 0.19},
+        "1": {"-1": 0.2, "0": 0.2, "1": 0.2, "2": 0.21, "3": 0.19},
+    },
+    "tail_+inf": {"relative": {"-1": 0.02, "0": 0.12, "1": 0.86}},
+    "tail_-inf": {"relative": {"-1": 0.02, "0": 0.12, "1": 0.86}},
+}
+
+
+def test_truncation_trend_tolerates_roundoff_weights():
+    trend = doeblin_truncation_trend(kernel_from_spec(ROUNDOFF_WALK))
+    assert trend == [(2, 1.0), (4, 1.0), (8, 1.0)]
+
+
+def test_small_set_max_still_rejects_any_negative_phi():
+    k = TransitionKernel.finite([[0.5, 0.5], [0.5, 0.5]])
+    phi = FAMeasure(k.space, atoms={0: 0.5, 1: -1e-18})
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        check_doeblin(k, phi, 0.5, 1)
