@@ -53,13 +53,11 @@ from .ergodic import (
     ErgodicRunResult,
     Projector,
     RateFit,
-    cesaro_operator_distance,
     char_poly_second_modulus,
     distance_series,
     ergodic_run,
     projector_finite,
     rate_fit,
-    raw_operator_distance,
 )
 from .invariants import (
     ChainClass,

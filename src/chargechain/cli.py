@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text, tasks_arg in (
         ("analyze", "run the full analysis pipeline", True),
-        ("doeblin", "search for a small-set condition witness", False),
+        ("doeblin", "small-set witness search and the other ergodicity conditions", False),
         ("ergodic", "operator-distance decay and fitted rates", False),
         ("escape", "window-mass escape profile of a countable chain", False),
     ):
@@ -127,14 +127,14 @@ def main(argv=None) -> int:
                 detail = f" ({item['detail']})" if item["detail"] else ""
                 print(f"{status}: {item['check']}{detail}")
             if all(item["ok"] for item in results):
-                print(f"verified {len(results)} embedded witnesses")
+                print(f"verified {len(results)} checks")
                 return EXIT_OK
             return EXIT_VERIFY_FAILED
         tasks: tuple[str, ...] = ()
         if args.command == "analyze" and args.tasks:
             tasks = tuple(t.strip() for t in args.tasks.split(",") if t.strip())
         elif args.command == "doeblin":
-            tasks = ("doeblin-search",)
+            tasks = ("conditions",)
         elif args.command == "ergodic":
             tasks = ("ergodic",)
         elif args.command == "escape":

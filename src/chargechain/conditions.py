@@ -196,7 +196,7 @@ class ConditionVerdict:
     evidence: dict = field(default_factory=dict)
 
 
-def check_star(kernel: TransitionKernel, basis: InvariantBasis | None = None) -> ConditionVerdict:
+def check_star(kernel: TransitionKernel) -> ConditionVerdict:
     """(*): every invariant measure is countably additive (no invariant charges)."""
     if kernel.space.is_finite:
         return ConditionVerdict(
@@ -215,9 +215,9 @@ def check_star(kernel: TransitionKernel, basis: InvariantBasis | None = None) ->
     )
 
 
-def check_tilde_star(kernel: TransitionKernel, basis: InvariantBasis | None = None) -> ConditionVerdict:
+def check_tilde_star(kernel: TransitionKernel) -> ConditionVerdict:
     """(~*): the invariant pure-charge set is empty; equivalent to (*)."""
-    base = check_star(kernel, basis)
+    base = check_star(kernel)
     return ConditionVerdict("~*", base.holds, base.scope, base.detail, base.evidence)
 
 
@@ -232,12 +232,11 @@ def check_double_star(basis: InvariantBasis) -> ConditionVerdict:
     )
 
 
-def quasicompact_diagnostic(kernel: TransitionKernel) -> tuple[str, str]:
-    """Report quasicompactness through its implications, never directly."""
-    if kernel.space.is_finite:
+def quasicompact_diagnostic(star: ConditionVerdict) -> tuple[str, str]:
+    """Report quasicompactness through its implications from the (*) verdict, never directly."""
+    if star.scope == "exact":
         return "consistent", "(*) holds, which implies quasicompactness"
-    charges = detect_pfa_ends(kernel)
-    if charges:
+    if not star.holds:
         return (
             "inconsistent",
             "an invariant end charge exists, which rules out quasicompactness",
@@ -403,10 +402,10 @@ def build_condition_report(
 ) -> ConditionReport:
     if basis is None:
         basis = invariant_basis(kernel)
-    star = check_star(kernel, basis)
-    tilde = check_tilde_star(kernel, basis)
+    star = check_star(kernel)
+    tilde = check_tilde_star(kernel)
     double = check_double_star(basis)
-    qc, qc_reason = quasicompact_diagnostic(kernel)
+    qc, qc_reason = quasicompact_diagnostic(star)
     if kernel.space.is_finite:
         wit = search_doeblin(kernel, k_max, eps_grid, basis=basis)
         wit_avg = search_doeblin(kernel, k_max, eps_grid, basis=basis, averaged=True)

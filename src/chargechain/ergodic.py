@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, PreconditionError
-from .invariants import recurrent_classes, stationary_of_class, transient_states
+from .invariants import recurrent_classes, states_outside, stationary_of_class
 from .kernels import TransitionKernel
 from .measures import FAMeasure
 
@@ -43,7 +43,7 @@ def projector_finite(kernel: TransitionKernel) -> Projector:
     n = kernel.size
     classes = recurrent_classes(kernel)
     pis = [stationary_of_class(kernel, c.states) for c in classes]
-    trans = list(transient_states(kernel))
+    trans = list(states_outside(classes, n))
     absorb = np.zeros((n, len(classes)))
     for ci, c in enumerate(classes):
         for s in c.states:
@@ -71,36 +71,25 @@ def _max_row_tv(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).sum(axis=1).max())
 
 
-def cesaro_operator_distance(kernel: TransitionKernel, n: int) -> float:
-    """Max-row TV distance between the n-step averaged kernel and the projector."""
-    return distance_series(kernel, n, mode="cesaro")[-1]
-
-
-def raw_operator_distance(kernel: TransitionKernel, n: int) -> float:
-    """Max-row TV distance between the n-step kernel and the projector."""
-    return distance_series(kernel, n, mode="raw")[-1]
-
-
 def distance_series(
-    kernel: TransitionKernel, n_max: int, mode: str = "cesaro"
-) -> list[float]:
-    """Operator distances for n = 1..n_max, computed incrementally."""
+    kernel: TransitionKernel, n_max: int, projector: Projector
+) -> tuple[list[float], list[float]]:
+    """Averaged and raw distances to ``projector`` for n = 1..n_max, in one pass over the powers.
+
+    Returns ``(cesaro, raw)``; index i of each list holds the distance at n = i + 1.
+    """
     if not kernel.space.is_finite:
         raise DomainError("operator distances need a finite chain")
-    if mode not in ("cesaro", "raw"):
-        raise PreconditionError(f"mode must be 'cesaro' or 'raw', got {mode!r}")
-    pi_mat = projector_finite(kernel).matrix
-    out = []
+    pi_mat = projector.matrix
+    cesaro, raw = [], []
     cur = np.eye(kernel.size)
     acc = np.zeros_like(pi_mat)
     for n in range(1, n_max + 1):
         cur = cur @ kernel.matrix
-        if mode == "raw":
-            out.append(_max_row_tv(cur, pi_mat))
-        else:
-            acc += cur
-            out.append(_max_row_tv(acc / n, pi_mat))
-    return out
+        raw.append(_max_row_tv(cur, pi_mat))
+        acc += cur
+        cesaro.append(_max_row_tv(acc / n, pi_mat))
+    return cesaro, raw
 
 
 @dataclass(frozen=True)
@@ -129,8 +118,16 @@ class ErgodicRunResult:
         return [(i + 1, d) for i, d in enumerate(self.distances)]
 
 
-def ergodic_run(kernel: TransitionKernel, n_max: int, mode: str = "cesaro") -> ErgodicRunResult:
-    distances = distance_series(kernel, n_max, mode)
+def ergodic_run(
+    kernel: TransitionKernel, n_max: int
+) -> tuple[Projector, ErgodicRunResult, ErgodicRunResult]:
+    """The limit projector and the averaged and raw runs measured against it."""
+    projector = projector_finite(kernel)
+    cesaro, raw = distance_series(kernel, n_max, projector)
+    return projector, _fitted_run("cesaro", cesaro), _fitted_run("raw", raw)
+
+
+def _fitted_run(mode: str, distances: list[float]) -> ErgodicRunResult:
     try:
         rate = rate_fit(distances)
     except PreconditionError:

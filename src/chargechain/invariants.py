@@ -84,19 +84,22 @@ def recurrent_classes(kernel: TransitionKernel) -> list[ChainClass]:
     for x in range(n):
         if x in seen:
             continue
-        members = tuple(int(y) for y in range(n) if comm[x, y])
+        inside = comm[x]
+        members = tuple(int(y) for y in np.flatnonzero(inside))
         seen.update(members)
-        closed = not any(
-            edge[u, v] and v not in members for u in members for v in range(n)
-        )
-        if closed:
+        if not edge[inside][:, ~inside].any():  # closed: no edge leaves the class
             classes.append(ChainClass(states=members, period=_class_period(edge, members)))
     return classes
 
 
 def transient_states(kernel: TransitionKernel) -> tuple[int, ...]:
-    covered = {s for c in recurrent_classes(kernel) for s in c.states}
-    return tuple(x for x in range(kernel.size) if x not in covered)
+    return states_outside(recurrent_classes(kernel), kernel.size)
+
+
+def states_outside(classes: list[ChainClass], size: int) -> tuple[int, ...]:
+    """The states of 0..size-1 in none of ``classes``: the transient states."""
+    covered = {s for c in classes for s in c.states}
+    return tuple(x for x in range(size) if x not in covered)
 
 
 def _class_period(edge: np.ndarray, members: tuple[int, ...]) -> int:

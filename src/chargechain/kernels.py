@@ -250,13 +250,7 @@ def apply_A(kernel: TransitionKernel, mu: FAMeasure) -> FAMeasure:
     """Push a measure forward one step: atoms through rows, ends through end actions."""
     if kernel.space != mu.space:
         raise DomainError("kernel and measure live on different spaces")
-    if kernel.space.is_finite:
-        atoms: dict[int, float] = {}
-        for x, w in sorted(mu.atoms.items()):
-            for y, p in sorted(kernel.row(x).items()):
-                atoms[y] = atoms.get(y, 0.0) + w * p
-        return FAMeasure(kernel.space, atoms)
-    atoms = {}
+    atoms: dict[int, float] = {}
     ends: dict[str, float] = {}
     for x, w in sorted(mu.atoms.items()):
         for y, p in sorted(kernel.row(x).items()):

@@ -36,10 +36,11 @@ from .invariants import (
 )
 from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
 from .measures import dirac, evaluate, measurable, measure_from_json, set_from_json
-from .ergodic import ergodic_run, projector_finite
+from .ergodic import ErgodicRunResult, ergodic_run
 
-SCHEMA_VERSION = 1
-ALL_TASKS = ("invariants", "conditions", "doeblin-search", "ergodic", "escape")
+SCHEMA_VERSION = 2
+#: each task writes the report section of the same name
+ALL_TASKS = ("invariants", "conditions", "ergodic", "escape")
 
 
 def worker_count() -> int:
@@ -102,12 +103,10 @@ def run_analysis(request: AnalysisRequest) -> dict:
     jobs = {}
     if "invariants" in tasks:
         jobs["invariants"] = lambda: _invariants_section(kernel, basis)
-    if "conditions" in tasks or "doeblin-search" in tasks:
-        cond = build_condition_report(kernel, basis, request.k_max, request.eps_grid)
-        if "conditions" in tasks:
-            jobs["conditions"] = lambda: _conditions_section(kernel, basis, cond)
-        if "doeblin-search" in tasks:
-            jobs["doeblin_search"] = lambda: _doeblin_section(cond)
+    if "conditions" in tasks:
+        jobs["conditions"] = lambda: _conditions_section(
+            kernel, basis, build_condition_report(kernel, basis, request.k_max, request.eps_grid)
+        )
     if "ergodic" in tasks:
         jobs["ergodic"] = lambda: _ergodic_section(kernel, request.n_max)
     if "escape" in tasks:
@@ -224,25 +223,18 @@ def _conditions_section(
     return section
 
 
-def _doeblin_section(cond: ConditionReport) -> dict:
-    return {"D": _finding_json(cond.doeblin), "D_tilde": _finding_json(cond.doeblin_tilde)}
-
-
 def _ergodic_section(kernel: TransitionKernel, n_max: int) -> dict:
-    cesaro = ergodic_run(kernel, n_max, mode="cesaro")
-    raw = ergodic_run(kernel, n_max, mode="raw")
+    projector, cesaro, raw = ergodic_run(kernel, n_max)
     return {
         "n_max": n_max,
-        "projector": projector_finite(kernel).to_json(),
-        "cesaro": {
-            "distances": [float(d) for d in cesaro.distances],
-            "rate": cesaro.rate.to_json(),
-        },
-        "raw": {
-            "distances": [float(d) for d in raw.distances],
-            "rate": raw.rate.to_json(),
-        },
+        "projector": projector.to_json(),
+        "cesaro": _run_json(cesaro),
+        "raw": _run_json(raw),
     }
+
+
+def _run_json(run: ErgodicRunResult) -> dict:
+    return {"distances": [float(d) for d in run.distances], "rate": run.rate.to_json()}
 
 
 def _escape_section(kernel: TransitionKernel, n_max: int, windows) -> dict:
@@ -295,7 +287,11 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 # -- report verification ---------------------------------------------------------------
 
 def verify_report(report: dict) -> list[dict]:
-    """Re-verify every witness embedded in a report; each item re-runs its checker."""
+    """Re-verify every witness embedded in a report; each item re-runs its checker.
+
+    Fails closed: a report that lists no tasks, an unknown task, or a task
+    without its section gets a failed item.
+    """
     results: list[dict] = []
 
     def record(check: str, ok: bool, detail: str = "") -> None:
@@ -306,6 +302,15 @@ def verify_report(report: dict) -> list[dict]:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"report lacks a chain spec: {exc}") from exc
     space = kernel.space
+
+    tasks = report.get("tasks")
+    if not isinstance(tasks, list) or not tasks:
+        record("claimed tasks", False, "the report lists no tasks")
+    else:
+        for task in tasks:
+            known = task in ALL_TASKS
+            ok = known and bool(report.get(task))
+            record(f"task {task} section", ok, "" if ok else "missing" if known else "unknown task")
 
     inv = report.get("invariants")
     if inv:

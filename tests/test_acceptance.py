@@ -206,14 +206,14 @@ def test_criterion_06_small_set_condition_countable_side():
         assert values[-1] >= 1.0 - 1e-9
     rw = restart_walk(0.1)
     assert detect_pfa_ends(rw) == []
-    assert quasicompact_diagnostic(rw)[0] == "consistent"
+    assert quasicompact_diagnostic(check_star(rw))[0] == "consistent"
     print("ACCEPTANCE 6 PASS: end charges detected; truncated maxima climb to 1; restart stays clean")
 
 
 def test_criterion_07_uniform_averaged_convergence():
     sw = swap2()
-    series = distance_series(sw, 500, mode="cesaro")
-    for i, d in enumerate(series):
+    _, cesaro, _ = ergodic_run(sw, 500)
+    for i, d in enumerate(cesaro.distances):
         n = i + 1
         expected = 1.0 / n if n % 2 else 0.0
         assert abs(d - expected) <= EXACT_TOL
@@ -221,7 +221,7 @@ def test_criterion_07_uniform_averaged_convergence():
     pj = projector_finite(ta)
     assert pj.rows[1].atoms == pytest.approx({0: 0.5, 2: 0.5}, abs=RES_TOL)
     assert pj.rows[1].atoms.get(1, 0.0) == 0.0
-    ta_series = distance_series(ta, 500, mode="cesaro")
+    ta_series = distance_series(ta, 500, pj)[0]
     c = max(max((i + 1) * d for i, d in enumerate(ta_series)), 1e-9)
     assert all(d <= c / (i + 1) + EXACT_TOL for i, d in enumerate(ta_series))
     print("ACCEPTANCE 7 PASS: swap averaged distance is exactly the 1/n-odd pattern; absorption projector verified")
@@ -231,13 +231,13 @@ def test_criterion_08_raw_vs_averaged_dichotomy():
     k = TransitionKernel.finite([[0.9, 0.1], [0.2, 0.8]])
     lam2 = char_poly_second_modulus(k.matrix)
     assert lam2 == pytest.approx(0.7, abs=1e-9)
-    run = ergodic_run(k, 48, mode="raw")
+    _, _, run = ergodic_run(k, 48)
     assert run.rate.kind == "geometric"
     assert abs(run.rate.ratio - lam2) <= 0.05 * lam2
     sw = swap2()
-    raw = distance_series(sw, 500, mode="raw")
+    cesaro, raw = distance_series(sw, 500, projector_finite(sw))
     assert min(raw) >= 0.1
-    assert distance_series(sw, 500, mode="cesaro")[-1] <= 0.01
+    assert cesaro[-1] <= 0.01
     print(
         f"ACCEPTANCE 8 PASS: fitted geometric ratio {run.rate.ratio:.4f} within 5% of "
         f"oracle 0.7; periodic raw distance never converges"

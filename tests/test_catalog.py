@@ -29,8 +29,9 @@ def test_expected_verdicts_reproduce(name):
     expected = e.expected
     assert basis.dimension == expected["dimension"]["value"]
     assert basis.kinds == expected["kinds"]["value"]
-    assert check_star(kernel).holds == expected["star"]["value"]
-    assert quasicompact_diagnostic(kernel)[0] == expected["quasicompact"]["value"]
+    star = check_star(kernel)
+    assert star.holds == expected["star"]["value"]
+    assert quasicompact_diagnostic(star)[0] == expected["quasicompact"]["value"]
     if "classification" in expected:
         c = classify_invariant(kernel, basis.measures[0])
         assert [c.kind, c.period] == expected["classification"]["value"]

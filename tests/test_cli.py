@@ -24,7 +24,7 @@ def test_analyze_report_contents(tmp_path: Path):
     out = tmp_path / "r.json"
     assert run_cli(["analyze", "--catalog", "drift_walk_N", "--n-max", "50", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
     assert rep["conditions"]["star"]["holds"] is False
     assert rep["conditions"]["quasicompact"]["status"] == "inconsistent"
     assert rep["invariants"]["kinds"] == ["pfa"]
@@ -44,6 +44,26 @@ def test_verify_report_catches_tampering(tmp_path: Path):
     rep["invariants"]["measures"][0]["atoms"] = {"1": 1.0}  # transient state
     out.write_text(json.dumps(rep))
     assert run_cli(["verify-report", "--report", str(out)]) == 1
+
+
+def test_verify_report_fails_closed_on_claimed_tasks(tmp_path: Path, capsys):
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--catalog", "two_absorbing", "--out", str(out)]) == 0
+    good = json.loads(out.read_text())
+    schema1 = dict(good, schema=1, tasks=sorted(good["tasks"] + ["doeblin-search"]))
+    schema1["doeblin_search"] = {"D": good["conditions"]["D"], "D_tilde": good["conditions"]["D_tilde"]}
+    no_ergodic = {k: v for k, v in good.items() if k != "ergodic"}
+    no_tasks = {k: v for k, v in good.items() if k != "tasks"}
+    for rep, failed in (
+        (no_ergodic, "task ergodic section (missing)"),
+        (dict(good, tasks=[]), "claimed tasks"),
+        (no_tasks, "claimed tasks"),
+        (schema1, "task doeblin-search section (unknown task)"),
+    ):
+        out.write_text(json.dumps(rep))
+        capsys.readouterr()
+        assert run_cli(["verify-report", "--report", str(out)]) == 1
+        assert f"FAILED: {failed}" in capsys.readouterr().out
 
 
 def test_malformed_chain_exits_2(tmp_path: Path):
@@ -99,7 +119,7 @@ def test_tasks_subset(tmp_path: Path):
     ]) == 0
     rep = json.loads(out.read_text())
     assert "invariants" in rep and "conditions" in rep
-    assert "ergodic" not in rep and "doeblin_search" not in rep
+    assert "ergodic" not in rep
     assert run_cli(["analyze", "--catalog", "swap2", "--tasks", "bogus", "--out", str(out)]) == 2
 
 
@@ -123,7 +143,8 @@ def test_doeblin_subcommand(tmp_path: Path):
     out = tmp_path / "d.json"
     assert run_cli(["doeblin", "--catalog", "finite_uniform", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    w = rep["doeblin_search"]["D"]["witness"]
+    assert rep["tasks"] == ["conditions"] and "conditions" in rep
+    w = rep["conditions"]["D"]["witness"]
     assert w is not None and not w["vacuous"]
 
 
@@ -147,7 +168,7 @@ def test_entry_point_subprocess(tmp_path: Path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())["schema"] == 1
+    assert json.loads(out.read_text())["schema"] == 2
 
 
 def test_threads_env_var_is_honored(tmp_path: Path, monkeypatch):

@@ -182,10 +182,14 @@ def test_double_star_counts():
 
 
 def test_quasicompact_diagnostic():
-    assert quasicompact_diagnostic(uniform2())[0] == "consistent"
-    assert quasicompact_diagnostic(restart_walk(0.1))[0] == "consistent"
-    assert quasicompact_diagnostic(drift_walk_N(1.0))[0] == "inconsistent"
-    assert quasicompact_diagnostic(symmetric_walk_Z())[0] == "inconsistent"
+    charge = "an invariant end charge exists, which rules out quasicompactness"
+    for kernel, expected in (
+        (uniform2(), ("consistent", "(*) holds, which implies quasicompactness")),
+        (restart_walk(0.1), ("consistent", "(*) holds within the representable class")),
+        (drift_walk_N(1.0), ("inconsistent", charge)),
+        (symmetric_walk_Z(), ("inconsistent", charge)),
+    ):
+        assert quasicompact_diagnostic(check_star(kernel)) == expected
 
 
 def test_alpha_examples():

@@ -3,21 +3,25 @@
 import numpy as np
 import pytest
 
+import chargechain.ergodic as ergodic
+import chargechain.invariants as invariants
 from chargechain import (
+    AnalysisRequest,
     CapacityError,
     PreconditionError,
     TransitionKernel,
     birth_death,
-    cesaro_operator_distance,
+    cesaro_kernel,
     char_poly_second_modulus,
     cycle,
     distance_series,
     ergodic_run,
     finite_uniform,
     invariant_basis_finite,
+    kernel_power,
     projector_finite,
     rate_fit,
-    raw_operator_distance,
+    run_analysis,
     swap2,
     two_absorbing,
 )
@@ -29,6 +33,11 @@ RES_TOL = 1e-10
 def random_kernel(rng, n):
     m = rng.random((n, n)) + 1e-3
     return TransitionKernel.finite(m / m.sum(axis=1, keepdims=True))
+
+
+def series(kernel, n_max):
+    """(cesaro, raw) distance series against the kernel's own projector."""
+    return distance_series(kernel, n_max, projector_finite(kernel))
 
 
 def test_projector_absorption_example():
@@ -67,8 +76,8 @@ def test_projector_idempotent_and_intertwining():
 
 def test_cesaro_distance_swap_pattern():
     sw = swap2()
-    series = distance_series(sw, 40, mode="cesaro")
-    for i, d in enumerate(series):
+    cesaro, _ = series(sw, 40)
+    for i, d in enumerate(cesaro):
         n = i + 1
         expected = 1.0 / n if n % 2 else 0.0
         assert d == pytest.approx(expected, abs=TOL)
@@ -76,39 +85,41 @@ def test_cesaro_distance_swap_pattern():
 
 def test_cesaro_distance_trivial_chains():
     ident = TransitionKernel.finite(np.eye(3))
-    assert all(d == 0.0 for d in distance_series(ident, 10, mode="cesaro"))
+    assert all(d == 0.0 for d in series(ident, 10)[0])
     u = finite_uniform(2)
-    assert all(d <= TOL for d in distance_series(u, 10, mode="cesaro"))
+    assert all(d <= TOL for d in series(u, 10)[0])
 
 
 def test_raw_distance_examples():
     u = finite_uniform(2)
-    assert all(d <= TOL for d in distance_series(u, 10, mode="raw"))
+    assert all(d <= TOL for d in series(u, 10)[1])
 
     sw = swap2()
-    raw = distance_series(sw, 50, mode="raw")
+    _, raw = series(sw, 50)
     assert all(d == pytest.approx(1.0, abs=TOL) for d in raw)
 
     k = TransitionKernel.finite([[0.9, 0.1], [0.2, 0.8]])
-    raw = distance_series(k, 30, mode="raw")
+    _, raw = series(k, 30)
     for i, d in enumerate(raw):
         assert d <= 2.0 * 0.7 ** (i + 1) + TOL
 
 
 def test_single_point_distances_match_series():
+    # the last element of each series is the n-step distance, computed apart
     k = TransitionKernel.finite([[0.9, 0.1], [0.2, 0.8]])
-    series_c = distance_series(k, 7, mode="cesaro")
-    series_r = distance_series(k, 7, mode="raw")
-    assert cesaro_operator_distance(k, 7) == series_c[-1]
-    assert raw_operator_distance(k, 7) == series_r[-1]
+    pi = projector_finite(k).matrix
+    cesaro, raw = series(k, 7)
+    assert len(cesaro) == len(raw) == 7
+    assert cesaro[-1] == pytest.approx(np.abs(cesaro_kernel(k, 7).matrix - pi).sum(axis=1).max(), abs=TOL)
+    assert raw[-1] == pytest.approx(np.abs(kernel_power(k, 7).matrix - pi).sum(axis=1).max(), abs=TOL)
 
 
 def test_cesaro_envelope_c_over_n():
     for k in (swap2(), cycle(3), finite_uniform(3), birth_death(4, 0.3, 0.2), two_absorbing()):
-        series = distance_series(k, 400, mode="cesaro")
-        c = max((i + 1) * d for i, d in enumerate(series[:200]))
+        cesaro, _ = series(k, 400)
+        c = max((i + 1) * d for i, d in enumerate(cesaro[:200]))
         bound = max(c, 1e-9)
-        for i, d in enumerate(series[200:], start=201):
+        for i, d in enumerate(cesaro[200:], start=201):
             assert d <= bound / i + TOL
 
 
@@ -143,7 +154,7 @@ def test_fitted_rate_matches_second_eigenvalue():
     ]
     for k in cases:
         lam2 = char_poly_second_modulus(k.matrix)
-        run = ergodic_run(k, 48, mode="raw")
+        _, _, run = ergodic_run(k, 48)
         assert run.rate.kind == "geometric"
         assert abs(run.rate.ratio - lam2) <= 0.05 * lam2
 
@@ -158,10 +169,11 @@ def test_char_poly_oracle_values():
 
 
 def test_ergodic_run_series_shape():
-    run = ergodic_run(swap2(), 20, mode="cesaro")
-    assert run.uniform and run.mode == "cesaro"
+    projector, run, raw = ergodic_run(swap2(), 20)
+    assert projector.rank == projector_finite(swap2()).rank
+    assert run.uniform and run.mode == "cesaro" and raw.mode == "raw"
     assert run.series()[0] == (1, run.distances[0])
-    assert len(run.series()) == 20
+    assert len(run.series()) == len(raw.series()) == 20
 
 
 def test_projector_rank_equals_basis_dimension():
@@ -169,3 +181,22 @@ def test_projector_rank_equals_basis_dimension():
 
     for k in (two_absorbing(), TransitionKernel.finite(np.eye(3)), birth_death(4, 0.3, 0.3)):
         assert projector_finite(k).rank == invariant_basis_finite(k).dimension
+
+
+def test_analysis_builds_one_projector_and_two_class_decompositions(monkeypatch):
+    calls = {"projector_finite": 0, "recurrent_classes": 0}
+
+    def counted(name, fn):
+        def wrapper(kernel):
+            calls[name] += 1
+            return fn(kernel)
+
+        return wrapper
+
+    monkeypatch.setattr(ergodic, "projector_finite", counted("projector_finite", projector_finite))
+    rc = counted("recurrent_classes", invariants.recurrent_classes)
+    monkeypatch.setattr(invariants, "recurrent_classes", rc)
+    monkeypatch.setattr(ergodic, "recurrent_classes", rc)
+    run_analysis(AnalysisRequest(catalog="two_absorbing", tasks=("invariants", "ergodic"), n_max=30))
+    assert calls["projector_finite"] == 1
+    assert 1 <= calls["recurrent_classes"] <= 2
