@@ -141,6 +141,9 @@ def main(argv=None) -> int:
             tasks = ("escape",)
         request = _request_from_args(args, tasks)
         report = run_analysis(request)
+        if args.command == "doeblin" and report["conditions"]["D"]["kind"] == "capacity":
+            # the small-set search is all this subcommand asks for
+            raise CapacityError(report["conditions"]["D"]["detail"])
         _emit(report, args)
         return EXIT_OK
     except CapacityError as exc:

@@ -196,8 +196,12 @@ class ConditionVerdict:
     evidence: dict = field(default_factory=dict)
 
 
-def check_star(kernel: TransitionKernel) -> ConditionVerdict:
-    """(*): every invariant measure is countably additive (no invariant charges)."""
+def check_star(kernel: TransitionKernel, basis: InvariantBasis | None = None) -> ConditionVerdict:
+    """(*): every invariant measure is countably additive (no invariant charges).
+
+    On a countable chain the invariant charges are the basis's "pfa"
+    measures when a basis is given, and are detected afresh otherwise.
+    """
     if kernel.space.is_finite:
         return ConditionVerdict(
             condition="*",
@@ -205,7 +209,10 @@ def check_star(kernel: TransitionKernel) -> ConditionVerdict:
             scope="exact",
             detail="finite spaces carry no pure charges",
         )
-    charges = detect_pfa_ends(kernel)
+    if basis is None:
+        charges = detect_pfa_ends(kernel)
+    else:
+        charges = [m for m, kind in zip(basis.measures, basis.kinds) if kind == "pfa"]
     return ConditionVerdict(
         condition="*",
         holds=not charges,
@@ -215,9 +222,11 @@ def check_star(kernel: TransitionKernel) -> ConditionVerdict:
     )
 
 
-def check_tilde_star(kernel: TransitionKernel) -> ConditionVerdict:
-    """(~*): the invariant pure-charge set is empty; equivalent to (*)."""
-    base = check_star(kernel)
+def check_tilde_star(
+    kernel: TransitionKernel, star: ConditionVerdict | None = None
+) -> ConditionVerdict:
+    """(~*): the invariant pure-charge set is empty; equivalent to (*), so it restates ``star``."""
+    base = check_star(kernel) if star is None else star
     return ConditionVerdict("~*", base.holds, base.scope, base.detail, base.evidence)
 
 
@@ -375,11 +384,12 @@ def doeblin_truncation_trend(
 
 @dataclass(frozen=True)
 class DoeblinFinding:
-    kind: str  # "witness" | "limit"
+    kind: str  # "witness" | "limit" | "capacity"
     witness: DoeblinWitness | None = None
     counterexample_demo: DoeblinOutcome | None = None
     trend: list[tuple[int, float]] | None = None
     verdict: str = ""
+    detail: str = ""  # the CapacityError message of a "capacity" finding
 
 
 @dataclass(frozen=True)
@@ -402,23 +412,30 @@ def build_condition_report(
 ) -> ConditionReport:
     if basis is None:
         basis = invariant_basis(kernel)
-    star = check_star(kernel)
-    tilde = check_tilde_star(kernel)
+    star = check_star(kernel, basis)
+    tilde = check_tilde_star(kernel, star)
     double = check_double_star(basis)
     qc, qc_reason = quasicompact_diagnostic(star)
     if kernel.space.is_finite:
-        wit = search_doeblin(kernel, k_max, eps_grid, basis=basis)
-        wit_avg = search_doeblin(kernel, k_max, eps_grid, basis=basis, averaged=True)
-        doeblin = DoeblinFinding(
-            kind="witness",
-            witness=wit,
-            verdict="holds" if wit is not None else "no witness found",
-        )
-        doeblin_tilde = DoeblinFinding(
-            kind="witness",
-            witness=wit_avg,
-            verdict="holds" if wit_avg is not None else "no witness found",
-        )
+        try:
+            wit = search_doeblin(kernel, k_max, eps_grid, basis=basis)
+            wit_avg = search_doeblin(kernel, k_max, eps_grid, basis=basis, averaged=True)
+        except CapacityError as exc:
+            # the exact search is out of reach; the other conditions are still reported
+            doeblin = doeblin_tilde = DoeblinFinding(
+                kind="capacity", verdict="capacity exceeded", detail=str(exc)
+            )
+        else:
+            doeblin = DoeblinFinding(
+                kind="witness",
+                witness=wit,
+                verdict="holds" if wit is not None else "no witness found",
+            )
+            doeblin_tilde = DoeblinFinding(
+                kind="witness",
+                witness=wit_avg,
+                verdict="holds" if wit_avg is not None else "no witness found",
+            )
     else:
         trend = doeblin_truncation_trend(kernel)
         verdict = "fails in the limit" if not star.holds else "undecided on infinite spaces"

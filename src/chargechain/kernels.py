@@ -1,6 +1,8 @@
 """Transition kernels and the adjoint operator pair (T on functions, A on measures).
 
-Finite kernels are dense row-stochastic matrices.  Countable kernels are
+Finite kernels are dense row-stochastic matrices, read-only once a kernel
+holds them; their sparse rows are materialized once per kernel, on first
+use, and ``row`` hands out copies.  Countable kernels are
 "walks": finitely many exception rows plus one eventually-constant tail row
 per end, with bounded relative offsets.  That structure keeps the action of
 A on end charges exact: an end charge keeps ``preserved_mass`` at its end,
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,7 +87,7 @@ class TransitionKernel:
 
     @staticmethod
     def finite(matrix, labels=None) -> "TransitionKernel":
-        m = np.asarray(matrix, dtype=float)
+        m = np.array(matrix, dtype=float)  # a copy: the caller's array stays theirs
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"transition matrix must be square, got shape {m.shape}")
         n = m.shape[0]
@@ -98,7 +101,7 @@ class TransitionKernel:
             s = float(m[i].sum())
             if abs(s - 1.0) > ROW_SUM_TOL:
                 raise ValidationError(f"row {i} sums to {s!r}, expected 1")
-        return TransitionKernel(StateSpace.finite(n, labels), matrix=m)
+        return TransitionKernel(StateSpace.finite(n, labels), matrix=_read_only(m))
 
     @staticmethod
     def walk(support: str, exceptions=None, tails=None) -> "TransitionKernel":
@@ -140,10 +143,19 @@ class TransitionKernel:
             return END_POS
         return END_POS if x >= 0 else END_NEG
 
+    @cached_property
+    def _finite_rows(self) -> list[dict[int, float]]:
+        """Nonzero entries of each matrix row, in column order, as Python floats."""
+        rows: list[dict[int, float]] = [{} for _ in range(self.size)]
+        xs, ys = np.nonzero(self.matrix)
+        for x, y, p in zip(xs.tolist(), ys.tolist(), self.matrix[xs, ys].tolist()):
+            rows[x][y] = p
+        return rows
+
     def row(self, x: int) -> dict[int, float]:
         """Materialize the one-step distribution from state x."""
         if self.space.is_finite:
-            return {j: float(self.matrix[x, j]) for j in range(self.size) if self.matrix[x, j] != 0.0}
+            return dict(self._finite_rows[x])
         if not self.space.contains_state(x):
             raise DomainError(f"state {x} not in space")
         if x in self.exceptions:
@@ -164,6 +176,12 @@ class TransitionKernel:
         """One-step transition probability p(x, E)."""
         row = self.row(x)
         return math.fsum(p for y, p in sorted(row.items()) if ev_set.covers_state(y))
+
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    """Freeze a matrix a kernel owns, so its row table can never go stale."""
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _validate_walk(kernel: TransitionKernel) -> None:
@@ -287,7 +305,7 @@ def kernel_power(kernel: TransitionKernel, k: int) -> TransitionKernel:
         raise StructureError("powers of countable kernels are not materialized; iterate apply_A")
     if k < 1:
         raise ValidationError(f"power needs k >= 1, got {k}")
-    return TransitionKernel(kernel.space, matrix=np.linalg.matrix_power(kernel.matrix, k))
+    return TransitionKernel(kernel.space, matrix=_read_only(np.linalg.matrix_power(kernel.matrix, k)))
 
 
 def cesaro_kernel(kernel: TransitionKernel, m: int) -> TransitionKernel:
@@ -301,7 +319,7 @@ def cesaro_kernel(kernel: TransitionKernel, m: int) -> TransitionKernel:
     for _ in range(m):
         cur = cur @ kernel.matrix
         acc += cur
-    return TransitionKernel(kernel.space, matrix=acc / m)
+    return TransitionKernel(kernel.space, matrix=_read_only(acc / m))
 
 
 def duality_residual(kernel: TransitionKernel, f: BoundedFunction, mu: FAMeasure) -> float:

@@ -96,6 +96,12 @@ class StateSpace:
 
 
 def _check_states(space: StateSpace, states, what: str) -> None:
+    if space.is_finite:  # the bounds test of contains_state, without a call per state
+        n = space.size
+        for x in states:
+            if not 0 <= int(x) < n:
+                raise DomainError(f"{what}: state {x} not in space")
+        return
     for x in states:
         if not space.contains_state(int(x)):
             raise DomainError(f"{what}: state {x} not in space")

@@ -19,6 +19,7 @@ from pathlib import Path
 from . import catalog
 from .conditions import (
     DEFAULT_EPS_GRID,
+    MAX_ENUM_STATES,
     ConditionReport,
     DoeblinWitness,
     build_condition_report,
@@ -182,6 +183,8 @@ def _witness_json(w: DoeblinWitness | None) -> dict | None:
 
 def _finding_json(f) -> dict:
     out = {"kind": f.kind, "verdict": f.verdict}
+    if f.detail:
+        out["detail"] = f.detail
     if f.witness is not None:
         out["witness"] = _witness_json(f.witness)
     if f.trend is not None:
@@ -338,6 +341,10 @@ def verify_report(report: dict) -> list[dict]:
     if cond:
         for key, strict in (("D", False), ("D_tilde", True)):
             finding = cond.get(key)
+            if finding and finding.get("kind") == "capacity":
+                over = space.is_finite and kernel.size > MAX_ENUM_STATES
+                record(f"{key} over capacity", over, f"{space.size} states, cap {MAX_ENUM_STATES}")
+                continue
             if not finding or finding.get("kind") != "witness" or not finding.get("witness"):
                 continue
             w = finding["witness"]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from chargechain import birth_death, kernel_to_spec
 from chargechain.cli import main
 from chargechain.catalog import names
 
@@ -109,6 +110,41 @@ def test_capacity_exits_3(tmp_path: Path):
     m = [[1.0 if i == j else 0.0 for j in range(25)] for i in range(25)]
     big.write_text(json.dumps({"kind": "finite", "matrix": m}))
     assert run_cli(["doeblin", "--chain", str(big), "--out", str(tmp_path / "x.json")]) == 3
+
+
+def test_over_cap_analyze_reports_the_other_sections(tmp_path: Path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(kernel_to_spec(birth_death(23, 0.3, 0.2))))
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--chain", str(big), "--n-max", "30", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["schema"] == 2
+    assert rep["tasks"] == ["conditions", "ergodic", "invariants"]
+    assert rep["invariants"]["dimension"] == 1 and rep["ergodic"]["projector"]
+    cond = rep["conditions"]
+    assert sorted(cond) == [
+        "D", "D_tilde", "alpha", "beta", "double_star", "quasicompact", "star", "tilde_star",
+    ]
+    over = {
+        "kind": "capacity",
+        "verdict": "capacity exceeded",
+        "detail": "subset enumeration capped at 22 states, got 23",
+    }
+    assert cond["D"] == over and cond["D_tilde"] == over
+    capsys.readouterr()
+    assert run_cli(["verify-report", "--report", str(out)]) == 0
+    assert "ok: D over capacity (23 states, cap 22)" in capsys.readouterr().out
+
+
+def test_verify_report_rejects_a_false_capacity_claim(tmp_path: Path, capsys):
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--catalog", "two_absorbing", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    rep["conditions"]["D"] = {"kind": "capacity", "verdict": "capacity exceeded", "detail": ""}
+    out.write_text(json.dumps(rep))
+    capsys.readouterr()
+    assert run_cli(["verify-report", "--report", str(out)]) == 1
+    assert "FAILED: D over capacity (3 states, cap 22)" in capsys.readouterr().out
 
 
 def test_tasks_subset(tmp_path: Path):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import chargechain.conditions as conditions
+import chargechain.invariants as invariants
 from chargechain import (
+    AnalysisRequest,
     CapacityError,
     FAMeasure,
     PreconditionError,
@@ -25,6 +28,7 @@ from chargechain import (
     measurable,
     quasicompact_diagnostic,
     restart_walk,
+    run_analysis,
     search_doeblin,
     swap2,
     symmetric_walk_Z,
@@ -169,6 +173,37 @@ def test_star_countable_examples():
     assert v.evidence["invariant_charges"]
     assert check_star(restart_walk(0.1)).holds
     assert not check_tilde_star(symmetric_walk_Z()).holds
+
+
+def test_star_from_the_basis_matches_fresh_detection():
+    for k in (drift_walk_N(1.0), drift_walk_N(0.3), restart_walk(0.1), symmetric_walk_Z()):
+        star = check_star(k, invariant_basis(k))
+        assert star == check_star(k)
+        assert check_tilde_star(k, star) == check_tilde_star(k)
+
+
+def test_countable_analysis_detects_end_charges_once(monkeypatch):
+    calls = []
+    detect = invariants.detect_pfa_ends
+
+    def counted(kernel):
+        calls.append(kernel)
+        return detect(kernel)
+
+    monkeypatch.setattr(invariants, "detect_pfa_ends", counted)
+    monkeypatch.setattr(conditions, "detect_pfa_ends", counted)
+    report = run_analysis(AnalysisRequest(catalog="drift_walk_N"))
+    assert len(calls) == 1
+    assert report["conditions"]["star"]["evidence"]["invariant_charges"] == report["invariants"]["measures"]
+
+
+def test_over_cap_chain_reports_the_search_as_over_capacity():
+    cond = conditions.build_condition_report(TransitionKernel.finite(np.eye(23)))
+    for finding in (cond.doeblin, cond.doeblin_tilde):
+        assert finding.kind == "capacity" and finding.verdict == "capacity exceeded"
+        assert finding.detail == "subset enumeration capped at 22 states, got 23"
+    assert cond.star.holds and cond.double_star.evidence == {"dimension": 23}
+    assert cond.beta.holds
 
 
 def test_double_star_counts():

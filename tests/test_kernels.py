@@ -14,6 +14,7 @@ from chargechain import (
     ValidationError,
     apply_A,
     apply_T,
+    birth_death,
     cesaro_kernel,
     dirac,
     drift_walk_N,
@@ -25,9 +26,12 @@ from chargechain import (
     kernel_power,
     kernel_to_spec,
     measurable,
+    projector_finite,
     restart_walk,
     swap2,
     symmetric_walk_Z,
+    truncate_reflecting,
+    two_absorbing,
 )
 
 TOL = 1e-12
@@ -321,3 +325,94 @@ def test_duality_asymmetric_line_walk():
     ]
     for mu in starts:
         assert duality_residual(k, f, mu) <= TOL
+
+
+# -- the sparse row table of a finite kernel -------------------------------------------
+
+def row_oracle(kernel, x):
+    """Per-scalar row read over all n columns: the construction the row table replaced."""
+    return {j: float(kernel.matrix[x, j]) for j in range(kernel.size) if kernel.matrix[x, j] != 0.0}
+
+
+def exact_items(row):
+    """Row items in order, with key and value types and the value's exact bits."""
+    return [(type(k), k, type(v), v.hex()) for k, v in row.items()]
+
+
+def table_matrices(seed, count, subnormals=True):
+    """Seeded stochastic matrices: dense, sparse, absorbing rows, -0.0 and subnormal entries."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 30))
+        m = rng.random((n, n))
+        m[rng.random((n, n)) < rng.choice([0.0, 0.5, 0.9])] = 0.0
+        for i in np.flatnonzero(rng.random(n) < 0.2):
+            m[i] = 0.0  # absorbing row
+            m[i, i] = 1.0
+        for i in np.flatnonzero(m.sum(axis=1) == 0.0):
+            m[i, rng.integers(n)] = 1.0
+        m /= m.sum(axis=1, keepdims=True)
+        zeros = m == 0.0
+        m[zeros & (rng.random((n, n)) < 0.5)] = -0.0
+        tiny = zeros & (rng.random((n, n)) < (0.1 if subnormals else 0.0))
+        m[tiny] = rng.choice([5e-324, 1e-310, 2.2e-308], size=int(tiny.sum()))
+        yield m
+
+
+def test_row_table_matches_the_per_scalar_read():
+    checked = 0
+    for m in table_matrices(seed=17, count=120):
+        k = TransitionKernel.finite(m)
+        for x in range(k.size):
+            assert exact_items(k.row(x)) == exact_items(row_oracle(k, x))
+            checked += 1
+    assert checked > 1000
+
+
+def test_row_table_keeps_negative_zero_out_and_subnormals_in():
+    m = np.array([[0.5, -0.0, 0.5], [5e-324, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    k = TransitionKernel.finite(m)
+    assert k.row(0) == {0: 0.5, 2: 0.5}
+    assert exact_items(k.row(1)) == exact_items({0: 5e-324, 1: 1.0})
+    assert list(k.row(2)) == [2]
+
+
+def test_row_hands_out_copies():
+    k = swap2()
+    k.row(0)[0] = 0.25
+    assert k.row(0) == {1: 1.0}
+
+
+def test_finite_kernel_matrices_are_read_only():
+    k = birth_death(6, 0.3, 0.2)
+    trunc = truncate_reflecting(drift_walk_N(0.4), 5)
+    for kern in (k, kernel_power(k, 1), kernel_power(k, 3), cesaro_kernel(k, 4), trunc):
+        before = kern.row(1)
+        with pytest.raises(ValueError):
+            kern.matrix[1, 1] = 0.5
+        assert kern.row(1) == before
+
+
+def test_finite_kernel_does_not_alias_the_callers_array():
+    arr = np.array([[0.2, 0.8], [0.6, 0.4]])
+    k = TransitionKernel.finite(arr)
+    assert k.row(0) == {0: 0.2, 1: 0.8}
+    arr[0] = [1.0, 0.0]
+    assert arr.flags.writeable
+    assert k.matrix[0].tolist() == [0.2, 0.8]
+    assert k.row(0) == {0: 0.2, 1: 0.8}
+
+
+def test_A_of_projector_rows_adds_weighted_rows_in_order():
+    kernels = [birth_death(40, 0.3, 0.2), two_absorbing()]
+    # a subnormal exit from a transient set makes the absorption solve singular
+    kernels += [TransitionKernel.finite(m) for m in table_matrices(29, 8, subnormals=False)]
+    for k in kernels:
+        for mu in projector_finite(k).rows.values():
+            atoms = {}
+            for x, w in sorted(mu.atoms.items()):
+                for y in np.flatnonzero(k.matrix[x]).tolist():
+                    atoms[y] = atoms.get(y, 0.0) + w * float(k.matrix[x, y])
+            out = apply_A(k, mu)
+            assert out.ends == {}
+            assert exact_items(out.atoms) == exact_items({y: v for y, v in atoms.items() if v != 0.0})
