@@ -45,6 +45,7 @@ from .errors import (
     CapacityError,
     ChargeChainError,
     DomainError,
+    NumericalError,
     PreconditionError,
     StructureError,
     ValidationError,

@@ -25,7 +25,7 @@ from .invariants import (
     invariant_basis,
     invariant_basis_finite,
 )
-from .kernels import TransitionKernel, cesaro_kernel, kernel_power
+from .kernels import TransitionKernel, cesaro_kernel, kernel_power, window_table
 from .measures import (
     FAMeasure,
     MeasurableSet,
@@ -145,10 +145,7 @@ def _phi_candidates(kernel: TransitionKernel, basis: InvariantBasis | None):
     if basis is None:
         basis = invariant_basis_finite(kernel)
     if basis.measures:
-        acc = basis.measures[0]
-        for mu in basis.measures[1:]:
-            acc = acc + mu
-        yield "basis-sum", acc
+        yield "basis-sum", sum(basis.measures[1:], basis.measures[0])
     yield "counting", FAMeasure(kernel.space, atoms={x: 1.0 for x in range(kernel.size)})
 
 
@@ -333,18 +330,11 @@ def truncate_reflecting(kernel: TransitionKernel, width: int) -> TransitionKerne
     """Finite restriction of a countable walk; outbound mass is clipped to the boundary."""
     if kernel.space.is_finite:
         raise DomainError("truncation applies to countable chains")
-    if kernel.space.support == "N":
-        states = list(range(width))
-    else:
-        states = list(range(-width, width + 1))
-    lo, hi = states[0], states[-1]
-    index = {x: i for i, x in enumerate(states)}
-    n = len(states)
-    mat = np.zeros((n, n))
-    for x in states:
-        for y, p in kernel.row(x).items():
-            y_clipped = min(max(y, lo), hi)
-            mat[index[x], index[y_clipped]] += p
+    lo, hi = (0, width - 1) if kernel.space.support == "N" else (-width, width)
+    sources, targets, probs = window_table(kernel, lo, hi)
+    mat = np.zeros((hi - lo + 1, hi - lo + 1))
+    # unbuffered, in table order: the same sums as adding the entries one by one
+    np.add.at(mat, (sources - lo, np.clip(targets, lo, hi) - lo), probs)
     return TransitionKernel.finite(mat)
 
 
@@ -366,9 +356,7 @@ def doeblin_truncation_trend(
     for w in widths:
         trunc = truncate_reflecting(kernel, w)
         basis = invariant_basis_finite(trunc)
-        phi = basis.measures[0]
-        for mu in basis.measures[1:]:
-            phi = phi + mu
+        phi = sum(basis.measures[1:], basis.measures[0])
         # a stationary solve can leave round-off weights like -2e-18 on
         # states the truncation barely reaches; they carry no mass
         phi = FAMeasure(

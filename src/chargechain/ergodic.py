@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, PreconditionError
-from .invariants import recurrent_classes, states_outside, stationary_of_class
+from .errors import CapacityError, DomainError, NumericalError, PreconditionError
+from .invariants import InvariantBasis, recurrent_classes, states_outside, stationary_of_class
 from .kernels import TransitionKernel
 from .measures import FAMeasure
 
@@ -36,13 +36,17 @@ class Projector:
         }
 
 
-def projector_finite(kernel: TransitionKernel) -> Projector:
-    """Row at x = sum over classes of (absorption probability of x) * (class stationary)."""
+def projector_finite(kernel: TransitionKernel, basis: InvariantBasis | None = None) -> Projector:
+    """Row at x = sum over classes of (absorption probability of x) * (class stationary).
+
+    The classes and their stationary distributions come from ``basis`` (an
+    ``invariant_basis_finite`` of this kernel) when given, else are solved here.
+    """
     if not kernel.space.is_finite:
         raise DomainError("projector construction needs a finite chain")
     n = kernel.size
-    classes = recurrent_classes(kernel)
-    pis = [stationary_of_class(kernel, c.states) for c in classes]
+    classes = recurrent_classes(kernel) if basis is None else basis.classes
+    pis = [stationary_of_class(kernel, c.states) for c in classes] if basis is None else basis.measures
     trans = list(states_outside(classes, n))
     absorb = np.zeros((n, len(classes)))
     for ci, c in enumerate(classes):
@@ -51,9 +55,16 @@ def projector_finite(kernel: TransitionKernel) -> Projector:
     if trans:
         q = kernel.matrix[np.ix_(trans, trans)]
         lhs = np.eye(len(trans)) - q
-        for ci, c in enumerate(classes):
-            b = kernel.matrix[np.ix_(trans, list(c.states))].sum(axis=1)
-            absorb[trans, ci] = np.linalg.solve(lhs, b)
+        try:
+            for ci, c in enumerate(classes):
+                b = kernel.matrix[np.ix_(trans, list(c.states))].sum(axis=1)
+                absorb[trans, ci] = np.linalg.solve(lhs, b)
+        except np.linalg.LinAlgError:
+            absorb[trans] = np.nan
+        bad = [trans[i] for i in np.flatnonzero(~np.isfinite(absorb[trans]).all(axis=1)).tolist()]
+        if bad:
+            raise NumericalError(f"I - Q is singular in floating point: transient states {bad} "
+                                 "get non-finite absorption probabilities")
     mat = np.zeros((n, n))
     for ci, pi in enumerate(pis):
         vec = np.zeros(n)
@@ -119,10 +130,10 @@ class ErgodicRunResult:
 
 
 def ergodic_run(
-    kernel: TransitionKernel, n_max: int
+    kernel: TransitionKernel, n_max: int, basis: InvariantBasis | None = None
 ) -> tuple[Projector, ErgodicRunResult, ErgodicRunResult]:
     """The limit projector and the averaged and raw runs measured against it."""
-    projector = projector_finite(kernel)
+    projector = projector_finite(kernel, basis)
     cesaro, raw = distance_series(kernel, n_max, projector)
     return projector, _fitted_run("cesaro", cesaro), _fitted_run("raw", raw)
 

@@ -23,3 +23,7 @@ class CapacityError(ChargeChainError):
 
 class StructureError(ChargeChainError):
     """A kernel lacks the structure an operation needs (e.g. tail rows)."""
+
+
+class NumericalError(ChargeChainError):
+    """A solve came out non-finite in floating point."""

@@ -5,7 +5,9 @@ per recurrent class, found by a direct linear solve.  Countable walks are
 handled within the representable class: invariant end charges come from
 the coarse end actions, and a countably additive invariant (when one
 exists with effectively finite support) is certified numerically by its
-invariance residual.
+invariance residual.  CA detection, averaged sequences and escape profiles
+evolve atomic mass on a truncation window, one step being a ``bincount``
+over the kernel's window table, with the overflow in end buckets.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructureError, ValidationError
-from .kernels import TransitionKernel, apply_A, end_action
+from .kernels import TransitionKernel, apply_A, end_action, window_table
 from .measures import (
     END_NEG,
     END_POS,
@@ -53,6 +55,7 @@ class InvariantBasis:
     kinds: list[str]  # "ca" | "pfa", parallel to measures
     dimension: int
     pairwise: list[PairCertificate] = field(default_factory=list)
+    classes: list[ChainClass] = field(default_factory=list)  # finite: one per measure
 
     def ca_count(self) -> int:
         return sum(1 for k in self.kinds if k == "ca")
@@ -135,11 +138,12 @@ def stationary_of_class(kernel: TransitionKernel, members: tuple[int, ...]) -> F
 
 def invariant_basis_finite(kernel: TransitionKernel) -> InvariantBasis:
     """One extreme invariant distribution per recurrent class; all countably additive."""
-    measures = [stationary_of_class(kernel, c.states) for c in recurrent_classes(kernel)]
-    return _assemble_basis(measures, ["ca"] * len(measures))
+    classes = recurrent_classes(kernel)
+    measures = [stationary_of_class(kernel, c.states) for c in classes]
+    return _assemble_basis(measures, ["ca"] * len(measures), classes)
 
 
-def _assemble_basis(measures: list[FAMeasure], kinds: list[str]) -> InvariantBasis:
+def _assemble_basis(measures: list[FAMeasure], kinds: list[str], classes=()) -> InvariantBasis:
     pairwise = []
     for i in range(len(measures)):
         for j in range(i + 1, len(measures)):
@@ -148,9 +152,7 @@ def _assemble_basis(measures: list[FAMeasure], kinds: list[str]) -> InvariantBas
             pairwise.append(
                 PairCertificate(i, j, disjoint, wit is not None, wit)
             )
-    return InvariantBasis(
-        measures=measures, kinds=kinds, dimension=len(measures), pairwise=pairwise
-    )
+    return InvariantBasis(measures, kinds, len(measures), pairwise, list(classes))
 
 
 # -- countable chains -------------------------------------------------------------
@@ -196,7 +198,7 @@ def detect_ca_countable(
 ) -> list[FAMeasure]:
     """Numerically certified countably additive invariant of a countable walk.
 
-    Power-iterates a truncated window (overflow discarded), averages the
+    Power-iterates a truncated window (overflow set aside), averages the
     last two iterates against period-2 cycling, renormalizes the retained
     atomic mass, and accepts only when the invariance residual meets the
     contract.  Returns at most one measure; an empty list means no
@@ -207,21 +209,16 @@ def detect_ca_countable(
     if steps is None:
         steps = 8 * window + 400  # mass seeded at the window edge must drift home
     engine = _WindowEngine(kernel, window)
-    v = np.full(engine.length, 1.0 / engine.length)
+    v = np.zeros(engine.length + 2)
+    v[1:-1] = 1.0 / engine.length
     prev = v
     for _ in range(steps):
-        prev = v
-        v, _ = engine.step(v)
+        prev, v = v, engine.step(v)
     cand = 0.5 * (prev + v)
-    mass = float(cand.sum())
+    mass = float(cand[1:-1].sum())
     if mass <= 1e-9:
         return []
-    cand = cand / mass
-    atoms = {
-        engine.state_of(i): float(cand[i])
-        for i in range(engine.length)
-        if cand[i] > 1e-14
-    }
+    atoms = engine.atoms(cand / mass, floor=1e-14)
     mu = FAMeasure(kernel.space, atoms=atoms).normalized()
     if invariance_residual(kernel, mu) <= tol:
         return [mu]
@@ -280,8 +277,9 @@ def cesaro_sequence(
 
     On countable chains the atomic part evolves on a window; when no window
     is given one wide enough to be exact for n steps is chosen (offsets are
-    bounded).  Giving a window engages truncation: overflow is routed
-    irreversibly to the adjacent end bucket.
+    bounded; it covers every start atom, exception row and fixed target).
+    Giving a window engages truncation: overflow, end leaks included, is
+    routed irreversibly to the adjacent end bucket.
     """
     if not mu0.is_probability():
         raise PreconditionError("averaging starts from a probability measure")
@@ -297,30 +295,27 @@ def cesaro_sequence(
             out.append(acc * (1.0 / k))
         return out
     if window is None:
-        extent = max((abs(x) for x in mu0.atoms), default=0)
-        window = extent + kernel.reach() * n + 1
+        keys = [*mu0.atoms, *kernel.exceptions]
+        keys += [y for row in kernel.exceptions.values() for y in row]
+        keys += [y for tail in kernel.tails.values() for y in tail.to_finite]
+        window = max((abs(x) for x in keys), default=0) + kernel.reach() * n + 1
     engine = _WindowEngine(kernel, window)
     v = engine.load_atoms(mu0)
-    ends = {e: mu0.ends.get(e, 0.0) for e in kernel.space.end_ids()}
-    escaped = {e: 0.0 for e in kernel.space.end_ids()}
+    ends = mu0.ends
     acc_v = np.zeros_like(v)
-    acc_ends = {e: 0.0 for e in ends}
+    acc_ends = {e: 0.0 for e in kernel.space.end_ids()}
     out = []
     for k in range(1, n + 1):
-        v, over = engine.step(v)
-        v, ends = engine.evolve_ends(v, ends)
-        for e, w in over.items():
-            escaped[e] += w
+        moved = apply_A(kernel, FAMeasure(kernel.space, ends=ends))  # end mass and its leaks
+        v = engine.step(v)
+        for y, w in moved.atoms.items():
+            v[engine.cell(y)] += w
+        ends = moved.ends
         acc_v += v
-        for e in ends:
-            acc_ends[e] += ends[e] + escaped[e]
-        atoms = {
-            engine.state_of(i): float(acc_v[i] / k)
-            for i in range(engine.length)
-            if acc_v[i] != 0.0
-        }
+        for e in acc_ends:
+            acc_ends[e] += ends.get(e, 0.0) + float(v[engine.bucket[e]])
         out.append(
-            FAMeasure(kernel.space, atoms, {e: w / k for e, w in acc_ends.items()})
+            FAMeasure(kernel.space, engine.atoms(acc_v / k), {e: w / k for e, w in acc_ends.items()})
         )
     return out
 
@@ -356,24 +351,17 @@ def escape_profile(
     ws = sorted(int(m) for m in windows)
     if not ws or ws[0] < 1:
         raise ValidationError("window sizes must be positive")
-    cap = ws[-1]
-    engine = _WindowEngine(kernel, cap)
+    engine = _WindowEngine(kernel, ws[-1])
     v = engine.load_atoms(mu0)
-    bucket = {e: 0.0 for e in kernel.space.end_ids()}
-    acc_v = np.zeros_like(v)
-    acc_bucket = {e: 0.0 for e in bucket}
+    acc = np.zeros_like(v)
     series: dict[int, list[float]] = {m: [] for m in ws}
-    slices = {m: engine.window_slice(m) for m in ws}
+    slices = {m: slice(engine.cell(max(engine.lo, -m)), engine.cell(m) + 1) for m in ws}
     for k in range(1, n_max + 1):
-        v, over = engine.step(v)
-        for e, w in over.items():
-            bucket[e] += w
-        acc_v += v
-        for e in bucket:
-            acc_bucket[e] += bucket[e]
+        v = engine.step(v)
+        acc += v
         for m in ws:
-            series[m].append(float(acc_v[slices[m]].sum() / k))
-    escaped = {e: acc_bucket[e] / n_max for e in acc_bucket}
+            series[m].append(float(acc[slices[m]].sum() / k))
+    escaped = {e: float(acc[c]) / n_max for e, c in engine.bucket.items()}
     total_escaped = math.fsum(escaped.values())
     split = (
         {e: escaped[e] / total_escaped for e in sorted(escaped)}
@@ -382,7 +370,7 @@ def escape_profile(
     )
     return EscapeProfile(
         windows=[(m, series[m]) for m in ws],
-        pfa_mass_estimate=1.0 - series[cap][-1],
+        pfa_mass_estimate=1.0 - series[ws[-1]][-1],
         per_end_split=split,
     )
 
@@ -390,120 +378,44 @@ def escape_profile(
 # -- truncated window engine --------------------------------------------------------
 
 class _WindowEngine:
-    """Vectorized one-step evolution of atomic mass on a truncation window.
+    """Atomic mass on the window lo..hi, stepped with the kernel's window table.
 
-    States lo..hi map to array cells; mass stepping past a boundary is
-    reported per end.  Exception rows are applied per state; every other
-    cell follows the tail row of the end governing its region.
+    A vector has length + 2 cells: state x sits in cell x - lo + 1, and cells
+    0 and length + 1 are the end buckets of -inf and +inf.  A step clips each
+    target onto lo-1..hi+1, so mass leaving the window lands in the bucket
+    on its side, and the buckets keep what they hold.
     """
 
     def __init__(self, kernel: TransitionKernel, half_width: int):
         if kernel.space.is_finite:
             raise DomainError("window engine needs a countable chain")
-        self.kernel = kernel
-        if kernel.space.support == "N":
-            self.lo, self.hi = 0, int(half_width)
-        else:
-            self.lo, self.hi = -int(half_width), int(half_width)
+        self.hi = int(half_width)
+        self.lo = 0 if kernel.space.support == "N" else -self.hi
         self.length = self.hi - self.lo + 1
-        for e, tail in kernel.tails.items():
-            if any(p != 0.0 for p in tail.to_other_end.values()):
-                raise StructureError(
-                    "tail row with cross-end mass has no pointwise realization"
-                )
-        self._exc = {
-            x: kernel.exceptions[x]
-            for x in kernel.exceptions
-            if self.lo <= x <= self.hi
-        }
-        self._regions = []
-        if kernel.space.support == "N":
-            self._regions.append((0, self.length, kernel.tails[END_POS]))
-        else:
-            zero = -self.lo
-            self._regions.append((zero, self.length, kernel.tails[END_POS]))
-            self._regions.append((0, zero, kernel.tails[END_NEG]))
+        sources, targets, self._probs = window_table(kernel, self.lo, self.hi)
+        self._sources = self.cell(sources)
+        self._cells = self.cell(targets)
+        self.bucket = {e: 0 if e == END_NEG else self.length + 1 for e in kernel.space.end_ids()}
 
-    def idx(self, x: int) -> int:
-        return x - self.lo
+    def cell(self, x):
+        """Cell of a state (or an array of states); states past the window map to a bucket."""
+        return np.clip(x, self.lo - 1, self.hi + 1) - self.lo + 1
 
-    def state_of(self, i: int) -> int:
-        return i + self.lo
-
-    def window_slice(self, m: int):
-        a = max(self.lo, -m)
-        b = min(self.hi, m)
-        return slice(self.idx(a), self.idx(b) + 1)
+    def atoms(self, v: np.ndarray, floor: float = 0.0) -> dict[int, float]:
+        """The window cells of v above ``floor`` in absolute value, by state."""
+        inner = v[1:-1]
+        return {self.lo + i: float(inner[i]) for i in np.flatnonzero(abs(inner) > floor).tolist()}
 
     def load_atoms(self, mu: FAMeasure) -> np.ndarray:
-        v = np.zeros(self.length)
+        v = np.zeros(self.length + 2)
         for x, w in mu.atoms.items():
             if not self.lo <= x <= self.hi:
                 raise PreconditionError(f"atom at {x} lies outside the window")
-            v[self.idx(x)] = w
+            v[self.cell(x)] = w
         return v
 
-    def step(self, v: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-        new = np.zeros_like(v)
-        over = {e: 0.0 for e in self.kernel.space.end_ids()}
-        masked = v.copy()
-        for x in self._exc:
-            masked[self.idx(x)] = 0.0
-        for start, stop, tail in self._regions:
-            if start >= stop:
-                continue
-            u = np.zeros_like(v)
-            u[start:stop] = masked[start:stop]
-            region_mass = float(u.sum())
-            if region_mass == 0.0:
-                continue
-            for off, p in sorted(tail.relative.items()):
-                if p == 0.0:
-                    continue
-                if off == 0:
-                    new += p * u
-                elif off > 0:
-                    new[off:] += p * u[:-off]
-                    spill = float(u[self.length - off :].sum())
-                    if spill:
-                        over[END_POS] += p * spill
-                else:
-                    new[:off] += p * u[-off:]
-                    spill = float(u[:-off].sum())
-                    if spill:
-                        over[END_NEG] += p * spill
-            for y, p in sorted(tail.to_finite.items()):
-                self._deposit(new, over, y, p * region_mass)
-        for x, row in sorted(self._exc.items()):
-            w = v[self.idx(x)]
-            if w == 0.0:
-                continue
-            for y, p in sorted(row.items()):
-                self._deposit(new, over, y, w * p)
-        return new, over
-
-    def _deposit(self, new, over, y: int, mass: float) -> None:
-        if mass == 0.0:
-            return
-        if self.lo <= y <= self.hi:
-            new[self.idx(y)] += mass
-        else:
-            over[END_POS if y > self.hi else END_NEG] += mass
-
-    def evolve_ends(
-        self, v: np.ndarray, ends: dict[str, float]
-    ) -> tuple[np.ndarray, dict[str, float]]:
-        """Faithful one-step action on genuine end mass (leaks re-enter atoms)."""
-        new_ends = {e: 0.0 for e in ends}
-        for e in sorted(ends):
-            w = ends[e]
-            if w == 0.0:
-                continue
-            act = end_action(self.kernel, e)
-            new_ends[e] += w * act.preserved_mass
-            for e2, p in sorted(act.leak_ends.items()):
-                new_ends[e2] += w * p
-            for y, p in sorted(act.leak_atoms.items()):
-                if self.lo <= y <= self.hi:
-                    v[self.idx(y)] += w * p
-        return v, new_ends
+    def step(self, v: np.ndarray) -> np.ndarray:
+        """One step of A on the window cells of v; the overflow adds to the buckets."""
+        new = np.bincount(self._cells, v[self._sources] * self._probs, self.length + 2)
+        new[[0, -1]] += v[[0, -1]]
+        return new

@@ -11,6 +11,9 @@ leaks ``to_finite`` into fixed states, and leaks ``to_other_end`` across.
 Rows are countably additive by construction.  A tail row with cross-end
 mass has a well defined coarse action but no pointwise realization, so
 materializing a concrete row of such a kernel raises StructureError.
+``window_table`` flattens the rows of a window of states into arrays; every
+walk evolution on a window (escape, averaging, CA detection) and the
+reflecting truncation read their one-step law from it.
 """
 
 from __future__ import annotations
@@ -282,6 +285,21 @@ def apply_A(kernel: TransitionKernel, mu: FAMeasure) -> FAMeasure:
         for e2, p in sorted(act.leak_ends.items()):
             ends[e2] = ends.get(e2, 0.0) + w * p
     return FAMeasure(kernel.space, atoms, ends)
+
+
+def window_table(
+    kernel: TransitionKernel, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of states lo..hi flattened to ``(sources, targets, probs)``.
+
+    Sources ascend and each row keeps the order of ``kernel.row``.  Targets
+    are states and may lie outside lo..hi, so a boundary policy is a clip of
+    ``targets``: onto lo..hi to reflect, onto lo-1..hi+1 to send overflow to
+    the end buckets.
+    """
+    table = np.array([(x, y, p) for x in range(lo, hi + 1) for y, p in kernel.row(x).items()])
+    table = table.reshape(-1, 3)  # states are small integers, exact as floats
+    return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
 
 
 def end_action(kernel: TransitionKernel, ident: str) -> EndAction:

@@ -109,7 +109,7 @@ def run_analysis(request: AnalysisRequest) -> dict:
             kernel, basis, build_condition_report(kernel, basis, request.k_max, request.eps_grid)
         )
     if "ergodic" in tasks:
-        jobs["ergodic"] = lambda: _ergodic_section(kernel, request.n_max)
+        jobs["ergodic"] = lambda: _ergodic_section(kernel, request.n_max, basis)
     if "escape" in tasks:
         jobs["escape"] = lambda: _escape_section(kernel, request.n_max, request.windows)
     workers = worker_count()
@@ -226,8 +226,8 @@ def _conditions_section(
     return section
 
 
-def _ergodic_section(kernel: TransitionKernel, n_max: int) -> dict:
-    projector, cesaro, raw = ergodic_run(kernel, n_max)
+def _ergodic_section(kernel: TransitionKernel, n_max: int, basis: InvariantBasis) -> dict:
+    projector, cesaro, raw = ergodic_run(kernel, n_max, basis)
     return {
         "n_max": n_max,
         "projector": projector.to_json(),

@@ -1,5 +1,6 @@
 """CLI behavior: determinism, exit codes, formats, report verification."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -217,3 +218,15 @@ def test_threads_env_var_is_honored(tmp_path: Path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
     monkeypatch.setenv("CHARGECHAIN_THREADS", "zebra")
     assert run_cli(["analyze", "--catalog", "swap2", "--out", str(tmp_path / "c.json")]) == 2
+
+
+def test_analyze_exits_2_on_a_non_finite_projector(tmp_path: Path, capsys):
+    from test_kernels import table_matrices
+
+    # 13 states; one transient set leaves only through a subnormal probability
+    matrix = next(itertools.islice(table_matrices(29, 8), 3, None))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"kind": "finite", "matrix": matrix.tolist()}))
+    args = ["analyze", "--chain", str(chain), "--tasks", "invariants,ergodic"]
+    assert run_cli(args + ["--out", str(tmp_path / "r.json")]) == 2
+    assert "transient states" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import chargechain.invariants as invariants
 from chargechain import (
     AnalysisRequest,
     CapacityError,
+    NumericalError,
     PreconditionError,
     TransitionKernel,
     birth_death,
@@ -187,9 +188,9 @@ def test_analysis_builds_one_projector_and_two_class_decompositions(monkeypatch)
     calls = {"projector_finite": 0, "recurrent_classes": 0}
 
     def counted(name, fn):
-        def wrapper(kernel):
+        def wrapper(kernel, *rest):
             calls[name] += 1
-            return fn(kernel)
+            return fn(kernel, *rest)
 
         return wrapper
 
@@ -200,3 +201,38 @@ def test_analysis_builds_one_projector_and_two_class_decompositions(monkeypatch)
     run_analysis(AnalysisRequest(catalog="two_absorbing", tasks=("invariants", "ergodic"), n_max=30))
     assert calls["projector_finite"] == 1
     assert 1 <= calls["recurrent_classes"] <= 2
+
+
+def test_analysis_solves_each_recurrent_class_once(monkeypatch):
+    calls = {"recurrent_classes": 0, "stationary_of_class": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    rc = counted("recurrent_classes", invariants.recurrent_classes)
+    sc = counted("stationary_of_class", invariants.stationary_of_class)
+    for module in (invariants, ergodic):
+        monkeypatch.setattr(module, "recurrent_classes", rc)
+        monkeypatch.setattr(module, "stationary_of_class", sc)
+    run_analysis(AnalysisRequest(catalog="two_absorbing", tasks=("invariants", "ergodic"), n_max=30))
+    assert calls == {"recurrent_classes": 1, "stationary_of_class": 2}
+
+
+def test_projector_from_the_basis_is_the_same_solve():
+    for k in (two_absorbing(), swap2(), birth_death(6, 0.3, 0.2), TransitionKernel.finite(np.eye(3))):
+        basis = invariant_basis_finite(k)
+        assert [c.states for c in basis.classes] == [c.states for c in invariants.recurrent_classes(k)]
+        assert projector_finite(k, basis).matrix.tobytes() == projector_finite(k).matrix.tobytes()
+
+
+def test_projector_rejects_non_finite_absorption():
+    # transient states 0 and 1 leave only through a subnormal probability
+    m = np.array([[0.5, 0.5 - 1e-310, 1e-310], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    k = TransitionKernel.finite(m)
+    assert invariants.states_outside(invariants.recurrent_classes(k), 3) == (0, 1)
+    with pytest.raises(NumericalError, match=r"transient states \[0, 1\]"):
+        projector_finite(k)

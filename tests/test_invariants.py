@@ -188,6 +188,22 @@ def test_cesaro_sequence_truncation_routes_overflow():
     assert lam.is_probability()
 
 
+def test_cesaro_sequence_keeps_end_leaks_to_fixed_targets():
+    tail = TailRow(relative={1: 0.5}, to_finite={50: 0.5})
+    k = TransitionKernel.walk("N", tails={END_POS: tail})
+    start = end_charge(k.space, END_POS)
+    seq = cesaro_sequence(k, start, 5)
+    cur, acc = start, FAMeasure(k.space)
+    for n, lam in enumerate(seq, start=1):
+        cur = apply_A(k, cur)
+        acc = acc + cur
+        assert lam.is_probability()
+        assert (lam - acc * (1.0 / n)).total_variation() <= 1e-12
+    # under a window that misses state 50 the leak is overflow: it lands in the +inf bucket
+    for lam in cesaro_sequence(k, start, 5, window=10):
+        assert lam.is_probability() and lam.ends == {END_POS: 1.0} and not lam.atoms
+
+
 def test_escape_profile_drift_exact():
     dw = drift_walk_N(1.0)
     prof = escape_profile(dw, dirac(dw.space, 0), n_max=400, windows=(4, 8, 16))
@@ -258,10 +274,7 @@ def test_window_engine_matches_direct_application():
     rng = np.random.default_rng(0)
     atoms = {int(x): float(w) for x, w in zip(rng.integers(-20, 21, 8), rng.random(8))}
     mu = FAMeasure(k.space, atoms=atoms)
-    stepped, over = engine.step(engine.load_atoms(mu))
-    assert sum(over.values()) == 0.0  # nothing near the boundary yet
-    got = FAMeasure(
-        k.space,
-        atoms={engine.state_of(i): stepped[i] for i in range(engine.length)},
-    )
+    stepped = engine.step(engine.load_atoms(mu))
+    assert stepped[0] == stepped[-1] == 0.0  # nothing near the boundary yet
+    got = FAMeasure(k.space, atoms=engine.atoms(stepped))
     assert (got - apply_A(k, mu)).total_variation() <= 1e-15
