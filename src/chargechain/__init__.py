@@ -91,6 +91,7 @@ from .kernels import (
     kernel_from_spec,
     kernel_power,
     kernel_to_spec,
+    successors,
 )
 from .measures import (
     END_NEG,

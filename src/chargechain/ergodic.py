@@ -1,8 +1,10 @@
 """Numeric verification of the ergodic limit theorems on finite chains.
 
 The limit of the averaged operator iterates is a finite-rank projector
-whose row at x mixes the class-stationary distributions with the
-absorption probabilities of x.  Operator distances are realized as the
+P = H·Π whose row at x mixes the class-stationary distributions Π with the
+absorption probabilities H of x.  Reports carry the factors, which
+re-verify in time linear in the nonzero entries of the kernel; distances
+are measured against the dense P.  Operator distances are realized as the
 max-row total-variation distance, the induced norm on the measure side
 where the transition operator has norm one.
 """
@@ -12,32 +14,53 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, NumericalError, PreconditionError
-from .invariants import InvariantBasis, recurrent_classes, states_outside, stationary_of_class
+from .invariants import ChainClass, InvariantBasis, recurrent_classes, states_outside, stationary_of_class
 from .kernels import TransitionKernel
-from .measures import FAMeasure
+from .measures import FAMeasure, StateSpace
 
 
 @dataclass(frozen=True)
 class Projector:
-    """Finite-rank limit of the averaged operator iterates."""
+    """Finite-rank limit P = H·Π of the averaged operator iterates.
 
-    rows: dict[int, FAMeasure]
-    rank: int
+    Π holds one stationary law per recurrent class.  H is 1 on a class
+    state's own class and 0 on the others; ``absorption`` holds its rows
+    at the transient states, the probabilities of ending in each class.
+    ``matrix`` is P itself, dense.
+    """
+
+    space: StateSpace
+    classes: list[ChainClass]
+    stationary: list[FAMeasure]  # one per class
+    absorption: dict[int, list[float]]  # transient state -> one probability per class
     matrix: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return len(self.classes)
+
+    @cached_property
+    def rows(self) -> dict[int, FAMeasure]:
+        """Row x of P as a measure, for every state x; built on first use."""
+        n = self.matrix.shape[0]
+        return {x: FAMeasure(self.space, {j: float(self.matrix[x, j]) for j in range(n)}) for x in range(n)}
 
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
-            "rows": {str(x): self.rows[x].to_json() for x in sorted(self.rows)},
+            "classes": [list(c.states) for c in self.classes],
+            "stationary": [pi.to_json() for pi in self.stationary],
+            "absorption": {str(x): [float(h) for h in row] for x, row in sorted(self.absorption.items())},
         }
 
 
 def projector_finite(kernel: TransitionKernel, basis: InvariantBasis | None = None) -> Projector:
-    """Row at x = sum over classes of (absorption probability of x) * (class stationary).
+    """P = H·Π: row x mixes the class stationary laws by x's absorption probabilities.
 
     The classes and their stationary distributions come from ``basis`` (an
     ``invariant_basis_finite`` of this kernel) when given, else are solved here.
@@ -71,11 +94,8 @@ def projector_finite(kernel: TransitionKernel, basis: InvariantBasis | None = No
         for s, w in pi.atoms.items():
             vec[s] = w
         mat += np.outer(absorb[:, ci], vec)
-    rows = {
-        x: FAMeasure(kernel.space, {j: float(mat[x, j]) for j in range(n)})
-        for x in range(n)
-    }
-    return Projector(rows=rows, rank=len(classes), matrix=mat)
+    absorption = {x: absorb[x].tolist() for x in trans}
+    return Projector(kernel.space, list(classes), list(pis), absorption, mat)
 
 
 def _max_row_tv(a: np.ndarray, b: np.ndarray) -> float:
@@ -139,11 +159,15 @@ def ergodic_run(
 
 
 def _fitted_run(mode: str, distances: list[float]) -> ErgodicRunResult:
+    return ErgodicRunResult(mode=mode, distances=distances, rate=fitted_rate(distances))
+
+
+def fitted_rate(distances) -> RateFit:
+    """``rate_fit``, or the ``undetermined`` kind when the horizon is too short for a fit."""
     try:
-        rate = rate_fit(distances)
+        return rate_fit(distances)
     except PreconditionError:
-        rate = RateFit("undetermined")  # horizon too short for a fit
-    return ErgodicRunResult(mode=mode, distances=distances, rate=rate)
+        return RateFit("undetermined")
 
 
 def rate_fit(distances) -> RateFit:

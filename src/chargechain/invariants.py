@@ -13,12 +13,13 @@ over the kernel's window table, with the overflow in end buckets.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructureError, ValidationError
-from .kernels import TransitionKernel, apply_A, end_action, window_table
+from .kernels import TransitionKernel, apply_A, end_action, successors, window_table
 from .measures import (
     END_NEG,
     END_POS,
@@ -72,27 +73,63 @@ def invariance_residual(kernel: TransitionKernel, mu: FAMeasure) -> float:
 # -- finite-chain structure -----------------------------------------------------
 
 def recurrent_classes(kernel: TransitionKernel) -> list[ChainClass]:
-    """Closed communicating classes with their periods, ordered by least state."""
+    """Closed communicating classes with their periods, ordered by least state.
+
+    The communicating classes are the strongly connected components of the
+    positive entries of the row table (one Tarjan pass); a class is closed
+    when no edge leaves it.
+    """
     if not kernel.space.is_finite:
         raise DomainError("recurrent_classes needs a finite chain")
-    p = kernel.matrix
-    n = kernel.size
-    edge = p > 0.0
-    reach = edge | np.eye(n, dtype=bool)
-    for _ in range(max(1, int(math.ceil(math.log2(max(n, 2)))))):
-        reach = reach | (reach @ reach)
-    comm = reach & reach.T
-    seen: set[int] = set()
-    classes = []
-    for x in range(n):
-        if x in seen:
+    succ = successors(kernel)
+    comp = _strong_components(succ)
+    left = {comp[x] for x, ys in enumerate(succ) if any(comp[y] != comp[x] for y in ys)}
+    members: dict[int, list[int]] = {}
+    for x, c in enumerate(comp):  # ascending states, so classes come by least state
+        if c not in left:
+            members.setdefault(c, []).append(x)
+    return [ChainClass(states=tuple(s), period=_class_period(succ, s)) for s in members.values()]
+
+
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Component id of each state: Tarjan's algorithm with an explicit stack."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = n_comps = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        inside = comm[x]
-        members = tuple(int(y) for y in np.flatnonzero(inside))
-        seen.update(members)
-        if not edge[inside][:, ~inside].any():  # closed: no edge leaves the class
-            classes.append(ChainClass(states=members, period=_class_period(edge, members)))
-    return classes
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0:  # w is still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = n_comps
+                        if w == v:
+                            break
+                    n_comps += 1
+    return comp
 
 
 def transient_states(kernel: TransitionKernel) -> tuple[int, ...]:
@@ -105,22 +142,32 @@ def states_outside(classes: list[ChainClass], size: int) -> tuple[int, ...]:
     return tuple(x for x in range(size) if x not in covered)
 
 
-def _class_period(edge: np.ndarray, members: tuple[int, ...]) -> int:
+def _class_period(succ: list[list[int]], members) -> int:
+    """gcd of level[u] + 1 - level[v] over the edges of a closed class, BFS levels from its least state."""
     root = members[0]
     level = {root: 0}
-    queue = [root]
+    queue = deque([root])
+    g = 0
     while queue:
-        u = queue.pop(0)
-        for v in members:
-            if edge[u, v] and v not in level:
+        u = queue.popleft()
+        for v in succ[u]:
+            if v not in level:
                 level[v] = level[u] + 1
                 queue.append(v)
-    g = 0
-    for u in members:
-        for v in members:
-            if edge[u, v]:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) or 1
+            g = math.gcd(g, level[u] + 1 - level[v])
+    return g or 1
+
+
+def reachable(adjacency: list[list[int]], sources) -> set[int]:
+    """The states reachable from ``sources`` along ``adjacency`` (sources included)."""
+    seen = set(sources)
+    queue = deque(seen)
+    while queue:
+        for v in adjacency[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
 
 
 def stationary_of_class(kernel: TransitionKernel, members: tuple[int, ...]) -> FAMeasure:

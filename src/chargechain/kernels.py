@@ -2,7 +2,8 @@
 
 Finite kernels are dense row-stochastic matrices, read-only once a kernel
 holds them; their sparse rows are materialized once per kernel, on first
-use, and ``row`` hands out copies.  Countable kernels are
+use, and ``row`` hands out copies (``successors`` reads the positive
+entries of the same table as a graph).  Countable kernels are
 "walks": finitely many exception rows plus one eventually-constant tail row
 per end, with bounded relative offsets.  That structure keeps the action of
 A on end charges exact: an end charge keeps ``preserved_mass`` at its end,
@@ -179,6 +180,11 @@ class TransitionKernel:
         """One-step transition probability p(x, E)."""
         row = self.row(x)
         return math.fsum(p for y, p in sorted(row.items()) if ev_set.covers_state(y))
+
+
+def successors(kernel: TransitionKernel) -> list[list[int]]:
+    """The states each state of a finite kernel reaches with positive probability, ascending."""
+    return [[y for y, p in row.items() if p > 0.0] for row in kernel._finite_rows]
 
 
 def _read_only(matrix: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,12 +35,17 @@ from .invariants import (
     escape_profile,
     invariance_residual,
     invariant_basis,
+    reachable,
 )
-from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
+from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec, successors
 from .measures import dirac, evaluate, measurable, measure_from_json, set_from_json
-from .ergodic import ErgodicRunResult, ergodic_run
+from .ergodic import ErgodicRunResult, ergodic_run, fitted_rate
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+#: tolerance of the absorption rows' sums and of (I - Q)·H = B in verification
+ABSORPTION_TOL = 1e-9
+#: relative tolerance of a re-fitted rate ratio against the stored one
+RATE_TOL = 1e-9
 #: each task writes the report section of the same name
 ALL_TASKS = ("invariants", "conditions", "ergodic", "escape")
 
@@ -292,19 +298,18 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 def verify_report(report: dict) -> list[dict]:
     """Re-verify every witness embedded in a report; each item re-runs its checker.
 
-    Fails closed: a report that lists no tasks, an unknown task, or a task
-    without its section gets a failed item.
+    Fails closed: a report of another schema, one that lists no tasks, an
+    unknown task, or a task without its section gets a failed item.  The
+    sections of another schema are not read.
     """
     results: list[dict] = []
 
     def record(check: str, ok: bool, detail: str = "") -> None:
         results.append({"check": check, "ok": bool(ok), "detail": detail})
 
-    try:
-        kernel = kernel_from_spec(report["chain"]["spec"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"report lacks a chain spec: {exc}") from exc
-    space = kernel.space
+    found = report.get("schema")
+    current = found == SCHEMA_VERSION
+    record("schema", current, f"schema {found}" + ("" if current else f", expected {SCHEMA_VERSION}"))
 
     tasks = report.get("tasks")
     if not isinstance(tasks, list) or not tasks:
@@ -314,6 +319,14 @@ def verify_report(report: dict) -> list[dict]:
             known = task in ALL_TASKS
             ok = known and bool(report.get(task))
             record(f"task {task} section", ok, "" if ok else "missing" if known else "unknown task")
+    if not current:
+        return results
+
+    try:
+        kernel = kernel_from_spec(report["chain"]["spec"])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"report lacks a chain spec: {exc}") from exc
+    space = kernel.space
 
     inv = report.get("invariants")
     if inv:
@@ -376,17 +389,117 @@ def verify_report(report: dict) -> list[dict]:
 
     erg = report.get("ergodic")
     if erg:
-        rows = erg["projector"]["rows"]
-        ok = True
-        worst = 0.0
-        for x_str, row_json in rows.items():
-            row = measure_from_json(space, row_json)
-            res = invariance_residual(kernel, row)
-            worst = max(worst, res)
-            ok = ok and row.is_probability() and res <= INVARIANCE_TOL
-        record("projector rows invariant", ok, f"worst residual {worst:.3e}")
+        _verify_projector(kernel, erg.get("projector"), record)
+        for mode in ("cesaro", "raw"):
+            _verify_rate(erg.get(mode), mode, record)
 
     return results
+
+
+def _verify_projector(kernel: TransitionKernel, proj, record) -> None:
+    """Check the factors of P = H·Π against the kernel's rows, in O(nnz·r).
+
+    The classes must be exactly the closed communicating classes, each Π_i
+    the invariant probability on class i, and each H row the solution of
+    (I − Q)·H = B, so the checks pin P down.
+    """
+    if not kernel.space.is_finite:
+        record("projector on a finite chain", False, "the chain is countable")
+        return
+    n = kernel.size
+    try:
+        rank = proj["rank"]
+        classes = [list(c) for c in proj["classes"]]
+        stationary = [measure_from_json(kernel.space, m) for m in proj["stationary"]]
+        absorption = {int(x): [float(h) for h in row] for x, row in proj["absorption"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        record("projector format", False, f"{type(exc).__name__}: {exc}")
+        return
+
+    flat = [s for c in classes for s in c]
+    ok = (
+        rank == len(classes) == len(stationary)
+        and all(type(s) is int and 0 <= s < n for s in flat)
+        and len(set(flat)) == len(flat)
+        and all(c and c == sorted(c) for c in classes)
+        and classes == sorted(classes)  # by least state, as the classes are disjoint
+    )
+    record(
+        "projector classes",
+        ok,
+        f"rank {rank}, {len(classes)} classes, {len(stationary)} stationary laws",
+    )
+    if not ok:
+        return
+
+    succ = successors(kernel)
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for x, ys in enumerate(succ):
+        for y in ys:
+            pred[y].append(x)
+    for i, (states, pi) in enumerate(zip(classes, stationary)):
+        members = set(states)
+        forward = reachable(succ, states[:1])
+        backward = reachable(pred, states[:1])
+        record(
+            f"projector class[{i}] closed and communicating",
+            forward == members and members <= backward,
+            f"{len(forward - members)} states reached outside it, "
+            f"{len(members - backward)} members not reaching state {states[0]}",
+        )
+        res = invariance_residual(kernel, pi)
+        record(
+            f"projector stationary[{i}]",
+            pi.is_probability() and not pi.ends and set(pi.atoms) <= members and res <= INVARIANCE_TOL,
+            f"residual {res:.3e}",
+        )
+
+    transient = set(range(n)) - set(flat)
+    reaching = reachable(pred, flat)
+    record(
+        "projector transient states",
+        set(absorption) == transient and transient <= reaching,
+        f"{len(transient)} transient, {len(absorption)} absorption rows, "
+        f"{len(transient - reaching)} reaching no class",
+    )
+    rows_ok = all(
+        len(h) == rank and all(v >= -ABSORPTION_TOL for v in h) and abs(math.fsum(h) - 1.0) <= ABSORPTION_TOL
+        for h in absorption.values()
+    )
+    record(
+        "projector absorption rows",
+        rows_ok,
+        f"{len(absorption)} rows of {rank} nonnegative entries summing to 1 (tolerance {ABSORPTION_TOL:g})",
+    )
+    if not rows_ok or set(absorption) != transient:
+        return  # already failed, and the equation needs every row
+    class_of = {s: i for i, c in enumerate(classes) for s in c}
+    worst = 0.0
+    for x, h in absorption.items():
+        lhs = list(h)  # row x of (I - Q)·H - B
+        for y, p in kernel.row(x).items():
+            if y in class_of:
+                lhs[class_of[y]] -= p
+            else:
+                for i, hy in enumerate(absorption[y]):
+                    lhs[i] -= p * hy
+        worst = max(worst, max(map(abs, lhs), default=0.0))
+    record("projector absorption equation", worst <= ABSORPTION_TOL, f"max |(I - Q)H - B| {worst:.3e}")
+
+
+def _verify_rate(run, mode: str, record) -> None:
+    """Re-fit the rate from the stored distances and compare it with the stored fit."""
+    try:
+        refit = fitted_rate(run["distances"]).to_json()
+        stored = run["rate"]
+        same = set(stored) == set(refit) and all(
+            math.isclose(stored[k], v, rel_tol=RATE_TOL, abs_tol=0.0) if k == "ratio" else stored[k] == v
+            for k, v in refit.items()
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        record(f"{mode} rate fit", False, f"{type(exc).__name__}: {exc}")
+        return
+    record(f"{mode} rate fit", same, f"refit {json.dumps(refit, sort_keys=True)}")
 
 
 def _sets_disjoint(space, a, b) -> bool:

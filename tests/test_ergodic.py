@@ -1,5 +1,7 @@
 """Projector construction, operator-distance decay, rate fitting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,29 @@ def test_projector_rejects_non_finite_absorption():
     assert invariants.states_outside(invariants.recurrent_classes(k), 3) == (0, 1)
     with pytest.raises(NumericalError, match=r"transient states \[0, 1\]"):
         projector_finite(k)
+
+
+def test_projector_factors_rebuild_the_matrix_without_dense_rows():
+    chains = (two_absorbing(), swap2(), birth_death(6, 0.3, 0.2), TransitionKernel.finite(np.eye(3)))
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        m = rng.random((7, 7)) * (rng.random((7, 7)) < 0.4)
+        m[[0, 3], :] = 0.0
+        m[0, 0] = m[3, 3] = 1.0  # two absorbing states; the rest may be transient
+        m[m.sum(axis=1) == 0.0, 0] = 1.0
+        chains += (TransitionKernel.finite(m / m.sum(axis=1, keepdims=True)),)
+    for k in chains:
+        pj = projector_finite(k)
+        data = json.loads(json.dumps(pj.to_json()))
+        h = np.zeros((k.size, pj.rank))
+        pi = np.zeros((pj.rank, k.size))
+        for i, (states, law) in enumerate(zip(data["classes"], data["stationary"])):
+            h[states, i] = 1.0
+            for x, w in law["atoms"].items():
+                pi[i, int(x)] = w
+        for x, row in data["absorption"].items():
+            h[int(x)] = row
+        assert sorted(int(x) for x in data["absorption"]) == list(invariants.transient_states(k))
+        assert np.abs(h @ pi - pj.matrix).max() <= 1e-15
+        assert "rows" not in vars(pj)  # the dense rows are derived only on request
+        assert pj.rows[0].atoms == {j: float(pj.matrix[0, j]) for j in range(k.size) if pj.matrix[0, j] != 0.0}
