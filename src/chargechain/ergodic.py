@@ -2,9 +2,9 @@
 
 The limit of the averaged operator iterates is a finite-rank projector
 P = H·Π whose row at x mixes the class-stationary distributions Π with the
-absorption probabilities H of x.  Reports carry the factors, which
-re-verify in time linear in the nonzero entries of the kernel; distances
-are measured against the dense P.  Operator distances are realized as the
+absorption probabilities H of x.  Reports carry the factors and expected
+times that bound their errors, which re-verify in time linear in the
+nonzero entries of the kernel; distances are measured against the dense P.  Operator distances are realized as the
 max-row total-variation distance, the induced norm on the measure side
 where the transition operator has norm one.
 """
@@ -14,14 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, NumericalError, PreconditionError
 from .invariants import ChainClass, InvariantBasis, recurrent_classes, states_outside, stationary_of_class
 from .kernels import TransitionKernel
-from .measures import FAMeasure, StateSpace
+from .measures import FAMeasure
 
 
 @dataclass(frozen=True)
@@ -31,32 +30,37 @@ class Projector:
     Π holds one stationary law per recurrent class.  H is 1 on a class
     state's own class and 0 on the others; ``absorption`` holds its rows
     at the transient states, the probabilities of ending in each class.
-    ``matrix`` is P itself, dense.
+    ``matrix`` is P itself, dense.  Two sets of expected times ride along
+    so that a verifier can bound the error of the factors, not only their
+    residuals: ``absorption_times`` (steps until a transient state enters
+    a class) and ``hitting_times`` (per class, steps until each state
+    reaches the class's heaviest state, which has no entry).
     """
 
-    space: StateSpace
     classes: list[ChainClass]
     stationary: list[FAMeasure]  # one per class
     absorption: dict[int, list[float]]  # transient state -> one probability per class
+    absorption_times: dict[int, float]  # transient state -> expected steps to enter a class
+    hitting_times: list[dict[int, float]]  # per class: state -> expected steps to its anchor
     matrix: np.ndarray
 
     @property
     def rank(self) -> int:
         return len(self.classes)
 
-    @cached_property
-    def rows(self) -> dict[int, FAMeasure]:
-        """Row x of P as a measure, for every state x; built on first use."""
-        n = self.matrix.shape[0]
-        return {x: FAMeasure(self.space, {j: float(self.matrix[x, j]) for j in range(n)}) for x in range(n)}
-
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
             "classes": [list(c.states) for c in self.classes],
             "stationary": [pi.to_json() for pi in self.stationary],
+            "hitting_times": [_times_json(times) for times in self.hitting_times],
             "absorption": {str(x): [float(h) for h in row] for x, row in sorted(self.absorption.items())},
+            "absorption_times": _times_json(self.absorption_times),
         }
+
+
+def _times_json(times: dict[int, float]) -> dict[str, float]:
+    return {str(x): float(t) for x, t in sorted(times.items())}
 
 
 def projector_finite(kernel: TransitionKernel, basis: InvariantBasis | None = None) -> Projector:
@@ -75,19 +79,24 @@ def projector_finite(kernel: TransitionKernel, basis: InvariantBasis | None = No
     for ci, c in enumerate(classes):
         for s in c.states:
             absorb[s, ci] = 1.0
+    times = {}
     if trans:
         q = kernel.matrix[np.ix_(trans, trans)]
         lhs = np.eye(len(trans)) - q
+        steps = np.full(len(trans), np.nan)
         try:
             for ci, c in enumerate(classes):
                 b = kernel.matrix[np.ix_(trans, list(c.states))].sum(axis=1)
                 absorb[trans, ci] = np.linalg.solve(lhs, b)
+            steps = np.linalg.solve(lhs, np.ones(len(trans)))
         except np.linalg.LinAlgError:
             absorb[trans] = np.nan
-        bad = [trans[i] for i in np.flatnonzero(~np.isfinite(absorb[trans]).all(axis=1)).tolist()]
+        finite = np.isfinite(absorb[trans]).all(axis=1) & np.isfinite(steps)
+        bad = [trans[i] for i in np.flatnonzero(~finite).tolist()]
         if bad:
             raise NumericalError(f"I - Q is singular in floating point: transient states {bad} "
-                                 "get non-finite absorption probabilities")
+                                 "get non-finite absorption probabilities or times")
+        times = dict(zip(trans, steps.tolist()))
     mat = np.zeros((n, n))
     for ci, pi in enumerate(pis):
         vec = np.zeros(n)
@@ -95,7 +104,30 @@ def projector_finite(kernel: TransitionKernel, basis: InvariantBasis | None = No
             vec[s] = w
         mat += np.outer(absorb[:, ci], vec)
     absorption = {x: absorb[x].tolist() for x in trans}
-    return Projector(kernel.space, list(classes), list(pis), absorption, mat)
+    hitting = [_hitting_times(kernel, c.states, pi) for c, pi in zip(classes, pis)]
+    return Projector(list(classes), list(pis), absorption, times, hitting, mat)
+
+
+def _hitting_times(kernel: TransitionKernel, states: tuple[int, ...], pi: FAMeasure) -> dict[int, float]:
+    """Expected steps from each state of a class to its anchor, the least state of largest weight.
+
+    The heaviest state keeps these times small (about its return time) where
+    the least state of a birth-death class can be 1e16 steps away.
+    """
+    weights = [pi.atoms.get(s, 0.0) for s in states]
+    anchor = states[weights.index(max(weights))]
+    rest = [s for s in states if s != anchor]
+    if not rest:
+        return {}
+    lhs = np.eye(len(rest)) - kernel.matrix[np.ix_(rest, rest)]
+    try:
+        steps = np.linalg.solve(lhs, np.ones(len(rest)))
+    except np.linalg.LinAlgError:
+        steps = np.full(len(rest), np.nan)
+    if not np.isfinite(steps).all():
+        raise NumericalError(f"the class of state {states[0]} is singular in floating point: "
+                             f"no finite hitting times of state {anchor}")
+    return dict(zip(rest, steps.tolist()))
 
 
 def _max_row_tv(a: np.ndarray, b: np.ndarray) -> float:
@@ -155,11 +187,11 @@ def ergodic_run(
     """The limit projector and the averaged and raw runs measured against it."""
     projector = projector_finite(kernel, basis)
     cesaro, raw = distance_series(kernel, n_max, projector)
-    return projector, _fitted_run("cesaro", cesaro), _fitted_run("raw", raw)
-
-
-def _fitted_run(mode: str, distances: list[float]) -> ErgodicRunResult:
-    return ErgodicRunResult(mode=mode, distances=distances, rate=fitted_rate(distances))
+    return (
+        projector,
+        ErgodicRunResult(mode="cesaro", distances=cesaro, rate=fitted_rate(cesaro)),
+        ErgodicRunResult(mode="raw", distances=raw, rate=fitted_rate(raw)),
+    )
 
 
 def fitted_rate(distances) -> RateFit:

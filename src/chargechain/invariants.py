@@ -158,17 +158,6 @@ def _class_period(succ: list[list[int]], members) -> int:
     return g or 1
 
 
-def reachable(adjacency: list[list[int]], sources) -> set[int]:
-    """The states reachable from ``sources`` along ``adjacency`` (sources included)."""
-    seen = set(sources)
-    queue = deque(seen)
-    while queue:
-        for v in adjacency[queue.popleft()]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
 
 def stationary_of_class(kernel: TransitionKernel, members: tuple[int, ...]) -> FAMeasure:
     """Extreme invariant distribution of one recurrent class (direct linear solve)."""

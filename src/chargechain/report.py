@@ -35,15 +35,18 @@ from .invariants import (
     escape_profile,
     invariance_residual,
     invariant_basis,
-    reachable,
+    recurrent_classes,
+    states_outside,
 )
-from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec, successors
+from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
 from .measures import dirac, evaluate, measurable, measure_from_json, set_from_json
 from .ergodic import ErgodicRunResult, ergodic_run, fitted_rate
 
 SCHEMA_VERSION = 3
-#: tolerance of the absorption rows' sums and of (I - Q)·H = B in verification
+#: tolerance of the absorption rows' sums, and of the certified error max |H - H*| of the rows
 ABSORPTION_TOL = 1e-9
+#: tolerance of the certified error |Π_i - Π_i*|₁ of each stationary law
+STATIONARY_TOL = 1e-9
 #: relative tolerance of a re-fitted rate ratio against the stored one
 RATE_TOL = 1e-9
 #: each task writes the report section of the same name
@@ -399,68 +402,45 @@ def verify_report(report: dict) -> list[dict]:
 def _verify_projector(kernel: TransitionKernel, proj, record) -> None:
     """Check the factors of P = H·Π against the kernel's rows, in O(nnz·r).
 
-    The classes must be exactly the closed communicating classes, each Π_i
-    the invariant probability on class i, and each H row the solution of
-    (I − Q)·H = B, so the checks pin P down.
+    The classes must be the kernel's closed communicating classes.  The
+    stored expected times bound ‖(I − Q)⁻¹‖∞ (``_time_factor``), which turns
+    the residuals of Π_i(I − P) = 0 and (I − Q)·H = B into bounds on the
+    distance to the exact factors; those bounds are what is checked.
     """
     if not kernel.space.is_finite:
         record("projector on a finite chain", False, "the chain is countable")
         return
-    n = kernel.size
     try:
         rank = proj["rank"]
         classes = [list(c) for c in proj["classes"]]
         stationary = [measure_from_json(kernel.space, m) for m in proj["stationary"]]
+        hitting = [_times_from_json(times) for times in proj["hitting_times"]]
         absorption = {int(x): [float(h) for h in row] for x, row in proj["absorption"].items()}
+        absorption_times = _times_from_json(proj["absorption_times"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         record("projector format", False, f"{type(exc).__name__}: {exc}")
         return
 
-    flat = [s for c in classes for s in c]
-    ok = (
-        rank == len(classes) == len(stationary)
-        and all(type(s) is int and 0 <= s < n for s in flat)
-        and len(set(flat)) == len(flat)
-        and all(c and c == sorted(c) for c in classes)
-        and classes == sorted(classes)  # by least state, as the classes are disjoint
-    )
+    expected = recurrent_classes(kernel)
+    ok = rank == len(expected) == len(stationary) == len(hitting) and classes == [list(c.states) for c in expected]
     record(
         "projector classes",
         ok,
-        f"rank {rank}, {len(classes)} classes, {len(stationary)} stationary laws",
+        f"rank {rank}, {len(classes)} classes, {len(stationary)} stationary laws; the kernel has {len(expected)}",
     )
     if not ok:
         return
 
-    succ = successors(kernel)
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for x, ys in enumerate(succ):
-        for y in ys:
-            pred[y].append(x)
-    for i, (states, pi) in enumerate(zip(classes, stationary)):
-        members = set(states)
-        forward = reachable(succ, states[:1])
-        backward = reachable(pred, states[:1])
-        record(
-            f"projector class[{i}] closed and communicating",
-            forward == members and members <= backward,
-            f"{len(forward - members)} states reached outside it, "
-            f"{len(members - backward)} members not reaching state {states[0]}",
-        )
-        res = invariance_residual(kernel, pi)
-        record(
-            f"projector stationary[{i}]",
-            pi.is_probability() and not pi.ends and set(pi.atoms) <= members and res <= INVARIANCE_TOL,
-            f"residual {res:.3e}",
-        )
+    for i, (states, pi, times) in enumerate(zip(classes, stationary, hitting)):
+        on_class = not pi.ends and set(pi.atoms) <= set(states)
+        bound = _stationary_error(kernel, states, pi, times) if on_class else math.inf
+        record(f"projector stationary[{i}]", bound <= STATIONARY_TOL, f"l1 distance to the exact law <= {bound:.3e}")
 
-    transient = set(range(n)) - set(flat)
-    reaching = reachable(pred, flat)
+    transient = set(states_outside(expected, kernel.size))
     record(
         "projector transient states",
-        set(absorption) == transient and transient <= reaching,
-        f"{len(transient)} transient, {len(absorption)} absorption rows, "
-        f"{len(transient - reaching)} reaching no class",
+        set(absorption) == transient == set(absorption_times),
+        f"{len(transient)} transient, {len(absorption)} absorption rows, {len(absorption_times)} absorption times",
     )
     rows_ok = all(
         len(h) == rank and all(v >= -ABSORPTION_TOL for v in h) and abs(math.fsum(h) - 1.0) <= ABSORPTION_TOL
@@ -471,8 +451,8 @@ def _verify_projector(kernel: TransitionKernel, proj, record) -> None:
         rows_ok,
         f"{len(absorption)} rows of {rank} nonnegative entries summing to 1 (tolerance {ABSORPTION_TOL:g})",
     )
-    if not rows_ok or set(absorption) != transient:
-        return  # already failed, and the equation needs every row
+    if not rows_ok or not set(absorption) == transient == set(absorption_times):
+        return  # already failed, and the equation needs every row and time
     class_of = {s: i for i, c in enumerate(classes) for s in c}
     worst = 0.0
     for x, h in absorption.items():
@@ -484,7 +464,58 @@ def _verify_projector(kernel: TransitionKernel, proj, record) -> None:
                 for i, hy in enumerate(absorption[y]):
                     lhs[i] -= p * hy
         worst = max(worst, max(map(abs, lhs), default=0.0))
-    record("projector absorption equation", worst <= ABSORPTION_TOL, f"max |(I - Q)H - B| {worst:.3e}")
+    factor = _time_factor(kernel, absorption_times)
+    bound = worst * max(absorption_times.values(), default=0.0) * factor if factor < math.inf else math.inf
+    record(
+        "projector absorption equation",
+        bound <= ABSORPTION_TOL,
+        f"max |(I - Q)H - B| {worst:.3e}, max distance to the exact rows <= {bound:.3e}",
+    )
+
+
+def _times_from_json(times) -> dict[int, float]:
+    return {int(x): float(t) for x, t in times.items()}
+
+
+def _time_factor(kernel: TransitionKernel, times: dict[int, float]) -> float:
+    """How far stored expected times may undershoot the exact ones: t* <= t · factor.
+
+    Q is the kernel restricted to the states of ``times`` and t* = (I − Q)⁻¹·1,
+    so max t* = ‖(I − Q)⁻¹‖∞.  With δ = max |t − Q·t − 1| < 1,
+    t = (I − Q)⁻¹(1 + e) with |e| <= δ, and as (I − Q)⁻¹ >= 0 this gives
+    t* <= t / (1 − δ).  The factor is 1 / (1 − δ), infinite when δ >= 1 or
+    a time is not finite.
+    """
+    delta = 0.0
+    for x, t in times.items():
+        res = t - 1.0
+        for y, p in kernel.row(x).items():
+            res -= p * times.get(y, 0.0)
+        if not abs(res) < 1.0:
+            return math.inf
+        delta = max(delta, abs(res))
+    return 1.0 / (1.0 - delta)
+
+
+def _stationary_error(kernel: TransitionKernel, states: list[int], pi, times: dict[int, float]) -> float:
+    """A bound on |Π − Π*|₁ for a law Π on a closed class from its residual r = Π(I − P).
+
+    ``times`` hold the expected steps to the class's anchor s from every
+    other class state.  Π − Π* = p + cΠ* with p = r'(I − Q_s)⁻¹ on the class
+    minus s and c = Π·1 − 1 − p·1, so |Π − Π*|₁ <= 2 Σ_j |r_j| t*_j + |Π·1 − 1|.
+    """
+    if len(set(states) - set(times)) != 1 or not set(times) <= set(states):
+        return math.inf
+    factor = _time_factor(kernel, times)
+    if factor == math.inf:
+        return math.inf
+    flow = dict.fromkeys(states, 0.0)  # Π·P; the class is closed
+    for x in states:
+        w = pi.atoms.get(x, 0.0)
+        for y, p in kernel.row(x).items():
+            flow[y] += w * p
+    weighted = math.fsum(abs(pi.atoms.get(j, 0.0) - flow[j]) * t for j, t in times.items())
+    return 2.0 * weighted * factor + abs(pi.total() - 1.0)
 
 
 def _verify_rate(run, mode: str, record) -> None:

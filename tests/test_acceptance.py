@@ -219,8 +219,9 @@ def test_criterion_07_uniform_averaged_convergence():
         assert abs(d - expected) <= EXACT_TOL
     ta = two_absorbing()
     pj = projector_finite(ta)
-    assert pj.rows[1].atoms == pytest.approx({0: 0.5, 2: 0.5}, abs=RES_TOL)
-    assert pj.rows[1].atoms.get(1, 0.0) == 0.0
+    row1 = from_vector(ta.space, pj.matrix[1])
+    assert row1.atoms == pytest.approx({0: 0.5, 2: 0.5}, abs=RES_TOL)
+    assert row1.atoms.get(1, 0.0) == 0.0
     ta_series = distance_series(ta, 500, pj)[0]
     c = max(max((i + 1) * d for i, d in enumerate(ta_series)), 1e-9)
     assert all(d <= c / (i + 1) + EXACT_TOL for i, d in enumerate(ta_series))

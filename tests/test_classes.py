@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from chargechain import TransitionKernel, birth_death, recurrent_classes, successors
-from chargechain.invariants import reachable
 from test_kernels import table_matrices
 
 
@@ -138,9 +137,3 @@ def test_successors_are_the_positive_entries():
     m = np.array([[0.5, -0.0, 0.5], [5e-324, 1.0 + 1e-12, -1e-12], [0.0, 0.0, 1.0]])
     assert successors(TransitionKernel.finite(m)) == [[0, 2], [0, 1], [2]]
 
-
-def test_reachable_includes_the_sources():
-    adjacency = [[1], [2], [], [0]]
-    assert reachable(adjacency, [0]) == {0, 1, 2}
-    assert reachable(adjacency, [3]) == {0, 1, 2, 3}
-    assert reachable(adjacency, []) == set()

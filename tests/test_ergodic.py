@@ -20,6 +20,7 @@ from chargechain import (
     distance_series,
     ergodic_run,
     finite_uniform,
+    from_vector,
     invariant_basis_finite,
     kernel_power,
     projector_finite,
@@ -44,11 +45,12 @@ def series(kernel, n_max):
 
 
 def test_projector_absorption_example():
-    pj = projector_finite(two_absorbing())
+    k = two_absorbing()
+    pj = projector_finite(k)
     assert pj.rank == 2
-    assert pj.rows[1].atoms == pytest.approx({0: 0.5, 2: 0.5}, abs=RES_TOL)
-    assert pj.rows[0].atoms == {0: 1.0}
-    assert pj.rows[2].atoms == {2: 1.0}
+    assert from_vector(k.space, pj.matrix[1]).atoms == pytest.approx({0: 0.5, 2: 0.5}, abs=RES_TOL)
+    assert from_vector(k.space, pj.matrix[0]).atoms == {0: 1.0}
+    assert from_vector(k.space, pj.matrix[2]).atoms == {2: 1.0}
 
 
 def test_projector_irreducible_rows_equal_stationary():
@@ -57,14 +59,15 @@ def test_projector_irreducible_rows_equal_stationary():
     pj = projector_finite(k)
     assert pj.rank == 1
     for x in range(4):
-        assert (pj.rows[x] - pi).total_variation() <= RES_TOL
+        assert (from_vector(k.space, pj.matrix[x]) - pi).total_variation() <= RES_TOL
 
 
 def test_projector_identity():
-    pj = projector_finite(TransitionKernel.finite(np.eye(3)))
+    k = TransitionKernel.finite(np.eye(3))
+    pj = projector_finite(k)
     assert pj.rank == 3
     for x in range(3):
-        assert pj.rows[x].atoms == {x: 1.0}
+        assert from_vector(k.space, pj.matrix[x]).atoms == {x: 1.0}
 
 
 def test_projector_idempotent_and_intertwining():
@@ -240,7 +243,7 @@ def test_projector_rejects_non_finite_absorption():
         projector_finite(k)
 
 
-def test_projector_factors_rebuild_the_matrix_without_dense_rows():
+def test_projector_factors_rebuild_the_matrix():
     chains = (two_absorbing(), swap2(), birth_death(6, 0.3, 0.2), TransitionKernel.finite(np.eye(3)))
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -262,5 +265,26 @@ def test_projector_factors_rebuild_the_matrix_without_dense_rows():
             h[int(x)] = row
         assert sorted(int(x) for x in data["absorption"]) == list(invariants.transient_states(k))
         assert np.abs(h @ pi - pj.matrix).max() <= 1e-15
-        assert "rows" not in vars(pj)  # the dense rows are derived only on request
-        assert pj.rows[0].atoms == {j: float(pj.matrix[0, j]) for j in range(k.size) if pj.matrix[0, j] != 0.0}
+
+
+def test_projector_times_solve_their_equations():
+    rng = np.random.default_rng(8)
+    chains = [two_absorbing(), birth_death(30, 0.3, 0.2), cycle(4), TransitionKernel.finite(np.eye(2))]
+    for _ in range(10):
+        m = rng.random((8, 8)) * (rng.random((8, 8)) < 0.4)
+        m[[0, 3], 4:] = 0.0  # {0..3} may hold closed classes fed by the rest
+        m[m.sum(axis=1) == 0.0, 0] = 1.0
+        chains.append(TransitionKernel.finite(m / m.sum(axis=1, keepdims=True)))
+    for k in chains:
+        pj = projector_finite(k)
+        p = k.matrix
+        trans = sorted(pj.absorption_times)
+        assert trans == sorted(pj.absorption) == list(invariants.transient_states(k))
+        t = np.array([pj.absorption_times[x] for x in trans])
+        assert np.abs(t - p[np.ix_(trans, trans)] @ t - 1.0).max(initial=0.0) <= 1e-12 * t.max(initial=1.0)
+        for c, pi, times in zip(pj.classes, pj.stationary, pj.hitting_times):
+            (anchor,) = set(c.states) - set(times)
+            assert pi.atoms[anchor] == max(pi.atoms.values())
+            rest = sorted(times)
+            h = np.array([times[x] for x in rest])
+            assert np.abs(h - p[np.ix_(rest, rest)] @ h - 1.0).max(initial=0.0) <= 1e-12 * h.max(initial=1.0)

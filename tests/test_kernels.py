@@ -408,7 +408,7 @@ def test_A_of_projector_rows_adds_weighted_rows_in_order():
     # a subnormal exit from a transient set makes the absorption solve singular
     kernels += [TransitionKernel.finite(m) for m in table_matrices(29, 8, subnormals=False)]
     for k in kernels:
-        for mu in projector_finite(k).rows.values():
+        for mu in (from_vector(k.space, row) for row in projector_finite(k).matrix):
             atoms = {}
             for x, w in sorted(mu.atoms.items()):
                 for y in np.flatnonzero(k.matrix[x]).tolist():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from chargechain import birth_death, kernel_to_spec
+from chargechain import birth_death, catalog, kernel_to_spec
 from chargechain.cli import main
 from chargechain.report import SCHEMA_VERSION, verify_report
 
@@ -70,12 +70,20 @@ TAMPERED = {
         lambda rep: rep["ergodic"]["projector"].update(classes=[[0.5], [2]]),
         "projector classes",
     ),
-    "class dropped": (drop_second_class, "projector transient states"),
-    "class not closed": (open_class, "projector class[1] closed and communicating"),
+    "class dropped": (drop_second_class, "projector classes"),
+    "class not closed": (open_class, "projector classes"),
     "stationary off its class": (move_stationary, "projector stationary[0]"),
     "absorption row missing": (
         lambda rep: rep["ergodic"]["projector"].update(absorption={}),
         "projector transient states",
+    ),
+    "absorption time missing": (
+        lambda rep: rep["ergodic"]["projector"].update(absorption_times={}),
+        "projector transient states",
+    ),
+    "absorption time too small": (
+        lambda rep: rep["ergodic"]["projector"].update(absorption_times={"1": 0.0}),
+        "projector absorption equation",
     ),
     "n_zero edited": (edit_key("raw", "n_zero", 2), "raw rate fit"),
     "kind edited": (edit_key("cesaro", "kind", "subgeometric"), "cesaro rate fit"),
@@ -94,6 +102,49 @@ def test_tampered_projector_or_rate_fails(tmp_path: Path, capsys, case):
     code, out = verify(tmp_path, rep, capsys)
     assert code == 1
     assert f"FAILED: {failed}" in out
+
+
+def test_shrunk_hitting_time_fails(tmp_path: Path, capsys):
+    rep = analyze(tmp_path, "ergodic", "--catalog", "birth_death")
+    times = rep["ergodic"]["projector"]["hitting_times"][0]
+    assert len(times) == 4  # every state of the 5-state class but its anchor
+    key = max(times, key=times.get)
+    times[key] /= 2
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1 and "FAILED: projector stationary[0]" in out
+
+
+def chain_report(tmp_path: Path, matrix) -> dict:
+    chain = tmp_path / "c.json"
+    chain.write_text(json.dumps({"kind": "finite", "matrix": matrix}))
+    return analyze(tmp_path, "ergodic", "--chain", str(chain), "--n-max", "30")
+
+
+def test_slow_leak_wrong_absorption_row_fails(tmp_path: Path, capsys):
+    # state 1 leaves at rate 2^-33, evenly to the absorbing states 0 and 2 (exact in binary)
+    leak = 2.0**-34
+    rep = chain_report(tmp_path, [[1.0, 0.0, 0.0], [leak, 1.0 - 2 * leak, leak], [0.0, 0.0, 1.0]])
+    proj = rep["ergodic"]["projector"]
+    assert proj["absorption"] == {"1": [0.5, 0.5]} and proj["absorption_times"] == {"1": 2.0**33}
+    assert verify(tmp_path, rep, capsys)[0] == 0
+    # [1, 0] sums to 1 and leaves a residual of only 2^-34 ≈ 5.8e-11, but is 0.5 off the exact row
+    proj["absorption"]["1"] = [1.0, 0.0]
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1 and "FAILED: projector absorption equation" in out
+
+
+def test_nearly_decomposable_wrong_stationary_law_fails(tmp_path: Path, capsys):
+    # one class whose two states swap with probability 2^-40 (exact in binary)
+    eps = 2.0**-40
+    rep = chain_report(tmp_path, [[1.0 - eps, eps], [eps, 1.0 - eps]])
+    proj = rep["ergodic"]["projector"]
+    assert proj["stationary"] == [{"atoms": {"0": 0.5, "1": 0.5}, "ends": {}}]
+    assert proj["hitting_times"] == [{"1": 2.0**40}]
+    assert verify(tmp_path, rep, capsys)[0] == 0
+    # δ_0 is a probability on the class with invariance residual 2^-39 ≈ 1.8e-12, but 1 off in l1
+    proj["stationary"][0] = {"atoms": {"0": 1.0}, "ends": {}}
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1 and "FAILED: projector stationary[0]" in out
 
 
 def test_edited_ratio_fails(tmp_path: Path, capsys):
@@ -121,15 +172,17 @@ def test_other_schema_fails_on_one_item_and_is_not_read(tmp_path: Path, capsys):
     assert verify(tmp_path, rep, capsys)[0] == 1
 
 
+FINITE_ENTRIES = [name for name in catalog.names() if catalog.build(name).space.is_finite]
+
+
 @pytest.mark.parametrize(
     "args",
     [
         ("analyze", "--catalog", "two_absorbing"),
-        ("ergodic", "--catalog", "two_absorbing"),
-        ("ergodic", "--catalog", "swap2"),
-        ("ergodic", "--catalog", "birth_death"),
         ("analyze", "--catalog", "cycle3", "--tasks", "ergodic"),
+        *(("ergodic", "--catalog", name) for name in FINITE_ENTRIES),
     ],
+    ids=" ".join,
 )
 def test_untouched_reports_pass(tmp_path: Path, capsys, args):
     rep = analyze(tmp_path, *args)
@@ -144,7 +197,7 @@ def test_projector_section_is_linear_in_the_states(tmp_path: Path, capsys):
     chain.write_text(json.dumps(kernel_to_spec(birth_death(200, 0.3, 0.2))))
     rep = analyze(tmp_path, "analyze", "--chain", str(chain), "--tasks", "invariants,ergodic", "--n-max", "20")
     proj = rep["ergodic"]["projector"]
-    assert sorted(proj) == ["absorption", "classes", "rank", "stationary"]
+    assert sorted(proj) == ["absorption", "absorption_times", "classes", "hitting_times", "rank", "stationary"]
     assert proj["rank"] == 1 and proj["classes"] == [list(range(200))] and proj["absorption"] == {}
     assert len(json.dumps(proj, sort_keys=True, indent=2)) < 20_000
     assert verify(tmp_path, rep, capsys)[0] == 0
