@@ -65,31 +65,20 @@ class DoeblinOutcome:
 
 
 def _small_set_max(
-    kernel: TransitionKernel,
-    phi: FAMeasure,
-    eps: float,
-    order: int,
-    *,
-    averaged: bool,
-    strict: bool,
-    stepped: dict[int, TransitionKernel] | None = None,
+    kernel: TransitionKernel, matrix: np.ndarray, phi: FAMeasure, eps: float, *, strict: bool
 ) -> DoeblinOutcome:
-    """Exact max of p^order(x, E) (or q_order) over x and phi-admissible E.
+    """Exact max of matrix[x, E] over x and phi-admissible E, for a stepped matrix of kernel.
 
-    The enumeration runs over each row's support under the phi-admissible
-    states: states j with p^order(x, j) > 0 and phi_j <= eps (< eps when
-    strict).  Since phi >= 0, float subset sums of phi only grow as states
-    join, so a set holding any other state is inadmissible or no larger than
-    the same set without it.  The kept states are enumerated in increasing
-    order by the doubling construction, so every set is summed exactly as a
-    full 2^n enumeration sums it, and the maximum, the row and the
-    counterexample set come out bit for bit the same.
-
-    ``stepped`` caches the stepped kernels by order across calls that share
-    one kernel and one ``averaged`` flag.
+    ``matrix`` is p^k or q_m of ``kernel``.  The enumeration runs over each
+    row's support under the phi-admissible states: states j with
+    matrix[x, j] > 0 and phi_j <= eps (< eps when strict).  Since phi >= 0,
+    float subset sums of phi only grow as states join, so a set holding any
+    other state is inadmissible or no larger than the same set without it.
+    The kept states are enumerated in increasing order by the doubling
+    construction, so every set is summed exactly as a full 2^n enumeration
+    sums it, and the maximum, the row and the counterexample set come out
+    bit for bit the same.
     """
-    if not kernel.space.is_finite:
-        raise DomainError("small-set enumeration needs a finite chain")
     n = kernel.size
     if n > MAX_ENUM_STATES:
         raise CapacityError(f"subset enumeration capped at {MAX_ENUM_STATES} states, got {n}")
@@ -99,19 +88,12 @@ def _small_set_max(
         raise PreconditionError("phi must be nonnegative")
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    if order < 1:
-        raise ValidationError(f"step order must be >= 1, got {order}")
     admits = np.less if strict else np.less_equal
     weights = to_vector(phi)
     fits = admits(weights, eps)
     if not fits.any():
         # no single state fits, so only the empty set is admissible
         return DoeblinOutcome(True, True, 0.0)
-    if stepped is None:
-        stepped = {}
-    if order not in stepped:
-        stepped[order] = cesaro_kernel(kernel, order) if averaged else kernel_power(kernel, order)
-    matrix = stepped[order].matrix
     worst_val = -math.inf
     worst: tuple[np.ndarray, int, int] | None = None
     for x in range(n):
@@ -133,12 +115,12 @@ def _small_set_max(
 
 def check_doeblin(kernel: TransitionKernel, phi: FAMeasure, eps: float, k: int) -> DoeblinOutcome:
     """Condition (D): phi(E) <= eps must force p^k(x, E) <= 1 - eps for every x."""
-    return _small_set_max(kernel, phi, eps, k, averaged=False, strict=False)
+    return _small_set_max(kernel, kernel_power(kernel, k).matrix, phi, eps, strict=False)
 
 
 def check_doeblin_tilde(kernel: TransitionKernel, phi: FAMeasure, eps: float, m: int) -> DoeblinOutcome:
     """Condition (D~): strict admission phi(E) < eps against the averaged kernel q_m."""
-    return _small_set_max(kernel, phi, eps, m, averaged=True, strict=True)
+    return _small_set_max(kernel, cesaro_kernel(kernel, m).matrix, phi, eps, strict=True)
 
 
 def _phi_candidates(kernel: TransitionKernel, basis: InvariantBasis | None):
@@ -164,15 +146,15 @@ def search_doeblin(
     Each stepped kernel is computed once and shared across the whole grid.
     """
     grid = tuple(sorted(set(float(e) for e in eps_grid), reverse=True))
-    strict = averaged
-    stepped: dict[int, TransitionKernel] = {}
+    step = cesaro_kernel if averaged else kernel_power
+    stepped: dict[int, np.ndarray] = {}
     vac_fallback: DoeblinWitness | None = None
     for source, phi in _phi_candidates(kernel, basis):
         for eps in grid:
             for k in range(1, k_max + 1):
-                out = _small_set_max(
-                    kernel, phi, eps, k, averaged=averaged, strict=strict, stepped=stepped
-                )
+                if k not in stepped:
+                    stepped[k] = step(kernel, k).matrix
+                out = _small_set_max(kernel, stepped[k], phi, eps, strict=averaged)
                 if out.holds and not out.vacuous:
                     return DoeblinWitness(phi, eps, k, False, source, averaged)
                 if out.holds and vac_fallback is None:
@@ -363,7 +345,7 @@ def doeblin_truncation_trend(
             trunc.space,
             {x: 0.0 if -ROUNDOFF_WEIGHT <= v < 0.0 else v for x, v in phi.atoms.items()},
         )
-        res = _small_set_max(trunc, phi, eps, k, averaged=False, strict=False)
+        res = _small_set_max(trunc, kernel_power(trunc, k).matrix, phi, eps, strict=False)
         out.append((int(w), res.max_value))
     return out
 
@@ -374,7 +356,6 @@ def doeblin_truncation_trend(
 class DoeblinFinding:
     kind: str  # "witness" | "limit" | "capacity"
     witness: DoeblinWitness | None = None
-    counterexample_demo: DoeblinOutcome | None = None
     trend: list[tuple[int, float]] | None = None
     verdict: str = ""
     detail: str = ""  # the CapacityError message of a "capacity" finding

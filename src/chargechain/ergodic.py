@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, NumericalError, PreconditionError
 from .invariants import ChainClass, InvariantBasis, recurrent_classes, states_outside, stationary_of_class
-from .kernels import TransitionKernel
-from .measures import FAMeasure
+from .kernels import TransitionKernel, powers
+from .measures import FAMeasure, to_vector
 
 
 @dataclass(frozen=True)
@@ -77,35 +77,34 @@ def projector_finite(kernel: TransitionKernel, basis: InvariantBasis | None = No
     trans = list(states_outside(classes, n))
     absorb = np.zeros((n, len(classes)))
     for ci, c in enumerate(classes):
-        for s in c.states:
-            absorb[s, ci] = 1.0
-    times = {}
-    if trans:
-        q = kernel.matrix[np.ix_(trans, trans)]
-        lhs = np.eye(len(trans)) - q
-        steps = np.full(len(trans), np.nan)
-        try:
-            for ci, c in enumerate(classes):
-                b = kernel.matrix[np.ix_(trans, list(c.states))].sum(axis=1)
-                absorb[trans, ci] = np.linalg.solve(lhs, b)
-            steps = np.linalg.solve(lhs, np.ones(len(trans)))
-        except np.linalg.LinAlgError:
-            absorb[trans] = np.nan
-        finite = np.isfinite(absorb[trans]).all(axis=1) & np.isfinite(steps)
-        bad = [trans[i] for i in np.flatnonzero(~finite).tolist()]
-        if bad:
-            raise NumericalError(f"I - Q is singular in floating point: transient states {bad} "
-                                 "get non-finite absorption probabilities or times")
-        times = dict(zip(trans, steps.tolist()))
-    mat = np.zeros((n, n))
-    for ci, pi in enumerate(pis):
-        vec = np.zeros(n)
-        for s, w in pi.atoms.items():
-            vec[s] = w
-        mat += np.outer(absorb[:, ci], vec)
+        absorb[list(c.states), ci] = 1.0
+    enter = [kernel.matrix[np.ix_(trans, c.states)].sum(axis=1) for c in classes]
+    rhs = [*enter, np.ones(len(trans))]  # one column per class, then the times
+    solved = _solve_transient(kernel, trans, rhs, "absorption rows or times at transient states")
+    absorb[trans] = solved[:, :-1]
+    times = dict(zip(trans, solved[:, -1].tolist()))
     absorption = {x: absorb[x].tolist() for x in trans}
     hitting = [_hitting_times(kernel, c.states, pi) for c, pi in zip(classes, pis)]
+    # each law lives on its own class, so each entry of H·Π is a single product h·w
+    mat = absorb @ np.array([to_vector(pi) for pi in pis])
     return Projector(list(classes), list(pis), absorption, times, hitting, mat)
+
+
+def _solve_transient(kernel: TransitionKernel, states: list[int], rhs: list[np.ndarray], what: str) -> np.ndarray:
+    """Solutions x of (I − Q)x = b, one column per b of ``rhs``; Q is the kernel on ``states``.
+
+    Each b gets its own solve, as LAPACK rounds a multi-column solve differently.
+    Non-finite rows raise NumericalError, naming ``what`` and their states.
+    """
+    lhs = np.eye(len(states)) - kernel.matrix[np.ix_(states, states)]
+    try:
+        x = np.column_stack([np.linalg.solve(lhs, b) for b in rhs])
+    except np.linalg.LinAlgError:
+        x = np.full((len(states), len(rhs)), np.nan)
+    bad = [states[i] for i in np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist()]
+    if bad:
+        raise NumericalError(f"I - Q is singular in floating point: non-finite {what} {bad}")
+    return x
 
 
 def _hitting_times(kernel: TransitionKernel, states: tuple[int, ...], pi: FAMeasure) -> dict[int, float]:
@@ -114,20 +113,10 @@ def _hitting_times(kernel: TransitionKernel, states: tuple[int, ...], pi: FAMeas
     The heaviest state keeps these times small (about its return time) where
     the least state of a birth-death class can be 1e16 steps away.
     """
-    weights = [pi.atoms.get(s, 0.0) for s in states]
-    anchor = states[weights.index(max(weights))]
+    anchor = max(states, key=lambda s: pi.atoms.get(s, 0.0))  # the first maximum: states ascend
     rest = [s for s in states if s != anchor]
-    if not rest:
-        return {}
-    lhs = np.eye(len(rest)) - kernel.matrix[np.ix_(rest, rest)]
-    try:
-        steps = np.linalg.solve(lhs, np.ones(len(rest)))
-    except np.linalg.LinAlgError:
-        steps = np.full(len(rest), np.nan)
-    if not np.isfinite(steps).all():
-        raise NumericalError(f"the class of state {states[0]} is singular in floating point: "
-                             f"no finite hitting times of state {anchor}")
-    return dict(zip(rest, steps.tolist()))
+    steps = _solve_transient(kernel, rest, [np.ones(len(rest))], f"hitting times of state {anchor} from states")
+    return dict(zip(rest, steps[:, 0].tolist()))
 
 
 def _max_row_tv(a: np.ndarray, b: np.ndarray) -> float:
@@ -145,12 +134,8 @@ def distance_series(
         raise DomainError("operator distances need a finite chain")
     pi_mat = projector.matrix
     cesaro, raw = [], []
-    cur = np.eye(kernel.size)
-    acc = np.zeros_like(pi_mat)
-    for n in range(1, n_max + 1):
-        cur = cur @ kernel.matrix
+    for n, (cur, acc) in enumerate(itertools.islice(powers(kernel), n_max), start=1):
         raw.append(_max_row_tv(cur, pi_mat))
-        acc += cur
         cesaro.append(_max_row_tv(acc / n, pi_mat))
     return cesaro, raw
 

@@ -58,12 +58,6 @@ class InvariantBasis:
     pairwise: list[PairCertificate] = field(default_factory=list)
     classes: list[ChainClass] = field(default_factory=list)  # finite: one per measure
 
-    def ca_count(self) -> int:
-        return sum(1 for k in self.kinds if k == "ca")
-
-    def pfa_count(self) -> int:
-        return sum(1 for k in self.kinds if k == "pfa")
-
 
 def invariance_residual(kernel: TransitionKernel, mu: FAMeasure) -> float:
     """Total variation of A(mu) - mu."""
@@ -261,18 +255,16 @@ def detect_ca_countable(
     return []
 
 
-def invariant_basis(kernel: TransitionKernel, **ca_options) -> InvariantBasis:
+def invariant_basis(kernel: TransitionKernel) -> InvariantBasis:
     """Invariant basis of a chain within the representable class."""
     if kernel.space.is_finite:
         return invariant_basis_finite(kernel)
-    ca = detect_ca_countable(kernel, **ca_options)
+    ca = detect_ca_countable(kernel)
     pfa = detect_pfa_ends(kernel)
     return _assemble_basis(ca + pfa, ["ca"] * len(ca) + ["pfa"] * len(pfa))
 
 
-def split_parts_invariant(
-    kernel: TransitionKernel, mu: FAMeasure, tol: float = INVARIANCE_TOL
-) -> tuple[float, float]:
+def split_parts_invariant(kernel: TransitionKernel, mu: FAMeasure) -> tuple[float, float]:
     """Invariance residuals of the two decomposition parts of a measure."""
     ca, pfa = yosida_hewitt(mu)
     return invariance_residual(kernel, ca), invariance_residual(kernel, pfa)

@@ -9,9 +9,10 @@ per end, with bounded relative offsets.  That structure keeps the action of
 A on end charges exact: an end charge keeps ``preserved_mass`` at its end,
 leaks ``to_finite`` into fixed states, and leaks ``to_other_end`` across.
 
-Rows are countably additive by construction.  A tail row with cross-end
-mass has a well defined coarse action but no pointwise realization, so
-materializing a concrete row of such a kernel raises StructureError.
+Rows are countably additive by construction.  A tail row realizes its
+cross-end mass as the mirror jump x -> -x, which carries mass deep toward
+one end as deep toward the other, as the coarse end action does, and keeps
+a symmetric window closed under it.
 ``window_table`` flattens the rows of a window of states into arrays; every
 walk evolution on a window (escape, averaging, CA detection) and the
 reflecting truncation read their one-step law from it.
@@ -19,7 +20,9 @@ reflecting truncation read their one-step law from it.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -165,15 +168,13 @@ class TransitionKernel:
         if x in self.exceptions:
             return dict(self.exceptions[x])
         tail = self.tails[self.governing_end(x)]
-        if any(v != 0.0 for v in tail.to_other_end.values()):
-            raise StructureError(
-                "tail row with cross-end mass has no pointwise realization"
-            )
         out: dict[int, float] = {}
         for off, p in tail.relative.items():
             out[x + off] = out.get(x + off, 0.0) + p
         for y, p in tail.to_finite.items():
             out[y] = out.get(y, 0.0) + p
+        for p in tail.to_other_end.values():  # the mirror jump x -> -x (only Z has two ends)
+            out[-x] = out.get(-x, 0.0) + p
         return out
 
     def prob(self, x: int, ev_set: MeasurableSet) -> float:
@@ -259,13 +260,13 @@ def apply_T(kernel: TransitionKernel, f: BoundedFunction) -> BoundedFunction:
         acc += math.fsum(p * f.value(y) for y, p in sorted(tail.to_finite.items()))
         acc += math.fsum(p * f.end_limits[e2] for e2, p in sorted(tail.to_other_end.items()))
         limits[e] = acc
-    # explicit values wherever Tf can differ from its end-region constant
+    # explicit values wherever Tf can differ from its end-region constant; on Z
+    # the window is symmetric, so it also holds where a mirror jump lands
     keys = set(f.window) | set(kernel.exceptions) | {0}
     for tail in kernel.tails.values():
         keys |= set(tail.to_finite)
-    reach = kernel.reach()
-    hi = max(keys) + reach
-    lo = 0 if kernel.space.support == "N" else min(keys) - reach
+    hi = max(abs(x) for x in keys) + kernel.reach()
+    lo = 0 if kernel.space.support == "N" else -hi
     window = {}
     for x in range(lo, hi + 1):
         row = kernel.row(x)
@@ -323,27 +324,38 @@ def end_action(kernel: TransitionKernel, ident: str) -> EndAction:
     )
 
 
-def kernel_power(kernel: TransitionKernel, k: int) -> TransitionKernel:
-    """Exact k-step kernel (matrix power); finite spaces only."""
+def powers(kernel: TransitionKernel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(p^n, p^1 + ... + p^n) for n = 1, 2, ..., by sequential products; finite spaces only.
+
+    The package's only product of a finite transition matrix, so p^k has the
+    same bits in the search, ``verify-report`` and the distance series.  The
+    sum is one array updated in place (a fresh array per step slowed the
+    distance series of 150 states by a third); copy it to keep it past a step.
+    """
     if not kernel.space.is_finite:
         raise StructureError("powers of countable kernels are not materialized; iterate apply_A")
-    if k < 1:
-        raise ValidationError(f"power needs k >= 1, got {k}")
-    return TransitionKernel(kernel.space, matrix=_read_only(np.linalg.matrix_power(kernel.matrix, k)))
+    cur = np.eye(kernel.size)
+    acc = np.zeros_like(kernel.matrix)
+    while True:
+        cur = cur @ kernel.matrix
+        acc += cur
+        yield cur, acc
+
+
+def _nth_power(kernel: TransitionKernel, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    if n < 1:
+        raise ValidationError(f"{what} needs an order >= 1, got {n}")
+    return next(itertools.islice(powers(kernel), n - 1, None))
+
+
+def kernel_power(kernel: TransitionKernel, k: int) -> TransitionKernel:
+    """Exact k-step kernel p^k; finite spaces only."""
+    return TransitionKernel(kernel.space, matrix=_read_only(_nth_power(kernel, k, "power")[0]))
 
 
 def cesaro_kernel(kernel: TransitionKernel, m: int) -> TransitionKernel:
     """Averaged kernel q_m = (p^1 + ... + p^m) / m; finite spaces only."""
-    if not kernel.space.is_finite:
-        raise StructureError("averaged kernels of countable chains are not materialized")
-    if m < 1:
-        raise ValidationError(f"average needs m >= 1, got {m}")
-    acc = np.zeros_like(kernel.matrix)
-    cur = np.eye(kernel.size)
-    for _ in range(m):
-        cur = cur @ kernel.matrix
-        acc += cur
-    return TransitionKernel(kernel.space, matrix=_read_only(acc / m))
+    return TransitionKernel(kernel.space, matrix=_read_only(_nth_power(kernel, m, "average")[1] / m))
 
 
 def duality_residual(kernel: TransitionKernel, f: BoundedFunction, mu: FAMeasure) -> float:

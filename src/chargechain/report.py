@@ -49,6 +49,8 @@ ABSORPTION_TOL = 1e-9
 STATIONARY_TOL = 1e-9
 #: relative tolerance of a re-fitted rate ratio against the stored one
 RATE_TOL = 1e-9
+#: what reading a report section of the wrong shape raises; verify-report fails an item on it
+MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError)
 #: each task writes the report section of the same name
 ALL_TASKS = ("invariants", "conditions", "ergodic", "escape")
 
@@ -329,74 +331,82 @@ def verify_report(report: dict) -> list[dict]:
         kernel = kernel_from_spec(report["chain"]["spec"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"report lacks a chain spec: {exc}") from exc
-    space = kernel.space
 
-    inv = report.get("invariants")
-    if inv:
-        measures = [measure_from_json(space, m) for m in inv["measures"]]
-        for idx, mu in enumerate(measures):
-            res = invariance_residual(kernel, mu)
-            record(
-                f"invariant[{idx}] residual",
-                res <= INVARIANCE_TOL,
-                f"residual {res:.3e}",
-            )
-            record(f"invariant[{idx}] probability", mu.is_probability())
-        for cert in inv.get("pairwise", []):
-            if "witnesses" not in cert:
-                continue
-            i, j = cert["i"], cert["j"]
-            d1 = set_from_json(space, cert["witnesses"][0])
-            d2 = set_from_json(space, cert["witnesses"][1])
-            full1 = abs(evaluate(measures[i], d1) - measures[i].total()) <= 1e-9
-            full2 = abs(evaluate(measures[j], d2) - measures[j].total()) <= 1e-9
-            sep = _sets_disjoint(space, d1, d2)
-            record(f"singularity witness ({i},{j})", full1 and full2 and sep)
-
-    cond = report.get("conditions")
-    if cond:
-        for key, strict in (("D", False), ("D_tilde", True)):
-            finding = cond.get(key)
-            if finding and finding.get("kind") == "capacity":
-                over = space.is_finite and kernel.size > MAX_ENUM_STATES
-                record(f"{key} over capacity", over, f"{space.size} states, cap {MAX_ENUM_STATES}")
-                continue
-            if not finding or finding.get("kind") != "witness" or not finding.get("witness"):
-                continue
-            w = finding["witness"]
-            phi = measure_from_json(space, w["phi"])
-            if strict:
-                out = check_doeblin_tilde(kernel, phi, w["eps"], w["k"])
-            else:
-                out = check_doeblin(kernel, phi, w["eps"], w["k"])
-            record(
-                f"{key} witness",
-                out.holds and out.vacuous == w["vacuous"],
-                f"max small-set value {out.max_value:.6f}",
-            )
-        for item in cond.get("alpha", []):
-            if item.get("closed_set") is None:
-                continue
-            closed = set_from_json(space, item["closed_set"])
-            members = [x for x in range(kernel.size) if closed.covers_state(x)]
-            ok = all(kernel.prob(x, closed) >= 1.0 - 1e-12 for x in members)
-            record(f"alpha closed set [{item['index']}]", ok and bool(members))
-        for w in cond.get("beta", {}).get("witnesses", []):
-            d1 = set_from_json(space, w["d1"])
-            d2 = set_from_json(space, w["d2"])
-            record(f"beta witness ({w['i']},{w['j']})", _sets_disjoint(space, d1, d2))
-        for charge_json in cond.get("star", {}).get("evidence", {}).get("invariant_charges", []):
-            charge = measure_from_json(space, charge_json)
-            res = invariance_residual(kernel, charge)
-            record("invariant charge residual", res <= INVARIANCE_TOL, f"residual {res:.3e}")
-
-    erg = report.get("ergodic")
-    if erg:
-        _verify_projector(kernel, erg.get("projector"), record)
-        for mode in ("cesaro", "raw"):
-            _verify_rate(erg.get(mode), mode, record)
-
+    sections = (("invariants", _verify_invariants), ("conditions", _verify_conditions), ("ergodic", _verify_ergodic))
+    for name, check in sections:
+        if report.get(name):
+            try:
+                check(kernel, report[name], record)
+            except MALFORMED as exc:
+                record(f"{name} format", False, f"{type(exc).__name__}: {exc}")
     return results
+
+
+def _verify_invariants(kernel: TransitionKernel, inv: dict, record) -> None:
+    space = kernel.space
+    measures = [measure_from_json(space, m) for m in inv["measures"]]
+    for idx, mu in enumerate(measures):
+        res = invariance_residual(kernel, mu)
+        record(
+            f"invariant[{idx}] residual",
+            res <= INVARIANCE_TOL,
+            f"residual {res:.3e}",
+        )
+        record(f"invariant[{idx}] probability", mu.is_probability())
+    for cert in inv.get("pairwise", []):
+        if "witnesses" not in cert:
+            continue
+        i, j = cert["i"], cert["j"]
+        d1 = set_from_json(space, cert["witnesses"][0])
+        d2 = set_from_json(space, cert["witnesses"][1])
+        full1 = abs(evaluate(measures[i], d1) - measures[i].total()) <= 1e-9
+        full2 = abs(evaluate(measures[j], d2) - measures[j].total()) <= 1e-9
+        sep = _sets_disjoint(space, d1, d2)
+        record(f"singularity witness ({i},{j})", full1 and full2 and sep)
+
+
+def _verify_conditions(kernel: TransitionKernel, cond: dict, record) -> None:
+    space = kernel.space
+    for key, strict in (("D", False), ("D_tilde", True)):
+        finding = cond.get(key)
+        if finding and finding.get("kind") == "capacity":
+            over = space.is_finite and kernel.size > MAX_ENUM_STATES
+            record(f"{key} over capacity", over, f"{space.size} states, cap {MAX_ENUM_STATES}")
+            continue
+        if not finding or finding.get("kind") != "witness" or not finding.get("witness"):
+            continue
+        w = finding["witness"]
+        phi = measure_from_json(space, w["phi"])
+        if strict:
+            out = check_doeblin_tilde(kernel, phi, w["eps"], w["k"])
+        else:
+            out = check_doeblin(kernel, phi, w["eps"], w["k"])
+        record(
+            f"{key} witness",
+            out.holds and out.vacuous == w["vacuous"],
+            f"max small-set value {out.max_value:.6f}",
+        )
+    for item in cond.get("alpha", []):
+        if item.get("closed_set") is None:
+            continue
+        closed = set_from_json(space, item["closed_set"])
+        members = [x for x in range(kernel.size) if closed.covers_state(x)]
+        ok = all(kernel.prob(x, closed) >= 1.0 - 1e-12 for x in members)
+        record(f"alpha closed set [{item['index']}]", ok and bool(members))
+    for w in cond.get("beta", {}).get("witnesses", []):
+        d1 = set_from_json(space, w["d1"])
+        d2 = set_from_json(space, w["d2"])
+        record(f"beta witness ({w['i']},{w['j']})", _sets_disjoint(space, d1, d2))
+    for charge_json in cond.get("star", {}).get("evidence", {}).get("invariant_charges", []):
+        charge = measure_from_json(space, charge_json)
+        res = invariance_residual(kernel, charge)
+        record("invariant charge residual", res <= INVARIANCE_TOL, f"residual {res:.3e}")
+
+
+def _verify_ergodic(kernel: TransitionKernel, erg: dict, record) -> None:
+    _verify_projector(kernel, erg.get("projector"), record)
+    for mode in ("cesaro", "raw"):
+        _verify_rate(erg.get(mode), mode, record)
 
 
 def _verify_projector(kernel: TransitionKernel, proj, record) -> None:
@@ -417,7 +427,7 @@ def _verify_projector(kernel: TransitionKernel, proj, record) -> None:
         hitting = [_times_from_json(times) for times in proj["hitting_times"]]
         absorption = {int(x): [float(h) for h in row] for x, row in proj["absorption"].items()}
         absorption_times = _times_from_json(proj["absorption_times"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except MALFORMED as exc:
         record("projector format", False, f"{type(exc).__name__}: {exc}")
         return
 
@@ -527,7 +537,7 @@ def _verify_rate(run, mode: str, record) -> None:
             math.isclose(stored[k], v, rel_tol=RATE_TOL, abs_tol=0.0) if k == "ratio" else stored[k] == v
             for k, v in refit.items()
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except MALFORMED as exc:
         record(f"{mode} rate fit", False, f"{type(exc).__name__}: {exc}")
         return
     record(f"{mode} rate fit", same, f"refit {json.dumps(refit, sort_keys=True)}")

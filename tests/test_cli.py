@@ -230,3 +230,23 @@ def test_analyze_exits_2_on_a_non_finite_projector(tmp_path: Path, capsys):
     args = ["analyze", "--chain", str(chain), "--tasks", "invariants,ergodic"]
     assert run_cli(args + ["--out", str(tmp_path / "r.json")]) == 2
     assert "transient states" in capsys.readouterr().err
+
+
+def test_walk_with_cross_end_tails_analyzes_and_verifies(tmp_path: Path, capsys):
+    tail = {"relative": {"-1": 0.25, "1": 0.25}}
+    chain = tmp_path / "cross.json"
+    chain.write_text(json.dumps({
+        "kind": "walk",
+        "support": "Z",
+        "tail_+inf": {**tail, "to_other_end": {"-inf": 0.5}},
+        "tail_-inf": {**tail, "to_other_end": {"+inf": 0.5}},
+    }))
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--chain", str(chain), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    charge = {"atoms": {}, "ends": {"+inf": 0.5, "-inf": 0.5}}
+    assert rep["invariants"]["measures"] == [charge]
+    assert rep["conditions"]["star"]["evidence"]["invariant_charges"] == [charge]
+    assert rep["escape"]["per_end_split"] == {"+inf": 0.5, "-inf": 0.5}
+    capsys.readouterr()
+    assert run_cli(["verify-report", "--report", str(out)]) == 0

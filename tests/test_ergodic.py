@@ -288,3 +288,23 @@ def test_projector_times_solve_their_equations():
             rest = sorted(times)
             h = np.array([times[x] for x in rest])
             assert np.abs(h - p[np.ix_(rest, rest)] @ h - 1.0).max(initial=0.0) <= 1e-12 * h.max(initial=1.0)
+
+
+def test_distance_series_is_the_sequential_loop():
+    from test_kernels import sequential_powers, table_matrices
+
+    chains = [two_absorbing(), swap2(), birth_death(30, 0.3, 0.2)]
+    chains += [TransitionKernel.finite(m) for m in table_matrices(29, 8, subnormals=False)]
+    for k in chains:
+        pj = projector_finite(k)
+        cesaro, raw = distance_series(k, 40, pj)
+        ref = sequential_powers(k.matrix, 40)
+        assert raw == [float(np.abs(cur - pj.matrix).sum(axis=1).max()) for cur, _ in ref]
+        assert cesaro == [float(np.abs(acc / n - pj.matrix).sum(axis=1).max()) for n, (_, acc) in enumerate(ref, 1)]
+
+
+def test_hitting_time_solve_rejects_a_singular_class():
+    # the two states of one class swap only with a subnormal probability
+    k = TransitionKernel.finite([[1.0, 1e-310], [1e-310, 1.0]])
+    with pytest.raises(NumericalError, match=r"hitting times of state 0 from states \[1\]"):
+        projector_finite(k)

@@ -229,14 +229,33 @@ def test_end_action_examples():
     assert end_action(symmetric_walk_Z(), END_NEG).preserved_mass == 1.0
 
 
-def test_cross_end_rows_have_no_pointwise_realization():
+def test_cross_end_mass_is_the_mirror_jump():
     tail_pos = TailRow(relative={1: 0.5}, to_other_end={END_NEG: 0.5})
     tail_neg = TailRow(relative={-1: 1.0})
     k = TransitionKernel.walk("Z", tails={END_POS: tail_pos, END_NEG: tail_neg})
     act = end_action(k, END_POS)
     assert act.leak_ends == {END_NEG: 0.5}
-    with pytest.raises(StructureError):
-        k.row(3)
+    assert k.row(3) == {4: 0.5, -3: 0.5}
+    assert k.row(0) == {1: 0.5, 0: 0.5}  # state 0 is its own mirror image
+    assert k.row(-3) == {-4: 1.0}
+
+
+def test_duality_holds_across_ends():
+    tail = {"relative": {"-1": 0.25, "1": 0.25}}
+    k = kernel_from_spec({
+        "kind": "walk",
+        "support": "Z",
+        "exceptions": {"2": {"-1": 0.5, "3": 0.5}},
+        "tail_+inf": {**tail, "to_other_end": {"-inf": 0.5}},
+        "tail_-inf": {**tail, "to_other_end": {"+inf": 0.5}},
+    })
+    lims = {END_POS: 0.7, END_NEG: -0.4}
+    for window in ({-10: 1.0}, {5: 2.0}, {-3: 1.0, 7: -1.0}, {}):
+        f = BoundedFunction(k.space, window, default=0.3, end_limits=lims)
+        for x in range(-15, 16):
+            assert duality_residual(k, f, dirac(k.space, x)) <= TOL
+        for e in (END_POS, END_NEG):
+            assert duality_residual(k, f, end_charge(k.space, e)) <= TOL
 
 
 # -- duality --------------------------------------------------------------------------
@@ -357,6 +376,25 @@ def table_matrices(seed, count, subnormals=True):
         tiny = zeros & (rng.random((n, n)) < (0.1 if subnormals else 0.0))
         m[tiny] = rng.choice([5e-324, 1e-310, 2.2e-308], size=int(tiny.sum()))
         yield m
+
+
+def sequential_powers(matrix, k):
+    """(p^n, p^1 + ... + p^n) for n = 1..k by a plain loop from the identity: the reference."""
+    cur, acc, out = np.eye(len(matrix)), np.zeros_like(matrix), []
+    for _ in range(k):
+        cur = cur @ matrix
+        acc += cur
+        out.append((cur, acc.copy()))
+    return out
+
+
+def test_powers_and_averages_are_the_sequential_products():
+    mats = [*table_matrices(seed=23, count=40), birth_death(12, 0.3, 0.2).matrix, np.eye(1)]
+    for m in mats:
+        k = TransitionKernel.finite(m)
+        for n, (cur, acc) in enumerate(sequential_powers(k.matrix, 8), start=1):
+            assert kernel_power(k, n).matrix.tobytes() == cur.tobytes()
+            assert cesaro_kernel(k, n).matrix.tobytes() == (acc / n).tobytes()
 
 
 def test_row_table_matches_the_per_scalar_read():

@@ -26,10 +26,9 @@ from chargechain.kernels import cesaro_kernel, kernel_power
 from chargechain.measures import _subset_sums, to_vector
 
 
-def brute_small_set_max(kernel, phi, eps, order, *, averaged, strict, stepped=None):
-    """Full 2^n enumeration of every subset for every row: the reference."""
+def brute_small_set_max(kernel, matrix, phi, eps, *, strict):
+    """Full 2^n enumeration of every subset for every row of a stepped matrix: the reference."""
     n = kernel.size
-    matrix = (cesaro_kernel(kernel, order) if averaged else kernel_power(kernel, order)).matrix
     phis = _subset_sums(to_vector(phi))
     adm = phis < eps if strict else phis <= eps
     vacuous = not bool(adm[1:].any())
@@ -93,11 +92,11 @@ def test_row_support_enumeration_matches_brute_force():
         else:
             eps = float(rng.uniform(0.01, 0.99))
         order = int(rng.integers(1, 4))
-        for averaged in (False, True):
+        for step in (kernel_power, cesaro_kernel):
+            matrix = step(kernel, order).matrix
             for strict in (False, True):
-                mode = {"averaged": averaged, "strict": strict}
-                got = _small_set_max(kernel, phi, eps, order, **mode)
-                want = brute_small_set_max(kernel, phi, eps, order, **mode)
+                got = _small_set_max(kernel, matrix, phi, eps, strict=strict)
+                want = brute_small_set_max(kernel, matrix, phi, eps, strict=strict)
                 assert got.holds == want.holds
                 assert got.vacuous == want.vacuous
                 assert got.max_value == want.max_value
@@ -116,11 +115,9 @@ def test_public_checkers_match_brute_force_on_ties():
     k = TransitionKernel.finite(np.full((4, 4), 0.25))
     phi = from_vector(k.space, [0.25] * 4)
     for eps in (0.25, 0.5, 0.75):
-        assert check_doeblin(k, phi, eps, 1) == brute_small_set_max(
-            k, phi, eps, 1, averaged=False, strict=False
-        )
+        assert check_doeblin(k, phi, eps, 1) == brute_small_set_max(k, k.matrix, phi, eps, strict=False)
         assert check_doeblin_tilde(k, phi, eps, 2) == brute_small_set_max(
-            k, phi, eps, 2, averaged=True, strict=True
+            k, cesaro_kernel(k, 2).matrix, phi, eps, strict=True
         )
 
 
@@ -157,6 +154,27 @@ def test_search_computes_each_stepped_kernel_once(monkeypatch):
             calls.clear()
             assert search_doeblin(kernel, k_max=k_max, averaged=averaged).vacuous
             assert sorted(calls) == list(range(1, k_max + 1))
+
+
+def test_search_witness_rechecks_to_the_same_max(monkeypatch):
+    found = []
+
+    def recording(*args, **kwargs):
+        found.append(_small_set_max(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(conditions, "_small_set_max", recording)
+    # witnesses at k = 4 and 5, where p^k is four and five products
+    chains = [birth_death(6, 0.3, 0.2), birth_death(9, 0.3, 0.2), birth_death(12, 0.45, 0.45)]
+    orders = set()
+    for kernel in chains:
+        for averaged, check in ((False, check_doeblin), (True, check_doeblin_tilde)):
+            w = search_doeblin(kernel, averaged=averaged)
+            assert not w.vacuous
+            searched = found[-1]
+            assert check(kernel, w.phi, w.eps, w.k).max_value == searched.max_value
+            orders.add(w.k)
+    assert orders >= {4, 5}
 
 
 def test_vacuous_means_no_single_state_fits():

@@ -1,4 +1,5 @@
-"""verify-report on the factored projector and the rate fits: tampered reports fail, untouched ones pass."""
+"""verify-report on the factored projector and the rate fits: tampered reports fail, untouched ones pass,
+and a section of the wrong shape fails one format item."""
 
 import copy
 import json
@@ -102,6 +103,46 @@ def test_tampered_projector_or_rate_fails(tmp_path: Path, capsys, case):
     code, out = verify(tmp_path, rep, capsys)
     assert code == 1
     assert f"FAILED: {failed}" in out
+
+
+def set_pairwise(key, value):
+    def edit(rep):
+        rep["invariants"]["pairwise"][0][key] = value
+
+    return edit
+
+
+MALFORMED = {
+    "witness atom not an integer": (
+        set_pairwise("witnesses", [{"atoms": ["x"]}, {"atoms": [2]}]),
+        "invariants format",
+    ),
+    "basis shorter than its pairwise list": (
+        lambda rep: rep["invariants"].update(measures=rep["invariants"]["measures"][:1]),
+        "invariants format",
+    ),
+    "pairwise index past the basis": (set_pairwise("j", 5), "invariants format"),
+    "D eps a string": (
+        lambda rep: rep["conditions"]["D"]["witness"].update(eps="0.5"),
+        "conditions format",
+    ),
+    "beta witness without d1": (
+        lambda rep: rep["conditions"]["beta"]["witnesses"][0].pop("d1"),
+        "conditions format",
+    ),
+    "ergodic section not an object": (lambda rep: rep.update(ergodic=[1]), "ergodic format"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_section_fails_an_item(tmp_path: Path, capsys, case):
+    edit, failed = MALFORMED[case]
+    rep = two_absorbing_report(tmp_path)
+    edit(rep)
+    code, out = verify(tmp_path, rep, capsys)  # an uncaught error would end the test here
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAILED")]
+    assert line.startswith(f"FAILED: {failed} (")
 
 
 def test_shrunk_hitting_time_fails(tmp_path: Path, capsys):

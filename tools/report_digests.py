@@ -1,0 +1,83 @@
+"""Digest every benchmark and catalog report of a chargechain source tree.
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/report_digests.py SRC OUT --seeds 11 12
+
+SRC is a ``src/`` directory holding the ``chargechain`` package.  For every
+catalog entry (default tasks and horizons) and every case of the three
+benchmark workloads at each seed (the workload's own tasks and horizons),
+the script analyzes the chain, and writes to OUT, as sorted JSON, the sha256
+of the ``report_json`` text and the ``verify_report`` item list.  A case
+that raises a package error records the error instead.  Two trees that give
+byte-identical OUT files emit the same reports and verify them the same way:
+
+    cmp PARENT.json CHANGE.json
+
+The cases come from ``perfbench/workloads.py`` next to this script, imported
+as is; the chain specs are written to a temporary directory and read back
+through ``AnalysisRequest.chain_path``, as the benchmark does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(cc, request) -> dict:
+    try:
+        report = cc.run_analysis(request)
+    except cc.ChargeChainError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    text = cc.report_json(report)
+    return {
+        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "verify": cc.verify_report(json.loads(text)),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", help="directory holding the chargechain package")
+    parser.add_argument("out", help="JSON file to write")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[11, 12])
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    cc = importlib.import_module("chargechain")
+    workloads = importlib.import_module("workloads")
+
+    out: dict[str, dict] = {}
+    for name in cc.catalog.names():
+        out[f"catalog/{name}"] = digest(cc, cc.AnalysisRequest(catalog=name))
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            for wl_name in workloads.WORKLOADS:
+                wl = workloads.build(cc, wl_name, seed)
+                for i, case in enumerate(wl.cases):
+                    if case.spec is None:
+                        source = {"catalog": case.catalog}
+                    else:
+                        path = Path(tmp) / f"{wl_name}-{seed}-{i:02d}.json"
+                        path.write_text(json.dumps(case.spec, sort_keys=True), encoding="utf-8")
+                        source = {"chain_path": str(path)}
+                    request = cc.AnalysisRequest(tasks=wl.tasks, n_max=wl.n_max, windows=wl.windows, **source)
+                    out[f"{wl_name}/seed{seed}/{i:02d}-{case.name}"] = digest(cc, request)
+    Path(args.out).write_text(json.dumps(out, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    errors = sum(1 for v in out.values() if "error" in v)
+    failed = sum(1 for v in out.values() for item in v.get("verify", []) if not item["ok"])
+    print(f"{len(out)} reports, {errors} errors, {failed} failed verify items -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    sys.exit(main())
