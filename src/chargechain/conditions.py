@@ -35,8 +35,6 @@ from .measures import (
 )
 
 MAX_ENUM_STATES = 22
-#: negative stationary weights down to this size are round-off in the truncation trend
-ROUNDOFF_WEIGHT = 1e-12
 DEFAULT_EPS_GRID = (0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.02, 0.01)
 
 
@@ -79,24 +77,15 @@ def _small_set_max(
     sums it, and the maximum, the row and the counterexample set come out
     bit for bit the same.
     """
-    n = kernel.size
-    if n > MAX_ENUM_STATES:
-        raise CapacityError(f"subset enumeration capped at {MAX_ENUM_STATES} states, got {n}")
-    if phi.ends:
-        raise PreconditionError("phi must be countably additive (atoms only)")
-    if not phi.is_nonnegative():
-        raise PreconditionError("phi must be nonnegative")
-    if not 0.0 < eps < 1.0:
-        raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    admits = np.less if strict else np.less_equal
-    weights = to_vector(phi)
-    fits = admits(weights, eps)
+    fits = _admissible(kernel, phi, eps, strict)
     if not fits.any():
         # no single state fits, so only the empty set is admissible
         return DoeblinOutcome(True, True, 0.0)
+    weights = to_vector(phi)
+    admits = np.less if strict else np.less_equal
     worst_val = -math.inf
     worst: tuple[np.ndarray, int, int] | None = None
-    for x in range(n):
+    for x in range(kernel.size):
         items = np.flatnonzero(fits & (matrix[x] > 0.0))
         adm = admits(_subset_sums(weights[items]), eps)
         vals = np.where(adm, _subset_sums(matrix[x, items]), -np.inf)
@@ -113,13 +102,30 @@ def _small_set_max(
     return DoeblinOutcome(holds, False, worst_val, counter)
 
 
+def _admissible(kernel: TransitionKernel, phi: FAMeasure, eps: float, strict: bool) -> np.ndarray:
+    """The states j with phi_j <= eps (< eps when strict), once the cap, phi and eps are valid."""
+    if kernel.size > MAX_ENUM_STATES:
+        raise CapacityError(f"subset enumeration capped at {MAX_ENUM_STATES} states, got {kernel.size}")
+    if phi.ends:
+        raise PreconditionError("phi must be countably additive (atoms only)")
+    if not phi.is_nonnegative():
+        raise PreconditionError("phi must be nonnegative")
+    if not 0.0 < eps < 1.0:
+        raise ValidationError(f"eps must lie in (0, 1), got {eps}")
+    return (np.less if strict else np.less_equal)(to_vector(phi), eps)
+
+
 def check_doeblin(kernel: TransitionKernel, phi: FAMeasure, eps: float, k: int) -> DoeblinOutcome:
     """Condition (D): phi(E) <= eps must force p^k(x, E) <= 1 - eps for every x."""
+    if not _admissible(kernel, phi, eps, False).any():  # checked before p^k is formed
+        return DoeblinOutcome(True, True, 0.0)
     return _small_set_max(kernel, kernel_power(kernel, k).matrix, phi, eps, strict=False)
 
 
 def check_doeblin_tilde(kernel: TransitionKernel, phi: FAMeasure, eps: float, m: int) -> DoeblinOutcome:
     """Condition (D~): strict admission phi(E) < eps against the averaged kernel q_m."""
+    if not _admissible(kernel, phi, eps, True).any():  # checked before q_m is formed
+        return DoeblinOutcome(True, True, 0.0)
     return _small_set_max(kernel, cesaro_kernel(kernel, m).matrix, phi, eps, strict=True)
 
 
@@ -339,12 +345,6 @@ def doeblin_truncation_trend(
         trunc = truncate_reflecting(kernel, w)
         basis = invariant_basis_finite(trunc)
         phi = sum(basis.measures[1:], basis.measures[0])
-        # a stationary solve can leave round-off weights like -2e-18 on
-        # states the truncation barely reaches; they carry no mass
-        phi = FAMeasure(
-            trunc.space,
-            {x: 0.0 if -ROUNDOFF_WEIGHT <= v < 0.0 else v for x, v in phi.atoms.items()},
-        )
         res = _small_set_max(trunc, kernel_power(trunc, k).matrix, phi, eps, strict=False)
         out.append((int(w), res.max_value))
     return out

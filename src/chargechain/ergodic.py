@@ -18,9 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, NumericalError, PreconditionError
-from .invariants import ChainClass, InvariantBasis, recurrent_classes, states_outside, stationary_of_class
+from .invariants import ChainClass, InvariantBasis, eliminate, recurrent_classes, states_outside, stationary_of_class
 from .kernels import TransitionKernel, powers
 from .measures import FAMeasure, to_vector
+
+#: distances at or below this are round-off and stay out of a rate fit
+RATE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,17 +93,23 @@ def projector_finite(kernel: TransitionKernel, basis: InvariantBasis | None = No
     return Projector(list(classes), list(pis), absorption, times, hitting, mat)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a zero pivot leaves non-finite rows
 def _solve_transient(kernel: TransitionKernel, states: list[int], rhs: list[np.ndarray], what: str) -> np.ndarray:
     """Solutions x of (I − Q)x = b, one column per b of ``rhs``; Q is the kernel on ``states``.
 
-    Each b gets its own solve, as LAPACK rounds a multi-column solve differently.
+    One elimination serves every column, then x is substituted back from the first state up.
     Non-finite rows raise NumericalError, naming ``what`` and their states.
     """
-    lhs = np.eye(len(states)) - kernel.matrix[np.ix_(states, states)]
-    try:
-        x = np.column_stack([np.linalg.solve(lhs, b) for b in rhs])
-    except np.linalg.LinAlgError:
-        x = np.full((len(states), len(rhs)), np.nan)
+    if not states:
+        return np.zeros((0, len(rhs)))
+    outside = np.ones(kernel.size, dtype=bool)  # a mask, as np.setdiff1d imports numpy.ma on first use
+    outside[states] = False
+    a = kernel.matrix[np.ix_(states, states)]
+    x = np.column_stack(rhs)
+    pivots = eliminate(a, kernel.matrix[np.ix_(states, np.flatnonzero(outside))].sum(axis=1), x, 0)
+    for k in range(len(states)):  # x[k] is complete: pass its flow on to the later states
+        x[k] /= pivots[k]
+        x[k + 1 :] += a[k + 1 :, k, None] * x[k]
     bad = [states[i] for i in np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist()]
     if bad:
         raise NumericalError(f"I - Q is singular in floating point: non-finite {what} {bad}")
@@ -190,10 +199,10 @@ def fitted_rate(distances) -> RateFit:
 def rate_fit(distances) -> RateFit:
     """Classify a decay sequence: clean geometric ratio, subgeometric, or exactly zero.
 
-    The fit uses only the tail half of the positive entries; a leading zero
-    stretch is tolerated.  A sequence that reaches zero and stays there (a
-    trailing zero run of at least a quarter of the data) is reported as
-    finite_exact with the first index of that run (1-based).
+    The fit uses only the tail half of the entries above ``RATE_FLOOR`` (the
+    rest is round-off); a leading zero stretch is tolerated.  A sequence that
+    reaches zero and stays there (a trailing zero run of at least a quarter of
+    the data) is finite_exact, with the first (1-based) index of that run.
     """
     d = [float(x) for x in distances]
     if not d:
@@ -204,9 +213,9 @@ def rate_fit(distances) -> RateFit:
     trailing = len(d) - 1 - last_pos
     if trailing >= max(3, len(d) // 4):
         return RateFit("finite_exact", n_zero=last_pos + 2)
-    pairs = [(i + 1, x) for i, x in enumerate(d) if x > 0.0]
+    pairs = [(i + 1, x) for i, x in enumerate(d) if x > RATE_FLOOR]
     if len(pairs) < 8:
-        raise PreconditionError("need at least 8 positive entries for a fit")
+        raise PreconditionError(f"need at least 8 entries above {RATE_FLOOR:g} for a fit")
     tail = pairs[len(pairs) // 2 :]
     ns = np.array([n for n, _ in tail], dtype=float)
     logs = np.array([math.log(x) for _, x in tail])

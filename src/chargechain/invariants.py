@@ -1,7 +1,7 @@
 """Invariant measures: bases, end-charge detection, averaged sequences, escape.
 
 Finite chains get an exact treatment: one extreme invariant distribution
-per recurrent class, found by a direct linear solve.  Countable walks are
+per recurrent class, by subtraction-free state reduction (GTH).  Countable walks are
 handled within the representable class: invariant end charges come from
 the coarse end actions, and a countably additive invariant (when one
 exists with effectively finite support) is certified numerically by its
@@ -152,18 +152,45 @@ def _class_period(succ: list[list[int]], members) -> int:
     return g or 1
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a zero pivot shows as inf or nan
+def eliminate(a: np.ndarray, leave: np.ndarray, rhs: np.ndarray | None, last: int) -> np.ndarray:
+    """Grassmann–Taksar–Heyman reduction of states n-1 down to ``last``, in place; returns the pivots.
+
+    A pivot is the state's mass to the states below it plus its ``leave`` mass, never 1 − a_kk.  Column
+    k over it times row k updates the box that can hold their nonzeros, ``leave`` and ``rhs``.
+    """
+    nz = (a != 0.0) | np.eye(len(a), dtype=bool)  # r0[k], c0[k]: where column and row k can start, fill-in included
+    r0, c0 = (np.minimum.accumulate(m.argmax(axis=0)[::-1])[::-1].tolist() for m in (nz, nz.T))
+    pivots = np.zeros(len(a))
+    for k in range(len(a) - 1, last - 1, -1):
+        row, col = a[k, c0[k] : k], a[r0[k] : k, k]
+        s = leave[k] + row.sum()
+        col /= s
+        if s < 1e-200 and not (col <= 1e100).all():
+            break  # the states below weigh under 1e-100 of k: they drop out, and every weight stays finite
+        pivots[k] = s
+        a[r0[k] : k, c0[k] : k] += col[:, None] * row
+        if leave[k]:
+            leave[r0[k] : k] += col * leave[k]
+        if rhs is not None:
+            rhs[r0[k] : k] += col[:, None] * rhs[k]
+    return pivots
+
 
 def stationary_of_class(kernel: TransitionKernel, members: tuple[int, ...]) -> FAMeasure:
-    """Extreme invariant distribution of one recurrent class (direct linear solve)."""
+    """Extreme invariant distribution of one recurrent class: GTH, so no weight is negative."""
     idx = list(members)
-    sub = kernel.matrix[np.ix_(idx, idx)]
-    m = len(idx)
-    a = sub.T - np.eye(m)
-    a[-1, :] = 1.0
-    b = np.zeros(m)
-    b[-1] = 1.0
-    pi = np.linalg.solve(a, b)
-    return FAMeasure(kernel.space, atoms={idx[i]: float(pi[i]) for i in range(m)})
+    a = kernel.matrix[np.ix_(idx, idx)]
+    pivots = eliminate(a, np.zeros(len(idx)), None, 1)
+    pi = np.zeros(len(idx))
+    start = int(np.flatnonzero(pivots == 0.0)[-1])  # a state that never moves down outweighs those below
+    pi[start] = 1.0
+    for k in range(start, len(idx)):  # pi[k] is complete: pass its flow on to the later states
+        if pi[k] > 1e100:  # keep the unnormalized weights finite
+            pi /= pi[k]
+        pi[k + 1 :] += pi[k] * a[k, k + 1 :]
+    pi /= math.fsum(pi.tolist())
+    return FAMeasure(kernel.space, atoms=dict(zip(idx, pi.tolist())))
 
 
 def invariant_basis_finite(kernel: TransitionKernel) -> InvariantBasis:
@@ -190,34 +217,23 @@ def _assemble_basis(measures: list[FAMeasure], kinds: list[str], classes=()) -> 
 def detect_pfa_ends(kernel: TransitionKernel) -> list[FAMeasure]:
     """Invariant unit charges supported on ends, from the coarse end system.
 
-    An end (or a closed communicating set of ends) carries an invariant
-    charge exactly when its actions leak no mass into finite states; the
-    charge is the stationary split of the end-level chain.  Soundness: with
-    bounded offsets and no finite leak, mass beyond every threshold can
-    never re-enter a fixed finite set.
+    The ends, plus one absorbing state for their leak into finite states, form a finite chain; each of
+    its closed classes of ends carries one charge, the class's stationary split.  Soundness: with bounded
+    offsets and no finite leak, mass beyond every threshold can never re-enter a fixed finite set.
     """
     if kernel.space.is_finite:
         raise StructureError("end detection needs a countable chain")
-    acts = {e: end_action(kernel, e) for e in sorted(kernel.space.end_ids())}
-    leak_free = {
-        e: math.fsum(a.leak_atoms.values()) <= 1e-12 for e, a in acts.items()
-    }
-    charges: list[FAMeasure] = []
-    absorbed: set[str] = set()
-    for e, act in acts.items():
-        cross = math.fsum(act.leak_ends.values())
-        if leak_free[e] and cross <= 1e-12:
-            charges.append(FAMeasure(kernel.space, ends={e: 1.0}))
-            absorbed.add(e)
-    remaining = [e for e in acts if e not in absorbed]
-    if len(remaining) == 2:
-        e1, e2 = remaining
-        a12 = acts[e1].leak_ends.get(e2, 0.0)
-        a21 = acts[e2].leak_ends.get(e1, 0.0)
-        if leak_free[e1] and leak_free[e2] and a12 > 1e-12 and a21 > 1e-12:
-            w1 = a21 / (a12 + a21)
-            charges.append(FAMeasure(kernel.space, ends={e1: w1, e2: 1.0 - w1}))
-    return charges
+    ends = sorted(kernel.space.end_ids())
+    sink = len(ends)
+    system = np.eye(sink + 1)
+    for i, e in enumerate(ends):
+        act = end_action(kernel, e)
+        system[i, i] = act.preserved_mass
+        system[i, [ends.index(e2) for e2 in act.leak_ends]] += list(act.leak_ends.values())
+        system[i, sink] = math.fsum(act.leak_atoms.values())
+    chain = TransitionKernel.finite(system)
+    laws = [stationary_of_class(chain, c.states) for c in recurrent_classes(chain) if sink not in c.states]
+    return [FAMeasure(kernel.space, ends={ends[x]: w for x, w in pi.atoms.items()}) for pi in laws]
 
 
 def detect_ca_countable(

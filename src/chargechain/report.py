@@ -42,7 +42,7 @@ from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
 from .measures import dirac, evaluate, measurable, measure_from_json, set_from_json
 from .ergodic import ErgodicRunResult, ergodic_run, fitted_rate
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 #: tolerance of the absorption rows' sums, and of the certified error max |H - H*| of the rows
 ABSORPTION_TOL = 1e-9
 #: tolerance of the certified error |Π_i - Π_i*|₁ of each stationary law
@@ -466,8 +466,9 @@ def _verify_projector(kernel: TransitionKernel, proj, record) -> None:
     class_of = {s: i for i, c in enumerate(classes) for s in c}
     worst = 0.0
     for x, h in absorption.items():
-        lhs = list(h)  # row x of (I - Q)·H - B
-        for y, p in kernel.row(x).items():
+        row = {y: p for y, p in kernel.row(x).items() if y != x}  # 1 - p(x, x) is its mass: no cancellation
+        lhs = [math.fsum(row.values()) * v for v in h]  # row x of (I - Q)·H - B
+        for y, p in row.items():
             if y in class_of:
                 lhs[class_of[y]] -= p
             else:
@@ -498,8 +499,9 @@ def _time_factor(kernel: TransitionKernel, times: dict[int, float]) -> float:
     """
     delta = 0.0
     for x, t in times.items():
-        res = t - 1.0
-        for y, p in kernel.row(x).items():
+        row = {y: p for y, p in kernel.row(x).items() if y != x}
+        res = math.fsum(row.values()) * t - 1.0
+        for y, p in row.items():
             res -= p * times.get(y, 0.0)
         if not abs(res) < 1.0:
             return math.inf
@@ -519,12 +521,13 @@ def _stationary_error(kernel: TransitionKernel, states: list[int], pi, times: di
     factor = _time_factor(kernel, times)
     if factor == math.inf:
         return math.inf
-    flow = dict.fromkeys(states, 0.0)  # Π·P; the class is closed
+    r = dict.fromkeys(states, 0.0)  # Π(I − P); the class is closed
     for x in states:
-        w = pi.atoms.get(x, 0.0)
-        for y, p in kernel.row(x).items():
-            flow[y] += w * p
-    weighted = math.fsum(abs(pi.atoms.get(j, 0.0) - flow[j]) * t for j, t in times.items())
+        row = {y: p for y, p in kernel.row(x).items() if y != x}
+        r[x] += pi.atoms.get(x, 0.0) * math.fsum(row.values())
+        for y, p in row.items():
+            r[y] -= pi.atoms.get(x, 0.0) * p
+    weighted = math.fsum(abs(r[j]) * t for j, t in times.items())
     return 2.0 * weighted * factor + abs(pi.total() - 1.0)
 
 

@@ -26,7 +26,7 @@ def test_analyze_report_contents(tmp_path: Path):
     out = tmp_path / "r.json"
     assert run_cli(["analyze", "--catalog", "drift_walk_N", "--n-max", "50", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 3
+    assert rep["schema"] == 4
     assert rep["conditions"]["star"]["holds"] is False
     assert rep["conditions"]["quasicompact"]["status"] == "inconsistent"
     assert rep["invariants"]["kinds"] == ["pfa"]
@@ -119,7 +119,7 @@ def test_over_cap_analyze_reports_the_other_sections(tmp_path: Path, capsys):
     out = tmp_path / "r.json"
     assert run_cli(["analyze", "--chain", str(big), "--n-max", "30", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 3
+    assert rep["schema"] == 4
     assert rep["tasks"] == ["conditions", "ergodic", "invariants"]
     assert rep["invariants"]["dimension"] == 1 and rep["ergodic"]["projector"]
     cond = rep["conditions"]
@@ -205,7 +205,7 @@ def test_entry_point_subprocess(tmp_path: Path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())["schema"] == 3
+    assert json.loads(out.read_text())["schema"] == 4
 
 
 def test_threads_env_var_is_honored(tmp_path: Path, monkeypatch):

@@ -11,6 +11,7 @@ from chargechain import (
     FAMeasure,
     PreconditionError,
     TransitionKernel,
+    birth_death,
     check_alpha,
     check_beta,
     check_doeblin,
@@ -105,6 +106,40 @@ def test_doeblin_capacity_cap():
     phi = from_vector(k.space, np.full(23, 1.0 / 23))
     with pytest.raises(CapacityError):
         check_doeblin(k, phi, 0.1, 1)
+
+
+def counted_powers(monkeypatch):
+    """Count the products the power sequence takes."""
+    import chargechain.kernels as kernels
+
+    steps = []
+    original = kernels.powers
+
+    def counting(kernel):
+        for item in original(kernel):
+            steps.append(1)
+            yield item
+
+    monkeypatch.setattr(kernels, "powers", counting)
+    return steps
+
+
+def test_doeblin_checks_validate_before_forming_a_power(monkeypatch):
+    steps = counted_powers(monkeypatch)
+    k = birth_death(17, 0.3, 0.2)
+    counting = FAMeasure(k.space, atoms={x: 1.0 for x in range(17)})
+    for check in (check_doeblin, check_doeblin_tilde):
+        assert check(k, counting, 0.5, 5).vacuous  # the counting phi admits no state
+    assert steps == []
+    # a tampered witness on an over-cap chain fails before a single product
+    big = birth_death(23, 0.3, 0.2)
+    phi = from_vector(big.space, np.full(23, 1.0 / 23))
+    for check in (check_doeblin, check_doeblin_tilde):
+        with pytest.raises(CapacityError):
+            check(big, phi, 0.5, 5)
+    assert steps == []
+    assert check_doeblin(k, from_vector(k.space, np.full(17, 1.0 / 17)), 0.5, 3).max_value > 0.0
+    assert len(steps) == 3  # a checked witness still forms its power
 
 
 def test_signed_phi_rejected():

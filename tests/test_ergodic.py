@@ -151,6 +151,17 @@ def test_rate_fit_needs_enough_positives():
         rate_fit([0.5, 0.4, 0.3, 0.2])
 
 
+def test_rate_fit_leaves_the_roundoff_floor_out():
+    # a fast geometric decay, then round-off noise between 5e-16 and 2e-15, as dense chains give
+    rng = np.random.default_rng(3)
+    seq = [0.15**n for n in range(1, 15)] + list(rng.uniform(5e-16, 2e-15, size=186))
+    fit = rate_fit(seq)
+    assert fit.kind == "geometric" and fit.ratio == pytest.approx(0.15, rel=1e-9)
+    assert rate_fit(seq[:14] + [0.0] * 186).kind == "finite_exact"  # exact zeros still end a decay
+    with pytest.raises(PreconditionError):
+        rate_fit(seq[:7] + seq[14:])  # 7 entries above the floor are too few
+
+
 def test_fitted_rate_matches_second_eigenvalue():
     # reversible chains keep the spectrum real, so raw decay is cleanly geometric
     cases = [

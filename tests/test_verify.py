@@ -174,6 +174,28 @@ def test_slow_leak_wrong_absorption_row_fails(tmp_path: Path, capsys):
     assert code == 1 and "FAILED: projector absorption equation" in out
 
 
+def test_slow_leak_not_exact_in_binary_verifies(tmp_path: Path, capsys):
+    # 1 - 2e-10 is not exact in binary: 1 - p(1, 1) cancels to about 1e-7 relative error, the row's
+    # off-diagonal mass does not
+    rep = chain_report(tmp_path, [[1.0, 0.0, 0.0], [1e-10, 1.0 - 2e-10, 1e-10], [0.0, 0.0, 1.0]])
+    proj = rep["ergodic"]["projector"]
+    assert proj["absorption"] == {"1": [0.5, 0.5]}
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 0, out
+    proj["absorption"]["1"] = [0.5 + 1e-7, 0.5 - 1e-7]
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1 and "FAILED: projector absorption equation" in out
+
+
+def test_nearly_decomposable_not_exact_in_binary_verifies(tmp_path: Path, capsys):
+    # Π(I − P) takes its diagonal from the off-diagonal masses 3e-10 and 1e-10: 1 − (1 − 1e-10) would
+    # leave about 1e-17, which the hitting time 3.3e9 turns into a bound of 4e-8
+    rep = chain_report(tmp_path, [[1.0 - 3e-10, 3e-10], [1e-10, 1.0 - 1e-10]])
+    assert rep["ergodic"]["projector"]["stationary"] == [{"atoms": {"0": 0.25, "1": 0.75}, "ends": {}}]
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 0, out
+
+
 def test_nearly_decomposable_wrong_stationary_law_fails(tmp_path: Path, capsys):
     # one class whose two states swap with probability 2^-40 (exact in binary)
     eps = 2.0**-40
@@ -205,10 +227,10 @@ def test_other_schema_fails_on_one_item_and_is_not_read(tmp_path: Path, capsys):
     rep["ergodic"]["projector"] = {"rank": 2, "rows": {}}  # the section as schema 2 wrote it
     items = verify_report(rep)
     failed = [item for item in items if not item["ok"]]
-    assert failed == [{"check": "schema", "ok": False, "detail": "schema 2, expected 3"}]
+    assert failed == [{"check": "schema", "ok": False, "detail": "schema 2, expected 4"}]
     assert not any(item["check"].startswith("projector") for item in items)
     code, out = verify(tmp_path, rep, capsys)
-    assert code == 1 and "FAILED: schema (schema 2, expected 3)" in out
+    assert code == 1 and "FAILED: schema (schema 2, expected 4)" in out
     del rep["schema"]
     assert verify(tmp_path, rep, capsys)[0] == 1
 
