@@ -124,7 +124,6 @@ from .report import (
     report_json,
     run_analysis,
     verify_report,
-    worker_count,
 )
 
 __version__ = "0.1.0"

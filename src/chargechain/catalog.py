@@ -94,16 +94,15 @@ def grid_unit_interval(n: int = 8, p_toward_zero: float = 0.7) -> TransitionKern
     point toward 0 with probability p_toward_zero, else one point away;
     the coarsest point reflects.  Mass drifting toward 0 in value space is
     mass drifting to the end of the index space, which is where an
-    invariant pure charge "just right of zero" lives.
+    invariant pure charge "just right of zero" lives.  In index space this is
+    ``drift_walk_N(p_toward_zero)``; ``n`` is validated but does not change
+    the kernel.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     if not 0.0 < p_toward_zero < 1.0:
         raise ValidationError(f"need 0 < p_toward_zero < 1, got {p_toward_zero}")
-    p = p_toward_zero
-    tail = TailRow(relative={+1: p, -1: 1.0 - p})
-    exceptions = {0: {0: 1.0 - p, 1: p}}
-    return TransitionKernel.walk("N", exceptions=exceptions, tails={END_POS: tail})
+    return drift_walk_N(p_toward_zero)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,11 +21,13 @@ from .conditions import (
     DEFAULT_EPS_GRID,
     MAX_ENUM_STATES,
     ConditionReport,
+    ConditionVerdict,
     DoeblinWitness,
     build_condition_report,
     check_alpha,
     check_doeblin,
     check_doeblin_tilde,
+    quasicompact_diagnostic,
 )
 from .errors import ValidationError
 from .invariants import (
@@ -53,15 +54,6 @@ RATE_TOL = 1e-9
 MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError)
 #: each task writes the report section of the same name
 ALL_TASKS = ("invariants", "conditions", "ergodic", "escape")
-
-
-def worker_count() -> int:
-    raw = os.environ.get("CHARGECHAIN_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"CHARGECHAIN_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
 
 
 @dataclass(frozen=True)
@@ -111,25 +103,6 @@ def run_analysis(request: AnalysisRequest) -> dict:
             raise ValidationError(f"eps grid (--eps-grid) values must lie in (0, 1), got {eps}")
     kernel, source = request.load()
     tasks = applicable_tasks(kernel, request.tasks)
-    basis = invariant_basis(kernel)
-    jobs = {}
-    if "invariants" in tasks:
-        jobs["invariants"] = lambda: _invariants_section(kernel, basis)
-    if "conditions" in tasks:
-        jobs["conditions"] = lambda: _conditions_section(
-            kernel, basis, build_condition_report(kernel, basis, request.k_max, request.eps_grid)
-        )
-    if "ergodic" in tasks:
-        jobs["ergodic"] = lambda: _ergodic_section(kernel, request.n_max, basis)
-    if "escape" in tasks:
-        jobs["escape"] = lambda: _escape_section(kernel, request.n_max, request.windows)
-    workers = worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(fn) for name, fn in sorted(jobs.items())}
-            sections = {name: fut.result() for name, fut in futures.items()}
-    else:
-        sections = {name: fn() for name, fn in sorted(jobs.items())}
     report = {
         "schema": SCHEMA_VERSION,
         "chain": {"source": source, "spec": kernel_to_spec(kernel)},
@@ -141,7 +114,17 @@ def run_analysis(request: AnalysisRequest) -> dict:
             "windows": [int(w) for w in request.windows],
         },
     }
-    report.update(sections)
+    # the escape profile is the one section that does not read the invariant basis
+    basis = invariant_basis(kernel) if set(tasks) - {"escape"} else None
+    if "invariants" in tasks:
+        report["invariants"] = _invariants_section(kernel, basis)
+    if "conditions" in tasks:
+        cond = build_condition_report(kernel, basis, request.k_max, request.eps_grid)
+        report["conditions"] = _conditions_section(kernel, basis, cond)
+    if "ergodic" in tasks:
+        report["ergodic"] = _ergodic_section(kernel, request.n_max, basis)
+    if "escape" in tasks:
+        report["escape"] = _escape_section(kernel, request.n_max, request.windows)
     return report
 
 
@@ -332,17 +315,20 @@ def verify_report(report: dict) -> list[dict]:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"report lacks a chain spec: {exc}") from exc
 
+    classes = recurrent_classes(kernel) if kernel.space.is_finite else None
     sections = (("invariants", _verify_invariants), ("conditions", _verify_conditions), ("ergodic", _verify_ergodic))
     for name, check in sections:
         if report.get(name):
             try:
-                check(kernel, report[name], record)
+                check(kernel, classes, report[name], record)
             except MALFORMED as exc:
                 record(f"{name} format", False, f"{type(exc).__name__}: {exc}")
     return results
 
 
-def _verify_invariants(kernel: TransitionKernel, inv: dict, record) -> None:
+def _verify_invariants(kernel: TransitionKernel, classes, inv: dict, record) -> None:
+    """Check each measure's invariance and singularity witnesses; on a finite chain, also that
+    the basis is one "ca" measure per class of ``classes``, in class order, each on its class."""
     space = kernel.space
     measures = [measure_from_json(space, m) for m in inv["measures"]]
     for idx, mu in enumerate(measures):
@@ -363,9 +349,22 @@ def _verify_invariants(kernel: TransitionKernel, inv: dict, record) -> None:
         full2 = abs(evaluate(measures[j], d2) - measures[j].total()) <= 1e-9
         sep = _sets_disjoint(space, d1, d2)
         record(f"singularity witness ({i},{j})", full1 and full2 and sep)
+    if classes is None:
+        return
+    dimension, kinds = inv["dimension"], inv["kinds"]
+    ok = (
+        len(measures) == len(classes) == dimension
+        and kinds == ["ca"] * len(classes)
+        and all(not mu.ends and set(mu.atoms) <= set(c.states) for mu, c in zip(measures, classes))
+    )
+    record(
+        "invariant basis complete",
+        ok,
+        f"{len(measures)} measures, dimension {dimension}, kinds {kinds}; the kernel has {len(classes)} classes",
+    )
 
 
-def _verify_conditions(kernel: TransitionKernel, cond: dict, record) -> None:
+def _verify_conditions(kernel: TransitionKernel, classes, cond: dict, record) -> None:
     space = kernel.space
     for key, strict in (("D", False), ("D_tilde", True)):
         finding = cond.get(key)
@@ -401,18 +400,43 @@ def _verify_conditions(kernel: TransitionKernel, cond: dict, record) -> None:
         charge = measure_from_json(space, charge_json)
         res = invariance_residual(kernel, charge)
         record("invariant charge residual", res <= INVARIANCE_TOL, f"residual {res:.3e}")
+    _verify_verdicts(classes, cond, record)
 
 
-def _verify_ergodic(kernel: TransitionKernel, erg: dict, record) -> None:
-    _verify_projector(kernel, erg.get("projector"), record)
+def _verify_verdicts(classes, cond: dict, record) -> None:
+    """Check that the verdicts agree with each other and with the listed evidence.
+
+    A walk's (*) is taken from its listed charges, not re-derived from the spec.
+    """
+    star, beta = cond["star"], cond["beta"]
+    holds = star["holds"]
+    d = cond["double_star"]["evidence"]["dimension"]
+    qc_status, _ = quasicompact_diagnostic(ConditionVerdict("*", holds, star["scope"]))
+    wrong = [
+        name
+        for name, ok in (
+            ("(*) against its charges", holds == (not star["evidence"].get("invariant_charges"))),
+            ("(*) on a finite chain", classes is None or holds),
+            ("(~*) against (*)", cond["tilde_star"]["holds"] == holds),
+            ("quasicompact against (*)", cond["quasicompact"]["status"] == qc_status),
+            ("beta against its witnesses", beta["holds"] == (len(beta["witnesses"]) == d * (d - 1) // 2)),
+            ("(**) dimension against the classes", classes is None or d == len(classes)),
+        )
+        if not ok
+    ]
+    record("condition verdicts consistent", not wrong, "; ".join(f"{w} fails" for w in wrong))
+
+
+def _verify_ergodic(kernel: TransitionKernel, classes, erg: dict, record) -> None:
+    _verify_projector(kernel, classes, erg.get("projector"), record)
     for mode in ("cesaro", "raw"):
         _verify_rate(erg.get(mode), mode, record)
 
 
-def _verify_projector(kernel: TransitionKernel, proj, record) -> None:
+def _verify_projector(kernel: TransitionKernel, expected, proj, record) -> None:
     """Check the factors of P = H·Π against the kernel's rows, in O(nnz·r).
 
-    The classes must be the kernel's closed communicating classes.  The
+    The classes must be ``expected``, the kernel's closed communicating classes.  The
     stored expected times bound ‖(I − Q)⁻¹‖∞ (``_time_factor``), which turns
     the residuals of Π_i(I − P) = 0 and (I − Q)·H = B into bounds on the
     distance to the exact factors; those bounds are what is checked.
@@ -431,7 +455,6 @@ def _verify_projector(kernel: TransitionKernel, proj, record) -> None:
         record("projector format", False, f"{type(exc).__name__}: {exc}")
         return
 
-    expected = recurrent_classes(kernel)
     ok = rank == len(expected) == len(stationary) == len(hitting) and classes == [list(c.states) for c in expected]
     record(
         "projector classes",

@@ -6,9 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from chargechain import birth_death, kernel_to_spec
+import pytest
+
+from chargechain import AnalysisRequest, birth_death, catalog, invariant_basis, kernel_to_spec, report, run_analysis
 from chargechain.cli import main
 from chargechain.catalog import names
+from chargechain.report import applicable_tasks
 
 
 def run_cli(args):
@@ -208,16 +211,22 @@ def test_entry_point_subprocess(tmp_path: Path):
     assert json.loads(out.read_text())["schema"] == 4
 
 
-def test_threads_env_var_is_honored(tmp_path: Path, monkeypatch):
-    monkeypatch.setenv("CHARGECHAIN_THREADS", "4")
-    a = tmp_path / "a.json"
-    assert run_cli(["analyze", "--catalog", "two_absorbing", "--out", str(a)]) == 0
-    monkeypatch.setenv("CHARGECHAIN_THREADS", "1")
-    b = tmp_path / "b.json"
-    assert run_cli(["analyze", "--catalog", "two_absorbing", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    monkeypatch.setenv("CHARGECHAIN_THREADS", "zebra")
-    assert run_cli(["analyze", "--catalog", "swap2", "--out", str(tmp_path / "c.json")]) == 2
+@pytest.mark.parametrize("name", ["drift_walk_N", "two_absorbing"])
+def test_only_tasks_that_read_the_basis_build_it(monkeypatch, name):
+    calls = []
+
+    def counted(kernel):
+        calls.append(name)
+        return invariant_basis(kernel)
+
+    monkeypatch.setattr(report, "invariant_basis", counted)
+    for task in applicable_tasks(catalog.build(name), ()):
+        calls.clear()
+        run_analysis(AnalysisRequest(catalog=name, tasks=(task,)))
+        assert len(calls) == (task != "escape"), task
+    calls.clear()
+    run_analysis(AnalysisRequest(catalog=name))
+    assert len(calls) == 1
 
 
 def test_analyze_exits_2_on_a_non_finite_projector(tmp_path: Path, capsys):

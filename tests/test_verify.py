@@ -1,5 +1,5 @@
-"""verify-report on the factored projector and the rate fits: tampered reports fail, untouched ones pass,
-and a section of the wrong shape fails one format item."""
+"""verify-report on the invariant basis, the condition verdicts, the factored projector and the rate fits:
+tampered reports fail, untouched ones pass, and a section of the wrong shape fails one format item."""
 
 import copy
 import json
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chargechain import birth_death, catalog, kernel_to_spec
+from chargechain import birth_death, catalog, kernel_to_spec, recurrent_classes, report
 from chargechain.cli import main
 from chargechain.report import SCHEMA_VERSION, verify_report
 
@@ -143,6 +143,83 @@ def test_malformed_section_fails_an_item(tmp_path: Path, capsys, case):
     assert code == 1
     (line,) = [line for line in out.splitlines() if line.startswith("FAILED")]
     assert line.startswith(f"FAILED: {failed} (")
+
+
+def drop_second_invariant(rep):
+    inv = rep["invariants"]
+    inv.update(dimension=1, pairwise=[], **{key: inv[key][:1] for key in ("measures", "kinds", "residuals")})
+
+
+def set_condition(key, field, value):
+    def edit(rep):
+        rep["conditions"][key][field] = value
+
+    return edit
+
+
+# two_absorbing: classes {0} and {2}, state 1 transient; its basis is δ_0, δ_2
+BASIS = "invariant basis complete"
+VERDICTS = "condition verdicts consistent"
+UNCHECKED_CLAIMS = {
+    "one invariant dropped": (drop_second_invariant, BASIS),
+    "invariants in the wrong class order": (
+        lambda rep: rep["invariants"]["measures"].reverse(),
+        BASIS,
+    ),
+    "invariant across both classes": (
+        lambda rep: rep["invariants"]["measures"].__setitem__(1, {"atoms": {"0": 0.5, "2": 0.5}, "ends": {}}),
+        BASIS,
+    ),
+    "basis dimension edited": (lambda rep: rep["invariants"].update(dimension=3), BASIS),
+    "basis kind edited": (lambda rep: rep["invariants"]["kinds"].__setitem__(1, "pfa"), BASIS),
+    "star flipped": (set_condition("star", "holds", False), f"{VERDICTS} ((*) against its charges fails"),
+    "tilde_star flipped": (set_condition("tilde_star", "holds", False), f"{VERDICTS} ((~*) against (*) fails)"),
+    "beta flipped": (set_condition("beta", "holds", False), f"{VERDICTS} (beta against its witnesses fails)"),
+    "quasicompact flipped": (
+        set_condition("quasicompact", "status", "inconsistent"),
+        f"{VERDICTS} (quasicompact against (*) fails)",
+    ),
+    "double_star dimension edited": (
+        set_condition("double_star", "evidence", {"dimension": 1}),
+        f"{VERDICTS} (beta against its witnesses fails; (**) dimension against the classes fails)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCHECKED_CLAIMS))
+def test_tampered_basis_or_verdict_fails(tmp_path: Path, capsys, case):
+    edit, failed = UNCHECKED_CLAIMS[case]
+    rep = two_absorbing_report(tmp_path)
+    edit(rep)
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    assert f"FAILED: {failed}" in out
+
+
+def test_walk_star_that_contradicts_its_charge_fails(tmp_path: Path, capsys):
+    rep = analyze(tmp_path, "analyze", "--catalog", "drift_walk_N")
+    star = rep["conditions"]["star"]
+    assert not star["holds"] and star["evidence"]["invariant_charges"]
+    assert verify(tmp_path, rep, capsys)[0] == 0
+    for key in ("star", "tilde_star"):
+        rep["conditions"][key]["holds"] = True
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    assert f"FAILED: {VERDICTS} ((*) against its charges fails; quasicompact against (*) fails)" in out
+
+
+def test_finite_verify_decomposes_the_chain_once(tmp_path: Path, monkeypatch):
+    rep = two_absorbing_report(tmp_path)
+    assert {"invariants", "conditions", "ergodic"} <= set(rep)
+    calls = []
+
+    def counted(kernel):
+        calls.append(kernel.size)
+        return recurrent_classes(kernel)
+
+    monkeypatch.setattr(report, "recurrent_classes", counted)
+    assert all(item["ok"] for item in verify_report(rep))
+    assert calls == [3]
 
 
 def test_shrunk_hitting_time_fails(tmp_path: Path, capsys):

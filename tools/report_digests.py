@@ -3,10 +3,11 @@
     OPENBLAS_NUM_THREADS=1 python3 tools/report_digests.py SRC OUT --seeds 11 12
 
 SRC is a ``src/`` directory holding the ``chargechain`` package.  For every
-catalog entry (default tasks and horizons) and every case of the three
-benchmark workloads at each seed (the workload's own tasks and horizons),
-the script analyzes the chain, and writes to OUT, as sorted JSON, the sha256
-of the ``report_json`` text and the ``verify_report`` item list.  A case
+catalog entry (default tasks and horizons, then each task that applies to
+it on its own) and every case of the three benchmark workloads at each
+seed (the workload's own tasks and horizons), the script analyzes the
+chain, and writes to OUT, as sorted JSON, the sha256 of the
+``report_json`` text and the ``verify_report`` item list.  A case
 that raises a package error records the error instead.  Two trees that give
 byte-identical OUT files emit the same reports and verify them the same way:
 
@@ -58,6 +59,8 @@ def main(argv=None) -> int:
     out: dict[str, dict] = {}
     for name in cc.catalog.names():
         out[f"catalog/{name}"] = digest(cc, cc.AnalysisRequest(catalog=name))
+        for task in cc.report.applicable_tasks(cc.catalog.build(name), ()):
+            out[f"catalog/{name}/{task}"] = digest(cc, cc.AnalysisRequest(catalog=name, tasks=(task,)))
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for wl_name in workloads.WORKLOADS:
