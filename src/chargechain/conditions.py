@@ -25,7 +25,7 @@ from .invariants import (
     invariant_basis,
     invariant_basis_finite,
 )
-from .kernels import TransitionKernel, cesaro_kernel, kernel_power, window_table
+from .kernels import TransitionKernel, cesaro_kernel, kernel_power, powers, window_table
 from .measures import (
     FAMeasure,
     MeasurableSet,
@@ -62,27 +62,43 @@ class DoeblinOutcome:
     counterexample: tuple[MeasurableSet, int, float] | None = None
 
 
+def _weights(kernel: TransitionKernel, phi: FAMeasure, *eps: float) -> np.ndarray:
+    """phi as a vector, once the cap, phi and every eps are valid; runs before any power is formed."""
+    if kernel.size > MAX_ENUM_STATES:
+        raise CapacityError(f"subset enumeration capped at {MAX_ENUM_STATES} states, got {kernel.size}")
+    if phi.ends:
+        raise PreconditionError("phi must be countably additive (atoms only)")
+    if not phi.is_nonnegative():
+        raise PreconditionError("phi must be nonnegative")
+    for e in eps:
+        if not 0.0 < e < 1.0:
+            raise ValidationError(f"eps must lie in (0, 1), got {e}")
+    return to_vector(phi)
+
+
+def _vacuous(weights: np.ndarray, eps: float, strict: bool) -> bool:
+    """No state j has phi_j <= eps (< eps when strict), so only the empty set is admissible, at every k."""
+    return not (np.less if strict else np.less_equal)(weights, eps).any()
+
+
 def _small_set_max(
-    kernel: TransitionKernel, matrix: np.ndarray, phi: FAMeasure, eps: float, *, strict: bool
+    kernel: TransitionKernel, matrix: np.ndarray, weights: np.ndarray, eps: float, *, strict: bool
 ) -> DoeblinOutcome:
     """Exact max of matrix[x, E] over x and phi-admissible E, for a stepped matrix of kernel.
 
-    ``matrix`` is p^k or q_m of ``kernel``.  The enumeration runs over each
-    row's support under the phi-admissible states: states j with
-    matrix[x, j] > 0 and phi_j <= eps (< eps when strict).  Since phi >= 0,
-    float subset sums of phi only grow as states join, so a set holding any
-    other state is inadmissible or no larger than the same set without it.
-    The kept states are enumerated in increasing order by the doubling
-    construction, so every set is summed exactly as a full 2^n enumeration
-    sums it, and the maximum, the row and the counterexample set come out
-    bit for bit the same.
+    ``matrix`` is p^k or q_m of ``kernel``, and ``weights`` a phi that
+    ``_weights`` accepted.  The enumeration runs over each row's support
+    under the phi-admissible states: states j with matrix[x, j] > 0 and
+    phi_j <= eps (< eps when strict).  Since phi >= 0, float subset sums of
+    phi only grow as states join, so a set holding any other state is
+    inadmissible or no larger than the same set without it.  The kept states
+    are enumerated in increasing order by the doubling construction, so every
+    set is summed exactly as a full 2^n enumeration sums it, and the maximum,
+    the row and the counterexample set come out bit for bit the same.  When
+    no state fits, only the empty set is left and the outcome is vacuous.
     """
-    fits = _admissible(kernel, phi, eps, strict)
-    if not fits.any():
-        # no single state fits, so only the empty set is admissible
-        return DoeblinOutcome(True, True, 0.0)
-    weights = to_vector(phi)
     admits = np.less if strict else np.less_equal
+    fits = admits(weights, eps)
     worst_val = -math.inf
     worst: tuple[np.ndarray, int, int] | None = None
     for x in range(kernel.size):
@@ -99,42 +115,23 @@ def _small_set_max(
         items, mask, x = worst
         members = [int(j) for b, j in enumerate(items) if mask >> b & 1]
         counter = (measurable(kernel.space, atoms=members), x, worst_val)
-    return DoeblinOutcome(holds, False, worst_val, counter)
-
-
-def _admissible(kernel: TransitionKernel, phi: FAMeasure, eps: float, strict: bool) -> np.ndarray:
-    """The states j with phi_j <= eps (< eps when strict), once the cap, phi and eps are valid."""
-    if kernel.size > MAX_ENUM_STATES:
-        raise CapacityError(f"subset enumeration capped at {MAX_ENUM_STATES} states, got {kernel.size}")
-    if phi.ends:
-        raise PreconditionError("phi must be countably additive (atoms only)")
-    if not phi.is_nonnegative():
-        raise PreconditionError("phi must be nonnegative")
-    if not 0.0 < eps < 1.0:
-        raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    return (np.less if strict else np.less_equal)(to_vector(phi), eps)
+    return DoeblinOutcome(holds, not fits.any(), worst_val, counter)
 
 
 def check_doeblin(kernel: TransitionKernel, phi: FAMeasure, eps: float, k: int) -> DoeblinOutcome:
     """Condition (D): phi(E) <= eps must force p^k(x, E) <= 1 - eps for every x."""
-    if not _admissible(kernel, phi, eps, False).any():  # checked before p^k is formed
+    weights = _weights(kernel, phi, eps)
+    if _vacuous(weights, eps, False):  # decided before p^k is formed
         return DoeblinOutcome(True, True, 0.0)
-    return _small_set_max(kernel, kernel_power(kernel, k).matrix, phi, eps, strict=False)
+    return _small_set_max(kernel, kernel_power(kernel, k).matrix, weights, eps, strict=False)
 
 
 def check_doeblin_tilde(kernel: TransitionKernel, phi: FAMeasure, eps: float, m: int) -> DoeblinOutcome:
     """Condition (D~): strict admission phi(E) < eps against the averaged kernel q_m."""
-    if not _admissible(kernel, phi, eps, True).any():  # checked before q_m is formed
+    weights = _weights(kernel, phi, eps)
+    if _vacuous(weights, eps, True):  # decided before q_m is formed
         return DoeblinOutcome(True, True, 0.0)
-    return _small_set_max(kernel, cesaro_kernel(kernel, m).matrix, phi, eps, strict=True)
-
-
-def _phi_candidates(kernel: TransitionKernel, basis: InvariantBasis | None):
-    if basis is None:
-        basis = invariant_basis_finite(kernel)
-    if basis.measures:
-        yield "basis-sum", sum(basis.measures[1:], basis.measures[0])
-    yield "counting", FAMeasure(kernel.space, atoms={x: 1.0 for x in range(kernel.size)})
+    return _small_set_max(kernel, cesaro_kernel(kernel, m).matrix, weights, eps, strict=True)
 
 
 def search_doeblin(
@@ -144,30 +141,37 @@ def search_doeblin(
     basis: InvariantBasis | None = None,
     averaged: bool = False,
 ) -> DoeblinWitness | None:
-    """Scan (phi, eps, k) for a verified witness.
+    """Scan (eps, k) for a verified witness, with phi the sum of the invariant basis.
 
-    phi follows the constructive route (sum of the invariant basis) before
-    the counting fallback; the grid is scanned by descending eps and
-    ascending k.  A non-vacuous witness always wins over a vacuous one.
-    Each stepped kernel is computed once and shared across the whole grid.
+    The grid is scanned by descending eps and ascending k.  phi and the whole
+    grid are validated before the first product, and one power sequence is
+    read only as far as the scan needs it: p^k, or q_k = (p^1 + ... + p^k) / k
+    when averaged.  A non-vacuous witness wins over a vacuous one.  The last
+    resort is the counting measure, which admits no nonempty set at any
+    eps < 1 on a finite space, so it is returned without a scan.
     """
+    if basis is None:
+        basis = invariant_basis_finite(kernel)
     grid = tuple(sorted(set(float(e) for e in eps_grid), reverse=True))
-    step = cesaro_kernel if averaged else kernel_power
-    stepped: dict[int, np.ndarray] = {}
-    vac_fallback: DoeblinWitness | None = None
-    for source, phi in _phi_candidates(kernel, basis):
-        for eps in grid:
-            for k in range(1, k_max + 1):
-                if k not in stepped:
-                    stepped[k] = step(kernel, k).matrix
-                out = _small_set_max(kernel, stepped[k], phi, eps, strict=averaged)
-                if out.holds and not out.vacuous:
-                    return DoeblinWitness(phi, eps, k, False, source, averaged)
-                if out.holds and vac_fallback is None:
-                    vac_fallback = DoeblinWitness(phi, eps, k, True, source, averaged)
-                if out.vacuous:
-                    break  # admissibility does not depend on k
-    return vac_fallback
+    counting = FAMeasure(kernel.space, atoms=dict.fromkeys(range(kernel.size), 1.0))
+    phi = sum(basis.measures[1:], basis.measures[0]) if basis.measures else counting
+    source = "basis-sum" if basis.measures else "counting"
+    weights = _weights(kernel, phi, *grid)
+    sequence, stepped = powers(kernel), []
+    fallback = None
+    for eps in grid:
+        if _vacuous(weights, eps, averaged):
+            fallback = fallback or DoeblinWitness(phi, eps, 1, True, source, averaged)
+            continue
+        for k in range(1, k_max + 1):
+            if len(stepped) < k:
+                power, total = next(sequence)
+                stepped.append(total / k if averaged else power)
+            if _small_set_max(kernel, stepped[k - 1], weights, eps, strict=averaged).holds:
+                return DoeblinWitness(phi, eps, k, False, source, averaged)
+    if fallback is None and grid:
+        fallback = DoeblinWitness(counting, grid[0], 1, True, "counting", averaged)
+    return fallback
 
 
 # -- qualitative conditions ------------------------------------------------------
@@ -326,27 +330,19 @@ def truncate_reflecting(kernel: TransitionKernel, width: int) -> TransitionKerne
     return TransitionKernel.finite(mat)
 
 
-def doeblin_truncation_trend(
-    kernel: TransitionKernel,
-    widths: tuple[int, ...] | None = None,
-    eps: float = 0.25,
-    k: int = 1,
-) -> list[tuple[int, float]]:
-    """Small-set maxima of reflecting truncations, with phi the truncated stationary mass.
+def doeblin_truncation_trend(kernel: TransitionKernel) -> list[tuple[int, float]]:
+    """(D) maxima at eps = 0.25, k = 1 of reflecting truncations, phi the truncated stationary mass.
 
     When the chain carries an invariant end charge these maxima sit against
     1 across growing windows; the report phrases that as the condition
     failing in the limit.
     """
-    if widths is None:
-        widths = (4, 8, 16) if kernel.space.support == "N" else (2, 4, 8)
     out = []
-    for w in widths:
+    for w in (4, 8, 16) if kernel.space.support == "N" else (2, 4, 8):
         trunc = truncate_reflecting(kernel, w)
         basis = invariant_basis_finite(trunc)
         phi = sum(basis.measures[1:], basis.measures[0])
-        res = _small_set_max(trunc, kernel_power(trunc, k).matrix, phi, eps, strict=False)
-        out.append((int(w), res.max_value))
+        out.append((w, check_doeblin(trunc, phi, 0.25, 1).max_value))
     return out
 
 
@@ -382,38 +378,26 @@ def build_condition_report(
     if basis is None:
         basis = invariant_basis(kernel)
     star = check_star(kernel, basis)
-    tilde = check_tilde_star(kernel, star)
-    double = check_double_star(basis)
     qc, qc_reason = quasicompact_diagnostic(star)
     if kernel.space.is_finite:
         try:
-            wit = search_doeblin(kernel, k_max, eps_grid, basis=basis)
-            wit_avg = search_doeblin(kernel, k_max, eps_grid, basis=basis, averaged=True)
+            found = [search_doeblin(kernel, k_max, eps_grid, basis, averaged) for averaged in (False, True)]
         except CapacityError as exc:
             # the exact search is out of reach; the other conditions are still reported
-            doeblin = doeblin_tilde = DoeblinFinding(
-                kind="capacity", verdict="capacity exceeded", detail=str(exc)
-            )
+            doeblin = doeblin_tilde = DoeblinFinding(kind="capacity", verdict="capacity exceeded", detail=str(exc))
         else:
-            doeblin = DoeblinFinding(
-                kind="witness",
-                witness=wit,
-                verdict="holds" if wit is not None else "no witness found",
-            )
-            doeblin_tilde = DoeblinFinding(
-                kind="witness",
-                witness=wit_avg,
-                verdict="holds" if wit_avg is not None else "no witness found",
+            doeblin, doeblin_tilde = (
+                DoeblinFinding(kind="witness", witness=w, verdict="holds" if w is not None else "no witness found")
+                for w in found
             )
     else:
-        trend = doeblin_truncation_trend(kernel)
         verdict = "fails in the limit" if not star.holds else "undecided on infinite spaces"
-        doeblin = DoeblinFinding(kind="limit", trend=trend, verdict=verdict)
-        doeblin_tilde = DoeblinFinding(kind="limit", trend=trend, verdict=verdict)
+        trend = doeblin_truncation_trend(kernel)
+        doeblin = doeblin_tilde = DoeblinFinding(kind="limit", trend=trend, verdict=verdict)
     return ConditionReport(
         star=star,
-        tilde_star=tilde,
-        double_star=double,
+        tilde_star=check_tilde_star(kernel, star),
+        double_star=check_double_star(basis),
         doeblin=doeblin,
         doeblin_tilde=doeblin_tilde,
         quasicompact=qc,

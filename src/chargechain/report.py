@@ -9,6 +9,7 @@ alone ("verify" mode re-runs the corresponding checker).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -38,9 +39,10 @@ from .invariants import (
     invariant_basis,
     recurrent_classes,
     states_outside,
+    stationary_of_class,
 )
 from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
-from .measures import dirac, evaluate, measurable, measure_from_json, set_from_json
+from .measures import dirac, evaluate, measurable, measure_from_json, set_from_json, to_vector
 from .ergodic import ErgodicRunResult, ergodic_run, fitted_rate
 
 SCHEMA_VERSION = 4
@@ -316,7 +318,11 @@ def verify_report(report: dict) -> list[dict]:
         raise ValidationError(f"report lacks a chain spec: {exc}") from exc
 
     classes = recurrent_classes(kernel) if kernel.space.is_finite else None
-    sections = (("invariants", _verify_invariants), ("conditions", _verify_conditions), ("ergodic", _verify_ergodic))
+    sections = (
+        ("invariants", functools.partial(_verify_invariants, erg=report.get("ergodic"))),
+        ("conditions", _verify_conditions),
+        ("ergodic", _verify_ergodic),
+    )
     for name, check in sections:
         if report.get(name):
             try:
@@ -326,9 +332,10 @@ def verify_report(report: dict) -> list[dict]:
     return results
 
 
-def _verify_invariants(kernel: TransitionKernel, classes, inv: dict, record) -> None:
-    """Check each measure's invariance and singularity witnesses; on a finite chain, also that
-    the basis is one "ca" measure per class of ``classes``, in class order, each on its class."""
+def _verify_invariants(kernel: TransitionKernel, classes, inv: dict, record, erg) -> None:
+    """Check each measure's invariance and singularity witnesses, and that ``dimension`` and
+    ``kinds`` describe the measures.  On a finite chain, also check that the basis is one "ca"
+    measure per class of ``classes``, in class order, each the class's stationary law."""
     space = kernel.space
     measures = [measure_from_json(space, m) for m in inv["measures"]]
     for idx, mu in enumerate(measures):
@@ -349,9 +356,16 @@ def _verify_invariants(kernel: TransitionKernel, classes, inv: dict, record) -> 
         full2 = abs(evaluate(measures[j], d2) - measures[j].total()) <= 1e-9
         sep = _sets_disjoint(space, d1, d2)
         record(f"singularity witness ({i},{j})", full1 and full2 and sep)
-    if classes is None:
-        return
     dimension, kinds = inv["dimension"], inv["kinds"]
+    if classes is None:
+        # a kind is read off its measure: atoms only or ends only; one with both, or neither, has none
+        read = [("ca" if mu.atoms else "pfa") if bool(mu.atoms) != bool(mu.ends) else None for mu in measures]
+        record(
+            "invariant basis kinds",
+            len(measures) == dimension and None not in read and kinds == read,
+            f"{len(measures)} measures, dimension {dimension}, kinds {kinds}; the measures read as {read}",
+        )
+        return
     ok = (
         len(measures) == len(classes) == dimension
         and kinds == ["ca"] * len(classes)
@@ -362,6 +376,25 @@ def _verify_invariants(kernel: TransitionKernel, classes, inv: dict, record) -> 
         ok,
         f"{len(measures)} measures, dimension {dimension}, kinds {kinds}; the kernel has {len(classes)} classes",
     )
+    laws = _class_laws(kernel, classes, erg)
+    # l1 distances; a measure on a finite space has atoms only
+    gaps = [math.fsum(map(abs, (to_vector(mu) - to_vector(law)).tolist())) for mu, law in zip(measures, laws)]
+    worst = max(gaps, default=0.0)
+    record("invariant class laws", worst <= STATIONARY_TOL, f"max l1 distance to the class laws {worst:.3e}")
+
+
+def _class_laws(kernel: TransitionKernel, classes, erg) -> list:
+    """The stationary law of each class: the projector's when ``erg`` holds a readable one on these
+    classes, which its hitting times certify (``_verify_projector``), else solved afresh."""
+    try:
+        proj = erg["projector"]
+        if [list(c) for c in proj["classes"]] == [list(c.states) for c in classes]:
+            laws = [measure_from_json(kernel.space, m) for m in proj["stationary"]]
+            if len(laws) == len(classes):
+                return laws
+    except MALFORMED:
+        pass
+    return [stationary_of_class(kernel, c.states) for c in classes]
 
 
 def _verify_conditions(kernel: TransitionKernel, classes, cond: dict, record) -> None:

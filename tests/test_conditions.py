@@ -108,38 +108,27 @@ def test_doeblin_capacity_cap():
         check_doeblin(k, phi, 0.1, 1)
 
 
-def counted_powers(monkeypatch):
-    """Count the products the power sequence takes."""
-    import chargechain.kernels as kernels
-
-    steps = []
-    original = kernels.powers
-
-    def counting(kernel):
-        for item in original(kernel):
-            steps.append(1)
-            yield item
-
-    monkeypatch.setattr(kernels, "powers", counting)
-    return steps
-
-
-def test_doeblin_checks_validate_before_forming_a_power(monkeypatch):
-    steps = counted_powers(monkeypatch)
+def test_doeblin_checks_validate_before_forming_a_power(power_steps):
     k = birth_death(17, 0.3, 0.2)
     counting = FAMeasure(k.space, atoms={x: 1.0 for x in range(17)})
     for check in (check_doeblin, check_doeblin_tilde):
         assert check(k, counting, 0.5, 5).vacuous  # the counting phi admits no state
-    assert steps == []
+    assert power_steps == []
     # a tampered witness on an over-cap chain fails before a single product
     big = birth_death(23, 0.3, 0.2)
     phi = from_vector(big.space, np.full(23, 1.0 / 23))
     for check in (check_doeblin, check_doeblin_tilde):
         with pytest.raises(CapacityError):
             check(big, phi, 0.5, 5)
-    assert steps == []
+    # and so does the search, which leaves a "capacity" finding
+    for averaged in (False, True):
+        with pytest.raises(CapacityError, match="capped at 22"):
+            search_doeblin(big, averaged=averaged)
+    report = conditions.build_condition_report(big)
+    assert report.doeblin.kind == report.doeblin_tilde.kind == "capacity"
+    assert power_steps == []
     assert check_doeblin(k, from_vector(k.space, np.full(17, 1.0 / 17)), 0.5, 3).max_value > 0.0
-    assert len(steps) == 3  # a checked witness still forms its power
+    assert len(power_steps) == 3  # a checked witness still forms its power
 
 
 def test_signed_phi_rejected():

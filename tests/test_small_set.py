@@ -1,5 +1,6 @@
-"""Small-set maximization against a brute-force oracle, the per-search kernel cache,
-the eps range, and the truncation trend on round-off stationary weights."""
+"""Small-set maximization against a brute-force oracle, the one power pass of a search,
+the eps range checked before any power, and the truncation trend on round-off stationary
+weights."""
 
 import math
 
@@ -22,6 +23,7 @@ from chargechain import (
 )
 from chargechain import conditions
 from chargechain.conditions import DoeblinOutcome, _small_set_max
+from chargechain.invariants import InvariantBasis
 from chargechain.kernels import cesaro_kernel, kernel_power
 from chargechain.measures import _subset_sums, to_vector
 
@@ -47,6 +49,11 @@ def brute_small_set_max(kernel, matrix, phi, eps, *, strict):
         members = [j for j in range(n) if mask >> j & 1]
         counter = (measurable(kernel.space, atoms=members), x, worst_val)
     return DoeblinOutcome(holds, vacuous, worst_val, counter)
+
+
+def brute_on_weights(kernel, matrix, weights, eps, *, strict):
+    """The oracle behind the signature of ``_small_set_max``, which takes phi as a vector."""
+    return brute_small_set_max(kernel, matrix, from_vector(kernel.space, weights), eps, strict=strict)
 
 
 def _random_matrix(rng, n):
@@ -95,7 +102,7 @@ def test_row_support_enumeration_matches_brute_force():
         for step in (kernel_power, cesaro_kernel):
             matrix = step(kernel, order).matrix
             for strict in (False, True):
-                got = _small_set_max(kernel, matrix, phi, eps, strict=strict)
+                got = _small_set_max(kernel, matrix, to_vector(phi), eps, strict=strict)
                 want = brute_small_set_max(kernel, matrix, phi, eps, strict=strict)
                 assert got.holds == want.holds
                 assert got.vacuous == want.vacuous
@@ -129,31 +136,27 @@ def test_search_matches_brute_force_search(monkeypatch):
     for averaged in (False, True):
         got = [search_doeblin(k, averaged=averaged) for k in chains]
         with monkeypatch.context() as m:
-            m.setattr(conditions, "_small_set_max", brute_small_set_max)
+            m.setattr(conditions, "_small_set_max", brute_on_weights)
             want = [search_doeblin(k, averaged=averaged) for k in chains]
         assert got == want
 
 
-def test_search_computes_each_stepped_kernel_once(monkeypatch):
-    calls = []
-
-    def counted(fn):
-        def wrapper(kernel, order):
-            calls.append(order)
-            return fn(kernel, order)
-
-        return wrapper
-
-    monkeypatch.setattr(conditions, "kernel_power", counted(kernel_power))
-    monkeypatch.setattr(conditions, "cesaro_kernel", counted(cesaro_kernel))
+def test_search_computes_each_stepped_kernel_once(power_steps):
     # a slowly mixing chain has no witness under the basis sum, so the search
-    # scans the whole grid and falls back to the vacuous counting witness
+    # scans the whole grid and falls back to the vacuous counting witness;
+    # one pass of powers serves every eps, so it takes k_max steps in all
     kernel = birth_death(12, 0.05, 0.15)
     for averaged in (False, True):
         for k_max in (1, 5):
-            calls.clear()
-            assert search_doeblin(kernel, k_max=k_max, averaged=averaged).vacuous
-            assert sorted(calls) == list(range(1, k_max + 1))
+            power_steps.clear()
+            w = search_doeblin(kernel, k_max=k_max, averaged=averaged)
+            assert w.vacuous and w.phi_source == "counting"
+            assert len(power_steps) == k_max
+    # a basis without measures leaves only the counting witness, which needs no power
+    power_steps.clear()
+    w = search_doeblin(kernel, basis=InvariantBasis(measures=[], kinds=[], dimension=0))
+    assert (w.phi_source, w.eps, w.k, w.vacuous) == ("counting", 0.5, 1, True)
+    assert power_steps == []
 
 
 def test_search_witness_rechecks_to_the_same_max(monkeypatch):
@@ -186,13 +189,20 @@ def test_vacuous_means_no_single_state_fits():
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1, 1.0, 1.5, math.nan, math.inf])
-def test_eps_outside_unit_interval_rejected(eps):
+def test_eps_outside_unit_interval_rejected(power_steps, eps):
     k = TransitionKernel.finite([[0.5, 0.5], [0.5, 0.5]])
     phi = from_vector(k.space, [0.5, 0.5])
     with pytest.raises(ValidationError, match="eps"):
         check_doeblin(k, phi, eps, 1)
     with pytest.raises(ValidationError, match="eps"):
         check_doeblin_tilde(k, phi, eps, 1)
+    # eps = 0.5 alone gives a witness at k = 1; beside a bad eps the search forms no power
+    assert not search_doeblin(k, eps_grid=(0.5,)).vacuous
+    power_steps.clear()
+    for averaged in (False, True):
+        with pytest.raises(ValidationError, match="eps"):
+            search_doeblin(k, eps_grid=(0.5, eps), averaged=averaged)
+    assert power_steps == []
 
 
 # A reach-1 walk on Z with exception rows: the stationary solve on its width-8

@@ -1,5 +1,6 @@
-"""verify-report on the invariant basis, the condition verdicts, the factored projector and the rate fits:
-tampered reports fail, untouched ones pass, and a section of the wrong shape fails one format item."""
+"""verify-report on the invariant basis and its laws, the condition verdicts, the factored projector and
+the rate fits: tampered reports fail, untouched ones pass, and a section of the wrong shape fails one
+format item."""
 
 import copy
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chargechain import birth_death, catalog, kernel_to_spec, recurrent_classes, report
+from chargechain import birth_death, catalog, kernel_to_spec, recurrent_classes, report, stationary_of_class
 from chargechain.cli import main
 from chargechain.report import SCHEMA_VERSION, verify_report
 
@@ -206,6 +207,72 @@ def test_walk_star_that_contradicts_its_charge_fails(tmp_path: Path, capsys):
     code, out = verify(tmp_path, rep, capsys)
     assert code == 1
     assert f"FAILED: {VERDICTS} ((*) against its charges fails; quasicompact against (*) fails)" in out
+
+
+WALK_BASIS = "invariant basis kinds"
+WALK_CLAIMS = {
+    "dimension and kind edited": lambda inv: inv.update(dimension=5, kinds=["ca"]),
+    "dimension edited": lambda inv: inv.update(dimension=2),
+    "kind edited": lambda inv: inv.update(kinds=["ca"]),
+    "kind dropped": lambda inv: inv.update(kinds=[]),
+    "measure with atoms and ends": lambda inv: inv["measures"].__setitem__(
+        0, {"atoms": {"0": 0.5}, "ends": {"+inf": 0.5}}
+    ),
+    "measure with neither": lambda inv: inv["measures"].__setitem__(0, {"atoms": {}, "ends": {}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CLAIMS))
+def test_walk_basis_that_misdescribes_its_measures_fails(tmp_path: Path, capsys, case):
+    # drift_walk_N: its basis is the one end charge {+inf: 1}, of kind "pfa"
+    rep = analyze(tmp_path, "analyze", "--catalog", "drift_walk_N")
+    inv = rep["invariants"]
+    assert (inv["dimension"], inv["kinds"], inv["measures"]) == (1, ["pfa"], [{"atoms": {}, "ends": {"+inf": 1.0}}])
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 0 and f"ok: {WALK_BASIS}" in out
+    WALK_CLAIMS[case](inv)
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    assert f"FAILED: {WALK_BASIS}" in out
+
+
+LAWS = "invariant class laws"
+
+
+def swap_report(tmp_path: Path, *tasks) -> dict:
+    # one class whose two states swap with probability 2^-40 (exact in binary); its law is (0.5, 0.5)
+    eps = 2.0**-40
+    chain = tmp_path / "swap.json"
+    chain.write_text(json.dumps({"kind": "finite", "matrix": [[1.0 - eps, eps], [eps, 1.0 - eps]]}))
+    return analyze(tmp_path, "analyze", "--chain", str(chain), *tasks)
+
+
+@pytest.mark.parametrize("tasks", [(), ("--tasks", "invariants")], ids=["default tasks", "invariants"])
+def test_wrong_finite_invariant_law_fails(tmp_path: Path, capsys, tasks):
+    rep = swap_report(tmp_path, *tasks)
+    assert rep["invariants"]["measures"] == [{"atoms": {"0": 0.5, "1": 0.5}, "ends": {}}]
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 0 and f"ok: {LAWS}" in out
+    # δ_0 is a probability on the class with invariance residual 2^-39 ≈ 1.8e-12, but 1 off in l1
+    rep["invariants"]["measures"][0] = {"atoms": {"0": 1.0}, "ends": {}}
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAILED")]
+    assert line == f"FAILED: {LAWS} (max l1 distance to the class laws 1.000e+00)"
+
+
+@pytest.mark.parametrize("tasks", [(), ("--tasks", "invariants")], ids=["default tasks", "invariants"])
+def test_class_laws_come_from_the_projector_when_there_is_one(tmp_path: Path, monkeypatch, tasks):
+    rep = analyze(tmp_path, "analyze", "--catalog", "two_absorbing", *tasks)
+    calls = []
+
+    def counted(kernel, states):
+        calls.append(states)
+        return stationary_of_class(kernel, states)
+
+    monkeypatch.setattr(report, "stationary_of_class", counted)
+    assert all(item["ok"] for item in verify_report(rep))
+    assert calls == ([] if "ergodic" in rep else [(0,), (2,)])
 
 
 def test_finite_verify_decomposes_the_chain_once(tmp_path: Path, monkeypatch):

@@ -4,9 +4,11 @@
 
 SRC is a ``src/`` directory holding the ``chargechain`` package.  For every
 catalog entry (default tasks and horizons, then each task that applies to
-it on its own) and every case of the three benchmark workloads at each
-seed (the workload's own tasks and horizons), the script analyzes the
-chain, and writes to OUT, as sorted JSON, the sha256 of the
+it on its own), two edge chains under the default tasks (``EDGE_CHAINS``:
+one over the small-set cap, one whose states swap with probability 2^-40),
+and every case of the three benchmark workloads at each seed (the
+workload's own tasks and horizons), the script analyzes the chain, and
+writes to OUT, as sorted JSON, the sha256 of the
 ``report_json`` text and the ``verify_report`` item list.  A case
 that raises a package error records the error instead.  Two trees that give
 byte-identical OUT files emit the same reports and verify them the same way:
@@ -30,6 +32,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SWAP = 2.0**-40
+#: name -> a function of the package giving the chain spec
+EDGE_CHAINS = {
+    "birth_death_23": lambda cc: cc.kernel_to_spec(cc.birth_death(23)),
+    "swap_2^-40": lambda cc: {"kind": "finite", "matrix": [[1.0 - SWAP, SWAP], [SWAP, 1.0 - SWAP]]},
+}
 
 
 def digest(cc, request) -> dict:
@@ -62,6 +70,10 @@ def main(argv=None) -> int:
         for task in cc.report.applicable_tasks(cc.catalog.build(name), ()):
             out[f"catalog/{name}/{task}"] = digest(cc, cc.AnalysisRequest(catalog=name, tasks=(task,)))
     with tempfile.TemporaryDirectory() as tmp:
+        for name, spec in EDGE_CHAINS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(spec(cc), sort_keys=True), encoding="utf-8")
+            out[f"edge/{name}"] = digest(cc, cc.AnalysisRequest(chain_path=str(path)))
         for seed in args.seeds:
             for wl_name in workloads.WORKLOADS:
                 wl = workloads.build(cc, wl_name, seed)
