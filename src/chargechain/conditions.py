@@ -25,7 +25,7 @@ from .invariants import (
     invariant_basis,
     invariant_basis_finite,
 )
-from .kernels import TransitionKernel, cesaro_kernel, kernel_power, powers, window_table
+from .kernels import TransitionKernel, cesaro_kernel, kernel_power, window_table
 from .measures import (
     FAMeasure,
     MeasurableSet,
@@ -76,9 +76,9 @@ def _weights(kernel: TransitionKernel, phi: FAMeasure, *eps: float) -> np.ndarra
     return to_vector(phi)
 
 
-def _vacuous(weights: np.ndarray, eps: float, strict: bool) -> bool:
-    """No state j has phi_j <= eps (< eps when strict), so only the empty set is admissible, at every k."""
-    return not (np.less if strict else np.less_equal)(weights, eps).any()
+def _admits(values: np.ndarray, eps: float, strict: bool) -> np.ndarray:
+    """phi values that pass admission: <= eps, or < eps when strict (on the weights: the states that fit)."""
+    return (np.less if strict else np.less_equal)(values, eps)
 
 
 def _small_set_max(
@@ -97,13 +97,12 @@ def _small_set_max(
     the row and the counterexample set come out bit for bit the same.  When
     no state fits, only the empty set is left and the outcome is vacuous.
     """
-    admits = np.less if strict else np.less_equal
-    fits = admits(weights, eps)
+    fits = _admits(weights, eps, strict)
     worst_val = -math.inf
     worst: tuple[np.ndarray, int, int] | None = None
     for x in range(kernel.size):
         items = np.flatnonzero(fits & (matrix[x] > 0.0))
-        adm = admits(_subset_sums(weights[items]), eps)
+        adm = _admits(_subset_sums(weights[items]), eps, strict)
         vals = np.where(adm, _subset_sums(matrix[x, items]), -np.inf)
         i = int(np.argmax(vals))
         if vals[i] > worst_val:
@@ -121,7 +120,7 @@ def _small_set_max(
 def check_doeblin(kernel: TransitionKernel, phi: FAMeasure, eps: float, k: int) -> DoeblinOutcome:
     """Condition (D): phi(E) <= eps must force p^k(x, E) <= 1 - eps for every x."""
     weights = _weights(kernel, phi, eps)
-    if _vacuous(weights, eps, False):  # decided before p^k is formed
+    if not _admits(weights, eps, False).any():  # decided before p^k is formed
         return DoeblinOutcome(True, True, 0.0)
     return _small_set_max(kernel, kernel_power(kernel, k).matrix, weights, eps, strict=False)
 
@@ -129,7 +128,7 @@ def check_doeblin(kernel: TransitionKernel, phi: FAMeasure, eps: float, k: int) 
 def check_doeblin_tilde(kernel: TransitionKernel, phi: FAMeasure, eps: float, m: int) -> DoeblinOutcome:
     """Condition (D~): strict admission phi(E) < eps against the averaged kernel q_m."""
     weights = _weights(kernel, phi, eps)
-    if _vacuous(weights, eps, True):  # decided before q_m is formed
+    if not _admits(weights, eps, True).any():  # decided before q_m is formed
         return DoeblinOutcome(True, True, 0.0)
     return _small_set_max(kernel, cesaro_kernel(kernel, m).matrix, weights, eps, strict=True)
 
@@ -144,11 +143,11 @@ def search_doeblin(
     """Scan (eps, k) for a verified witness, with phi the sum of the invariant basis.
 
     The grid is scanned by descending eps and ascending k.  phi and the whole
-    grid are validated before the first product, and one power sequence is
-    read only as far as the scan needs it: p^k, or q_k = (p^1 + ... + p^k) / k
-    when averaged.  A non-vacuous witness wins over a vacuous one.  The last
-    resort is the counting measure, which admits no nonempty set at any
-    eps < 1 on a finite space, so it is returned without a scan.
+    grid are validated before the first product, and each stepped kernel
+    (p^k, or q_k when averaged) is formed once and shared across the grid.
+    A non-vacuous witness wins over a vacuous one.  The last resort is the
+    counting measure, which admits no nonempty set at any eps < 1 on a
+    finite space, so it is returned without a scan.
     """
     if basis is None:
         basis = invariant_basis_finite(kernel)
@@ -157,17 +156,17 @@ def search_doeblin(
     phi = sum(basis.measures[1:], basis.measures[0]) if basis.measures else counting
     source = "basis-sum" if basis.measures else "counting"
     weights = _weights(kernel, phi, *grid)
-    sequence, stepped = powers(kernel), []
+    step = cesaro_kernel if averaged else kernel_power
+    stepped: dict[int, np.ndarray] = {}
     fallback = None
     for eps in grid:
-        if _vacuous(weights, eps, averaged):
+        if not _admits(weights, eps, averaged).any():
             fallback = fallback or DoeblinWitness(phi, eps, 1, True, source, averaged)
             continue
         for k in range(1, k_max + 1):
-            if len(stepped) < k:
-                power, total = next(sequence)
-                stepped.append(total / k if averaged else power)
-            if _small_set_max(kernel, stepped[k - 1], weights, eps, strict=averaged).holds:
+            if k not in stepped:
+                stepped[k] = step(kernel, k).matrix
+            if _small_set_max(kernel, stepped[k], weights, eps, strict=averaged).holds:
                 return DoeblinWitness(phi, eps, k, False, source, averaged)
     if fallback is None and grid:
         fallback = DoeblinWitness(counting, grid[0], 1, True, "counting", averaged)
@@ -378,26 +377,37 @@ def build_condition_report(
     if basis is None:
         basis = invariant_basis(kernel)
     star = check_star(kernel, basis)
+    tilde = check_tilde_star(kernel, star)
+    double = check_double_star(basis)
     qc, qc_reason = quasicompact_diagnostic(star)
     if kernel.space.is_finite:
         try:
-            found = [search_doeblin(kernel, k_max, eps_grid, basis, averaged) for averaged in (False, True)]
+            wit = search_doeblin(kernel, k_max, eps_grid, basis=basis)
+            wit_avg = search_doeblin(kernel, k_max, eps_grid, basis=basis, averaged=True)
         except CapacityError as exc:
             # the exact search is out of reach; the other conditions are still reported
-            doeblin = doeblin_tilde = DoeblinFinding(kind="capacity", verdict="capacity exceeded", detail=str(exc))
+            doeblin = doeblin_tilde = DoeblinFinding(
+                kind="capacity", verdict="capacity exceeded", detail=str(exc)
+            )
         else:
-            doeblin, doeblin_tilde = (
-                DoeblinFinding(kind="witness", witness=w, verdict="holds" if w is not None else "no witness found")
-                for w in found
+            doeblin = DoeblinFinding(
+                kind="witness",
+                witness=wit,
+                verdict="holds" if wit is not None else "no witness found",
+            )
+            doeblin_tilde = DoeblinFinding(
+                kind="witness",
+                witness=wit_avg,
+                verdict="holds" if wit_avg is not None else "no witness found",
             )
     else:
-        verdict = "fails in the limit" if not star.holds else "undecided on infinite spaces"
         trend = doeblin_truncation_trend(kernel)
+        verdict = "fails in the limit" if not star.holds else "undecided on infinite spaces"
         doeblin = doeblin_tilde = DoeblinFinding(kind="limit", trend=trend, verdict=verdict)
     return ConditionReport(
         star=star,
-        tilde_star=check_tilde_star(kernel, star),
-        double_star=check_double_star(basis),
+        tilde_star=tilde,
+        double_star=double,
         doeblin=doeblin,
         doeblin_tilde=doeblin_tilde,
         quasicompact=qc,

@@ -9,7 +9,6 @@ alone ("verify" mode re-runs the corresponding checker).
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -318,24 +317,21 @@ def verify_report(report: dict) -> list[dict]:
         raise ValidationError(f"report lacks a chain spec: {exc}") from exc
 
     classes = recurrent_classes(kernel) if kernel.space.is_finite else None
-    sections = (
-        ("invariants", functools.partial(_verify_invariants, erg=report.get("ergodic"))),
-        ("conditions", _verify_conditions),
-        ("ergodic", _verify_ergodic),
-    )
+    laws = _class_laws(kernel, classes, report)
+    sections = (("invariants", _verify_invariants), ("conditions", _verify_conditions), ("ergodic", _verify_ergodic))
     for name, check in sections:
         if report.get(name):
             try:
-                check(kernel, classes, report[name], record)
+                check(kernel, classes, laws, report[name], record)
             except MALFORMED as exc:
                 record(f"{name} format", False, f"{type(exc).__name__}: {exc}")
     return results
 
 
-def _verify_invariants(kernel: TransitionKernel, classes, inv: dict, record, erg) -> None:
+def _verify_invariants(kernel: TransitionKernel, classes, laws, inv: dict, record) -> None:
     """Check each measure's invariance and singularity witnesses, and that ``dimension`` and
     ``kinds`` describe the measures.  On a finite chain, also check that the basis is one "ca"
-    measure per class of ``classes``, in class order, each the class's stationary law."""
+    measure per class of ``classes``, in class order, each its class's law in ``laws``."""
     space = kernel.space
     measures = [measure_from_json(space, m) for m in inv["measures"]]
     for idx, mu in enumerate(measures):
@@ -376,28 +372,38 @@ def _verify_invariants(kernel: TransitionKernel, classes, inv: dict, record, erg
         ok,
         f"{len(measures)} measures, dimension {dimension}, kinds {kinds}; the kernel has {len(classes)} classes",
     )
-    laws = _class_laws(kernel, classes, erg)
-    # l1 distances; a measure on a finite space has atoms only
-    gaps = [math.fsum(map(abs, (to_vector(mu) - to_vector(law)).tolist())) for mu, law in zip(measures, laws)]
+    # bounds on the l1 distances to the exact laws; a measure on a finite space has atoms only
+    gaps = [math.fsum(map(abs, (to_vector(mu) - to_vector(pi)).tolist())) + e for mu, (pi, e) in zip(measures, laws)]
     worst = max(gaps, default=0.0)
-    record("invariant class laws", worst <= STATIONARY_TOL, f"max l1 distance to the class laws {worst:.3e}")
+    record("invariant class laws", worst <= STATIONARY_TOL, f"l1 distance to the exact class laws <= {worst:.3e}")
 
 
-def _class_laws(kernel: TransitionKernel, classes, erg) -> list:
-    """The stationary law of each class: the projector's when ``erg`` holds a readable one on these
-    classes, which its hitting times certify (``_verify_projector``), else solved afresh."""
+def _class_laws(kernel: TransitionKernel, classes, report: dict) -> list | None:
+    """Each class's stationary law with a bound on its l1 distance to the exact law.
+
+    The laws are the projector's when the report holds one on ``classes``, each
+    bounded through its hitting times (``_stationary_error``); else, when the
+    ``invariants`` section needs them, solved afresh, with bound 0.  None on a
+    countable chain, and when nothing reads them.
+    """
+    if classes is None:
+        return None
     try:
-        proj = erg["projector"]
-        if [list(c) for c in proj["classes"]] == [list(c.states) for c in classes]:
-            laws = [measure_from_json(kernel.space, m) for m in proj["stationary"]]
-            if len(laws) == len(classes):
-                return laws
+        proj = report["ergodic"]["projector"]
+        laws = [measure_from_json(kernel.space, m) for m in proj["stationary"]]
+        hitting = [_times_from_json(times) for times in proj["hitting_times"]]
+        if [list(c) for c in proj["classes"]] == [list(c.states) for c in classes] and (
+            len(laws) == len(hitting) == len(classes)
+        ):
+            return [(pi, _stationary_error(kernel, c.states, pi, t)) for c, pi, t in zip(classes, laws, hitting)]
     except MALFORMED:
         pass
-    return [stationary_of_class(kernel, c.states) for c in classes]
+    if not report.get("invariants"):
+        return None
+    return [(stationary_of_class(kernel, c.states), 0.0) for c in classes]
 
 
-def _verify_conditions(kernel: TransitionKernel, classes, cond: dict, record) -> None:
+def _verify_conditions(kernel: TransitionKernel, classes, laws, cond: dict, record) -> None:
     space = kernel.space
     for key, strict in (("D", False), ("D_tilde", True)):
         finding = cond.get(key)
@@ -460,19 +466,21 @@ def _verify_verdicts(classes, cond: dict, record) -> None:
     record("condition verdicts consistent", not wrong, "; ".join(f"{w} fails" for w in wrong))
 
 
-def _verify_ergodic(kernel: TransitionKernel, classes, erg: dict, record) -> None:
-    _verify_projector(kernel, classes, erg.get("projector"), record)
+def _verify_ergodic(kernel: TransitionKernel, classes, laws, erg: dict, record) -> None:
+    _verify_projector(kernel, classes, laws, erg.get("projector"), record)
     for mode in ("cesaro", "raw"):
         _verify_rate(erg.get(mode), mode, record)
 
 
-def _verify_projector(kernel: TransitionKernel, expected, proj, record) -> None:
+def _verify_projector(kernel: TransitionKernel, expected, laws, proj, record) -> None:
     """Check the factors of P = H·Π against the kernel's rows, in O(nnz·r).
 
     The classes must be ``expected``, the kernel's closed communicating classes.  The
     stored expected times bound ‖(I − Q)⁻¹‖∞ (``_time_factor``), which turns
     the residuals of Π_i(I − P) = 0 and (I − Q)·H = B into bounds on the
-    distance to the exact factors; those bounds are what is checked.
+    distance to the exact factors; those bounds are what is checked.  Once
+    the format and the classes pass, ``laws`` hold this projector's laws with
+    their bounds, as ``_class_laws`` reads them from the same fields.
     """
     if not kernel.space.is_finite:
         record("projector on a finite chain", False, "the chain is countable")
@@ -497,9 +505,7 @@ def _verify_projector(kernel: TransitionKernel, expected, proj, record) -> None:
     if not ok:
         return
 
-    for i, (states, pi, times) in enumerate(zip(classes, stationary, hitting)):
-        on_class = not pi.ends and set(pi.atoms) <= set(states)
-        bound = _stationary_error(kernel, states, pi, times) if on_class else math.inf
+    for i, (_, bound) in enumerate(laws):
         record(f"projector stationary[{i}]", bound <= STATIONARY_TOL, f"l1 distance to the exact law <= {bound:.3e}")
 
     transient = set(states_outside(expected, kernel.size))
@@ -571,8 +577,10 @@ def _stationary_error(kernel: TransitionKernel, states: list[int], pi, times: di
     ``times`` hold the expected steps to the class's anchor s from every
     other class state.  Π − Π* = p + cΠ* with p = r'(I − Q_s)⁻¹ on the class
     minus s and c = Π·1 − 1 − p·1, so |Π − Π*|₁ <= 2 Σ_j |r_j| t*_j + |Π·1 − 1|.
+    A law with mass off the class gets no bound (inf).
     """
-    if len(set(states) - set(times)) != 1 or not set(times) <= set(states):
+    on_class = not pi.ends and set(pi.atoms) <= set(states)
+    if not on_class or len(set(states) - set(times)) != 1 or not set(times) <= set(states):
         return math.inf
     factor = _time_factor(kernel, times)
     if factor == math.inf:

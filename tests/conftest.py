@@ -2,12 +2,13 @@
 
 import pytest
 
-from chargechain import conditions, kernels
+from chargechain import kernels
 
 
 @pytest.fixture
 def power_steps(monkeypatch) -> list[int]:
-    """The size of the kernel at every step of ``kernels.powers``, wherever the sequence is read from."""
+    """The size of the kernel at every step of ``kernels.powers``, which ``kernel_power`` and
+    ``cesaro_kernel`` read."""
     steps = []
     original = kernels.powers
 
@@ -16,6 +17,5 @@ def power_steps(monkeypatch) -> list[int]:
             steps.append(kernel.size)
             yield pair
 
-    for module in (kernels, conditions):
-        monkeypatch.setattr(module, "powers", counted)
+    monkeypatch.setattr(kernels, "powers", counted)
     return steps

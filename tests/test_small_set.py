@@ -1,4 +1,4 @@
-"""Small-set maximization against a brute-force oracle, the one power pass of a search,
+"""Small-set maximization against a brute-force oracle, the per-search kernel cache,
 the eps range checked before any power, and the truncation trend on round-off stationary
 weights."""
 
@@ -141,22 +141,32 @@ def test_search_matches_brute_force_search(monkeypatch):
         assert got == want
 
 
-def test_search_computes_each_stepped_kernel_once(power_steps):
+def test_search_computes_each_stepped_kernel_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(kernel, order):
+            calls.append(order)
+            return fn(kernel, order)
+
+        return wrapper
+
+    monkeypatch.setattr(conditions, "kernel_power", counted(kernel_power))
+    monkeypatch.setattr(conditions, "cesaro_kernel", counted(cesaro_kernel))
     # a slowly mixing chain has no witness under the basis sum, so the search
-    # scans the whole grid and falls back to the vacuous counting witness;
-    # one pass of powers serves every eps, so it takes k_max steps in all
+    # scans the whole grid and falls back to the vacuous counting witness
     kernel = birth_death(12, 0.05, 0.15)
     for averaged in (False, True):
         for k_max in (1, 5):
-            power_steps.clear()
+            calls.clear()
             w = search_doeblin(kernel, k_max=k_max, averaged=averaged)
             assert w.vacuous and w.phi_source == "counting"
-            assert len(power_steps) == k_max
-    # a basis without measures leaves only the counting witness, which needs no power
-    power_steps.clear()
+            assert sorted(calls) == list(range(1, k_max + 1))
+    # a basis without measures leaves only the counting witness, which needs no stepped kernel
+    calls.clear()
     w = search_doeblin(kernel, basis=InvariantBasis(measures=[], kinds=[], dimension=0))
     assert (w.phi_source, w.eps, w.k, w.vacuous) == ("counting", 0.5, 1, True)
-    assert power_steps == []
+    assert calls == []
 
 
 def test_search_witness_rechecks_to_the_same_max(monkeypatch):

@@ -247,18 +247,41 @@ def swap_report(tmp_path: Path, *tasks) -> dict:
     return analyze(tmp_path, "analyze", "--chain", str(chain), *tasks)
 
 
-@pytest.mark.parametrize("tasks", [(), ("--tasks", "invariants")], ids=["default tasks", "invariants"])
-def test_wrong_finite_invariant_law_fails(tmp_path: Path, capsys, tasks):
+# δ_0 is a probability on the class with invariance residual 2^-39 ≈ 1.8e-12, but 1 off in l1
+DELTA_0 = {"atoms": {"0": 1.0}, "ends": {}}
+# 1.5e-9 off in l1; put in the projector too, its hitting times (2^40 steps) bound it by 3e-9
+SHIFTED = {"atoms": {"0": 0.5 + 7.5e-10, "1": 0.5 - 7.5e-10}, "ends": {}}
+
+
+@pytest.mark.parametrize(
+    "tasks, law, in_projector, failed",
+    [
+        ((), DELTA_0, False, [f"{LAWS} (l1 distance to the exact class laws <= 1.000e+00)"]),
+        (("--tasks", "invariants"), DELTA_0, False, [f"{LAWS} (l1 distance to the exact class laws <= 1.000e+00)"]),
+        (
+            (),
+            SHIFTED,
+            True,
+            [
+                f"{LAWS} (l1 distance to the exact class laws <= 3.000e-09)",
+                "projector stationary[0] (l1 distance to the exact law <= 3.000e-09)",
+            ],
+        ),
+        (("--tasks", "invariants"), SHIFTED, False, [f"{LAWS} (l1 distance to the exact class laws <= 1.500e-09)"]),
+    ],
+    ids=["delta_0 default tasks", "delta_0 invariants", "shifted with the projector", "shifted invariants"],
+)
+def test_wrong_finite_invariant_law_fails(tmp_path: Path, capsys, tasks, law, in_projector, failed):
     rep = swap_report(tmp_path, *tasks)
     assert rep["invariants"]["measures"] == [{"atoms": {"0": 0.5, "1": 0.5}, "ends": {}}]
     code, out = verify(tmp_path, rep, capsys)
     assert code == 0 and f"ok: {LAWS}" in out
-    # δ_0 is a probability on the class with invariance residual 2^-39 ≈ 1.8e-12, but 1 off in l1
-    rep["invariants"]["measures"][0] = {"atoms": {"0": 1.0}, "ends": {}}
+    rep["invariants"]["measures"][0] = law
+    if in_projector:
+        rep["ergodic"]["projector"]["stationary"][0] = law
     code, out = verify(tmp_path, rep, capsys)
     assert code == 1
-    (line,) = [line for line in out.splitlines() if line.startswith("FAILED")]
-    assert line == f"FAILED: {LAWS} (max l1 distance to the class laws 1.000e+00)"
+    assert [line for line in out.splitlines() if line.startswith("FAILED")] == [f"FAILED: {f}" for f in failed]
 
 
 @pytest.mark.parametrize("tasks", [(), ("--tasks", "invariants")], ids=["default tasks", "invariants"])
