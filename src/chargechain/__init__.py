@@ -80,14 +80,12 @@ from .invariants import (
     transient_states,
 )
 from .kernels import (
-    EndAction,
     TailRow,
     TransitionKernel,
     apply_A,
     apply_T,
     cesaro_kernel,
     duality_residual,
-    end_action,
     kernel_from_spec,
     kernel_power,
     kernel_to_spec,

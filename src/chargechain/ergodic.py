@@ -166,13 +166,8 @@ class RateFit:
 
 @dataclass(frozen=True)
 class ErgodicRunResult:
-    mode: str
     distances: list[float]  # index i holds the distance at n = i + 1
     rate: RateFit
-    uniform: bool = True  # max over starting states
-
-    def series(self) -> list[tuple[int, float]]:
-        return [(i + 1, d) for i, d in enumerate(self.distances)]
 
 
 def ergodic_run(
@@ -183,8 +178,8 @@ def ergodic_run(
     cesaro, raw = distance_series(kernel, n_max, projector)
     return (
         projector,
-        ErgodicRunResult(mode="cesaro", distances=cesaro, rate=fitted_rate(cesaro)),
-        ErgodicRunResult(mode="raw", distances=raw, rate=fitted_rate(raw)),
+        ErgodicRunResult(distances=cesaro, rate=fitted_rate(cesaro)),
+        ErgodicRunResult(distances=raw, rate=fitted_rate(raw)),
     )
 
 

@@ -3,7 +3,7 @@
 Finite chains get an exact treatment: one extreme invariant distribution
 per recurrent class, by subtraction-free state reduction (GTH).  Countable walks are
 handled within the representable class: invariant end charges come from
-the coarse end actions, and a countably additive invariant (when one
+the tail rows' action on them, and a countably additive invariant (when one
 exists with effectively finite support) is certified numerically by its
 invariance residual.  CA detection, averaged sequences and escape profiles
 evolve atomic mass on a truncation window, one step being a ``bincount``
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructureError, ValidationError
-from .kernels import TransitionKernel, apply_A, end_action, successors, window_table
+from .kernels import TransitionKernel, apply_A, successors, window_table
 from .measures import (
     END_NEG,
     END_POS,
@@ -215,7 +215,7 @@ def _assemble_basis(measures: list[FAMeasure], kinds: list[str], classes=()) -> 
 # -- countable chains -------------------------------------------------------------
 
 def detect_pfa_ends(kernel: TransitionKernel) -> list[FAMeasure]:
-    """Invariant unit charges supported on ends, from the coarse end system.
+    """Invariant unit charges supported on ends, from the end system of the tail rows.
 
     The ends, plus one absorbing state for their leak into finite states, form a finite chain; each of
     its closed classes of ends carries one charge, the class's stationary split.  Soundness: with bounded
@@ -227,10 +227,10 @@ def detect_pfa_ends(kernel: TransitionKernel) -> list[FAMeasure]:
     sink = len(ends)
     system = np.eye(sink + 1)
     for i, e in enumerate(ends):
-        act = end_action(kernel, e)
-        system[i, i] = act.preserved_mass
-        system[i, [ends.index(e2) for e2 in act.leak_ends]] += list(act.leak_ends.values())
-        system[i, sink] = math.fsum(act.leak_atoms.values())
+        tail = kernel.tails[e]
+        system[i, i] = tail.preserved_mass()
+        system[i, [ends.index(e2) for e2 in tail.to_other_end]] += list(tail.to_other_end.values())
+        system[i, sink] = math.fsum(tail.to_finite.values())
     chain = TransitionKernel.finite(system)
     laws = [stationary_of_class(chain, c.states) for c in recurrent_classes(chain) if sink not in c.states]
     return [FAMeasure(kernel.space, ends={ends[x]: w for x, w in pi.atoms.items()}) for pi in laws]
@@ -321,7 +321,7 @@ def cesaro_sequence(
 
     On countable chains the atomic part evolves on a window; when no window
     is given one wide enough to be exact for n steps is chosen (offsets are
-    bounded; it covers every start atom, exception row and fixed target).
+    bounded; it covers every start atom and the kernel's ``radius``).
     Giving a window engages truncation: overflow, end leaks included, is
     routed irreversibly to the adjacent end bucket.
     """
@@ -339,10 +339,7 @@ def cesaro_sequence(
             out.append(acc * (1.0 / k))
         return out
     if window is None:
-        keys = [*mu0.atoms, *kernel.exceptions]
-        keys += [y for row in kernel.exceptions.values() for y in row]
-        keys += [y for tail in kernel.tails.values() for y in tail.to_finite]
-        window = max((abs(x) for x in keys), default=0) + kernel.reach() * n + 1
+        window = max([kernel.radius(), *map(abs, mu0.atoms)]) + kernel.reach() * n + 1
     engine = _WindowEngine(kernel, window)
     v = engine.load_atoms(mu0)
     ends = mu0.ends

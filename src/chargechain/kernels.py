@@ -5,14 +5,16 @@ holds them; their sparse rows are materialized once per kernel, on first
 use, and ``row`` hands out copies (``successors`` reads the positive
 entries of the same table as a graph).  Countable kernels are
 "walks": finitely many exception rows plus one eventually-constant tail row
-per end, with bounded relative offsets.  That structure keeps the action of
-A on end charges exact: an end charge keeps ``preserved_mass`` at its end,
-leaks ``to_finite`` into fixed states, and leaks ``to_other_end`` across.
+per end, with bounded relative offsets.  ``TransitionKernel.radius`` bounds
+the fixed states: past it, every row is its end's tail row moved to x.  That
+structure keeps the action of A on end charges exact: an end charge keeps
+``preserved_mass`` at its end, leaks ``to_finite`` into fixed states, and
+leaks ``to_other_end`` across.
 
 Rows are countably additive by construction.  A tail row realizes its
 cross-end mass as the mirror jump x -> -x, which carries mass deep toward
-one end as deep toward the other, as the coarse end action does, and keeps
-a symmetric window closed under it.
+one end as deep toward the other, as A does on end charges, and keeps a
+symmetric window closed under it.
 ``window_table`` flattens the rows of a window of states into arrays; every
 walk evolution on a window (escape, averaging, CA detection) and the
 reflecting truncation read their one-step law from it.
@@ -76,16 +78,6 @@ class TailRow:
 
 
 @dataclass(frozen=True)
-class EndAction:
-    """Coarse image of a unit charge at one end under a single step of A."""
-
-    end: str
-    preserved_mass: float
-    leak_atoms: dict[int, float]
-    leak_ends: dict[str, float]
-
-
-@dataclass(frozen=True)
 class TransitionKernel:
     space: StateSpace
     matrix: np.ndarray | None = None
@@ -118,10 +110,13 @@ class TransitionKernel:
             space = StateSpace.integer_line()
         else:
             raise ValidationError(f"support must be 'N' or 'Z', got {support!r}")
-        exceptions = {
-            int(x): {int(y): float(p) for y, p in row.items()}
-            for x, row in (exceptions or {}).items()
-        }
+        try:
+            exceptions = {
+                int(x): {int(y): float(p) for y, p in row.items()}
+                for x, row in (exceptions or {}).items()
+            }
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError(f"bad exceptions table: {exc}") from exc
         tails = dict(tails or {})
         for e in space.end_ids():
             if e not in tails:
@@ -144,11 +139,14 @@ class TransitionKernel:
     def reach(self) -> int:
         return max((t.reach() for t in self.tails.values()), default=0)
 
-    def governing_end(self, x: int) -> str:
-        """End whose tail row rules a non-exception state x."""
-        if self.space.support == "N":
-            return END_POS
-        return END_POS if x >= 0 else END_NEG
+    def radius(self) -> int:
+        """Least r >= 0 with every exception row, exception target and ``to_finite`` target in -r..r.
+
+        Past r, every row is its end's tail row moved to x (``row``).
+        """
+        tails = self.tails.values()
+        fixed = itertools.chain(self.exceptions, *self.exceptions.values(), *(t.to_finite for t in tails))
+        return max(map(abs, fixed), default=0)
 
     @cached_property
     def _finite_rows(self) -> list[dict[int, float]]:
@@ -167,7 +165,7 @@ class TransitionKernel:
             raise DomainError(f"state {x} not in space")
         if x in self.exceptions:
             return dict(self.exceptions[x])
-        tail = self.tails[self.governing_end(x)]
+        tail = self.tails[END_NEG if x < 0 else END_POS]  # N holds no state below 0
         out: dict[int, float] = {}
         for off, p in tail.relative.items():
             out[x + off] = out.get(x + off, 0.0) + p
@@ -262,10 +260,7 @@ def apply_T(kernel: TransitionKernel, f: BoundedFunction) -> BoundedFunction:
         limits[e] = acc
     # explicit values wherever Tf can differ from its end-region constant; on Z
     # the window is symmetric, so it also holds where a mirror jump lands
-    keys = set(f.window) | set(kernel.exceptions) | {0}
-    for tail in kernel.tails.values():
-        keys |= set(tail.to_finite)
-    hi = max(abs(x) for x in keys) + kernel.reach()
+    hi = max([kernel.radius(), *map(abs, f.window)]) + kernel.reach()
     lo = 0 if kernel.space.support == "N" else -hi
     window = {}
     for x in range(lo, hi + 1):
@@ -275,7 +270,7 @@ def apply_T(kernel: TransitionKernel, f: BoundedFunction) -> BoundedFunction:
 
 
 def apply_A(kernel: TransitionKernel, mu: FAMeasure) -> FAMeasure:
-    """Push a measure forward one step: atoms through rows, ends through end actions."""
+    """Push a measure forward one step: atoms through rows, end charges through their tail rows."""
     if kernel.space != mu.space:
         raise DomainError("kernel and measure live on different spaces")
     atoms: dict[int, float] = {}
@@ -284,12 +279,11 @@ def apply_A(kernel: TransitionKernel, mu: FAMeasure) -> FAMeasure:
         for y, p in sorted(kernel.row(x).items()):
             atoms[y] = atoms.get(y, 0.0) + w * p
     for e in sorted(mu.ends):
-        w = mu.ends[e]
-        act = end_action(kernel, e)
-        ends[e] = ends.get(e, 0.0) + w * act.preserved_mass
-        for y, p in sorted(act.leak_atoms.items()):
+        w, tail = mu.ends[e], kernel.tails[e]
+        ends[e] = ends.get(e, 0.0) + w * tail.preserved_mass()
+        for y, p in sorted(tail.to_finite.items()):
             atoms[y] = atoms.get(y, 0.0) + w * p
-        for e2, p in sorted(act.leak_ends.items()):
+        for e2, p in sorted(tail.to_other_end.items()):
             ends[e2] = ends.get(e2, 0.0) + w * p
     return FAMeasure(kernel.space, atoms, ends)
 
@@ -307,21 +301,6 @@ def window_table(
     table = np.array([(x, y, p) for x in range(lo, hi + 1) for y, p in kernel.row(x).items()])
     table = table.reshape(-1, 3)  # states are small integers, exact as floats
     return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
-
-
-def end_action(kernel: TransitionKernel, ident: str) -> EndAction:
-    """Coarse action of A on the unit charge at one end, read off the tail row."""
-    if kernel.space.is_finite:
-        raise StructureError("finite kernels have no ends")
-    if ident not in kernel.tails:
-        raise StructureError(f"no tail row declared for end {ident!r}")
-    tail = kernel.tails[ident]
-    return EndAction(
-        end=ident,
-        preserved_mass=tail.preserved_mass(),
-        leak_atoms=dict(tail.to_finite),
-        leak_ends=dict(tail.to_other_end),
-    )
 
 
 def powers(kernel: TransitionKernel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -375,27 +354,16 @@ def kernel_from_spec(obj: dict) -> TransitionKernel:
             raise ValidationError("finite chain spec needs a 'matrix' field")
         return TransitionKernel.finite(obj["matrix"], labels=obj.get("labels"))
     if kind == "walk":
-        support = obj.get("support")
         tails = {}
         for key, val in obj.items():
             if key.startswith("tail_"):
-                ident = key[len("tail_"):]
                 try:
-                    tails[ident] = TailRow(
-                        relative={int(k): v for k, v in val.get("relative", {}).items()},
-                        to_finite={int(k): v for k, v in val.get("to_finite", {}).items()},
-                        to_other_end=val.get("to_other_end", {}),
+                    tails[key[len("tail_"):]] = TailRow(
+                        val.get("relative", {}), val.get("to_finite", {}), val.get("to_other_end", {})
                     )
                 except (TypeError, ValueError, AttributeError) as exc:
                     raise ValidationError(f"bad tail row {key!r}: {exc}") from exc
-        try:
-            exceptions = {
-                int(x): {int(y): float(p) for y, p in row.items()}
-                for x, row in obj.get("exceptions", {}).items()
-            }
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ValidationError(f"bad exceptions table: {exc}") from exc
-        return TransitionKernel.walk(support, exceptions, tails)
+        return TransitionKernel.walk(obj.get("support"), obj.get("exceptions", {}), tails)
     raise ValidationError(f"unknown chain kind {kind!r}")
 
 

@@ -29,7 +29,7 @@ from .conditions import (
     check_doeblin_tilde,
     quasicompact_diagnostic,
 )
-from .errors import ValidationError
+from .errors import ChargeChainError, ValidationError
 from .invariants import (
     INVARIANCE_TOL,
     InvariantBasis,
@@ -51,8 +51,8 @@ ABSORPTION_TOL = 1e-9
 STATIONARY_TOL = 1e-9
 #: relative tolerance of a re-fitted rate ratio against the stored one
 RATE_TOL = 1e-9
-#: what reading a report section of the wrong shape raises; verify-report fails an item on it
-MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError)
+#: what reading or checking a report section of the wrong shape or out of its domain raises; verify fails an item on it
+MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError, ChargeChainError)
 #: each task writes the report section of the same name
 ALL_TASKS = ("invariants", "conditions", "ergodic", "escape")
 
@@ -317,12 +317,17 @@ def verify_report(report: dict) -> list[dict]:
         raise ValidationError(f"report lacks a chain spec: {exc}") from exc
 
     classes = recurrent_classes(kernel) if kernel.space.is_finite else None
-    laws = _class_laws(kernel, classes, report)
-    sections = (("invariants", _verify_invariants), ("conditions", _verify_conditions), ("ergodic", _verify_ergodic))
-    for name, check in sections:
+    projector = _read_projector(kernel, report)
+    laws = _class_laws(kernel, classes, projector, report)
+    sections = {
+        "invariants": lambda inv: _verify_invariants(kernel, classes, laws, inv, record),
+        "conditions": lambda cond: _verify_conditions(kernel, classes, cond, record),
+        "ergodic": lambda erg: _verify_ergodic(kernel, classes, laws, projector, erg, record),
+    }
+    for name, check in sections.items():
         if report.get(name):
             try:
-                check(kernel, classes, laws, report[name], record)
+                check(report[name])
             except MALFORMED as exc:
                 record(f"{name} format", False, f"{type(exc).__name__}: {exc}")
     return results
@@ -378,7 +383,23 @@ def _verify_invariants(kernel: TransitionKernel, classes, laws, inv: dict, recor
     record("invariant class laws", worst <= STATIONARY_TOL, f"l1 distance to the exact class laws <= {worst:.3e}")
 
 
-def _class_laws(kernel: TransitionKernel, classes, report: dict) -> list | None:
+def _read_projector(kernel: TransitionKernel, report: dict) -> tuple | Exception:
+    """The projector's rank, classes, laws, hitting times, absorption rows and times, parsed once; or what it raised."""
+    try:
+        proj = report["ergodic"]["projector"]
+        return (
+            proj["rank"],
+            [list(c) for c in proj["classes"]],
+            [measure_from_json(kernel.space, m) for m in proj["stationary"]],
+            [_times_from_json(times) for times in proj["hitting_times"]],
+            {int(x): [float(h) for h in row] for x, row in proj["absorption"].items()},
+            _times_from_json(proj["absorption_times"]),
+        )
+    except MALFORMED as exc:
+        return exc
+
+
+def _class_laws(kernel: TransitionKernel, classes, projector, report: dict) -> list | None:
     """Each class's stationary law with a bound on its l1 distance to the exact law.
 
     The laws are the projector's when the report holds one on ``classes``, each
@@ -388,22 +409,16 @@ def _class_laws(kernel: TransitionKernel, classes, report: dict) -> list | None:
     """
     if classes is None:
         return None
-    try:
-        proj = report["ergodic"]["projector"]
-        laws = [measure_from_json(kernel.space, m) for m in proj["stationary"]]
-        hitting = [_times_from_json(times) for times in proj["hitting_times"]]
-        if [list(c) for c in proj["classes"]] == [list(c.states) for c in classes] and (
-            len(laws) == len(hitting) == len(classes)
-        ):
+    if not isinstance(projector, Exception):
+        _, proj_classes, laws, hitting, _, _ = projector
+        if proj_classes == [list(c.states) for c in classes] and len(laws) == len(hitting) == len(classes):
             return [(pi, _stationary_error(kernel, c.states, pi, t)) for c, pi, t in zip(classes, laws, hitting)]
-    except MALFORMED:
-        pass
     if not report.get("invariants"):
         return None
     return [(stationary_of_class(kernel, c.states), 0.0) for c in classes]
 
 
-def _verify_conditions(kernel: TransitionKernel, classes, laws, cond: dict, record) -> None:
+def _verify_conditions(kernel: TransitionKernel, classes, cond: dict, record) -> None:
     space = kernel.space
     for key, strict in (("D", False), ("D_tilde", True)):
         finding = cond.get(key)
@@ -466,13 +481,14 @@ def _verify_verdicts(classes, cond: dict, record) -> None:
     record("condition verdicts consistent", not wrong, "; ".join(f"{w} fails" for w in wrong))
 
 
-def _verify_ergodic(kernel: TransitionKernel, classes, laws, erg: dict, record) -> None:
-    _verify_projector(kernel, classes, laws, erg.get("projector"), record)
-    for mode in ("cesaro", "raw"):
-        _verify_rate(erg.get(mode), mode, record)
+def _verify_ergodic(kernel: TransitionKernel, classes, laws, projector, erg: dict, record) -> None:
+    runs = [(mode, erg.get(mode)) for mode in ("cesaro", "raw")]  # first: a section that is no object fails alone
+    _verify_projector(kernel, classes, laws, projector, record)
+    for mode, run in runs:
+        _verify_rate(run, mode, record)
 
 
-def _verify_projector(kernel: TransitionKernel, expected, laws, proj, record) -> None:
+def _verify_projector(kernel: TransitionKernel, expected, laws, projector, record) -> None:
     """Check the factors of P = H·Π against the kernel's rows, in O(nnz·r).
 
     The classes must be ``expected``, the kernel's closed communicating classes.  The
@@ -480,22 +496,15 @@ def _verify_projector(kernel: TransitionKernel, expected, laws, proj, record) ->
     the residuals of Π_i(I − P) = 0 and (I − Q)·H = B into bounds on the
     distance to the exact factors; those bounds are what is checked.  Once
     the format and the classes pass, ``laws`` hold this projector's laws with
-    their bounds, as ``_class_laws`` reads them from the same fields.
+    their bounds, as ``_class_laws`` reads them from the same ``projector``.
     """
     if not kernel.space.is_finite:
         record("projector on a finite chain", False, "the chain is countable")
         return
-    try:
-        rank = proj["rank"]
-        classes = [list(c) for c in proj["classes"]]
-        stationary = [measure_from_json(kernel.space, m) for m in proj["stationary"]]
-        hitting = [_times_from_json(times) for times in proj["hitting_times"]]
-        absorption = {int(x): [float(h) for h in row] for x, row in proj["absorption"].items()}
-        absorption_times = _times_from_json(proj["absorption_times"])
-    except MALFORMED as exc:
-        record("projector format", False, f"{type(exc).__name__}: {exc}")
+    if isinstance(projector, Exception):
+        record("projector format", False, f"{type(projector).__name__}: {projector}")
         return
-
+    rank, classes, stationary, hitting, absorption, absorption_times = projector
     ok = rank == len(expected) == len(stationary) == len(hitting) and classes == [list(c.states) for c in expected]
     record(
         "projector classes",

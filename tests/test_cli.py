@@ -92,16 +92,6 @@ def test_non_finite_chain_exits_2(tmp_path: Path, capsys):
     assert "exception row 0: non-finite" in capsys.readouterr().err
 
 
-def test_non_finite_measure_in_report_exits_2(tmp_path: Path, capsys):
-    out = tmp_path / "r.json"
-    assert run_cli(["analyze", "--catalog", "two_absorbing", "--out", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    rep["invariants"]["measures"][0]["atoms"]["0"] = float("nan")
-    out.write_text(json.dumps(rep))
-    assert run_cli(["verify-report", "--report", str(out)]) == 2
-    assert "non-finite weight" in capsys.readouterr().err
-
-
 def test_eps_grid_outside_unit_interval_exits_2(tmp_path: Path, capsys):
     for grid in ("0.5,1.5", "1", "0", "-0.1", "nan"):
         argv = ["doeblin", "--catalog", "finite_uniform", "--eps-grid", grid]

@@ -188,9 +188,7 @@ def test_char_poly_oracle_values():
 def test_ergodic_run_series_shape():
     projector, run, raw = ergodic_run(swap2(), 20)
     assert projector.rank == projector_finite(swap2()).rank
-    assert run.uniform and run.mode == "cesaro" and raw.mode == "raw"
-    assert run.series()[0] == (1, run.distances[0])
-    assert len(run.series()) == len(raw.series()) == 20
+    assert len(run.distances) == len(raw.distances) == 20
 
 
 def test_projector_rank_equals_basis_dimension():

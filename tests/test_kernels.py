@@ -16,10 +16,10 @@ from chargechain import (
     apply_T,
     birth_death,
     cesaro_kernel,
+    cesaro_sequence,
     dirac,
     drift_walk_N,
     duality_residual,
-    end_action,
     end_charge,
     from_vector,
     kernel_from_spec,
@@ -219,43 +219,60 @@ def test_no_materialized_powers_for_walks():
         cesaro_kernel(drift_walk_N(1.0), 2)
 
 
-# -- end actions --------------------------------------------------------------------
+# -- the far rows ---------------------------------------------------------------------
 
-def test_end_action_examples():
-    assert end_action(drift_walk_N(1.0), END_POS).preserved_mass == 1.0
-    act = end_action(restart_walk(0.1), END_POS)
-    assert act.preserved_mass == pytest.approx(0.9)
-    assert act.leak_atoms == {0: pytest.approx(0.1)}
-    assert end_action(symmetric_walk_Z(), END_NEG).preserved_mass == 1.0
+def test_A_on_end_charge_without_leaks():
+    # restart_walk, and symmetric_walk_Z at +inf, are test_A_on_end_charge_restart's and _symmetric's
+    for k, e in ((drift_walk_N(1.0), END_POS), (symmetric_walk_Z(), END_NEG)):
+        out = apply_A(k, end_charge(k.space, e))
+        assert out.ends == {e: 1.0} and not out.atoms
 
 
 def test_cross_end_mass_is_the_mirror_jump():
     tail_pos = TailRow(relative={1: 0.5}, to_other_end={END_NEG: 0.5})
     tail_neg = TailRow(relative={-1: 1.0})
     k = TransitionKernel.walk("Z", tails={END_POS: tail_pos, END_NEG: tail_neg})
-    act = end_action(k, END_POS)
-    assert act.leak_ends == {END_NEG: 0.5}
+    assert apply_A(k, end_charge(k.space, END_POS)).ends == {END_POS: 0.5, END_NEG: 0.5}
     assert k.row(3) == {4: 0.5, -3: 0.5}
     assert k.row(0) == {1: 0.5, 0: 0.5}  # state 0 is its own mirror image
     assert k.row(-3) == {-4: 1.0}
 
 
+# a Z walk whose exception targets lie past every other fixed state
+FAR_TARGETS = {
+    "kind": "walk",
+    "support": "Z",
+    "exceptions": {"0": {"-6": 0.5, "5": 0.5}},
+    "tail_+inf": {"relative": {"-1": 0.5, "1": 0.25}, "to_finite": {"0": 0.25}},
+    "tail_-inf": {"relative": {"-1": 0.25, "1": 0.5}, "to_other_end": {"+inf": 0.25}},
+}
+
+
+def test_cesaro_default_window_covers_exception_targets():
+    k = kernel_from_spec(FAR_TARGETS)
+    assert k.radius() == 6
+    for start in (dirac(k.space, 0), dirac(k.space, 3), end_charge(k.space, END_NEG)):
+        exact, wide = cesaro_sequence(k, start, 8), cesaro_sequence(k, start, 8, window=200)
+        assert [(a.atoms, a.ends) for a in exact] == [(b.atoms, b.ends) for b in wide]
+
+
 def test_duality_holds_across_ends():
     tail = {"relative": {"-1": 0.25, "1": 0.25}}
-    k = kernel_from_spec({
+    cross = {
         "kind": "walk",
         "support": "Z",
         "exceptions": {"2": {"-1": 0.5, "3": 0.5}},
         "tail_+inf": {**tail, "to_other_end": {"-inf": 0.5}},
         "tail_-inf": {**tail, "to_other_end": {"+inf": 0.5}},
-    })
+    }
     lims = {END_POS: 0.7, END_NEG: -0.4}
-    for window in ({-10: 1.0}, {5: 2.0}, {-3: 1.0, 7: -1.0}, {}):
-        f = BoundedFunction(k.space, window, default=0.3, end_limits=lims)
-        for x in range(-15, 16):
-            assert duality_residual(k, f, dirac(k.space, x)) <= TOL
-        for e in (END_POS, END_NEG):
-            assert duality_residual(k, f, end_charge(k.space, e)) <= TOL
+    for k in (kernel_from_spec(cross), kernel_from_spec(FAR_TARGETS)):
+        for window in ({-10: 1.0}, {5: 2.0}, {-3: 1.0, 7: -1.0}, {}):
+            f = BoundedFunction(k.space, window, default=0.3, end_limits=lims)
+            for x in range(-15, 16):
+                assert duality_residual(k, f, dirac(k.space, x)) <= TOL
+            for e in (END_POS, END_NEG):
+                assert duality_residual(k, f, end_charge(k.space, e)) <= TOL
 
 
 # -- duality --------------------------------------------------------------------------
@@ -320,6 +337,11 @@ def test_spec_parse_rejects_bad_input():
         kernel_from_spec({"kind": "mystery"})
     with pytest.raises(ValidationError):
         kernel_from_spec({"kind": "walk", "support": "Q"})
+    tail = {"relative": {"1": 1.0}}
+    with pytest.raises(ValidationError, match="bad exceptions table"):
+        kernel_from_spec({"kind": "walk", "support": "N", "exceptions": {"0": {"one": 1.0}}, "tail_+inf": tail})
+    with pytest.raises(ValidationError, match=r"bad tail row 'tail_\+inf'"):
+        kernel_from_spec({"kind": "walk", "support": "N", "tail_+inf": {"relative": [1.0]}})
 
 
 def test_prob_against_tail_sets():

@@ -146,6 +146,105 @@ def test_malformed_section_fails_an_item(tmp_path: Path, capsys, case):
     assert line.startswith(f"FAILED: {failed} (")
 
 
+def set_witness(key, value):
+    def edit(rep):
+        rep["conditions"]["D"]["witness"][key] = value
+
+    return edit
+
+
+WITNESS = {
+    "phi": {"atoms": {"0": 1.0}, "ends": {}},
+    "eps": 0.1,
+    "k": 1,
+    "vacuous": False,
+    "phi_source": "basis-sum",
+    "averaged": False,
+}
+
+
+def base_report(tmp_path: Path, name: str) -> dict:
+    if name == "birth_death(23)":  # over the small-set cap: its D is a "capacity" finding
+        chain = tmp_path / "bd23.json"
+        chain.write_text(json.dumps(kernel_to_spec(birth_death(23))))
+        return analyze(tmp_path, "analyze", "--chain", str(chain), "--n-max", "30")
+    return analyze(tmp_path, "analyze", "--catalog", name)
+
+
+# well-formed values outside the chain or outside a checker's contract: (base report, edit, failed item)
+OUT_OF_DOMAIN = {
+    "walk D edited into a witness": (
+        "restart_walk",
+        lambda rep: rep["conditions"].update(D={"kind": "witness", "verdict": "holds", "witness": WITNESS}),
+        "conditions format (DomainError: countable kernel has no size)",
+    ),
+    "over-cap D edited into a witness": (
+        "birth_death(23)",
+        lambda rep: rep["conditions"].update(D={"kind": "witness", "verdict": "holds", "witness": WITNESS}),
+        "conditions format (CapacityError: ",
+    ),
+    "D eps 1.5": ("birth_death", set_witness("eps", 1.5), "conditions format (ValidationError: eps must lie in"),
+    "D k 0": ("birth_death", set_witness("k", 0), "conditions format (ValidationError: power needs an order"),
+    "D phi negative": (
+        "birth_death",
+        set_witness("phi", {"atoms": {"0": -1.0}, "ends": {}}),
+        "conditions format (PreconditionError: phi must be nonnegative)",
+    ),
+    "D phi off the chain": (
+        "birth_death",
+        set_witness("phi", {"atoms": {"9": 1.0}, "ends": {}}),
+        "conditions format (DomainError: measure atoms: state 9 not in space)",
+    ),
+    "D phi with an end": (
+        "birth_death",
+        set_witness("phi", {"atoms": {"0": 1.0}, "ends": {"+inf": 1.0}}),
+        "conditions format (DomainError: measure references unknown end '+inf')",
+    ),
+    "projector law off the chain": (
+        "two_absorbing",
+        lambda rep: rep["ergodic"]["projector"]["stationary"].__setitem__(0, {"atoms": {"7": 1.0}, "ends": {}}),
+        "projector format (DomainError: measure atoms: state 7 not in space)",
+    ),
+    "projector law not finite": (
+        "two_absorbing",
+        lambda rep: rep["ergodic"]["projector"]["stationary"][0]["atoms"].update({"0": float("nan")}),
+        "projector format (ValidationError: measure literal: non-finite weight nan at atoms[0])",
+    ),
+    "invariant off the chain": (
+        "two_absorbing",
+        lambda rep: rep["invariants"]["measures"].__setitem__(0, {"atoms": {"7": 1.0}, "ends": {}}),
+        "invariants format (DomainError: measure atoms: state 7 not in space)",
+    ),
+    "invariant weight not finite": (
+        "two_absorbing",
+        lambda rep: rep["invariants"]["measures"][0]["atoms"].update({"0": float("nan")}),
+        "invariants format (ValidationError: measure literal: non-finite weight nan at atoms[0])",
+    ),
+    "beta set off the chain": (
+        "two_absorbing",
+        lambda rep: rep["conditions"]["beta"]["witnesses"][0].update(d1={"atoms": [7]}),
+        "conditions format (DomainError: measurable set: state 7 not in space)",
+    ),
+    "alpha closed set with an end tail": (
+        "two_absorbing",
+        lambda rep: rep["conditions"]["alpha"][0].update(closed_set={"tails": [{"end": "+inf", "after": 3}]}),
+        "conditions format (DomainError: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+def test_value_outside_the_chain_or_a_contract_fails_an_item(tmp_path: Path, capsys, case):
+    base, edit, failed = OUT_OF_DOMAIN[case]
+    rep = base_report(tmp_path, base)
+    assert verify(tmp_path, rep, capsys)[0] == 0
+    edit(rep)
+    code, out = verify(tmp_path, rep, capsys)  # a package error would end the test here, or exit 2 or 3
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAILED")]
+    assert line.startswith(f"FAILED: {failed}")
+
+
 def drop_second_invariant(rep):
     inv = rep["invariants"]
     inv.update(dimension=1, pairwise=[], **{key: inv[key][:1] for key in ("measures", "kinds", "residuals")})

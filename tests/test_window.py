@@ -1,5 +1,6 @@
 """Walk windows: the window table, its reflecting and escape policies, and window evolution."""
 
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ CATALOG_WALKS = [name for name in sorted(REGISTRY) if not REGISTRY[name].build()
 
 
 def seeded_walks(seed, count):
-    """Walks on N and Z with reach 1..3, exception rows and fixed targets in -8..8."""
+    """Walks on N and Z with reach 1..3, exception rows, fixed targets in -8..8 and, on Z, mass across the ends."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         support = "N" if rng.random() < 0.5 else "Z"
@@ -33,16 +34,18 @@ def seeded_walks(seed, count):
         tails = {}
         for end in (END_POS,) if support == "N" else (END_POS, END_NEG):
             offsets = [o for o in range(-reach, reach + 1) if rng.random() < 0.8] or [reach]
-            weights = rng.random(len(offsets) + 2)
-            weights[-2:] *= rng.random() < 0.6  # fixed targets on about half the tails
+            weights = rng.random(len(offsets) + 3)
+            weights[-3:-1] *= rng.random() < 0.6  # fixed targets on about half the tails
+            weights[-1] *= support == "Z" and rng.random() < 0.5  # mass across on about half the tails on Z
             weights /= weights.sum()
             fixed = rng.integers(low, 9, size=2)
             to_finite = {}
-            for y, p in zip(fixed.tolist(), weights[-2:].tolist()):
+            for y, p in zip(fixed.tolist(), weights[-3:-1].tolist()):
                 if p:
                     to_finite[y] = to_finite.get(y, 0.0) + p
-            relative = dict(zip(offsets, weights[:-2].tolist()))
-            tails[end] = TailRow(relative=relative, to_finite=to_finite)
+            relative = dict(zip(offsets, weights[:-3].tolist()))
+            across = {other: weights[-1] for other in (END_POS, END_NEG) if other != end and weights[-1]}
+            tails[end] = TailRow(relative=relative, to_finite=to_finite, to_other_end=across)
         # on N the exceptions cover 0..reach-1, so no tail jump leaves the support
         states = range(reach) if support == "N" else rng.choice(range(-3, 4), 3, replace=False).tolist()
         exceptions = {}
@@ -78,7 +81,26 @@ def test_seeded_walks_cover_the_cases():
     assert {k.space.support for k in walks} == {"N", "Z"}
     assert {k.reach() for k in walks} == {1, 2, 3}
     assert any(t.to_finite for k in walks for t in k.tails.values())
+    assert any(t.to_other_end for k in walks for t in k.tails.values())
     assert all(k.exceptions for k in walks)
+
+
+def test_rows_past_the_radius_are_tail_rows_moved():
+    for kernel in all_walks():
+        r, reach = kernel.radius(), kernel.reach()
+        tails = kernel.tails.values()
+        fixed = [*kernel.exceptions, *itertools.chain(*kernel.exceptions.values(), *(t.to_finite for t in tails))]
+        assert r == max(map(abs, fixed), default=0)
+        for x in range(-r - 2 * reach, r + 2 * reach + 1):
+            if abs(x) <= r or not kernel.space.contains_state(x):
+                continue
+            tail = kernel.tails[END_POS if x > 0 else END_NEG]
+            moved = [(x + off, p) for off, p in tail.relative.items()]
+            mirror = [(-x, p) for p in tail.to_other_end.values()]
+            expected = {}
+            for y, p in [*moved, *tail.to_finite.items(), *mirror]:
+                expected[y] = expected.get(y, 0.0) + p
+            assert kernel.row(x) == expected
 
 
 def test_truncate_reflecting_matches_the_row_loop_bit_for_bit():

@@ -4,9 +4,10 @@
 
 SRC is a ``src/`` directory holding the ``chargechain`` package.  For every
 catalog entry (default tasks and horizons, then each task that applies to
-it on its own), two edge chains under the default tasks (``EDGE_CHAINS``:
-one over the small-set cap, one whose states swap with probability 2^-40),
-and every case of the three benchmark workloads at each seed (the
+it on its own), three edge chains under the default tasks (``EDGE_CHAINS``:
+one over the small-set cap, one whose states swap with probability 2^-40,
+and a walk on Z with an exception row whose tail rows send mass across the
+ends both ways), and every case of the three benchmark workloads at each seed (the
 workload's own tasks and horizons), the script analyzes the chain, and
 writes to OUT, as sorted JSON, the sha256 of the
 ``report_json`` text and the ``verify_report`` item list.  A case
@@ -37,6 +38,13 @@ SWAP = 2.0**-40
 EDGE_CHAINS = {
     "birth_death_23": lambda cc: cc.kernel_to_spec(cc.birth_death(23)),
     "swap_2^-40": lambda cc: {"kind": "finite", "matrix": [[1.0 - SWAP, SWAP], [SWAP, 1.0 - SWAP]]},
+    "cross_end_walk": lambda cc: {
+        "kind": "walk",
+        "support": "Z",
+        "exceptions": {"0": {"-2": 0.5, "2": 0.5}},
+        "tail_+inf": {"relative": {"-1": 0.25, "1": 0.5}, "to_other_end": {"-inf": 0.25}},
+        "tail_-inf": {"relative": {"1": 0.2, "-1": 0.3}, "to_other_end": {"+inf": 0.5}},
+    },
 }
 
 
