@@ -39,7 +39,6 @@ from .conditions import (
     lemma_sup_dirac_residual,
     quasicompact_diagnostic,
     search_doeblin,
-    truncate_reflecting,
 )
 from .errors import (
     CapacityError,
@@ -90,6 +89,7 @@ from .kernels import (
     kernel_power,
     kernel_to_spec,
     successors,
+    truncate_reflecting,
 )
 from .measures import (
     END_NEG,

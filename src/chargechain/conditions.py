@@ -25,7 +25,7 @@ from .invariants import (
     invariant_basis,
     invariant_basis_finite,
 )
-from .kernels import TransitionKernel, cesaro_kernel, kernel_power, window_table
+from .kernels import TransitionKernel, cesaro_kernel, kernel_power, truncate_reflecting
 from .measures import (
     FAMeasure,
     MeasurableSet,
@@ -316,18 +316,6 @@ def lemma_sup_dirac_residual(
 
 
 # -- countable-chain surrogate ---------------------------------------------------
-
-def truncate_reflecting(kernel: TransitionKernel, width: int) -> TransitionKernel:
-    """Finite restriction of a countable walk; outbound mass is clipped to the boundary."""
-    if kernel.space.is_finite:
-        raise DomainError("truncation applies to countable chains")
-    lo, hi = (0, width - 1) if kernel.space.support == "N" else (-width, width)
-    sources, targets, probs = window_table(kernel, lo, hi)
-    mat = np.zeros((hi - lo + 1, hi - lo + 1))
-    # unbuffered, in table order: the same sums as adding the entries one by one
-    np.add.at(mat, (sources - lo, np.clip(targets, lo, hi) - lo), probs)
-    return TransitionKernel.finite(mat)
-
 
 def doeblin_truncation_trend(kernel: TransitionKernel) -> list[tuple[int, float]]:
     """(D) maxima at eps = 0.25, k = 1 of reflecting truncations, phi the truncated stationary mass.

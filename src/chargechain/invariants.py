@@ -3,11 +3,11 @@
 Finite chains get an exact treatment: one extreme invariant distribution
 per recurrent class, by subtraction-free state reduction (GTH).  Countable walks are
 handled within the representable class: invariant end charges come from
-the tail rows' action on them, and a countably additive invariant (when one
-exists with effectively finite support) is certified numerically by its
-invariance residual.  CA detection, averaged sequences and escape profiles
-evolve atomic mass on a truncation window, one step being a ``bincount``
-over the kernel's window table, with the overflow in end buckets.
+the tail rows' action on them, and countably additive invariants (those
+with effectively finite support) are the GTH laws of the walk's reflecting
+truncation that its invariance residual certifies.  Averaged sequences and
+escape profiles evolve atomic mass on a truncation window, one step being a
+``bincount`` over the kernel's window table, with the overflow in end buckets.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructureError, ValidationError
-from .kernels import TransitionKernel, apply_A, successors, window_table
+from .kernels import TransitionKernel, apply_A, successors, truncate_reflecting, window_table
 from .measures import (
     END_NEG,
     END_POS,
@@ -242,33 +242,24 @@ def detect_ca_countable(
     steps: int | None = None,
     tol: float = INVARIANCE_TOL,
 ) -> list[FAMeasure]:
-    """Numerically certified countably additive invariant of a countable walk.
+    """Numerically certified countably additive invariants of a countable walk.
 
-    Power-iterates a truncated window (overflow set aside), averages the
-    last two iterates against period-2 cycling, renormalizes the retained
-    atomic mass, and accepts only when the invariance residual meets the
-    contract.  Returns at most one measure; an empty list means no
-    invariant with effectively finite support was certified.
+    ``window`` sizes the reflecting truncation: the window + 1 states 0..window
+    on N, -window/2..window/2 on Z.  Each recurrent class of the truncation
+    gets its GTH law, cut at weights <= 1e-14 and renormalized; a law is kept
+    when its invariance residual on the walk itself meets ``tol``, so the list
+    holds one measure per certified class.  An empty list means no invariant
+    with effectively finite support was certified.  ``steps`` is ignored; it
+    stays for callers that pass it.
     """
     if kernel.space.is_finite:
         raise DomainError("use invariant_basis_finite on finite chains")
-    if steps is None:
-        steps = 8 * window + 400  # mass seeded at the window edge must drift home
-    engine = _WindowEngine(kernel, window)
-    v = np.zeros(engine.length + 2)
-    v[1:-1] = 1.0 / engine.length
-    prev = v
-    for _ in range(steps):
-        prev, v = v, engine.step(v)
-    cand = 0.5 * (prev + v)
-    mass = float(cand[1:-1].sum())
-    if mass <= 1e-9:
-        return []
-    atoms = engine.atoms(cand / mass, floor=1e-14)
-    mu = FAMeasure(kernel.space, atoms=atoms).normalized()
-    if invariance_residual(kernel, mu) <= tol:
-        return [mu]
-    return []
+    half_line = kernel.space.support == "N"
+    lo = 0 if half_line else -(window // 2)
+    trunc = truncate_reflecting(kernel, window + 1 if half_line else window // 2)
+    laws = (stationary_of_class(trunc, c.states) for c in recurrent_classes(trunc))
+    cut = (FAMeasure(kernel.space, {lo + i: w for i, w in pi.atoms.items() if w > 1e-14}).normalized() for pi in laws)
+    return [mu for mu in cut if invariance_residual(kernel, mu) <= tol]
 
 
 def invariant_basis(kernel: TransitionKernel) -> InvariantBasis:
@@ -419,7 +410,7 @@ def escape_profile(
 # -- truncated window engine --------------------------------------------------------
 
 class _WindowEngine:
-    """Atomic mass on the window lo..hi, stepped with the kernel's window table.
+    """Atomic mass on the window lo..hi, stepped with the kernel's window table (escape, averaging).
 
     A vector has length + 2 cells: state x sits in cell x - lo + 1, and cells
     0 and length + 1 are the end buckets of -inf and +inf.  A step clips each
@@ -442,10 +433,10 @@ class _WindowEngine:
         """Cell of a state (or an array of states); states past the window map to a bucket."""
         return np.clip(x, self.lo - 1, self.hi + 1) - self.lo + 1
 
-    def atoms(self, v: np.ndarray, floor: float = 0.0) -> dict[int, float]:
-        """The window cells of v above ``floor`` in absolute value, by state."""
+    def atoms(self, v: np.ndarray) -> dict[int, float]:
+        """The nonzero window cells of v, by state."""
         inner = v[1:-1]
-        return {self.lo + i: float(inner[i]) for i in np.flatnonzero(abs(inner) > floor).tolist()}
+        return {self.lo + i: float(inner[i]) for i in np.flatnonzero(inner).tolist()}
 
     def load_atoms(self, mu: FAMeasure) -> np.ndarray:
         v = np.zeros(self.length + 2)

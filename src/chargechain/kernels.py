@@ -16,8 +16,8 @@ cross-end mass as the mirror jump x -> -x, which carries mass deep toward
 one end as deep toward the other, as A does on end charges, and keeps a
 symmetric window closed under it.
 ``window_table`` flattens the rows of a window of states into arrays; every
-walk evolution on a window (escape, averaging, CA detection) and the
-reflecting truncation read their one-step law from it.
+walk evolution on a window (escape, averaging) and the reflecting
+truncation ``truncate_reflecting`` read their one-step law from it.
 """
 
 from __future__ import annotations
@@ -301,6 +301,18 @@ def window_table(
     table = np.array([(x, y, p) for x in range(lo, hi + 1) for y, p in kernel.row(x).items()])
     table = table.reshape(-1, 3)  # states are small integers, exact as floats
     return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
+
+
+def truncate_reflecting(kernel: TransitionKernel, width: int) -> TransitionKernel:
+    """Finite restriction of a walk to 0..width-1 (N) or -width..width (Z), from 0; outbound mass is clipped."""
+    if kernel.space.is_finite:
+        raise DomainError("truncation applies to countable chains")
+    lo, hi = (0, width - 1) if kernel.space.support == "N" else (-width, width)
+    sources, targets, probs = window_table(kernel, lo, hi)
+    mat = np.zeros((hi - lo + 1, hi - lo + 1))
+    # unbuffered, in table order: the same sums as adding the entries one by one
+    np.add.at(mat, (sources - lo, np.clip(targets, lo, hi) - lo), probs)
+    return TransitionKernel.finite(mat)
 
 
 def powers(kernel: TransitionKernel) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -169,13 +169,24 @@ def measurable(space: StateSpace, atoms=(), tails=(), complement: bool = False) 
 
 
 def set_from_json(space: StateSpace, obj: dict) -> MeasurableSet:
-    try:
-        atoms = obj.get("atoms", [])
-        tails = [(t["end"], t["after"]) for t in obj.get("tails", [])]
-        complement = bool(obj.get("complement", False))
-    except (TypeError, KeyError) as exc:
-        raise ValidationError(f"bad set literal: {exc}") from exc
-    return measurable(space, atoms, tails, complement)
+    """Read a set literal; a field or entry of the wrong shape raises ValidationError naming it."""
+    atoms = _entries("set literal", obj, "atoms", list, lambda i, a: int(a))
+    tails = _entries("set literal", obj, "tails", list, lambda i, t: (t["end"], int(t["after"])))
+    return measurable(space, atoms, tails, bool(obj.get("complement", False)))
+
+
+def _entries(what: str, obj: dict, name: str, kind: type, read) -> list:
+    """``read(key, entry)`` of each entry of the JSON array or object ``obj[name]``; a wrong shape raises, named."""
+    value = obj.get(name, kind())
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what}: {name} = {value!r} is not a JSON {'array' if kind is list else 'object'}")
+    out = []
+    for key, entry in value.items() if kind is dict else enumerate(value):
+        try:
+            out.append(read(key, entry))
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValidationError(f"{what}: bad entry {name}[{key!r}] = {entry!r}") from exc
+    return out
 
 
 @dataclass(frozen=True)
@@ -297,17 +308,13 @@ def to_vector(mu: FAMeasure) -> np.ndarray:
 
 
 def measure_from_json(space: StateSpace, obj: dict) -> FAMeasure:
-    try:
-        atoms = {int(k): float(v) for k, v in obj.get("atoms", {}).items()}
-        ends = {str(k): float(v) for k, v in obj.get("ends", {}).items()}
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ValidationError(f"bad measure literal: {exc}") from exc
+    """Read a measure literal; a wrong shape or a non-finite weight raises ValidationError naming the entry."""
+    atoms = dict(_entries("measure literal", obj, "atoms", dict, lambda k, w: (int(k), float(w))))
+    ends = dict(_entries("measure literal", obj, "ends", dict, lambda k, w: (str(k), float(w))))
     for field_name, weights in (("atoms", atoms), ("ends", ends)):
-        if not all(map(math.isfinite, weights.values())):
-            k, v = next((k, v) for k, v in weights.items() if not math.isfinite(v))
-            raise ValidationError(
-                f"measure literal: non-finite weight {v!r} at {field_name}[{k!r}]"
-            )
+        for k, v in weights.items():
+            if not math.isfinite(v):
+                raise ValidationError(f"measure literal: non-finite weight {v!r} at {field_name}[{k!r}]")
     return FAMeasure(space, atoms, ends)
 
 

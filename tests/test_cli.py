@@ -29,7 +29,7 @@ def test_analyze_report_contents(tmp_path: Path):
     out = tmp_path / "r.json"
     assert run_cli(["analyze", "--catalog", "drift_walk_N", "--n-max", "50", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 4
+    assert rep["schema"] == 5
     assert rep["conditions"]["star"]["holds"] is False
     assert rep["conditions"]["quasicompact"]["status"] == "inconsistent"
     assert rep["invariants"]["kinds"] == ["pfa"]
@@ -112,7 +112,7 @@ def test_over_cap_analyze_reports_the_other_sections(tmp_path: Path, capsys):
     out = tmp_path / "r.json"
     assert run_cli(["analyze", "--chain", str(big), "--n-max", "30", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 4
+    assert rep["schema"] == 5
     assert rep["tasks"] == ["conditions", "ergodic", "invariants"]
     assert rep["invariants"]["dimension"] == 1 and rep["ergodic"]["projector"]
     cond = rep["conditions"]
@@ -198,7 +198,7 @@ def test_entry_point_subprocess(tmp_path: Path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())["schema"] == 4
+    assert json.loads(out.read_text())["schema"] == 5
 
 
 @pytest.mark.parametrize("name", ["drift_walk_N", "two_absorbing"])

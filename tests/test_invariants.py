@@ -1,5 +1,7 @@
 """Invariant bases, end-charge detection, averaged sequences, escape profiles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,62 @@ def test_detect_ca_countable():
     assert mu.atoms[5] / mu.atoms[4] == pytest.approx(0.9, abs=1e-6)
     assert detect_ca_countable(drift_walk_N(1.0)) == []
     assert detect_ca_countable(symmetric_walk_Z()) == []
+
+
+def l1_to(mu: FAMeasure, law) -> float:
+    """l1 distance from mu to the law x -> law(x) on 0..2999, where both are negligible past."""
+    return math.fsum(abs(mu.atoms.get(x, 0.0) - law(x)) for x in range(3000))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_ca_of_restart_walk_is_its_geometric_law(alpha):
+    (mu,) = detect_ca_countable(restart_walk(alpha))
+    assert l1_to(mu, lambda x: alpha * (1 - alpha) ** x) <= 1e-9
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.40, 0.45, 0.48])
+def test_ca_of_positive_recurrent_drift_walk_is_its_geometric_law(p):
+    r = p / (1 - p)
+    (mu,) = detect_ca_countable(drift_walk_N(p))
+    # the truncation to 0..256 holds the law up to its mass past 256, r^257: twice that bounds the l1 gap
+    # (2.3e-9 at p = 0.48, under 1e-22 at p <= 0.45)
+    assert l1_to(mu, lambda x: (1 - r) * r**x) <= 1e-9 + 2 * r**257
+
+
+@pytest.mark.parametrize("kernel", [drift_walk_N(0.5), drift_walk_N(0.55), drift_walk_N(1.0), symmetric_walk_Z()])
+def test_null_recurrent_or_transient_walk_has_no_ca_invariant(kernel):
+    assert detect_ca_countable(kernel) == []
+
+
+def test_ca_of_inward_Z_walk_lies_in_the_truncation():
+    # a birth-death chain on Z: pi_n = (4/21)(3/7)^n for n >= 0, pi_-k = (4/21)(7/6)(2/3)^(k-1) for k >= 1
+    k = TransitionKernel.walk(
+        "Z", tails={END_POS: TailRow(relative={-1: 0.7, 1: 0.3}), END_NEG: TailRow(relative={1: 0.6, -1: 0.4})}
+    )
+    (mu,) = detect_ca_countable(k)
+    assert -128 <= min(mu.atoms) and max(mu.atoms) <= 128
+    law = {n: 4 / 21 * (3 / 7) ** n for n in range(200)}
+    law.update({-j: 4 / 21 * 7 / 6 * (2 / 3) ** (j - 1) for j in range(1, 200)})
+    assert math.fsum(abs(mu.atoms.get(x, 0.0) - w) for x, w in law.items()) <= 1e-9
+
+
+def test_ca_gives_one_law_per_certified_class():
+    # classes {0, 1} and {2}; the states past 2 drift off to +inf
+    k = TransitionKernel.walk(
+        "N", exceptions={0: {1: 1.0}, 1: {0: 1.0}, 2: {2: 1.0}}, tails={END_POS: TailRow(relative={1: 1.0})}
+    )
+    assert [mu.atoms for mu in detect_ca_countable(k)] == [{0: 0.5, 1: 0.5}, {2: 1.0}]
+
+
+def test_ca_detection_steps_no_window(monkeypatch):
+    from chargechain.invariants import _WindowEngine
+
+    def refuse(self, v):
+        raise AssertionError("CA detection stepped the window engine")
+
+    monkeypatch.setattr(_WindowEngine, "step", refuse)
+    assert len(detect_ca_countable(restart_walk(0.1))) == 1
+    assert len(detect_ca_countable(drift_walk_N(0.45))) == 1
 
 
 def test_invariant_existence_across_catalog():

@@ -230,6 +230,21 @@ OUT_OF_DOMAIN = {
         lambda rep: rep["conditions"]["alpha"][0].update(closed_set={"tails": [{"end": "+inf", "after": 3}]}),
         "conditions format (DomainError: ",
     ),
+    "alpha closed set with a tail pair": (
+        "two_absorbing",
+        lambda rep: rep["conditions"]["alpha"][0].update(closed_set={"tails": [["+inf", 3]]}),
+        "conditions format (ValidationError: set literal: bad entry tails[0] = ['+inf', 3])",
+    ),
+    "beta set with string atoms": (
+        "two_absorbing",
+        lambda rep: rep["conditions"]["beta"]["witnesses"][0].update(d1={"atoms": "ab"}),
+        "conditions format (ValidationError: set literal: atoms = 'ab' is not a JSON array)",
+    ),
+    "invariant with listed atoms": (
+        "two_absorbing",
+        lambda rep: rep["invariants"]["measures"].__setitem__(0, {"atoms": [[1, 0.5]], "ends": {}}),
+        "invariants format (ValidationError: measure literal: atoms = [[1, 0.5]] is not a JSON object)",
+    ),
 }
 
 
@@ -493,10 +508,10 @@ def test_other_schema_fails_on_one_item_and_is_not_read(tmp_path: Path, capsys):
     rep["ergodic"]["projector"] = {"rank": 2, "rows": {}}  # the section as schema 2 wrote it
     items = verify_report(rep)
     failed = [item for item in items if not item["ok"]]
-    assert failed == [{"check": "schema", "ok": False, "detail": "schema 2, expected 4"}]
+    assert failed == [{"check": "schema", "ok": False, "detail": "schema 2, expected 5"}]
     assert not any(item["check"].startswith("projector") for item in items)
     code, out = verify(tmp_path, rep, capsys)
-    assert code == 1 and "FAILED: schema (schema 2, expected 4)" in out
+    assert code == 1 and "FAILED: schema (schema 2, expected 5)" in out
     del rep["schema"]
     assert verify(tmp_path, rep, capsys)[0] == 1
 
