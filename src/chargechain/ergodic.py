@@ -128,8 +128,11 @@ def _hitting_times(kernel: TransitionKernel, states: tuple[int, ...], pi: FAMeas
     return dict(zip(rest, steps[:, 0].tolist()))
 
 
-def _max_row_tv(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).sum(axis=1).max())
+def _max_row_tv(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> float:
+    """max_x |a(x, ·) − b(x, ·)|₁, formed in ``out`` (which may be ``a``)."""
+    np.subtract(a, b, out=out)
+    np.abs(out, out=out)
+    return float(out.sum(axis=1).max())
 
 
 def distance_series(
@@ -142,10 +145,11 @@ def distance_series(
     if not kernel.space.is_finite:
         raise DomainError("operator distances need a finite chain")
     pi_mat = projector.matrix
+    buf = np.empty(pi_mat.shape)  # one scratch array for both reductions, C-ordered like the temporaries it replaces
     cesaro, raw = [], []
     for n, (cur, acc) in enumerate(itertools.islice(powers(kernel), n_max), start=1):
-        raw.append(_max_row_tv(cur, pi_mat))
-        cesaro.append(_max_row_tv(acc / n, pi_mat))
+        raw.append(_max_row_tv(cur, pi_mat, buf))
+        cesaro.append(_max_row_tv(np.divide(acc, n, out=buf), pi_mat, buf))
     return cesaro, raw
 
 

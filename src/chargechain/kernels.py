@@ -3,9 +3,10 @@
 Finite kernels are dense row-stochastic matrices, read-only once a kernel
 holds them; their sparse rows are materialized once per kernel, on first
 use, and ``row`` hands out copies (``successors`` reads the positive
-entries of the same table as a graph).  Countable kernels are
-"walks": finitely many exception rows plus one eventually-constant tail row
-per end, with bounded relative offsets.  ``TransitionKernel.radius`` bounds
+entries of the same table as a graph; ``kernel_to_spec`` writes it as the
+chain spec's ``rows``).  Countable kernels are "walks": finitely many
+exception rows plus one eventually-constant tail row per end, with bounded
+relative offsets.  ``TransitionKernel.radius`` bounds
 the fixed states: past it, every row is its end's tail row moved to x.  That
 structure keeps the action of A on end charges exact: an end charge keeps
 ``preserved_mass`` at its end, leaks ``to_finite`` into fixed states, and
@@ -87,6 +88,7 @@ class TransitionKernel:
     @staticmethod
     def finite(matrix, labels=None) -> "TransitionKernel":
         m = np.array(matrix, dtype=float)  # a copy: the caller's array stays theirs
+        m += 0.0  # -0.0 -> 0.0: the row table leaves zeros out, so a spec of its rows rebuilds m bit for bit
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"transition matrix must be square, got shape {m.shape}")
         n = m.shape[0]
@@ -362,9 +364,10 @@ def kernel_from_spec(obj: dict) -> TransitionKernel:
         raise ValidationError("chain spec must be a JSON object")
     kind = obj.get("kind")
     if kind == "finite":
-        if "matrix" not in obj:
-            raise ValidationError("finite chain spec needs a 'matrix' field")
-        return TransitionKernel.finite(obj["matrix"], labels=obj.get("labels"))
+        if ("rows" in obj) == ("matrix" in obj):
+            raise ValidationError("finite chain spec needs exactly one of a 'rows' and a 'matrix' field")
+        matrix = _matrix_from_rows(obj["rows"]) if "rows" in obj else obj["matrix"]
+        return TransitionKernel.finite(matrix, labels=obj.get("labels"))
     if kind == "walk":
         tails = {}
         for key, val in obj.items():
@@ -379,9 +382,35 @@ def kernel_from_spec(obj: dict) -> TransitionKernel:
     raise ValidationError(f"unknown chain kind {kind!r}")
 
 
+def _matrix_from_rows(rows) -> np.ndarray:
+    """The dense matrix of a "rows" spec: row x maps each column "y" to p(x, y); absent entries are 0."""
+    if not isinstance(rows, list):
+        raise ValidationError(f"rows = {rows!r} is not a JSON array")
+    n = len(rows)
+    m = np.zeros((n, n))
+    for x, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValidationError(f"rows[{x}] = {row!r} is not a JSON object")
+        for key, p in row.items():
+            try:
+                y = int(key)
+            except (TypeError, ValueError):
+                y = None
+            if y is None or str(y) != str(key):  # one spelling per column: "07" would alias "7"
+                raise ValidationError(f"rows[{x}]: column {key!r} is not an integer")
+            if not 0 <= y < n:
+                raise ValidationError(f"rows[{x}]: column {key!r} outside 0..{n - 1}")
+            try:
+                m[x, y] = p
+            except (TypeError, ValueError):
+                raise ValidationError(f"rows[{x}]: column {key!r} = {p!r} is not a number") from None
+    return m
+
+
 def kernel_to_spec(kernel: TransitionKernel) -> dict:
+    """The chain-spec JSON of a kernel; a finite one as its rows' nonzero entries."""
     if kernel.space.is_finite:
-        out = {"kind": "finite", "matrix": [[float(v) for v in row] for row in kernel.matrix]}
+        out = {"kind": "finite", "rows": [{str(y): p for y, p in row.items()} for row in kernel._finite_rows]}
         if kernel.space.labels is not None:
             out["labels"] = list(kernel.space.labels)
         return out

@@ -44,7 +44,7 @@ from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
 from .measures import dirac, evaluate, measurable, measure_from_json, set_from_json, to_vector
 from .ergodic import ErgodicRunResult, ergodic_run, fitted_rate
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 #: tolerance of the absorption rows' sums, and of the certified error max |H - H*| of the rows
 ABSORPTION_TOL = 1e-9
 #: tolerance of the certified error |Π_i - Π_i*|₁ of each stationary law

@@ -29,7 +29,7 @@ def test_analyze_report_contents(tmp_path: Path):
     out = tmp_path / "r.json"
     assert run_cli(["analyze", "--catalog", "drift_walk_N", "--n-max", "50", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 5
+    assert rep["schema"] == 6
     assert rep["conditions"]["star"]["holds"] is False
     assert rep["conditions"]["quasicompact"]["status"] == "inconsistent"
     assert rep["invariants"]["kinds"] == ["pfa"]
@@ -112,7 +112,7 @@ def test_over_cap_analyze_reports_the_other_sections(tmp_path: Path, capsys):
     out = tmp_path / "r.json"
     assert run_cli(["analyze", "--chain", str(big), "--n-max", "30", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 5
+    assert rep["schema"] == 6
     assert rep["tasks"] == ["conditions", "ergodic", "invariants"]
     assert rep["invariants"]["dimension"] == 1 and rep["ergodic"]["projector"]
     cond = rep["conditions"]
@@ -198,7 +198,7 @@ def test_entry_point_subprocess(tmp_path: Path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())["schema"] == 5
+    assert json.loads(out.read_text())["schema"] == 6
 
 
 @pytest.mark.parametrize("name", ["drift_walk_N", "two_absorbing"])
@@ -248,4 +248,29 @@ def test_walk_with_cross_end_tails_analyzes_and_verifies(tmp_path: Path, capsys)
     assert rep["conditions"]["star"]["evidence"]["invariant_charges"] == [charge]
     assert rep["escape"]["per_end_split"] == {"+inf": 0.5, "-inf": 0.5}
     capsys.readouterr()
+    assert run_cli(["verify-report", "--report", str(out)]) == 0
+
+
+def test_matrix_and_rows_chain_files_give_byte_identical_reports(tmp_path: Path):
+    k = birth_death(15, 0.3, 0.2)
+    spec = kernel_to_spec(k)
+    assert "rows" in spec and "matrix" not in spec
+    texts = []
+    for form, body in (("matrix", {"kind": "finite", "matrix": k.matrix.tolist()}), ("rows", spec)):
+        (tmp_path / form).mkdir()
+        chain = tmp_path / form / "chain.json"  # the same file name: the report records it
+        chain.write_text(json.dumps(body))
+        out = tmp_path / form / "r.json"
+        assert run_cli(["analyze", "--chain", str(chain), "--n-max", "40", "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["chain"]["spec"] == spec
+
+
+def test_birth_death_400_report_stays_under_one_megabyte(tmp_path: Path):
+    chain = tmp_path / "bd400.json"
+    chain.write_text(json.dumps(kernel_to_spec(birth_death(400, 0.3, 0.2))))
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--chain", str(chain), "--tasks", "invariants,ergodic", "--out", str(out)]) == 0
+    assert out.stat().st_size < 1_000_000
     assert run_cli(["verify-report", "--report", str(out)]) == 0

@@ -312,6 +312,22 @@ def test_distance_series_is_the_sequential_loop():
         assert cesaro == [float(np.abs(acc / n - pj.matrix).sum(axis=1).max()) for n, (_, acc) in enumerate(ref, 1)]
 
 
+def test_distance_series_keeps_the_bits_of_the_textbook_reduction():
+    from test_kernels import sequential_powers
+
+    rng = np.random.default_rng(41)
+    chains = [random_kernel(rng, n) for n in (1, 2, 7, 33, 90)]
+    chains += [birth_death(60, 0.3, 0.2), TransitionKernel.finite(np.asfortranarray(random_kernel(rng, 12).matrix))]
+    for k in chains:
+        pj = projector_finite(k)
+        cesaro, raw = distance_series(k, 50, pj)
+        ref = sequential_powers(k.matrix, 50)
+        assert [d.hex() for d in raw] == [float(np.abs(cur - pj.matrix).sum(axis=1).max()).hex() for cur, _ in ref]
+        assert [d.hex() for d in cesaro] == [
+            float(np.abs(acc / n - pj.matrix).sum(axis=1).max()).hex() for n, (_, acc) in enumerate(ref, 1)
+        ]
+
+
 def test_hitting_time_solve_rejects_a_singular_class():
     # the two states of one class swap only with a subnormal probability
     k = TransitionKernel.finite([[1.0, 1e-310], [1e-310, 1.0]])

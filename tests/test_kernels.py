@@ -1,5 +1,7 @@
 """Kernel core: validation, operator actions, powers, averaging, duality."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from chargechain import (
     apply_A,
     apply_T,
     birth_death,
+    catalog,
     cesaro_kernel,
     cesaro_sequence,
     dirac,
@@ -342,6 +345,77 @@ def test_spec_parse_rejects_bad_input():
         kernel_from_spec({"kind": "walk", "support": "N", "exceptions": {"0": {"one": 1.0}}, "tail_+inf": tail})
     with pytest.raises(ValidationError, match=r"bad tail row 'tail_\+inf'"):
         kernel_from_spec({"kind": "walk", "support": "N", "tail_+inf": {"relative": [1.0]}})
+
+
+def test_finite_spec_writes_the_nonzero_entries_of_each_row():
+    k = TransitionKernel.finite([[0.25, 0.0, 0.75], [0.0, 1.0, 0.0], [5e-324, 0.5, 0.5 - 5e-324]])
+    assert kernel_to_spec(k) == {
+        "kind": "finite",
+        "rows": [{"0": 0.25, "2": 0.75}, {"1": 1.0}, {"0": 5e-324, "1": 0.5, "2": 0.5 - 5e-324}],
+    }
+
+
+def spec_round_trips(k):
+    """The spec, also through JSON text, rebuilds k's matrix bit for bit, and reloading does not change it."""
+    spec = kernel_to_spec(k)
+    for back in (kernel_from_spec(spec), kernel_from_spec(json.loads(json.dumps(spec)))):
+        assert back.matrix.tobytes() == k.matrix.tobytes()
+        assert back.space == k.space
+        assert kernel_to_spec(back) == spec
+
+
+def test_finite_spec_rebuilds_the_matrix_bit_for_bit():
+    for m in table_matrices(seed=17, count=120):
+        spec_round_trips(TransitionKernel.finite(m))
+    finite = [catalog.build(name) for name in catalog.names()]
+    finite = [k for k in finite if k.space.is_finite]
+    assert len(finite) == 5
+    for k in finite:
+        spec_round_trips(k)
+
+
+def test_negative_zero_entry_reloads_to_the_same_bits():
+    k = TransitionKernel.finite([[1.0, -0.0], [0.5, 0.5]])
+    assert not np.signbit(k.matrix).any()
+    back = kernel_from_spec(json.loads(json.dumps(kernel_to_spec(k))))
+    assert back.matrix.tobytes() == k.matrix.tobytes()
+
+
+def test_matrix_and_rows_specs_give_the_same_kernel():
+    m = [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    rows = [{"0": 0.5, "1": 0.5}, {"2": 1.0}, {"0": 1.0}]
+    a = kernel_from_spec({"kind": "finite", "matrix": m, "labels": ["a", "b", "c"]})
+    b = kernel_from_spec({"kind": "finite", "rows": rows, "labels": ["a", "b", "c"]})
+    assert a.matrix.tobytes() == b.matrix.tobytes() and a.space == b.space
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ({"0": {"0": 1.0}}, r"rows = \{'0': \{'0': 1.0\}\} is not a JSON array"),
+        ([{"0": 1.0}, [0.5, 0.5]], r"rows\[1\] = \[0.5, 0.5\] is not a JSON object"),
+        ([{"0": 1.0}, {"0": 0.5, "5": 0.5}], r"rows\[1\]: column '5' outside 0..1"),
+        ([{"0": 1.0}, {"-1": 0.5, "0": 0.5}], r"rows\[1\]: column '-1' outside 0..1"),
+        ([{"a": 1.0}, {"1": 1.0}], r"rows\[0\]: column 'a' is not an integer"),
+        ([{"0": 1.0}, {"01": 1.0}], r"rows\[1\]: column '01' is not an integer"),
+        ([{"0": 1.0}, {"1.0": 1.0}], r"rows\[1\]: column '1.0' is not an integer"),
+        ([{"0": "x"}, {"1": 1.0}], r"rows\[0\]: column '0' = 'x' is not a number"),
+        ([{"0": [1.0]}, {"1": 1.0}], r"rows\[0\]: column '0' = \[1.0\] is not a number"),
+        ([{"0": 1.0}, {"0": 0.4, "1": 0.5}], r"row 1 sums to 0.9, expected 1"),
+        ([{"0": float("nan")}, {"1": 1.0}], r"row 0: non-finite probability at column 0"),
+        ([{"0": 1.2, "1": -0.2}, {"1": 1.0}], r"row 0: negative probability at column 1"),
+        ([], r"finite space needs size >= 1, got 0"),
+    ],
+)
+def test_malformed_rows_are_rejected_by_name(rows, message):
+    with pytest.raises(ValidationError, match=message):
+        kernel_from_spec({"kind": "finite", "rows": rows})
+
+
+def test_finite_spec_takes_exactly_one_form():
+    for spec in ({"kind": "finite"}, {"kind": "finite", "matrix": [[1.0]], "rows": [{"0": 1.0}]}):
+        with pytest.raises(ValidationError, match="exactly one of a 'rows' and a 'matrix' field"):
+            kernel_from_spec(spec)
 
 
 def test_prob_against_tail_sets():

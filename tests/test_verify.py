@@ -508,10 +508,10 @@ def test_other_schema_fails_on_one_item_and_is_not_read(tmp_path: Path, capsys):
     rep["ergodic"]["projector"] = {"rank": 2, "rows": {}}  # the section as schema 2 wrote it
     items = verify_report(rep)
     failed = [item for item in items if not item["ok"]]
-    assert failed == [{"check": "schema", "ok": False, "detail": "schema 2, expected 5"}]
+    assert failed == [{"check": "schema", "ok": False, "detail": "schema 2, expected 6"}]
     assert not any(item["check"].startswith("projector") for item in items)
     code, out = verify(tmp_path, rep, capsys)
-    assert code == 1 and "FAILED: schema (schema 2, expected 5)" in out
+    assert code == 1 and "FAILED: schema (schema 2, expected 6)" in out
     del rep["schema"]
     assert verify(tmp_path, rep, capsys)[0] == 1
 
