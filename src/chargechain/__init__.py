@@ -53,7 +53,6 @@ from .ergodic import (
     ErgodicRunResult,
     Projector,
     RateFit,
-    char_poly_second_modulus,
     distance_series,
     ergodic_run,
     projector_finite,
@@ -95,18 +94,17 @@ from .measures import (
     END_NEG,
     END_POS,
     BoundedFunction,
-    End,
     FAMeasure,
     MeasurableSet,
     StateSpace,
     dirac,
     end_charge,
+    end_direction,
     evaluate,
     from_vector,
     is_disjoint,
     jordan_decompose,
     lattice_inf,
-    lattice_inf_oracle,
     lattice_sup,
     measurable,
     measure_from_json,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, NumericalError, PreconditionError
+from .errors import DomainError, NumericalError, PreconditionError
 from .invariants import ChainClass, InvariantBasis, eliminate, recurrent_classes, states_outside, stationary_of_class
 from .kernels import TransitionKernel, powers
 from .measures import FAMeasure, to_vector
@@ -228,45 +228,3 @@ def rate_fit(distances) -> RateFit:
     if resid_geo <= resid_pow and slope < 0.0 and slope + 2.0 * se < 0.0:
         return RateFit("geometric", ratio=math.exp(slope))
     return RateFit("subgeometric")
-
-
-def char_poly_second_modulus(matrix) -> float:
-    """Second-largest eigenvalue modulus via explicit characteristic polynomial.
-
-    Independent of the iteration/regression path being checked; the
-    coefficients come from a permutation expansion of det(tI - P), so this
-    stays exact-by-construction up to root finding.  Capped at 4 states.
-    """
-    p = np.asarray(matrix, dtype=float)
-    n = p.shape[0]
-    if n > 4:
-        raise CapacityError("characteristic-polynomial route capped at 4 states")
-    coeffs = np.zeros(n + 1)
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        poly = np.array([1.0])
-        for i in range(n):
-            j = perm[i]
-            entry = np.array([-p[i, j], 1.0]) if i == j else np.array([-p[i, j]])
-            poly = np.convolve(poly, entry)
-        coeffs[: poly.size] += sign * poly
-    roots = np.roots(coeffs[::-1])
-    mods = sorted((abs(complex(r)) for r in roots), reverse=True)
-    return float(mods[1]) if len(mods) > 1 else 0.0
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

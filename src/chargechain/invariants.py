@@ -5,9 +5,10 @@ per recurrent class, by subtraction-free state reduction (GTH).  Countable walks
 handled within the representable class: invariant end charges come from
 the tail rows' action on them, and countably additive invariants (those
 with effectively finite support) are the GTH laws of the walk's reflecting
-truncation that its invariance residual certifies.  Averaged sequences and
-escape profiles evolve atomic mass on a truncation window, one step being a
-``bincount`` over the kernel's window table, with the overflow in end buckets.
+truncation that its invariance residual certifies.  Averaged sequences
+iterate ``apply_A``, on every chain.  Escape profiles evolve atomic mass on
+a truncation window, one step being a ``bincount`` over the kernel's window
+table, with the overflow in end buckets.
 """
 
 from __future__ import annotations
@@ -20,15 +21,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, StructureError, ValidationError
 from .kernels import TransitionKernel, apply_A, successors, truncate_reflecting, window_table
-from .measures import (
-    END_NEG,
-    END_POS,
-    FAMeasure,
-    MeasurableSet,
-    is_disjoint,
-    singularity_witness,
-    yosida_hewitt,
-)
+from .measures import FAMeasure, MeasurableSet, end_direction, singularity_witness, yosida_hewitt
 
 INVARIANCE_TOL = 1e-10
 
@@ -204,11 +197,8 @@ def _assemble_basis(measures: list[FAMeasure], kinds: list[str], classes=()) -> 
     pairwise = []
     for i in range(len(measures)):
         for j in range(i + 1, len(measures)):
-            disjoint = is_disjoint(measures[i], measures[j])
-            wit = singularity_witness(measures[i], measures[j]) if disjoint else None
-            pairwise.append(
-                PairCertificate(i, j, disjoint, wit is not None, wit)
-            )
+            wit = singularity_witness(measures[i], measures[j])  # the measures are nonnegative
+            pairwise.append(PairCertificate(i, j, wit is not None, wit is not None, wit))
     return InvariantBasis(measures, kinds, len(measures), pairwise, list(classes))
 
 
@@ -302,53 +292,19 @@ def classify_invariant(kernel: TransitionKernel, mu: FAMeasure) -> Classificatio
     return Classification("simple")
 
 
-def cesaro_sequence(
-    kernel: TransitionKernel,
-    mu0: FAMeasure,
-    n: int,
-    window: int | None = None,
-) -> list[FAMeasure]:
-    """Running averages (A mu0 + ... + A^k mu0) / k for k = 1..n.
-
-    On countable chains the atomic part evolves on a window; when no window
-    is given one wide enough to be exact for n steps is chosen (offsets are
-    bounded; it covers every start atom and the kernel's ``radius``).
-    Giving a window engages truncation: overflow, end leaks included, is
-    routed irreversibly to the adjacent end bucket.
-    """
+def cesaro_sequence(kernel: TransitionKernel, mu0: FAMeasure, n: int) -> list[FAMeasure]:
+    """Running averages (A mu0 + ... + A^k mu0) / k for k = 1..n, by ``apply_A``, exact on walks too."""
     if not mu0.is_probability():
         raise PreconditionError("averaging starts from a probability measure")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    if kernel.space.is_finite:
-        out = []
-        cur = mu0
-        acc = FAMeasure(kernel.space)
-        for k in range(1, n + 1):
-            cur = apply_A(kernel, cur)
-            acc = acc + cur
-            out.append(acc * (1.0 / k))
-        return out
-    if window is None:
-        window = max([kernel.radius(), *map(abs, mu0.atoms)]) + kernel.reach() * n + 1
-    engine = _WindowEngine(kernel, window)
-    v = engine.load_atoms(mu0)
-    ends = mu0.ends
-    acc_v = np.zeros_like(v)
-    acc_ends = {e: 0.0 for e in kernel.space.end_ids()}
     out = []
+    cur = mu0
+    acc = FAMeasure(kernel.space)
     for k in range(1, n + 1):
-        moved = apply_A(kernel, FAMeasure(kernel.space, ends=ends))  # end mass and its leaks
-        v = engine.step(v)
-        for y, w in moved.atoms.items():
-            v[engine.cell(y)] += w
-        ends = moved.ends
-        acc_v += v
-        for e in acc_ends:
-            acc_ends[e] += ends.get(e, 0.0) + float(v[engine.bucket[e]])
-        out.append(
-            FAMeasure(kernel.space, engine.atoms(acc_v / k), {e: w / k for e, w in acc_ends.items()})
-        )
+        cur = apply_A(kernel, cur)
+        acc = acc + cur
+        out.append(acc * (1.0 / k))
     return out
 
 
@@ -410,7 +366,7 @@ def escape_profile(
 # -- truncated window engine --------------------------------------------------------
 
 class _WindowEngine:
-    """Atomic mass on the window lo..hi, stepped with the kernel's window table (escape, averaging).
+    """Atomic mass on the window lo..hi, stepped with the kernel's window table (escape).
 
     A vector has length + 2 cells: state x sits in cell x - lo + 1, and cells
     0 and length + 1 are the end buckets of -inf and +inf.  A step clips each
@@ -427,16 +383,11 @@ class _WindowEngine:
         sources, targets, self._probs = window_table(kernel, self.lo, self.hi)
         self._sources = self.cell(sources)
         self._cells = self.cell(targets)
-        self.bucket = {e: 0 if e == END_NEG else self.length + 1 for e in kernel.space.end_ids()}
+        self.bucket = {e: 0 if end_direction(e) < 0 else self.length + 1 for e in kernel.space.end_ids()}
 
     def cell(self, x):
         """Cell of a state (or an array of states); states past the window map to a bucket."""
         return np.clip(x, self.lo - 1, self.hi + 1) - self.lo + 1
-
-    def atoms(self, v: np.ndarray) -> dict[int, float]:
-        """The nonzero window cells of v, by state."""
-        inner = v[1:-1]
-        return {self.lo + i: float(inner[i]) for i in np.flatnonzero(inner).tolist()}
 
     def load_atoms(self, mu: FAMeasure) -> np.ndarray:
         v = np.zeros(self.length + 2)

@@ -16,9 +16,9 @@ Rows are countably additive by construction.  A tail row realizes its
 cross-end mass as the mirror jump x -> -x, which carries mass deep toward
 one end as deep toward the other, as A does on end charges, and keeps a
 symmetric window closed under it.
-``window_table`` flattens the rows of a window of states into arrays; every
-walk evolution on a window (escape, averaging) and the reflecting
-truncation ``truncate_reflecting`` read their one-step law from it.
+``window_table`` flattens the rows of a window of states into arrays; the
+escape profile's window evolution and the reflecting truncation
+``truncate_reflecting`` read their one-step law from it.
 """
 
 from __future__ import annotations
@@ -87,7 +87,10 @@ class TransitionKernel:
 
     @staticmethod
     def finite(matrix, labels=None) -> "TransitionKernel":
-        m = np.array(matrix, dtype=float)  # a copy: the caller's array stays theirs
+        try:
+            m = np.array(matrix, dtype=float)  # a copy: the caller's array stays theirs
+        except (TypeError, ValueError) as exc:  # ragged rows, or an entry that is no number
+            raise ValidationError(f"transition matrix is not a square array of numbers: {exc}") from None
         m += 0.0  # -0.0 -> 0.0: the row table leaves zeros out, so a spec of its rows rebuilds m bit for bit
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"transition matrix must be square, got shape {m.shape}")

@@ -1,11 +1,11 @@
 """Finitely additive signed measures over finite or countable state spaces.
 
 States are integers.  A finite space is ``{0, ..., n-1}``; a countable space
-is the half-line ``N = {0, 1, 2, ...}`` or the integer line ``Z``, with one
-declared *end* per unbounded direction.  A measure carries a sparse atomic
-part (state -> weight) plus one bucket weight per end; an end bucket stands
-for a purely finitely additive unit charge concentrated along that
-direction, coarsened to a single degree of freedom.
+is the half-line ``N = {0, 1, 2, ...}`` or the integer line ``Z``, whose
+support gives one *end* per unbounded direction.  A measure carries a
+sparse atomic part (state -> weight) plus one bucket weight per end; an end
+bucket stands for a purely finitely additive unit charge concentrated along
+that direction, coarsened to a single degree of freedom.
 
 Measurable sets are drawn from the finite/co-tail algebra: finite sets of
 atoms, end tails ``{x beyond m}``, unions of both, and complements.  Within
@@ -21,30 +21,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, PreconditionError, ValidationError
+from .errors import DomainError, PreconditionError, ValidationError
 
 END_POS = "+inf"
 END_NEG = "-inf"
 
-#: exact subset enumeration is capped at this many states
-ORACLE_STATE_CAP = 20
-
-
-@dataclass(frozen=True)
-class End:
-    """A coarse direction to infinity carrying pure-charge mass."""
-
-    ident: str
-    direction: int  # +1 or -1
+_ENDS = {None: (), "N": (END_POS,), "Z": (END_POS, END_NEG)}
 
 
 @dataclass(frozen=True)
 class StateSpace:
-    kind: str  # "finite" | "countable"
+    """The finite space 0..size-1 (no ``support``), or N or Z with the ends their support gives."""
+
     size: int = 0
     labels: tuple[str, ...] | None = None
     support: str | None = None  # "N" | "Z"
-    ends: tuple[End, ...] = ()
 
     @staticmethod
     def finite(size: int, labels=None) -> "StateSpace":
@@ -54,33 +45,26 @@ class StateSpace:
             labels = tuple(labels)
             if len(labels) != size:
                 raise ValidationError(f"{len(labels)} labels for {size} states")
-        return StateSpace(kind="finite", size=size, labels=labels)
+        return StateSpace(size=size, labels=labels)
 
     @staticmethod
     def half_line() -> "StateSpace":
-        return StateSpace(kind="countable", support="N", ends=(End(END_POS, +1),))
+        return StateSpace(support="N")
 
     @staticmethod
     def integer_line() -> "StateSpace":
-        return StateSpace(
-            kind="countable", support="Z", ends=(End(END_POS, +1), End(END_NEG, -1))
-        )
+        return StateSpace(support="Z")
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == "finite"
+        return self.support is None
 
     def end_ids(self) -> tuple[str, ...]:
-        return tuple(e.ident for e in self.ends)
+        """``("+inf",)`` on N, ``("+inf", "-inf")`` on Z, none on a finite space."""
+        return _ENDS[self.support]
 
     def has_end(self, ident: str) -> bool:
-        return any(e.ident == ident for e in self.ends)
-
-    def end(self, ident: str) -> End:
-        for e in self.ends:
-            if e.ident == ident:
-                return e
-        raise DomainError(f"unknown end {ident!r} on this space")
+        return ident in self.end_ids()
 
     def contains_state(self, x: int) -> bool:
         if self.is_finite:
@@ -89,10 +73,14 @@ class StateSpace:
             return x >= 0
         return True
 
-    def states(self):
-        if not self.is_finite:
-            raise DomainError("cannot enumerate a countable space")
-        return range(self.size)
+
+def end_direction(ident: str) -> int:
+    """+1 for the end +inf, -1 for -inf."""
+    if ident == END_POS:
+        return 1
+    if ident == END_NEG:
+        return -1
+    raise DomainError(f"unknown end {ident!r}")
 
 
 def _check_states(space: StateSpace, states, what: str) -> None:
@@ -130,8 +118,7 @@ class MeasurableSet:
         return inner != self.complemented
 
     def _tail_has(self, ident: str, m: int, x: int) -> bool:
-        d = self.space.end(ident).direction
-        return x > m if d > 0 else x < m
+        return x > m if end_direction(ident) > 0 else x < m
 
     def complement(self) -> "MeasurableSet":
         return MeasurableSet(self.space, self.atoms, self.tails, not self.complemented)
@@ -154,7 +141,7 @@ def measurable(space: StateSpace, atoms=(), tails=(), complement: bool = False) 
     for e, m in tails:
         if not space.has_end(e):
             raise DomainError(f"measurable set references unknown end {e!r}")
-        d = space.end(e).direction
+        d = end_direction(e)
         m = int(m)
         if e not in best:
             best[e] = m
@@ -163,7 +150,7 @@ def measurable(space: StateSpace, atoms=(), tails=(), complement: bool = False) 
             best[e] = min(best[e], m) if d > 0 else max(best[e], m)
     kept = frozenset(best.items())
     for e, m in kept:
-        d = space.end(e).direction
+        d = end_direction(e)
         atoms = {a for a in atoms if not (a > m if d > 0 else a < m)}
     return MeasurableSet(space, frozenset(atoms), kept, complement)
 
@@ -450,28 +437,6 @@ def lattice_sup(mu1: FAMeasure, mu2: FAMeasure) -> FAMeasure:
     return mu1 + mu2 - lattice_inf(mu1, mu2)
 
 
-def lattice_inf_oracle(mu1: FAMeasure, mu2: FAMeasure, ev_set: MeasurableSet) -> float:
-    """Brute-force value of the infimum on a set: min over C of mu1(C) + mu2(E \\ C).
-
-    Exact enumeration over every subset C of E; independent of the closed
-    form above.  Finite spaces only, capped at ORACLE_STATE_CAP states.
-    """
-    _same_space(mu1, mu2)
-    if not mu1.space.is_finite:
-        raise CapacityError("subset oracle needs a finite space")
-    n = mu1.space.size
-    if n > ORACLE_STATE_CAP:
-        raise CapacityError(f"subset oracle capped at {ORACLE_STATE_CAP} states, got {n}")
-    members = [x for x in range(n) if ev_set.covers_state(x)]
-    k = len(members)
-    w1 = np.array([mu1.atoms.get(x, 0.0) for x in members])
-    w2 = np.array([mu2.atoms.get(x, 0.0) for x in members])
-    s1 = _subset_sums(w1)
-    s2 = _subset_sums(w2)
-    # complement of submask i within E sits at index (2^k - 1) - i
-    return float(np.min(s1 + s2[::-1])) if k else 0.0
-
-
 def _subset_sums(weights: np.ndarray) -> np.ndarray:
     """Sums over all subsets, indexed by bitmask (doubling construction)."""
     n = weights.size
@@ -506,10 +471,7 @@ def singularity_witness(
     lo = min(all_atoms, default=0)
 
     def support(mu: FAMeasure) -> MeasurableSet:
-        tails = []
-        for e in mu.ends:
-            d = space.end(e).direction
-            tails.append((e, hi if d > 0 else lo))
+        tails = [(e, hi if end_direction(e) > 0 else lo) for e in mu.ends]
         return measurable(space, atoms=set(mu.atoms), tails=tails)
 
     return support(mu1), support(mu2)

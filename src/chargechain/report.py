@@ -41,7 +41,7 @@ from .invariants import (
     stationary_of_class,
 )
 from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
-from .measures import dirac, evaluate, measurable, measure_from_json, set_from_json, to_vector
+from .measures import dirac, end_direction, evaluate, is_disjoint, measurable, measure_from_json, set_from_json, to_vector
 from .ergodic import ErgodicRunResult, ergodic_run, fitted_rate
 
 SCHEMA_VERSION = 6
@@ -334,7 +334,8 @@ def verify_report(report: dict) -> list[dict]:
 
 
 def _verify_invariants(kernel: TransitionKernel, classes, laws, inv: dict, record) -> None:
-    """Check each measure's invariance and singularity witnesses, and that ``dimension`` and
+    """Check each measure's invariance, each pair's singularity witnesses against its ``disjoint`` and
+    ``singular`` flags (both true with witnesses, both false without), and that ``dimension`` and
     ``kinds`` describe the measures.  On a finite chain, also check that the basis is one "ca"
     measure per class of ``classes``, in class order, each its class's law in ``laws``."""
     space = kernel.space
@@ -348,15 +349,22 @@ def _verify_invariants(kernel: TransitionKernel, classes, laws, inv: dict, recor
         )
         record(f"invariant[{idx}] probability", mu.is_probability())
     for cert in inv.get("pairwise", []):
-        if "witnesses" not in cert:
-            continue
         i, j = cert["i"], cert["j"]
+        flags = (cert["disjoint"], cert["singular"])
+        if "witnesses" not in cert:  # a pair that claims neither flag must not be disjoint
+            ok = flags == (False, False) and not is_disjoint(measures[i], measures[j])
+            record(f"singularity witness ({i},{j})", ok, f"disjoint {flags[0]}, singular {flags[1]}, no witnesses")
+            continue
         d1 = set_from_json(space, cert["witnesses"][0])
         d2 = set_from_json(space, cert["witnesses"][1])
         full1 = abs(evaluate(measures[i], d1) - measures[i].total()) <= 1e-9
         full2 = abs(evaluate(measures[j], d2) - measures[j].total()) <= 1e-9
-        sep = _sets_disjoint(space, d1, d2)
-        record(f"singularity witness ({i},{j})", full1 and full2 and sep)
+        claimed = flags == (True, True)
+        record(
+            f"singularity witness ({i},{j})",
+            claimed and full1 and full2 and _sets_disjoint(d1, d2),
+            "" if claimed else f"disjoint {flags[0]}, singular {flags[1]}, with witnesses",
+        )
     dimension, kinds = inv["dimension"], inv["kinds"]
     if classes is None:
         # a kind is read off its measure: atoms only or ends only; one with both, or neither, has none
@@ -449,7 +457,7 @@ def _verify_conditions(kernel: TransitionKernel, classes, cond: dict, record) ->
     for w in cond.get("beta", {}).get("witnesses", []):
         d1 = set_from_json(space, w["d1"])
         d2 = set_from_json(space, w["d2"])
-        record(f"beta witness ({w['i']},{w['j']})", _sets_disjoint(space, d1, d2))
+        record(f"beta witness ({w['i']},{w['j']})", _sets_disjoint(d1, d2))
     for charge_json in cond.get("star", {}).get("evidence", {}).get("invariant_charges", []):
         charge = measure_from_json(space, charge_json)
         res = invariance_residual(kernel, charge)
@@ -619,7 +627,7 @@ def _verify_rate(run, mode: str, record) -> None:
     record(f"{mode} rate fit", same, f"refit {json.dumps(refit, sort_keys=True)}")
 
 
-def _sets_disjoint(space, a, b) -> bool:
+def _sets_disjoint(a, b) -> bool:
     """Disjointness inside the finite/co-tail algebra (no complements expected)."""
     if a.complemented or b.complemented:
         return False
@@ -635,9 +643,8 @@ def _sets_disjoint(space, a, b) -> bool:
                 return False
     for e1, m1 in a.tails:
         for e2, m2 in b.tails:
-            d1 = space.end(e1).direction
-            d2 = space.end(e2).direction
-            if d1 == d2:
+            d1 = end_direction(e1)
+            if d1 == end_direction(e2):
                 return False
             hi, lo = (m1, m2) if d1 > 0 else (m2, m1)
             if lo > hi + 1:

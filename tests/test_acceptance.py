@@ -19,7 +19,6 @@ from chargechain import (
     StateSpace,
     TailRow,
     TransitionKernel,
-    char_poly_second_modulus,
     check_beta,
     check_doeblin,
     check_star,
@@ -39,7 +38,6 @@ from chargechain import (
     invariance_residual,
     check_alpha,
     lattice_inf,
-    lattice_inf_oracle,
     lemma_sup_dirac_residual,
     measurable,
     projector_finite,
@@ -54,6 +52,7 @@ from chargechain import (
 from chargechain.catalog import entry, names
 from chargechain.cli import main as cli_main
 from chargechain.report import AnalysisRequest, report_json, run_analysis, verify_report
+from oracles import char_poly_second_modulus, lattice_inf_oracle
 
 SUITE_T0 = time.time()
 

@@ -77,6 +77,27 @@ def test_malformed_chain_exits_2(tmp_path: Path):
     assert run_cli(["analyze", "--chain", str(bad), "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "matrix, problem",
+    [([[1.0], [0.5, 0.5]], "inhomogeneous shape"), ([["x", 1.0], [0.5, 0.5]], "could not convert string to float: 'x'")],
+    ids=["ragged rows", "entry not a number"],
+)
+def test_malformed_dense_matrix_exits_2_with_a_named_error(tmp_path: Path, capsys, matrix, problem):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "finite", "matrix": matrix}))
+    assert run_cli(["analyze", "--chain", str(bad), "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: transition matrix is not a square array of numbers: ") and problem in err
+    out = tmp_path / "r.json"
+    assert run_cli(["analyze", "--catalog", "swap2", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    rep["chain"]["spec"] = {"kind": "finite", "matrix": matrix}
+    out.write_text(json.dumps(rep))
+    capsys.readouterr()
+    assert run_cli(["verify-report", "--report", str(out)]) == 2
+    assert problem in capsys.readouterr().err
+
+
 def test_non_finite_chain_exits_2(tmp_path: Path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "finite", "matrix": [[float("nan"), 1.0], [0.5, 0.5]]}))

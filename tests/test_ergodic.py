@@ -15,7 +15,6 @@ from chargechain import (
     TransitionKernel,
     birth_death,
     cesaro_kernel,
-    char_poly_second_modulus,
     cycle,
     distance_series,
     ergodic_run,
@@ -29,6 +28,7 @@ from chargechain import (
     swap2,
     two_absorbing,
 )
+from oracles import char_poly_second_modulus
 
 TOL = 1e-12
 RES_TOL = 1e-10

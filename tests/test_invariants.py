@@ -237,15 +237,6 @@ def test_cesaro_sequence_drift_window_mass():
         assert evaluate(lam, k5) == pytest.approx(min(n, 5) / n, abs=1e-12)
 
 
-def test_cesaro_sequence_truncation_routes_overflow():
-    dw = drift_walk_N(1.0)
-    seq = cesaro_sequence(dw, dirac(dw.space, 0), 12, window=4)
-    lam = seq[-1]
-    # mass beyond the window accumulated at the end bucket
-    assert lam.ends[END_POS] > 0.0
-    assert lam.is_probability()
-
-
 def test_cesaro_sequence_keeps_end_leaks_to_fixed_targets():
     tail = TailRow(relative={1: 0.5}, to_finite={50: 0.5})
     k = TransitionKernel.walk("N", tails={END_POS: tail})
@@ -257,9 +248,6 @@ def test_cesaro_sequence_keeps_end_leaks_to_fixed_targets():
         acc = acc + cur
         assert lam.is_probability()
         assert (lam - acc * (1.0 / n)).total_variation() <= 1e-12
-    # under a window that misses state 50 the leak is overflow: it lands in the +inf bucket
-    for lam in cesaro_sequence(k, start, 5, window=10):
-        assert lam.is_probability() and lam.ends == {END_POS: 1.0} and not lam.atoms
 
 
 def test_escape_profile_drift_exact():
@@ -334,5 +322,5 @@ def test_window_engine_matches_direct_application():
     mu = FAMeasure(k.space, atoms=atoms)
     stepped = engine.step(engine.load_atoms(mu))
     assert stepped[0] == stepped[-1] == 0.0  # nothing near the boundary yet
-    got = FAMeasure(k.space, atoms=engine.atoms(stepped))
+    got = FAMeasure(k.space, atoms={x: float(stepped[engine.cell(x)]) for x in range(engine.lo, engine.hi + 1)})
     assert (got - apply_A(k, mu)).total_variation() <= 1e-15

@@ -36,6 +36,7 @@ from chargechain import (
     truncate_reflecting,
     two_absorbing,
 )
+from test_window import seeded_walks
 
 TOL = 1e-12
 
@@ -251,12 +252,22 @@ FAR_TARGETS = {
 }
 
 
-def test_cesaro_default_window_covers_exception_targets():
+def test_cesaro_sequence_is_the_apply_A_running_mean_on_walks():
     k = kernel_from_spec(FAR_TARGETS)
     assert k.radius() == 6
-    for start in (dirac(k.space, 0), dirac(k.space, 3), end_charge(k.space, END_NEG)):
-        exact, wide = cesaro_sequence(k, start, 8), cesaro_sequence(k, start, 8, window=200)
-        assert [(a.atoms, a.ends) for a in exact] == [(b.atoms, b.ends) for b in wide]
+    walks = [k, *seeded_walks(5, 24)]
+    assert {w.space.support for w in walks} == {"N", "Z"}
+    for kernel in walks:
+        space = kernel.space
+        for start in (dirac(space, 0), dirac(space, 3), *(end_charge(space, e) for e in space.end_ids())):
+            cur, acc, expected = start, FAMeasure(space), []
+            for n in range(1, 9):
+                cur = apply_A(kernel, cur)
+                acc = acc + cur
+                expected.append(acc * (1.0 / n))
+            got = cesaro_sequence(kernel, start, 8)
+            assert [(a.atoms, a.ends) for a in got] == [(b.atoms, b.ends) for b in expected]
+            assert all(lam.is_probability() for lam in got)
 
 
 def test_duality_holds_across_ends():

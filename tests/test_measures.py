@@ -15,12 +15,12 @@ from chargechain import (
     ValidationError,
     dirac,
     end_charge,
+    end_direction,
     evaluate,
     from_vector,
     is_disjoint,
     jordan_decompose,
     lattice_inf,
-    lattice_inf_oracle,
     lattice_sup,
     measurable,
     measure_from_json,
@@ -29,6 +29,7 @@ from chargechain import (
     singularity_witness,
     yosida_hewitt,
 )
+from oracles import lattice_inf_oracle
 
 TOL = 1e-12
 
@@ -63,6 +64,20 @@ def test_complement_evaluation():
     # complement of a co-tail set keeps the charge out
     tail = measurable(space, tails=[(END_POS, 10)])
     assert evaluate(mu, tail.complement()) == pytest.approx(0.5, abs=TOL)
+
+
+def test_state_space_derives_its_ends_from_its_support():
+    finite, half, line = StateSpace.finite(3), StateSpace.half_line(), StateSpace.integer_line()
+    assert (finite.end_ids(), half.end_ids(), line.end_ids()) == ((), ("+inf",), ("+inf", "-inf"))
+    assert (finite.is_finite, half.is_finite, line.is_finite) == (True, False, False)
+    assert [line.has_end(e) for e in (END_POS, END_NEG, "0")] == [True, True, False]
+    assert [half.has_end(e) for e in (END_POS, END_NEG)] == [True, False]
+    assert not finite.has_end(END_POS)
+    assert StateSpace.half_line() == half and StateSpace.integer_line() == line != half
+    assert StateSpace.finite(3) == finite != StateSpace.finite(3, labels="abc")
+    assert (end_direction(END_POS), end_direction(END_NEG)) == (1, -1)
+    with pytest.raises(DomainError):
+        end_direction("0")
 
 
 def test_unknown_end_rejected():

@@ -135,6 +135,36 @@ MALFORMED = {
 }
 
 
+def drop_witnesses(flags):
+    def edit(rep):
+        pair = rep["invariants"]["pairwise"][0]
+        del pair["witnesses"]
+        pair.update(flags)
+
+    return edit
+
+
+PAIR_FLAGS = {
+    "singular false": set_pairwise("singular", False),
+    "disjoint false": set_pairwise("disjoint", False),
+    "witnesses deleted": drop_witnesses({}),
+    # the classes' laws are disjoint, so a pair that claims neither flag is false too
+    "witnesses deleted, both flags false": drop_witnesses({"disjoint": False, "singular": False}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_FLAGS))
+def test_pair_flags_must_match_their_witnesses(tmp_path: Path, capsys, case):
+    rep = two_absorbing_report(tmp_path)
+    pair = rep["invariants"]["pairwise"][0]
+    assert (pair["i"], pair["j"], pair["disjoint"], pair["singular"]) == (0, 1, True, True) and "witnesses" in pair
+    PAIR_FLAGS[case](rep)
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAILED")]
+    assert line.startswith("FAILED: singularity witness (0,1) (disjoint ")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_section_fails_an_item(tmp_path: Path, capsys, case):
     edit, failed = MALFORMED[case]
