@@ -63,7 +63,6 @@ from .invariants import (
     Classification,
     EscapeProfile,
     InvariantBasis,
-    PairCertificate,
     cesaro_sequence,
     classify_invariant,
     detect_ca_countable,

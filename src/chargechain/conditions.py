@@ -31,6 +31,7 @@ from .measures import (
     MeasurableSet,
     _subset_sums,
     measurable,
+    singularity_witness,
     to_vector,
 )
 
@@ -277,15 +278,11 @@ class BetaOutcome:
 
 
 def check_beta(basis: InvariantBasis) -> BetaOutcome:
-    """(beta): the basis measures are pairwise singular, with witness sets."""
-    witnesses = []
-    holds = True
-    for cert in basis.pairwise:
-        if cert.singular and cert.witnesses is not None:
-            witnesses.append((cert.i, cert.j, cert.witnesses[0], cert.witnesses[1]))
-        else:
-            holds = False
-    return BetaOutcome(holds, witnesses)
+    """(beta): the basis measures are pairwise singular; witness sets of each singular pair i < j, in order."""
+    ms = basis.measures
+    pairs = [(i, j, singularity_witness(ms[i], ms[j])) for i in range(len(ms)) for j in range(i + 1, len(ms))]
+    witnesses = [(i, j, *wit) for i, j, wit in pairs if wit is not None]  # the basis measures are nonnegative
+    return BetaOutcome(len(witnesses) == len(pairs), witnesses)
 
 
 def lemma_sup_dirac_residual(

@@ -24,6 +24,8 @@ from .measures import FAMeasure, to_vector
 
 #: distances at or below this are round-off and stay out of a rate fit
 RATE_FLOOR = 1e-12
+#: a fit whose total log decay is at most this many times its largest residual has seen no decay
+RATE_DECAY_RESIDUALS = 2.0
 
 
 @dataclass(frozen=True)
@@ -202,6 +204,9 @@ def rate_fit(distances) -> RateFit:
     rest is round-off); a leading zero stretch is tolerated.  A sequence that
     reaches zero and stays there (a trailing zero run of at least a quarter of
     the data) is finite_exact, with the first (1-based) index of that run.
+    A tail that has not moved, its fitted log decay |slope|·(n_last − n_first)
+    at most ``RATE_DECAY_RESIDUALS`` times the fit's largest residual, has no
+    rate: PreconditionError.
     """
     d = [float(x) for x in distances]
     if not d:
@@ -219,7 +224,10 @@ def rate_fit(distances) -> RateFit:
     ns = np.array([n for n, _ in tail], dtype=float)
     logs = np.array([math.log(x) for _, x in tail])
     slope, intercept = np.polyfit(ns, logs, 1)
-    resid_geo = float(np.sum((logs - (slope * ns + intercept)) ** 2))
+    misfit = logs - (slope * ns + intercept)
+    if abs(slope) * (ns[-1] - ns[0]) <= RATE_DECAY_RESIDUALS * float(np.max(np.abs(misfit))):
+        raise PreconditionError("the tail has not moved beyond the misfit of its fit")
+    resid_geo = float(np.sum(misfit**2))
     slope_pow, icept_pow = np.polyfit(np.log(ns), logs, 1)
     resid_pow = float(np.sum((logs - (slope_pow * np.log(ns) + icept_pow)) ** 2))
     dof = max(len(tail) - 2, 1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, StructureError, ValidationError
 from .kernels import TransitionKernel, apply_A, successors, truncate_reflecting, window_table
-from .measures import FAMeasure, MeasurableSet, end_direction, singularity_witness, yosida_hewitt
+from .measures import FAMeasure, end_direction, yosida_hewitt
 
 INVARIANCE_TOL = 1e-10
 
@@ -35,20 +35,10 @@ class ChainClass:
 
 
 @dataclass(frozen=True)
-class PairCertificate:
-    i: int
-    j: int
-    disjoint: bool
-    singular: bool
-    witnesses: tuple[MeasurableSet, MeasurableSet] | None
-
-
-@dataclass(frozen=True)
 class InvariantBasis:
     measures: list[FAMeasure]
     kinds: list[str]  # "ca" | "pfa", parallel to measures
     dimension: int
-    pairwise: list[PairCertificate] = field(default_factory=list)
     classes: list[ChainClass] = field(default_factory=list)  # finite: one per measure
 
 
@@ -190,16 +180,7 @@ def invariant_basis_finite(kernel: TransitionKernel) -> InvariantBasis:
     """One extreme invariant distribution per recurrent class; all countably additive."""
     classes = recurrent_classes(kernel)
     measures = [stationary_of_class(kernel, c.states) for c in classes]
-    return _assemble_basis(measures, ["ca"] * len(measures), classes)
-
-
-def _assemble_basis(measures: list[FAMeasure], kinds: list[str], classes=()) -> InvariantBasis:
-    pairwise = []
-    for i in range(len(measures)):
-        for j in range(i + 1, len(measures)):
-            wit = singularity_witness(measures[i], measures[j])  # the measures are nonnegative
-            pairwise.append(PairCertificate(i, j, wit is not None, wit is not None, wit))
-    return InvariantBasis(measures, kinds, len(measures), pairwise, list(classes))
+    return InvariantBasis(measures, ["ca"] * len(measures), len(measures), classes)
 
 
 # -- countable chains -------------------------------------------------------------
@@ -258,7 +239,7 @@ def invariant_basis(kernel: TransitionKernel) -> InvariantBasis:
         return invariant_basis_finite(kernel)
     ca = detect_ca_countable(kernel)
     pfa = detect_pfa_ends(kernel)
-    return _assemble_basis(ca + pfa, ["ca"] * len(ca) + ["pfa"] * len(pfa))
+    return InvariantBasis(ca + pfa, ["ca"] * len(ca) + ["pfa"] * len(pfa), len(ca) + len(pfa))
 
 
 def split_parts_invariant(kernel: TransitionKernel, mu: FAMeasure) -> tuple[float, float]:
@@ -337,8 +318,8 @@ def escape_profile(
     if not mu0.is_probability():
         raise PreconditionError("escape analysis starts from a probability measure")
     ws = sorted(int(m) for m in windows)
-    if not ws or ws[0] < 1:
-        raise ValidationError("window sizes must be positive")
+    if not ws or ws[0] < 1 or len(set(ws)) < len(ws):
+        raise ValidationError(f"window sizes must be positive and distinct, got {ws}")
     engine = _WindowEngine(kernel, ws[-1])
     v = engine.load_atoms(mu0)
     acc = np.zeros_like(v)

@@ -44,7 +44,7 @@ from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
 from .measures import dirac, end_direction, evaluate, is_disjoint, measurable, measure_from_json, set_from_json, to_vector
 from .ergodic import ErgodicRunResult, ergodic_run, fitted_rate
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 #: tolerance of the absorption rows' sums, and of the certified error max |H - H*| of the rows
 ABSORPTION_TOL = 1e-9
 #: tolerance of the certified error |Π_i - Π_i*|₁ of each stationary law
@@ -132,22 +132,10 @@ def run_analysis(request: AnalysisRequest) -> dict:
 # -- sections ---------------------------------------------------------------------
 
 def _invariants_section(kernel: TransitionKernel, basis: InvariantBasis) -> dict:
-    pairwise = []
-    for cert in basis.pairwise:
-        item = {
-            "i": cert.i,
-            "j": cert.j,
-            "disjoint": cert.disjoint,
-            "singular": cert.singular,
-        }
-        if cert.witnesses is not None:
-            item["witnesses"] = [cert.witnesses[0].to_json(), cert.witnesses[1].to_json()]
-        pairwise.append(item)
     return {
         "dimension": basis.dimension,
         "kinds": list(basis.kinds),
         "measures": [m.to_json() for m in basis.measures],
-        "pairwise": pairwise,
         "scope": "exact" if kernel.space.is_finite else "representable",
         "residuals": [float(invariance_residual(kernel, m)) for m in basis.measures],
     }
@@ -317,12 +305,14 @@ def verify_report(report: dict) -> list[dict]:
         raise ValidationError(f"report lacks a chain spec: {exc}") from exc
 
     classes = recurrent_classes(kernel) if kernel.space.is_finite else None
+    basis = _read_basis(kernel, report)
     projector = _read_projector(kernel, report)
     laws = _class_laws(kernel, classes, projector, report)
     sections = {
-        "invariants": lambda inv: _verify_invariants(kernel, classes, laws, inv, record),
-        "conditions": lambda cond: _verify_conditions(kernel, classes, cond, record),
+        "invariants": lambda inv: _verify_invariants(kernel, classes, laws, basis, inv, record),
+        "conditions": lambda cond: _verify_conditions(kernel, classes, basis, cond, record),
         "ergodic": lambda erg: _verify_ergodic(kernel, classes, laws, projector, erg, record),
+        "escape": lambda esc: _verify_escape(kernel, report["horizons"], esc, record),
     }
     for name, check in sections.items():
         if report.get(name):
@@ -333,13 +323,22 @@ def verify_report(report: dict) -> list[dict]:
     return results
 
 
-def _verify_invariants(kernel: TransitionKernel, classes, laws, inv: dict, record) -> None:
-    """Check each measure's invariance, each pair's singularity witnesses against its ``disjoint`` and
-    ``singular`` flags (both true with witnesses, both false without), and that ``dimension`` and
-    ``kinds`` describe the measures.  On a finite chain, also check that the basis is one "ca"
-    measure per class of ``classes``, in class order, each its class's law in ``laws``."""
-    space = kernel.space
-    measures = [measure_from_json(space, m) for m in inv["measures"]]
+def _read_basis(kernel: TransitionKernel, report: dict) -> list | Exception | None:
+    """The ``invariants`` section's measures, parsed once; or what parsing raised; None without the section."""
+    if not report.get("invariants"):
+        return None
+    try:
+        return [measure_from_json(kernel.space, m) for m in report["invariants"]["measures"]]
+    except MALFORMED as exc:
+        return exc
+
+
+def _verify_invariants(kernel: TransitionKernel, classes, laws, measures, inv: dict, record) -> None:
+    """Check the invariance of each of ``measures`` (``_read_basis``), and that ``dimension`` and ``kinds``
+    describe them.  On a finite chain, also check that the basis is one "ca" measure per class of
+    ``classes``, in class order, each its class's law in ``laws``."""
+    if isinstance(measures, Exception):
+        raise measures
     for idx, mu in enumerate(measures):
         res = invariance_residual(kernel, mu)
         record(
@@ -348,23 +347,6 @@ def _verify_invariants(kernel: TransitionKernel, classes, laws, inv: dict, recor
             f"residual {res:.3e}",
         )
         record(f"invariant[{idx}] probability", mu.is_probability())
-    for cert in inv.get("pairwise", []):
-        i, j = cert["i"], cert["j"]
-        flags = (cert["disjoint"], cert["singular"])
-        if "witnesses" not in cert:  # a pair that claims neither flag must not be disjoint
-            ok = flags == (False, False) and not is_disjoint(measures[i], measures[j])
-            record(f"singularity witness ({i},{j})", ok, f"disjoint {flags[0]}, singular {flags[1]}, no witnesses")
-            continue
-        d1 = set_from_json(space, cert["witnesses"][0])
-        d2 = set_from_json(space, cert["witnesses"][1])
-        full1 = abs(evaluate(measures[i], d1) - measures[i].total()) <= 1e-9
-        full2 = abs(evaluate(measures[j], d2) - measures[j].total()) <= 1e-9
-        claimed = flags == (True, True)
-        record(
-            f"singularity witness ({i},{j})",
-            claimed and full1 and full2 and _sets_disjoint(d1, d2),
-            "" if claimed else f"disjoint {flags[0]}, singular {flags[1]}, with witnesses",
-        )
     dimension, kinds = inv["dimension"], inv["kinds"]
     if classes is None:
         # a kind is read off its measure: atoms only or ends only; one with both, or neither, has none
@@ -426,7 +408,7 @@ def _class_laws(kernel: TransitionKernel, classes, projector, report: dict) -> l
     return [(stationary_of_class(kernel, c.states), 0.0) for c in classes]
 
 
-def _verify_conditions(kernel: TransitionKernel, classes, cond: dict, record) -> None:
+def _verify_conditions(kernel: TransitionKernel, classes, basis, cond: dict, record) -> None:
     space = kernel.space
     for key, strict in (("D", False), ("D_tilde", True)):
         finding = cond.get(key)
@@ -454,10 +436,7 @@ def _verify_conditions(kernel: TransitionKernel, classes, cond: dict, record) ->
         members = [x for x in range(kernel.size) if closed.covers_state(x)]
         ok = all(kernel.prob(x, closed) >= 1.0 - 1e-12 for x in members)
         record(f"alpha closed set [{item['index']}]", ok and bool(members))
-    for w in cond.get("beta", {}).get("witnesses", []):
-        d1 = set_from_json(space, w["d1"])
-        d2 = set_from_json(space, w["d2"])
-        record(f"beta witness ({w['i']},{w['j']})", _sets_disjoint(d1, d2))
+    _verify_beta(space, basis, cond["beta"], cond["double_star"]["evidence"]["dimension"], record)
     for charge_json in cond.get("star", {}).get("evidence", {}).get("invariant_charges", []):
         charge = measure_from_json(space, charge_json)
         res = invariance_residual(kernel, charge)
@@ -470,7 +449,7 @@ def _verify_verdicts(classes, cond: dict, record) -> None:
 
     A walk's (*) is taken from its listed charges, not re-derived from the spec.
     """
-    star, beta = cond["star"], cond["beta"]
+    star = cond["star"]
     holds = star["holds"]
     d = cond["double_star"]["evidence"]["dimension"]
     qc_status, _ = quasicompact_diagnostic(ConditionVerdict("*", holds, star["scope"]))
@@ -481,12 +460,41 @@ def _verify_verdicts(classes, cond: dict, record) -> None:
             ("(*) on a finite chain", classes is None or holds),
             ("(~*) against (*)", cond["tilde_star"]["holds"] == holds),
             ("quasicompact against (*)", cond["quasicompact"]["status"] == qc_status),
-            ("beta against its witnesses", beta["holds"] == (len(beta["witnesses"]) == d * (d - 1) // 2)),
             ("(**) dimension against the classes", classes is None or d == len(classes)),
         )
         if not ok
     ]
     record("condition verdicts consistent", not wrong, "; ".join(f"{w} fails" for w in wrong))
+
+
+def _verify_beta(space, basis, beta: dict, d: int, record) -> None:
+    """Check each (beta) pair's sets, then the pairs against the (**) dimension ``d``.
+
+    The sets must be disjoint and, when the report carries the basis (``_read_basis``), hold their
+    measures' full mass.  The pairs must be some of (i, j) with i < j < d, in order: all of them when
+    (beta) holds, and a pair left out must have measures that are not disjoint.
+    """
+    measures = basis if isinstance(basis, list) else None
+    unread = "the measures are not in the report" if basis is None else "the measures do not parse"
+    pairs = []
+    for w in beta["witnesses"]:
+        i, j = w["i"], w["j"]
+        sets = set_from_json(space, w["d1"]), set_from_json(space, w["d2"])
+        held = [] if measures is None else [(measures[k], s) for k, s in zip((i, j), sets)]
+        full = all(abs(evaluate(mu, s) - mu.total()) <= 1e-9 for mu, s in held)
+        record(f"beta witness ({i},{j})", full and _sets_disjoint(*sets), "" if measures is not None else unread)
+        pairs.append((i, j))
+    every = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    left_out = [p for p in every if p not in pairs]
+    # without the measures, no pair left out can be shown not disjoint
+    apart = [(i, j) for i, j in left_out if measures is None or is_disjoint(measures[i], measures[j])]
+    record(
+        "beta pairs",
+        pairs == [p for p in every if p in pairs] and beta["holds"] == (not left_out) and not apart,
+        f"{len(pairs)} of the {len(every)} pairs i < j < {d} listed, holds {beta['holds']}"
+        + (f"; left out {left_out}" if left_out else "")
+        + ("" if measures is not None else f"; {unread}"),
+    )
 
 
 def _verify_ergodic(kernel: TransitionKernel, classes, laws, projector, erg: dict, record) -> None:
@@ -560,6 +568,23 @@ def _verify_projector(kernel: TransitionKernel, expected, laws, projector, recor
         "projector absorption equation",
         bound <= ABSORPTION_TOL,
         f"max |(I - Q)H - B| {worst:.3e}, max distance to the exact rows <= {bound:.3e}",
+    )
+
+
+def _verify_escape(kernel: TransitionKernel, horizons: dict, esc: dict, record) -> None:
+    """Check the escape profile's shape against the horizons, its estimate against its largest window,
+    and its split over the chain's ends; the window masses are not re-derived (that is the analysis)."""
+    n_max, windows, split = esc["n_max"], esc["windows"], esc["per_end_split"]
+    sizes = [m for m, _ in windows]
+    shaped = n_max == horizons["n_max"] and sizes == sorted(horizons["windows"])
+    shaped = shaped and all(len(seq) == n_max for _, seq in windows)
+    estimate = bool(windows) and esc["pfa_mass_estimate"] == 1.0 - windows[-1][1][-1]
+    ends = not split or (set(split) <= set(kernel.space.end_ids()) and abs(math.fsum(split.values()) - 1.0) <= 1e-9)
+    record(
+        "escape profile",
+        not kernel.space.is_finite and shaped and estimate and ends,
+        f"windows {sizes} of {n_max} steps, estimate {esc['pfa_mass_estimate']}, split over {sorted(split)}; "
+        "the window masses are not re-derived",
     )
 
 

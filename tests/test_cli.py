@@ -29,7 +29,7 @@ def test_analyze_report_contents(tmp_path: Path):
     out = tmp_path / "r.json"
     assert run_cli(["analyze", "--catalog", "drift_walk_N", "--n-max", "50", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 6
+    assert rep["schema"] == 7
     assert rep["conditions"]["star"]["holds"] is False
     assert rep["conditions"]["quasicompact"]["status"] == "inconsistent"
     assert rep["invariants"]["kinds"] == ["pfa"]
@@ -120,6 +120,13 @@ def test_eps_grid_outside_unit_interval_exits_2(tmp_path: Path, capsys):
         assert "--eps-grid" in capsys.readouterr().err
 
 
+def test_repeated_escape_window_exits_2(tmp_path: Path, capsys):
+    # a repeated size would get one series of 2 * n_max entries
+    argv = ["escape", "--catalog", "drift_walk_N", "--n-max", "5", "--windows", "16,8,16"]
+    assert run_cli(argv + ["--out", str(tmp_path / "x.json")]) == 2
+    assert "window sizes must be positive and distinct, got [8, 16, 16]" in capsys.readouterr().err
+
+
 def test_capacity_exits_3(tmp_path: Path):
     big = tmp_path / "big.json"
     m = [[1.0 if i == j else 0.0 for j in range(25)] for i in range(25)]
@@ -133,7 +140,7 @@ def test_over_cap_analyze_reports_the_other_sections(tmp_path: Path, capsys):
     out = tmp_path / "r.json"
     assert run_cli(["analyze", "--chain", str(big), "--n-max", "30", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 6
+    assert rep["schema"] == 7
     assert rep["tasks"] == ["conditions", "ergodic", "invariants"]
     assert rep["invariants"]["dimension"] == 1 and rep["ergodic"]["projector"]
     cond = rep["conditions"]
@@ -219,7 +226,7 @@ def test_entry_point_subprocess(tmp_path: Path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())["schema"] == 6
+    assert json.loads(out.read_text())["schema"] == 7
 
 
 @pytest.mark.parametrize("name", ["drift_walk_N", "two_absorbing"])

@@ -287,6 +287,18 @@ def test_beta_examples():
     assert check_beta(mixed).holds and len(check_beta(mixed).witnesses) == 3
 
 
+def test_beta_fails_on_a_pair_without_witnesses_and_lists_the_others_in_order():
+    space = TransitionKernel.finite(np.eye(3)).space
+    d0, d2 = dirac(space, 0), dirac(space, 2)
+    overlap = FAMeasure(space, atoms={0: 0.5, 1: 0.5})  # shares state 0 with δ_0
+    out = check_beta(invariants.InvariantBasis([d0, d2, overlap], ["ca"] * 3, 3))
+    assert not out.holds
+    assert [(i, j, sorted(a.atoms), sorted(b.atoms)) for i, j, a, b in out.witnesses] == [
+        (0, 1, [0], [2]),
+        (1, 2, [2], [0, 1]),
+    ]
+
+
 def test_beta_mixed_kind_witnesses():
     from chargechain import TailRow
 

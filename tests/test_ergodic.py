@@ -162,6 +162,24 @@ def test_rate_fit_leaves_the_roundoff_floor_out():
         rate_fit(seq[:7] + seq[14:])  # 7 entries above the floor are too few
 
 
+def test_rate_fit_has_no_rate_for_a_tail_that_has_not_moved():
+    # a drift of 1e-12 a step under a wobble of 1e-10: the fit's decay is within its misfit (it read geometric)
+    flat = [2.0 - 1e-12 * n + 1e-10 * (n % 2) for n in range(1, 201)]
+    # constant at 2, as an irreducible periodic chain's raw distances: no decay at all
+    for seq in (flat, [2.0] * 40):
+        with pytest.raises(PreconditionError, match="has not moved"):
+            rate_fit(seq)
+        assert ergodic.fitted_rate(seq).kind == "undetermined"
+
+
+def test_rate_fit_keeps_a_slow_clean_decay():
+    # two states that swap with probability 2^-40: the raw distances are (1 - 2^-39)^n exactly
+    eps = 2.0**-40
+    _, _, raw = ergodic_run(TransitionKernel.finite([[1.0 - eps, eps], [eps, 1.0 - eps]]), 200)
+    assert raw.rate.kind == "geometric"
+    assert (1.0 - raw.rate.ratio) / (2.0 * eps) == pytest.approx(1.0, rel=1e-3)
+
+
 def test_fitted_rate_matches_second_eigenvalue():
     # reversible chains keep the spectrum real, so raw decay is cleanly geometric
     cases = [

@@ -14,6 +14,7 @@ from chargechain import (
     TailRow,
     TransitionKernel,
     cesaro_sequence,
+    check_beta,
     classify_invariant,
     detect_ca_countable,
     detect_pfa_ends,
@@ -81,8 +82,9 @@ def test_basis_identity_and_absorbing():
     basis = invariant_basis_finite(ta)
     assert basis.dimension == 2
     assert [m.atoms for m in basis.measures] == [{0: 1.0}, {2: 1.0}]
-    for cert in basis.pairwise:
-        assert cert.disjoint and cert.singular and cert.witnesses is not None
+    beta = check_beta(basis)
+    assert beta.holds
+    assert [(i, j, sorted(d1.atoms), sorted(d2.atoms)) for i, j, d1, d2 in beta.witnesses] == [(0, 1, [0], [2])]
 
 
 def test_every_basis_measure_is_invariant():

@@ -106,23 +106,17 @@ def test_tampered_projector_or_rate_fails(tmp_path: Path, capsys, case):
     assert f"FAILED: {failed}" in out
 
 
-def set_pairwise(key, value):
+def set_beta_pair(**values):
     def edit(rep):
-        rep["invariants"]["pairwise"][0][key] = value
+        rep["conditions"]["beta"]["witnesses"][0].update(values)
 
     return edit
 
 
 MALFORMED = {
-    "witness atom not an integer": (
-        set_pairwise("witnesses", [{"atoms": ["x"]}, {"atoms": [2]}]),
-        "invariants format",
-    ),
-    "basis shorter than its pairwise list": (
-        lambda rep: rep["invariants"].update(measures=rep["invariants"]["measures"][:1]),
-        "invariants format",
-    ),
-    "pairwise index past the basis": (set_pairwise("j", 5), "invariants format"),
+    "witness atom not an integer": (set_beta_pair(d1={"atoms": ["x"]}), "conditions format"),
+    "beta pair index not an integer": (set_beta_pair(i="0"), "conditions format"),
+    "beta pair index past the basis": (set_beta_pair(j=5), "conditions format"),
     "D eps a string": (
         lambda rep: rep["conditions"]["D"]["witness"].update(eps="0.5"),
         "conditions format",
@@ -133,36 +127,6 @@ MALFORMED = {
     ),
     "ergodic section not an object": (lambda rep: rep.update(ergodic=[1]), "ergodic format"),
 }
-
-
-def drop_witnesses(flags):
-    def edit(rep):
-        pair = rep["invariants"]["pairwise"][0]
-        del pair["witnesses"]
-        pair.update(flags)
-
-    return edit
-
-
-PAIR_FLAGS = {
-    "singular false": set_pairwise("singular", False),
-    "disjoint false": set_pairwise("disjoint", False),
-    "witnesses deleted": drop_witnesses({}),
-    # the classes' laws are disjoint, so a pair that claims neither flag is false too
-    "witnesses deleted, both flags false": drop_witnesses({"disjoint": False, "singular": False}),
-}
-
-
-@pytest.mark.parametrize("case", sorted(PAIR_FLAGS))
-def test_pair_flags_must_match_their_witnesses(tmp_path: Path, capsys, case):
-    rep = two_absorbing_report(tmp_path)
-    pair = rep["invariants"]["pairwise"][0]
-    assert (pair["i"], pair["j"], pair["disjoint"], pair["singular"]) == (0, 1, True, True) and "witnesses" in pair
-    PAIR_FLAGS[case](rep)
-    code, out = verify(tmp_path, rep, capsys)
-    assert code == 1
-    (line,) = [line for line in out.splitlines() if line.startswith("FAILED")]
-    assert line.startswith("FAILED: singularity witness (0,1) (disjoint ")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -197,6 +161,10 @@ def base_report(tmp_path: Path, name: str) -> dict:
     if name == "birth_death(23)":  # over the small-set cap: its D is a "capacity" finding
         chain = tmp_path / "bd23.json"
         chain.write_text(json.dumps(kernel_to_spec(birth_death(23))))
+        return analyze(tmp_path, "analyze", "--chain", str(chain), "--n-max", "30")
+    if name == "identity(3)":  # three absorbing states, so (beta) lists the pairs (0,1), (0,2), (1,2)
+        chain = tmp_path / "eye3.json"
+        chain.write_text(json.dumps({"kind": "finite", "matrix": [[float(i == j) for j in range(3)] for i in range(3)]}))
         return analyze(tmp_path, "analyze", "--chain", str(chain), "--n-max", "30")
     return analyze(tmp_path, "analyze", "--catalog", name)
 
@@ -292,7 +260,7 @@ def test_value_outside_the_chain_or_a_contract_fails_an_item(tmp_path: Path, cap
 
 def drop_second_invariant(rep):
     inv = rep["invariants"]
-    inv.update(dimension=1, pairwise=[], **{key: inv[key][:1] for key in ("measures", "kinds", "residuals")})
+    inv.update(dimension=1, **{key: inv[key][:1] for key in ("measures", "kinds", "residuals")})
 
 
 def set_condition(key, field, value):
@@ -319,14 +287,14 @@ UNCHECKED_CLAIMS = {
     "basis kind edited": (lambda rep: rep["invariants"]["kinds"].__setitem__(1, "pfa"), BASIS),
     "star flipped": (set_condition("star", "holds", False), f"{VERDICTS} ((*) against its charges fails"),
     "tilde_star flipped": (set_condition("tilde_star", "holds", False), f"{VERDICTS} ((~*) against (*) fails)"),
-    "beta flipped": (set_condition("beta", "holds", False), f"{VERDICTS} (beta against its witnesses fails)"),
+    "beta flipped": (set_condition("beta", "holds", False), "beta pairs (1 of the 1 pairs i < j < 2 listed, holds False)"),
     "quasicompact flipped": (
         set_condition("quasicompact", "status", "inconsistent"),
         f"{VERDICTS} (quasicompact against (*) fails)",
     ),
     "double_star dimension edited": (
         set_condition("double_star", "evidence", {"dimension": 1}),
-        f"{VERDICTS} (beta against its witnesses fails; (**) dimension against the classes fails)",
+        f"{VERDICTS} ((**) dimension against the classes fails)",
     ),
 }
 
@@ -339,6 +307,80 @@ def test_tampered_basis_or_verdict_fails(tmp_path: Path, capsys, case):
     code, out = verify(tmp_path, rep, capsys)
     assert code == 1
     assert f"FAILED: {failed}" in out
+
+
+def swap_beta_sets(rep):
+    pair = rep["conditions"]["beta"]["witnesses"][0]
+    pair["d1"], pair["d2"] = pair["d2"], pair["d1"]
+
+
+def edit_beta(edit):
+    return lambda rep: edit(rep["conditions"]["beta"])
+
+
+EMPTY_SET = {"atoms": []}
+BETA_PAIRS = "beta pairs"
+# two_absorbing's basis is δ_0, δ_2; symmetric_walk_Z's is the charges at +inf and -inf
+BETA_TAMPERS = {
+    "empty sets": ("two_absorbing", set_beta_pair(d1=EMPTY_SET, d2=EMPTY_SET), "beta witness (0,1)"),
+    "sets that hold neither measure": (
+        "two_absorbing",
+        set_beta_pair(d1={"atoms": [1]}, d2={"atoms": [0, 2]}),
+        "beta witness (0,1)",
+    ),
+    "empty sets on Z": ("symmetric_walk_Z", set_beta_pair(d1=EMPTY_SET, d2=EMPTY_SET), "beta witness (0,1)"),
+    "sets swapped on Z": ("symmetric_walk_Z", swap_beta_sets, "beta witness (0,1)"),
+    "witnesses emptied, holds kept": (
+        "two_absorbing",
+        edit_beta(lambda beta: beta.update(witnesses=[])),
+        f"{BETA_PAIRS} (0 of the 1 pairs i < j < 2 listed, holds True; left out [(0, 1)])",
+    ),
+    "pair dropped": (
+        "identity(3)",
+        edit_beta(lambda beta: beta["witnesses"].pop(1)),
+        f"{BETA_PAIRS} (2 of the 3 pairs i < j < 3 listed, holds True; left out [(0, 2)])",
+    ),
+    # a pair may be left out only when its measures are not disjoint
+    "pair dropped, holds false": (
+        "identity(3)",
+        edit_beta(lambda beta: (beta["witnesses"].pop(1), beta.update(holds=False))),
+        f"{BETA_PAIRS} (2 of the 3 pairs i < j < 3 listed, holds False; left out [(0, 2)])",
+    ),
+    "pairs out of order": (
+        "identity(3)",
+        edit_beta(lambda beta: beta["witnesses"].reverse()),
+        f"{BETA_PAIRS} (3 of the 3 pairs i < j < 3 listed, holds True)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BETA_TAMPERS))
+def test_tampered_beta_fails(tmp_path: Path, capsys, case):
+    base, edit, failed = BETA_TAMPERS[case]
+    rep = base_report(tmp_path, base)
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 0 and f"ok: {BETA_PAIRS}" in out
+    edit(rep)
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAILED")]
+    assert line.startswith(f"FAILED: {failed}")
+
+
+def test_beta_without_the_basis_checks_its_sets_alone(tmp_path: Path, capsys):
+    rep = analyze(tmp_path, "analyze", "--catalog", "two_absorbing", "--tasks", "conditions")
+    assert "invariants" not in rep
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 0
+    assert "ok: beta witness (0,1) (the measures are not in the report)" in out
+    # a pair left out needs its measures to show they are not disjoint
+    rep["conditions"]["beta"].update(holds=False, witnesses=[])
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
+        "FAILED: beta pairs (0 of the 1 pairs i < j < 2 listed, holds False; left out [(0, 1)]; "
+        "the measures are not in the report)"
+    ]
 
 
 def test_walk_star_that_contradicts_its_charge_fails(tmp_path: Path, capsys):
@@ -378,6 +420,47 @@ def test_walk_basis_that_misdescribes_its_measures_fails(tmp_path: Path, capsys,
     code, out = verify(tmp_path, rep, capsys)
     assert code == 1
     assert f"FAILED: {WALK_BASIS}" in out
+
+
+ESCAPE_TAMPERS = {
+    "estimate edited": (lambda esc: esc.update(pfa_mass_estimate=0.5), "escape profile"),
+    "series cut short": (lambda esc: esc["windows"][0][1].pop(), "escape profile"),
+    "window dropped": (lambda esc: esc["windows"].pop(0), "escape profile"),
+    "n_max edited": (lambda esc: esc.update(n_max=10), "escape profile"),
+    "split to an unknown end": (lambda esc: esc.update(per_end_split={"-inf": 1.0}), "escape profile"),
+    "split short of 1": (lambda esc: esc.update(per_end_split={"+inf": 0.9}), "escape profile"),
+    "windows without their sizes": (
+        lambda esc: esc.update(windows=[seq for _, seq in esc["windows"]]),
+        "escape format",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESCAPE_TAMPERS))
+def test_tampered_escape_profile_fails(tmp_path: Path, capsys, case):
+    edit, failed = ESCAPE_TAMPERS[case]
+    rep = analyze(tmp_path, "analyze", "--catalog", "drift_walk_N", "--n-max", "50")
+    esc = rep["escape"]
+    assert (esc["n_max"], esc["per_end_split"], [m for m, _ in esc["windows"]]) == (50, {"+inf": 1.0}, [8, 16, 32])
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 0 and "ok: escape profile" in out and "the window masses are not re-derived" in out
+    edit(esc)
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAILED")]
+    assert line.startswith(f"FAILED: {failed} (")
+
+
+def test_escape_section_on_a_finite_chain_fails(tmp_path: Path, capsys):
+    rep = two_absorbing_report(tmp_path)
+    walk = analyze(tmp_path, "analyze", "--catalog", "drift_walk_N")
+    assert walk["horizons"] == rep["horizons"]
+    rep["escape"] = dict(walk["escape"], per_end_split={})  # the split names no end the finite chain lacks
+    rep["tasks"].append("escape")
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAILED")]
+    assert line.startswith("FAILED: escape profile (")
 
 
 LAWS = "invariant class laws"
@@ -538,10 +621,10 @@ def test_other_schema_fails_on_one_item_and_is_not_read(tmp_path: Path, capsys):
     rep["ergodic"]["projector"] = {"rank": 2, "rows": {}}  # the section as schema 2 wrote it
     items = verify_report(rep)
     failed = [item for item in items if not item["ok"]]
-    assert failed == [{"check": "schema", "ok": False, "detail": "schema 2, expected 6"}]
+    assert failed == [{"check": "schema", "ok": False, "detail": f"schema 2, expected {SCHEMA_VERSION}"}]
     assert not any(item["check"].startswith("projector") for item in items)
     code, out = verify(tmp_path, rep, capsys)
-    assert code == 1 and "FAILED: schema (schema 2, expected 6)" in out
+    assert code == 1 and f"FAILED: schema (schema 2, expected {SCHEMA_VERSION})" in out
     del rep["schema"]
     assert verify(tmp_path, rep, capsys)[0] == 1
 
