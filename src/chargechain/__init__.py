@@ -67,6 +67,7 @@ from .invariants import (
     classify_invariant,
     detect_ca_countable,
     detect_pfa_ends,
+    escape_checkpoints,
     escape_profile,
     invariance_residual,
     invariant_basis,
@@ -87,6 +88,7 @@ from .kernels import (
     kernel_power,
     kernel_to_spec,
     successors,
+    truncate_ends,
     truncate_reflecting,
 )
 from .measures import (

@@ -6,9 +6,8 @@ handled within the representable class: invariant end charges come from
 the tail rows' action on them, and countably additive invariants (those
 with effectively finite support) are the GTH laws of the walk's reflecting
 truncation that its invariance residual certifies.  Averaged sequences
-iterate ``apply_A``, on every chain.  Escape profiles evolve atomic mass on
-a truncation window, one step being a ``bincount`` over the kernel's window
-table, with the overflow in end buckets.
+iterate ``apply_A``, on every chain.  Escape profiles double the powers of
+one window matrix, whose end buckets act as end charges (``truncate_ends``).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructureError, ValidationError
-from .kernels import TransitionKernel, apply_A, successors, truncate_reflecting, window_table
+from .kernels import TransitionKernel, apply_A, successors, truncate_ends, truncate_reflecting
 from .measures import FAMeasure, end_direction, yosida_hewitt
 
 INVARIANCE_TOL = 1e-10
@@ -291,11 +290,18 @@ def cesaro_sequence(kernel: TransitionKernel, mu0: FAMeasure, n: int) -> list[FA
 
 @dataclass(frozen=True)
 class EscapeProfile:
-    """Window-mass trajectories of the averaged sequence plus escape accounting."""
+    """Window masses of the averaged sequence at its checkpoints, plus escape accounting."""
 
-    windows: list[tuple[int, list[float]]]
+    checkpoints: list[int]
+    windows: list[tuple[int, list[float]]]  # one mass per checkpoint
     pfa_mass_estimate: float
     per_end_split: dict[str, float]
+
+
+def escape_checkpoints(n_max: int) -> list[int]:
+    """Where an escape profile reads its windows: n = 1, 2, 4, ..., 2^J <= n_max, then n_max unless it is 2^J."""
+    powers = [1 << j for j in range(n_max.bit_length())]
+    return powers if n_max & (n_max - 1) == 0 else powers + [n_max]
 
 
 def escape_profile(
@@ -304,12 +310,13 @@ def escape_profile(
     n_max: int,
     windows: tuple[int, ...] = (8, 16, 32),
 ) -> EscapeProfile:
-    """Track lambda_n(K_m) for windows K_m = {|x| <= m} from an atomic start.
+    """Track lambda_n(K_m) for windows K_m = {|x| <= m} from an atomic start, at ``escape_checkpoints(n_max)``.
 
-    The evolution is truncated at the largest window; overflow is routed
-    irreversibly to the adjacent end bucket, so escaped mass is accounted
-    once and never re-enters.  The estimate of invariant charge mass uses
-    the largest window only; smaller windows are diagnostics.
+    The evolution is the window matrix W of the largest window (``truncate_ends``): mass past it sits in its
+    end's bucket and acts as that end's charge, so a tail's ``to_finite`` part brings it back.  With
+    T_m = W + ... + W^m the sums double, T_2m = T_m + W^m T_m and W^2m = (W^m)^2, and n_max is composed from
+    the binary pieces, T_(a+b) = T_a + W^a T_b.  The estimate of invariant charge mass is the largest
+    window's complement at n_max; smaller windows are diagnostics.
     """
     if kernel.space.is_finite:
         raise DomainError("escape analysis needs a countable chain")
@@ -320,17 +327,38 @@ def escape_profile(
     ws = sorted(int(m) for m in windows)
     if not ws or ws[0] < 1 or len(set(ws)) < len(ws):
         raise ValidationError(f"window sizes must be positive and distinct, got {ws}")
-    engine = _WindowEngine(kernel, ws[-1])
-    v = engine.load_atoms(mu0)
-    acc = np.zeros_like(v)
+    n_max = int(n_max)
+    if n_max < 1:
+        raise ValidationError(f"need n_max >= 1, got {n_max}")
+    hi = ws[-1]
+    lo = 0 if kernel.space.support == "N" else -hi
+    start = np.zeros(hi - lo + 3)
+    for x, w in mu0.atoms.items():
+        if not lo <= x <= hi:
+            raise PreconditionError(f"atom at {x} lies outside the window")
+        start[x - lo + 1] = w
+    power = truncate_ends(kernel, hi)  # W^m and T_m at m = 2^j
+    total = power.copy()
+    sums, s, v = [], np.zeros_like(start), start  # start·T_n at each checkpoint; s and v compose n_max
+    for j in range(n_max.bit_length()):
+        if j:
+            total = total + power @ total
+            power = power @ power
+        sums.append(start @ total)
+        if n_max >> j & 1:
+            s += v @ total
+            v = v @ power
+    if n_max & (n_max - 1):
+        sums.append(s)
+    checkpoints = escape_checkpoints(n_max)
+    radius = np.abs(np.arange(lo, hi + 1))
     series: dict[int, list[float]] = {m: [] for m in ws}
-    slices = {m: slice(engine.cell(max(engine.lo, -m)), engine.cell(m) + 1) for m in ws}
-    for k in range(1, n_max + 1):
-        v = engine.step(v)
-        acc += v
+    for n, s in zip(checkpoints, sums):
+        # the mass at each distance from 0, summed outward, so a larger window never holds less
+        inside = np.cumsum(np.bincount(radius, weights=s[1:-1])) / n
         for m in ws:
-            series[m].append(float(acc[slices[m]].sum() / k))
-    escaped = {e: float(acc[c]) / n_max for e, c in engine.bucket.items()}
+            series[m].append(float(inside[m]))
+    escaped = {e: float(sums[-1][0 if end_direction(e) < 0 else -1]) / n_max for e in kernel.space.end_ids()}
     total_escaped = math.fsum(escaped.values())
     split = (
         {e: escaped[e] / total_escaped for e in sorted(escaped)}
@@ -338,48 +366,8 @@ def escape_profile(
         else {}
     )
     return EscapeProfile(
+        checkpoints=checkpoints,
         windows=[(m, series[m]) for m in ws],
-        pfa_mass_estimate=1.0 - series[ws[-1]][-1],
+        pfa_mass_estimate=1.0 - series[hi][-1],
         per_end_split=split,
     )
-
-
-# -- truncated window engine --------------------------------------------------------
-
-class _WindowEngine:
-    """Atomic mass on the window lo..hi, stepped with the kernel's window table (escape).
-
-    A vector has length + 2 cells: state x sits in cell x - lo + 1, and cells
-    0 and length + 1 are the end buckets of -inf and +inf.  A step clips each
-    target onto lo-1..hi+1, so mass leaving the window lands in the bucket
-    on its side, and the buckets keep what they hold.
-    """
-
-    def __init__(self, kernel: TransitionKernel, half_width: int):
-        if kernel.space.is_finite:
-            raise DomainError("window engine needs a countable chain")
-        self.hi = int(half_width)
-        self.lo = 0 if kernel.space.support == "N" else -self.hi
-        self.length = self.hi - self.lo + 1
-        sources, targets, self._probs = window_table(kernel, self.lo, self.hi)
-        self._sources = self.cell(sources)
-        self._cells = self.cell(targets)
-        self.bucket = {e: 0 if end_direction(e) < 0 else self.length + 1 for e in kernel.space.end_ids()}
-
-    def cell(self, x):
-        """Cell of a state (or an array of states); states past the window map to a bucket."""
-        return np.clip(x, self.lo - 1, self.hi + 1) - self.lo + 1
-
-    def load_atoms(self, mu: FAMeasure) -> np.ndarray:
-        v = np.zeros(self.length + 2)
-        for x, w in mu.atoms.items():
-            if not self.lo <= x <= self.hi:
-                raise PreconditionError(f"atom at {x} lies outside the window")
-            v[self.cell(x)] = w
-        return v
-
-    def step(self, v: np.ndarray) -> np.ndarray:
-        """One step of A on the window cells of v; the overflow adds to the buckets."""
-        new = np.bincount(self._cells, v[self._sources] * self._probs, self.length + 2)
-        new[[0, -1]] += v[[0, -1]]
-        return new

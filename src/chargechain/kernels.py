@@ -17,8 +17,8 @@ cross-end mass as the mirror jump x -> -x, which carries mass deep toward
 one end as deep toward the other, as A does on end charges, and keeps a
 symmetric window closed under it.
 ``window_table`` flattens the rows of a window of states into arrays; the
-escape profile's window evolution and the reflecting truncation
-``truncate_reflecting`` read their one-step law from it.
+reflecting truncation ``truncate_reflecting`` and the escape profile's
+window matrix ``truncate_ends`` read their one-step law from it.
 """
 
 from __future__ import annotations
@@ -318,6 +318,38 @@ def truncate_reflecting(kernel: TransitionKernel, width: int) -> TransitionKerne
     # unbuffered, in table order: the same sums as adding the entries one by one
     np.add.at(mat, (sources - lo, np.clip(targets, lo, hi) - lo), probs)
     return TransitionKernel.finite(mat)
+
+
+def truncate_ends(kernel: TransitionKernel, half_width: int) -> np.ndarray:
+    """The window matrix W of a walk: the states lo..hi plus one bucket per end, each acting as its end's charge.
+
+    lo..hi is 0..half_width on N and -half_width..half_width on Z.  State x sits in cell x - lo + 1, and cells
+    0 and -1 are the buckets of -inf and +inf (cell 0 stays empty on N).  A state's row is its window table row
+    clipped onto lo-1..hi+1, so mass leaving the window lands in the bucket on its side.  A bucket's row is its
+    end's tail row acting on the end charge, as in ``apply_A``: the ``relative`` mass stays in the bucket, the
+    ``to_finite`` mass goes to its atoms (clipped like any target) and the ``to_other_end`` mass to the other
+    bucket.  So a row vector of cell masses times W is one step of A on atoms in the window plus charges at
+    the ends, with the atoms past the window summed into their end's cell.
+    """
+    if kernel.space.is_finite:
+        raise DomainError("truncation applies to countable chains")
+    hi = int(half_width)
+    lo = 0 if kernel.space.support == "N" else -hi
+
+    def cell(x):
+        return np.clip(x, lo - 1, hi + 1) - lo + 1
+
+    sources, targets, probs = window_table(kernel, lo, hi)
+    w = np.zeros((hi - lo + 3, hi - lo + 3))
+    np.add.at(w, (cell(sources), cell(targets)), probs)
+    bucket = {END_NEG: 0, END_POS: hi - lo + 2}
+    for e, tail in sorted(kernel.tails.items()):
+        w[bucket[e], bucket[e]] += tail.preserved_mass()
+        for y, p in sorted(tail.to_finite.items()):
+            w[bucket[e], cell(y)] += p
+        for e2, p in sorted(tail.to_other_end.items()):
+            w[bucket[e], bucket[e2]] += p
+    return w
 
 
 def powers(kernel: TransitionKernel) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -33,6 +33,7 @@ from .errors import ChargeChainError, ValidationError
 from .invariants import (
     INVARIANCE_TOL,
     InvariantBasis,
+    escape_checkpoints,
     escape_profile,
     invariance_residual,
     invariant_basis,
@@ -44,7 +45,7 @@ from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
 from .measures import dirac, end_direction, evaluate, is_disjoint, measurable, measure_from_json, set_from_json, to_vector
 from .ergodic import ErgodicRunResult, ergodic_run, fitted_rate
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 #: tolerance of the absorption rows' sums, and of the certified error max |H - H*| of the rows
 ABSORPTION_TOL = 1e-9
 #: tolerance of the certified error |Π_i - Π_i*|₁ of each stationary law
@@ -227,6 +228,7 @@ def _escape_section(kernel: TransitionKernel, n_max: int, windows) -> dict:
     profile = escape_profile(kernel, dirac(kernel.space, 0), n_max, tuple(windows))
     return {
         "n_max": n_max,
+        "checkpoints": list(profile.checkpoints),
         "windows": [[int(m), [float(v) for v in seq]] for m, seq in profile.windows],
         "pfa_mass_estimate": float(profile.pfa_mass_estimate),
         "per_end_split": {e: float(v) for e, v in sorted(profile.per_end_split.items())},
@@ -252,8 +254,8 @@ def report_csv(report: dict) -> str:
     elif "escape" in report:
         writer.writerow(["n", "window", "mass"])
         for m, seq in report["escape"]["windows"]:
-            for i, v in enumerate(seq):
-                writer.writerow([i + 1, m, repr(v)])
+            for n, v in zip(report["escape"]["checkpoints"], seq):
+                writer.writerow([n, m, repr(v)])
     else:
         writer.writerow(["section", "key", "value"])
         if "invariants" in report:
@@ -436,6 +438,8 @@ def _verify_conditions(kernel: TransitionKernel, classes, basis, cond: dict, rec
         members = [x for x in range(kernel.size) if closed.covers_state(x)]
         ok = all(kernel.prob(x, closed) >= 1.0 - 1e-12 for x in members)
         record(f"alpha closed set [{item['index']}]", ok and bool(members))
+    if basis is None and classes is not None:  # a finite chain's basis is its class laws, in class order
+        basis = [stationary_of_class(kernel, c.states) for c in classes]
     _verify_beta(space, basis, cond["beta"], cond["double_star"]["evidence"]["dimension"], record)
     for charge_json in cond.get("star", {}).get("evidence", {}).get("invariant_charges", []):
         charge = measure_from_json(space, charge_json)
@@ -470,9 +474,9 @@ def _verify_verdicts(classes, cond: dict, record) -> None:
 def _verify_beta(space, basis, beta: dict, d: int, record) -> None:
     """Check each (beta) pair's sets, then the pairs against the (**) dimension ``d``.
 
-    The sets must be disjoint and, when the report carries the basis (``_read_basis``), hold their
-    measures' full mass.  The pairs must be some of (i, j) with i < j < d, in order: all of them when
-    (beta) holds, and a pair left out must have measures that are not disjoint.
+    The sets must be disjoint and, when the basis is known (``_read_basis``, or on a finite chain the
+    class laws), hold their measures' full mass.  The pairs must be some of (i, j) with i < j < d, in
+    order: all of them when (beta) holds, and a pair left out must have measures that are not disjoint.
     """
     measures = basis if isinstance(basis, list) else None
     unread = "the measures are not in the report" if basis is None else "the measures do not parse"
@@ -572,18 +576,24 @@ def _verify_projector(kernel: TransitionKernel, expected, laws, projector, recor
 
 
 def _verify_escape(kernel: TransitionKernel, horizons: dict, esc: dict, record) -> None:
-    """Check the escape profile's shape against the horizons, its estimate against its largest window,
-    and its split over the chain's ends; the window masses are not re-derived (that is the analysis)."""
-    n_max, windows, split = esc["n_max"], esc["windows"], esc["per_end_split"]
+    """Check the escape profile's checkpoints and windows against the horizons, its masses against [0, 1]
+    and the nesting of the windows, its estimate against its largest window, and its split over the
+    chain's ends; the window masses are not re-derived (that is the analysis)."""
+    n_max, checkpoints, windows, split = esc["n_max"], esc["checkpoints"], esc["windows"], esc["per_end_split"]
     sizes = [m for m, _ in windows]
     shaped = n_max == horizons["n_max"] and sizes == sorted(horizons["windows"])
-    shaped = shaped and all(len(seq) == n_max for _, seq in windows)
+    shaped = shaped and checkpoints == escape_checkpoints(n_max)
+    shaped = shaped and all(len(seq) == len(checkpoints) for _, seq in windows)
+    masses = list(zip(*(seq for _, seq in windows))) if shaped else []  # each checkpoint's masses, by window size
+    bounded = all(0.0 <= v <= 1.0 + 1e-12 for at_n in masses for v in at_n)
+    nested = all(list(at_n) == sorted(at_n) for at_n in masses)
     estimate = bool(windows) and esc["pfa_mass_estimate"] == 1.0 - windows[-1][1][-1]
     ends = not split or (set(split) <= set(kernel.space.end_ids()) and abs(math.fsum(split.values()) - 1.0) <= 1e-9)
     record(
         "escape profile",
-        not kernel.space.is_finite and shaped and estimate and ends,
-        f"windows {sizes} of {n_max} steps, estimate {esc['pfa_mass_estimate']}, split over {sorted(split)}; "
+        not kernel.space.is_finite and shaped and bounded and nested and estimate and ends,
+        f"windows {sizes} at {len(checkpoints)} checkpoints to n = {n_max}, masses in [0, 1]: {bounded}, "
+        f"growing with the window: {nested}, estimate {esc['pfa_mass_estimate']}, split over {sorted(split)}; "
         "the window masses are not re-derived",
     )
 

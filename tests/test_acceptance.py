@@ -249,9 +249,10 @@ def test_criterion_09_escape_analytics():
     windows = (8, 16, 32)
     n_max = 100 * windows[-1]
     prof = escape_profile(dw, dirac(dw.space, 0), n_max=n_max, windows=windows)
+    assert prof.checkpoints == [2**j for j in range(12)] + [n_max]
     for m, seq in prof.windows:
-        for i, v in enumerate(seq):
-            n = i + 1
+        assert len(seq) == len(prof.checkpoints)
+        for n, v in zip(prof.checkpoints, seq):
             assert abs(v - min(n, m) / n) <= EXACT_TOL
     assert prof.pfa_mass_estimate >= 0.99
     assert prof.per_end_split == {END_POS: 1.0}

@@ -29,7 +29,7 @@ def test_analyze_report_contents(tmp_path: Path):
     out = tmp_path / "r.json"
     assert run_cli(["analyze", "--catalog", "drift_walk_N", "--n-max", "50", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 7
+    assert rep["schema"] == 8
     assert rep["conditions"]["star"]["holds"] is False
     assert rep["conditions"]["quasicompact"]["status"] == "inconsistent"
     assert rep["invariants"]["kinds"] == ["pfa"]
@@ -140,7 +140,7 @@ def test_over_cap_analyze_reports_the_other_sections(tmp_path: Path, capsys):
     out = tmp_path / "r.json"
     assert run_cli(["analyze", "--chain", str(big), "--n-max", "30", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 7
+    assert rep["schema"] == 8
     assert rep["tasks"] == ["conditions", "ergodic", "invariants"]
     assert rep["invariants"]["dimension"] == 1 and rep["ergodic"]["projector"]
     cond = rep["conditions"]
@@ -194,7 +194,20 @@ def test_csv_formats(tmp_path: Path):
                     "--windows", "2,4", "--format", "csv", "--out", str(esc)]) == 0
     lines = esc.read_text().splitlines()
     assert lines[0] == "n,window,mass"
-    assert len(lines) == 41
+    # one row per window and checkpoint: n = 1, 2, 4, 8, 16, then n_max
+    checkpoints = (1, 2, 4, 8, 16, 20)
+    assert [line.split(",")[:2] for line in lines[1:]] == [[str(n), str(m)] for m in (2, 4) for n in checkpoints]
+
+
+def test_escape_csv_lists_the_checkpoints(tmp_path: Path):
+    esc = tmp_path / "esc.csv"
+    assert run_cli(["analyze", "--catalog", "drift_walk_N", "--tasks", "escape", "--n-max", "100",
+                    "--format", "csv", "--out", str(esc)]) == 0
+    rows = [line.split(",") for line in esc.read_text().splitlines()[1:]]
+    checkpoints = [1, 2, 4, 8, 16, 32, 64, 100]
+    assert [(int(n), int(m)) for n, m, _ in rows] == [(n, m) for m in (8, 16, 32) for n in checkpoints]
+    # drift_walk_N steps right each time: step k sits at k, so window 8 holds steps 1..8 of the first n
+    assert [float(v) for n, m, v in rows if m == "8"] == [min(n, 8) / n for n in checkpoints]
 
 
 def test_doeblin_subcommand(tmp_path: Path):
@@ -226,7 +239,7 @@ def test_entry_point_subprocess(tmp_path: Path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.read_text())["schema"] == 7
+    assert json.loads(out.read_text())["schema"] == 8
 
 
 @pytest.mark.parametrize("name", ["drift_walk_N", "two_absorbing"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chargechain import (
+    AnalysisRequest,
     END_NEG,
     END_POS,
     FAMeasure,
@@ -29,13 +30,16 @@ from chargechain import (
     invariant_basis,
     invariant_basis_finite,
     measurable,
+    measure_from_json,
     recurrent_classes,
     restart_walk,
+    run_analysis,
     split_parts_invariant,
     stationary_of_class,
     swap2,
     symmetric_walk_Z,
     transient_states,
+    truncate_ends,
     two_absorbing,
 )
 from chargechain.catalog import REGISTRY
@@ -178,12 +182,14 @@ def test_ca_gives_one_law_per_certified_class():
 
 
 def test_ca_detection_steps_no_window(monkeypatch):
-    from chargechain.invariants import _WindowEngine
+    import chargechain.invariants
+    import chargechain.kernels
 
-    def refuse(self, v):
-        raise AssertionError("CA detection stepped the window engine")
+    def refuse(kernel, half_width):
+        raise AssertionError("CA detection built the escape profile's window matrix")
 
-    monkeypatch.setattr(_WindowEngine, "step", refuse)
+    for module in (chargechain.invariants, chargechain.kernels):
+        monkeypatch.setattr(module, "truncate_ends", refuse)
     assert len(detect_ca_countable(restart_walk(0.1))) == 1
     assert len(detect_ca_countable(drift_walk_N(0.45))) == 1
 
@@ -255,21 +261,48 @@ def test_cesaro_sequence_keeps_end_leaks_to_fixed_targets():
 def test_escape_profile_drift_exact():
     dw = drift_walk_N(1.0)
     prof = escape_profile(dw, dirac(dw.space, 0), n_max=400, windows=(4, 8, 16))
+    assert prof.checkpoints == [1, 2, 4, 8, 16, 32, 64, 128, 256, 400]
     for m, seq in prof.windows:
-        for i, v in enumerate(seq):
-            n = i + 1
+        assert len(seq) == len(prof.checkpoints)
+        for n, v in zip(prof.checkpoints, seq):
             assert v == pytest.approx(min(n, m) / n, abs=1e-12)
     assert prof.per_end_split == {END_POS: 1.0}
     # window masses are monotone in m at fixed n
-    for i in range(399):
-        masses = [seq[i] for _, seq in prof.windows]
-        assert masses == sorted(masses)
+    for masses in zip(*(seq for _, seq in prof.windows)):
+        assert list(masses) == sorted(masses)
 
 
 def test_escape_profile_restart_recycles_mass():
     rw = restart_walk(0.1)
     prof = escape_profile(rw, dirac(rw.space, 0), n_max=200, windows=(16, 32, 64))
     assert prof.pfa_mass_estimate <= 0.05
+
+
+def test_escape_profile_returns_the_restart_walks_mass():
+    # the mass past the window restarts at 0 as the walk's does: what escapes is the law's mass past 32,
+    # 0.9^33, where the absorbing buckets of schema 7 reported 0.844
+    report = run_analysis(AnalysisRequest(catalog="restart_walk", n_max=2000))
+    assert report["invariants"]["kinds"] == ["ca"] and report["conditions"]["star"]["holds"]
+    law = measure_from_json(restart_walk(0.1).space, report["invariants"]["measures"][0])
+    estimate = report["escape"]["pfa_mass_estimate"]
+    assert abs(estimate - 0.9**33) <= 1e-3
+    assert abs(estimate - (1.0 - evaluate(law, measurable(law.space, atoms=range(33))))) <= 1e-3
+
+
+# pfa_mass_estimate at n_max = 2000, windows 8, 16, 32, from the absorbing end buckets of schema 7
+SCHEMA_7_ESTIMATES = {
+    "symmetric_walk_Z": (symmetric_walk_Z, 0.5141877596798059),
+    "drift_walk_N(1.0)": (lambda: drift_walk_N(1.0), 0.984),
+    "grid_unit_interval": (grid_unit_interval, 0.9601874999999993),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_7_ESTIMATES))
+def test_escape_estimate_without_returning_mass_stays_put(name):
+    build, before = SCHEMA_7_ESTIMATES[name]
+    kernel = build()
+    prof = escape_profile(kernel, dirac(kernel.space, 0), 2000, (8, 16, 32))
+    assert abs(prof.pfa_mass_estimate - before) < 1e-3
 
 
 def test_escape_profile_symmetric_split():
@@ -312,17 +345,18 @@ def test_stationary_of_class_on_subchain():
     assert pi.atoms == {0: 1.0}
 
 
-def test_window_engine_matches_direct_application():
-    from chargechain.invariants import _WindowEngine
-
+def test_window_matrix_matches_direct_application():
     tail_pos = TailRow(relative={1: 0.8, -2: 0.2})
     tail_neg = TailRow(relative={-1: 0.6}, to_finite={0: 0.4})
     k = TransitionKernel.walk("Z", tails={END_POS: tail_pos, END_NEG: tail_neg})
-    engine = _WindowEngine(k, 30)
+    w = truncate_ends(k, 30)  # cells: the -inf bucket, the states -30..30, the +inf bucket
     rng = np.random.default_rng(0)
-    atoms = {int(x): float(w) for x, w in zip(rng.integers(-20, 21, 8), rng.random(8))}
+    atoms = {int(x): float(p) for x, p in zip(rng.integers(-20, 21, 8), rng.random(8))}
     mu = FAMeasure(k.space, atoms=atoms)
-    stepped = engine.step(engine.load_atoms(mu))
+    v = np.zeros(63)
+    for x, p in atoms.items():
+        v[x + 31] += p
+    stepped = v @ w
     assert stepped[0] == stepped[-1] == 0.0  # nothing near the boundary yet
-    got = FAMeasure(k.space, atoms={x: float(stepped[engine.cell(x)]) for x in range(engine.lo, engine.hi + 1)})
+    got = FAMeasure(k.space, atoms={x: float(stepped[x + 31]) for x in range(-30, 31)})
     assert (got - apply_A(k, mu)).total_variation() <= 1e-15

@@ -368,7 +368,8 @@ def test_tampered_beta_fails(tmp_path: Path, capsys, case):
 
 
 def test_beta_without_the_basis_checks_its_sets_alone(tmp_path: Path, capsys):
-    rep = analyze(tmp_path, "analyze", "--catalog", "two_absorbing", "--tasks", "conditions")
+    # on a walk, the basis comes from the invariants section alone
+    rep = analyze(tmp_path, "analyze", "--catalog", "symmetric_walk_Z", "--tasks", "conditions")
     assert "invariants" not in rep
     code, out = verify(tmp_path, rep, capsys)
     assert code == 0
@@ -380,6 +381,25 @@ def test_beta_without_the_basis_checks_its_sets_alone(tmp_path: Path, capsys):
     assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
         "FAILED: beta pairs (0 of the 1 pairs i < j < 2 listed, holds False; left out [(0, 1)]; "
         "the measures are not in the report)"
+    ]
+
+
+def test_beta_without_the_basis_on_a_finite_chain_checks_the_class_laws(tmp_path: Path, capsys):
+    # two_absorbing's class laws δ_0 and δ_2 are re-derived from the chain when the report has no basis
+    rep = analyze(tmp_path, "analyze", "--catalog", "two_absorbing", "--tasks", "conditions")
+    assert "invariants" not in rep
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 0 and "ok: beta witness (0,1)\n" in out and "not in the report" not in out
+    set_beta_pair(d1=EMPTY_SET, d2=EMPTY_SET)(rep)
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAILED")] == ["FAILED: beta witness (0,1)"]
+    # a pair left out is checked against the class laws too: δ_0 and δ_2 are disjoint
+    rep["conditions"]["beta"].update(holds=False, witnesses=[])
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
+        "FAILED: beta pairs (0 of the 1 pairs i < j < 2 listed, holds False; left out [(0, 1)])"
     ]
 
 
@@ -422,8 +442,23 @@ def test_walk_basis_that_misdescribes_its_measures_fails(tmp_path: Path, capsys,
     assert f"FAILED: {WALK_BASIS}" in out
 
 
+def set_mass(window, at, value):
+    def edit(esc):
+        esc["windows"][window][1][at] = value
+
+    return edit
+
+
+# drift_walk_N at n_max = 50: checkpoints 1, 2, 4, 8, 16, 32, 50, and window m holds min(n, m) / n at n
 ESCAPE_TAMPERS = {
     "estimate edited": (lambda esc: esc.update(pfa_mass_estimate=0.5), "escape profile"),
+    "checkpoint edited": (lambda esc: esc["checkpoints"].__setitem__(2, 3), "escape profile"),
+    "checkpoint dropped": (lambda esc: esc["checkpoints"].pop(3), "escape profile"),
+    "checkpoints not a list": (lambda esc: esc.update(checkpoints=None), "escape format"),
+    "mass of 1.5": (set_mass(1, 3, 1.5), "escape profile"),
+    "negative mass": (set_mass(0, 0, -0.25), "escape profile"),
+    "smaller window heavier": (set_mass(0, 6, 0.9), "escape profile"),
+    "n_max not an integer": (lambda esc: esc.update(n_max=50.0), "escape format"),
     "series cut short": (lambda esc: esc["windows"][0][1].pop(), "escape profile"),
     "window dropped": (lambda esc: esc["windows"].pop(0), "escape profile"),
     "n_max edited": (lambda esc: esc.update(n_max=10), "escape profile"),
@@ -442,6 +477,8 @@ def test_tampered_escape_profile_fails(tmp_path: Path, capsys, case):
     rep = analyze(tmp_path, "analyze", "--catalog", "drift_walk_N", "--n-max", "50")
     esc = rep["escape"]
     assert (esc["n_max"], esc["per_end_split"], [m for m, _ in esc["windows"]]) == (50, {"+inf": 1.0}, [8, 16, 32])
+    assert esc["checkpoints"] == [1, 2, 4, 8, 16, 32, 50]
+    assert [seq[6] for _, seq in esc["windows"]] == [8 / 50, 16 / 50, 32 / 50]
     code, out = verify(tmp_path, rep, capsys)
     assert code == 0 and "ok: escape profile" in out and "the window masses are not re-derived" in out
     edit(esc)

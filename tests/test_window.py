@@ -1,4 +1,4 @@
-"""Walk windows: the window table, its reflecting and escape policies, and window evolution."""
+"""Walk windows: the window table, the reflecting truncation, the window matrix and the escape profile."""
 
 import itertools
 import math
@@ -14,11 +14,12 @@ from chargechain import (
     TransitionKernel,
     apply_A,
     dirac,
+    escape_checkpoints,
     escape_profile,
+    truncate_ends,
     truncate_reflecting,
 )
 from chargechain.catalog import REGISTRY
-from chargechain.invariants import _WindowEngine
 from chargechain.kernels import window_table
 
 CATALOG_WALKS = [name for name in sorted(REGISTRY) if not REGISTRY[name].build().space.is_finite]
@@ -121,49 +122,113 @@ def test_window_table_flattens_rows_in_order():
         assert list(zip(sources.tolist(), targets.tolist(), probs.tolist())) == expected
 
 
+def window_layout(kernel, half_width):
+    """lo, hi and the cell of a state in ``truncate_ends``: state x in cell x - lo + 1, past the window in a bucket."""
+    lo = 0 if kernel.space.support == "N" else -half_width
+    return lo, half_width, lambda x: min(max(x, lo - 1), half_width + 1) - lo + 1
+
+
+def collapse(kernel, mu, half_width):
+    """The cell masses of a measure: its atoms in the window, and past it, with its end charges, in their end's cell."""
+    lo, hi, cell = window_layout(kernel, half_width)
+    v = np.zeros(hi - lo + 3)
+    for x, w in mu.atoms.items():
+        v[cell(x)] += w
+    for e, w in mu.ends.items():
+        v[0 if e == END_NEG else -1] += w
+    return v
+
+
+def cross_end_walk():
+    """A Z walk whose tails send mass across the ends both ways, with an exception row."""
+    return TransitionKernel.walk(
+        "Z",
+        exceptions={0: {-2: 0.5, 2: 0.5}},
+        tails={
+            END_POS: TailRow(relative={-1: 0.25, 1: 0.5}, to_other_end={END_NEG: 0.25}),
+            END_NEG: TailRow(relative={1: 0.2, -1: 0.3}, to_other_end={END_POS: 0.5}),
+        },
+    )
+
+
+def far_target_walk():
+    """A walk on N whose tail sends mass to a fixed target past every window below 40."""
+    tail = TailRow(relative={1: 0.8, -1: 0.1}, to_finite={40: 0.1})
+    return TransitionKernel.walk("N", exceptions={0: {1: 1.0}}, tails={END_POS: tail})
+
+
 @pytest.mark.parametrize("half_width", [1, 2, 3, 5, 7])
 def test_window_step_is_apply_A_with_overflow_per_end(half_width):
+    # random atoms on the window plus charges at the ends: W moves them as apply_A does
     rng = np.random.default_rng(half_width)
-    past = 0
-    for kernel in all_walks():
-        engine = _WindowEngine(kernel, half_width)
-        lo, hi = engine.lo, engine.hi
+    past = returned = 0
+    for kernel in [*all_walks(), cross_end_walk(), far_target_walk()]:
+        lo, hi, _ = window_layout(kernel, half_width)
         xs = rng.choice(np.arange(lo, hi + 1), size=min(4, hi - lo + 1), replace=False)
-        mu = FAMeasure(kernel.space, atoms=dict(zip(xs.tolist(), rng.random(xs.size).tolist())))
-        stepped = engine.step(engine.load_atoms(mu))
-        exact = apply_A(kernel, mu).atoms
-        for x in range(lo, hi + 1):
-            assert stepped[engine.cell(x)] == pytest.approx(exact.get(x, 0.0), abs=1e-15)
-        above = math.fsum(w for y, w in exact.items() if y > hi)
-        below = math.fsum(w for y, w in exact.items() if y < lo)
-        assert stepped[engine.bucket[END_POS]] == pytest.approx(above, abs=1e-15)
-        assert stepped[0] == pytest.approx(below, abs=1e-15)  # the -inf bucket; empty on N
-        past += above > 0.0 or below > 0.0
-    assert past > 0
+        ends = {e: float(rng.random()) for e in kernel.space.end_ids()}
+        mu = FAMeasure(kernel.space, atoms=dict(zip(xs.tolist(), rng.random(xs.size).tolist())), ends=ends)
+        w = truncate_ends(kernel, half_width)
+        assert w.shape == (hi - lo + 3, hi - lo + 3)
+        stepped = collapse(kernel, mu, half_width) @ w
+        exact = collapse(kernel, apply_A(kernel, mu), half_width)
+        np.testing.assert_allclose(stepped, exact, rtol=0.0, atol=1e-15)
+        if kernel.space.support == "N":
+            assert not w[0].any() and not w[:, 0].any()  # no -inf bucket on N
+        past += any(y < lo or y > hi for y in apply_A(kernel, FAMeasure(kernel.space, atoms=mu.atoms)).atoms)
+        returned += w[[0, -1], 1:-1].any()
+    assert past > 0 and returned > 0
 
 
 def test_window_step_sends_fixed_targets_past_the_window_to_their_end():
     tail = TailRow(relative={1: 0.3, -1: 0.3}, to_finite={-7: 0.1, 9: 0.3})
     k = TransitionKernel.walk("Z", tails={END_POS: tail, END_NEG: tail})
-    engine = _WindowEngine(k, 2)
-    stepped = engine.step(engine.load_atoms(dirac(k.space, 0)))
-    assert stepped[engine.bucket[END_NEG]] == 0.1
-    assert stepped[engine.bucket[END_POS]] == 0.3
+    w = truncate_ends(k, 2)
+    stepped = collapse(k, dirac(k.space, 0), 2) @ w
+    assert stepped[0] == 0.1 and stepped[-1] == 0.3
     assert stepped.sum() == pytest.approx(1.0, abs=1e-15)
+    # a bucket is its end's charge: the relative mass stays, and a fixed target past the window lands in a bucket
+    assert w[-1, -1] == pytest.approx(0.6 + 0.3, abs=1e-15) and w[-1, 0] == 0.1 and not w[-1, 1:-1].any()
+    assert w[0, 0] == pytest.approx(0.6 + 0.1, abs=1e-15) and w[0, -1] == 0.3 and not w[0, 1:-1].any()
+    far = far_target_walk()
+    w = truncate_ends(far, 32)
+    # the tail keeps 0.9 at +inf, and its target 40 lies past the window of 32, so the bucket keeps all
+    assert w[-1, -1] == pytest.approx(1.0, abs=1e-15) and not w[-1, 1:-1].any()
+
+
+def collapsed_cesaro(kernel, half_width, n_max):
+    """The Cesàro means of apply_A from δ_0 with the atoms past the window moved to their end each step, as atoms."""
+    lo, hi, _ = window_layout(kernel, half_width)
+    mu, acc, out = dirac(kernel.space, 0), FAMeasure(kernel.space), []
+    for n in range(1, n_max + 1):
+        mu = apply_A(kernel, mu)
+        v = collapse(kernel, mu, half_width)
+        ends = {e: float(v[0 if e == END_NEG else -1]) for e in kernel.space.end_ids()}
+        mu = FAMeasure(kernel.space, atoms={x: w for x, w in mu.atoms.items() if lo <= x <= hi}, ends=ends)
+        acc = acc + mu
+        out.append({x: w / n for x, w in acc.atoms.items()})
+    return out
 
 
 def test_escape_profile_matches_apply_A_while_the_window_holds_the_walk():
-    n_max = 12
-    for kernel in all_walks():
-        cap = 8 + 2 + kernel.reach() * n_max + 1  # past every fixed target and exception jump
-        windows = (2, 5, cap)
-        prof = escape_profile(kernel, dirac(kernel.space, 0), n_max, windows)
-        mu = dirac(kernel.space, 0)
-        acc = {m: 0.0 for m in windows}
-        for n in range(1, n_max + 1):
-            mu = apply_A(kernel, mu)
-            for m, seq in prof.windows:
-                acc[m] += math.fsum(w for x, w in mu.atoms.items() if abs(x) <= m)
-                assert seq[n - 1] == pytest.approx(acc[m] / n, abs=1e-13)
-        assert prof.pfa_mass_estimate == pytest.approx(0.0, abs=1e-13)
-        assert prof.per_end_split == {}
+    # every n_max in 1..40 ends on the sequential apply_A Cesàro mean.  The windows 2 and 5 hold the walk in
+    # part; the largest holds all of it in the first run, and in the second its buckets act as end charges
+    n_max = 40
+    for kernel in [*all_walks()[: len(CATALOG_WALKS) + 8], cross_end_walk(), far_target_walk()]:
+        def holding(n):  # past 5, every fixed target and every jump from one
+            return kernel.radius() + kernel.reach() * n + 6
+
+        def fixed(n):
+            return 6
+
+        for top in (holding, fixed):
+            means = collapsed_cesaro(kernel, top(n_max), n_max)
+            for n in range(1, n_max + 1):
+                prof = escape_profile(kernel, dirac(kernel.space, 0), n, (2, 5, top(n)))
+                assert prof.checkpoints == escape_checkpoints(n) and prof.checkpoints[-1] == n
+                for m, seq in prof.windows:
+                    inside = math.fsum(w for x, w in means[n - 1].items() if abs(x) <= m)
+                    assert len(seq) == len(prof.checkpoints)
+                    assert seq[-1] == pytest.approx(inside, abs=1e-13)
+                if top is holding:
+                    assert prof.pfa_mass_estimate == pytest.approx(0.0, abs=1e-13)
+                    assert prof.per_end_split == {}

@@ -4,11 +4,12 @@
 
 SRC is a ``src/`` directory holding the ``chargechain`` package.  For every
 catalog entry (default tasks and horizons, then each task that applies to
-it on its own), four edge chains under the default tasks (``EDGE_CHAINS``:
+it on its own), five edge chains under the default tasks (``EDGE_CHAINS``:
 one over the small-set cap, one whose states swap with probability 2^-40,
 a walk on Z with an exception row whose tail rows send mass across the
-ends both ways, and drift_walk_N(0.45), positive recurrent with a slow
-geometric law), and every case of the three benchmark workloads at each
+ends both ways, drift_walk_N(0.45), positive recurrent with a slow
+geometric law, and a walk on N whose tail sends mass to a fixed state past
+the largest escape window), and every case of the three benchmark workloads at each
 seed (the workload's own tasks and horizons), the script analyzes the chain, and
 writes to OUT, as sorted JSON, the sha256 of the
 ``report_json`` text and the ``verify_report`` item list.  A case
@@ -47,6 +48,12 @@ EDGE_CHAINS = {
         "tail_-inf": {"relative": {"1": 0.2, "-1": 0.3}, "to_other_end": {"+inf": 0.5}},
     },
     "drift_walk_N_0.45": lambda cc: cc.kernel_to_spec(cc.drift_walk_N(0.45)),
+    "walk_to_finite_past_window": lambda cc: {
+        "kind": "walk",
+        "support": "N",
+        "exceptions": {"0": {"1": 1.0}},
+        "tail_+inf": {"relative": {"1": 0.8, "-1": 0.1}, "to_finite": {"40": 0.1}},
+    },
 }
 
 
