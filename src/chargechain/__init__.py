@@ -1,15 +1,15 @@
 """chargechain: finitely additive measures and ergodicity diagnostics for Markov chains.
 
 The package represents signed finitely additive measures as sparse atoms
-plus coarse end-charge buckets, builds the adjoint Markov operator pair
-(T on bounded functions, A on measures), solves for invariant bases on
-finite chains and structured countable walks, checks the classical
-small-set and invariant-charge ergodicity conditions, and verifies the
-uniform averaged-operator limit theorems numerically.
+plus coarse end-charge buckets, runs the Markov operator A on them, solves
+for invariant bases on finite chains and structured countable walks,
+checks the classical small-set and invariant-charge ergodicity conditions,
+and verifies the uniform averaged-operator limit theorems numerically.
+A's adjoint T on bounded functions is the tests' duality oracle
+(``tests/oracles.py``).
 """
 
 from .catalog import (
-    CatalogEntry,
     birth_death,
     build,
     cycle,
@@ -22,11 +22,6 @@ from .catalog import (
     two_absorbing,
 )
 from .conditions import (
-    BetaOutcome,
-    ConditionReport,
-    ConditionVerdict,
-    DoeblinOutcome,
-    DoeblinWitness,
     build_condition_report,
     check_alpha,
     check_beta,
@@ -36,7 +31,6 @@ from .conditions import (
     check_star,
     check_tilde_star,
     doeblin_truncation_trend,
-    lemma_sup_dirac_residual,
     quasicompact_diagnostic,
     search_doeblin,
 )
@@ -49,21 +43,8 @@ from .errors import (
     StructureError,
     ValidationError,
 )
-from .ergodic import (
-    ErgodicRunResult,
-    Projector,
-    RateFit,
-    distance_series,
-    ergodic_run,
-    projector_finite,
-    rate_fit,
-)
+from .ergodic import distance_series, ergodic_run, projector_finite, rate_fit
 from .invariants import (
-    ChainClass,
-    Classification,
-    EscapeProfile,
-    InvariantBasis,
-    cesaro_sequence,
     classify_invariant,
     detect_ca_countable,
     detect_pfa_ends,
@@ -73,7 +54,6 @@ from .invariants import (
     invariant_basis,
     invariant_basis_finite,
     recurrent_classes,
-    split_parts_invariant,
     stationary_of_class,
     transient_states,
 )
@@ -81,9 +61,7 @@ from .kernels import (
     TailRow,
     TransitionKernel,
     apply_A,
-    apply_T,
     cesaro_kernel,
-    duality_residual,
     kernel_from_spec,
     kernel_power,
     kernel_to_spec,
@@ -94,33 +72,19 @@ from .kernels import (
 from .measures import (
     END_NEG,
     END_POS,
-    BoundedFunction,
     FAMeasure,
     MeasurableSet,
     StateSpace,
     dirac,
-    end_charge,
     end_direction,
     evaluate,
-    from_vector,
     is_disjoint,
-    jordan_decompose,
     lattice_inf,
-    lattice_sup,
     measurable,
     measure_from_json,
-    pair,
     set_from_json,
     singularity_witness,
-    to_vector,
-    yosida_hewitt,
 )
-from .report import (
-    AnalysisRequest,
-    report_csv,
-    report_json,
-    run_analysis,
-    verify_report,
-)
+from .report import AnalysisRequest, report_json, run_analysis, verify_report
 
 __version__ = "0.1.0"

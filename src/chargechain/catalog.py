@@ -113,9 +113,6 @@ class CatalogEntry:
     expected: dict = field(default_factory=dict)
     notes: str = ""
 
-    def build(self) -> TransitionKernel:
-        return self.builder(**self.params)
-
 
 _ENTRIES: list[CatalogEntry] = [
     CatalogEntry(

@@ -285,33 +285,6 @@ def check_beta(basis: InvariantBasis) -> BetaOutcome:
     return BetaOutcome(len(witnesses) == len(pairs), witnesses)
 
 
-def lemma_sup_dirac_residual(
-    kernel: TransitionKernel,
-    region: MeasurableSet,
-    m: int,
-    trials: list[FAMeasure],
-) -> tuple[float, float]:
-    """(sup over Dirac starts of p^m(x, G), max over trial mixtures of A^m eta (G)).
-
-    The first value dominates the second for every probability mixture, and
-    the Dirac at the argmax attains it.
-    """
-    if not kernel.space.is_finite:
-        raise DomainError("needs a finite chain")
-    stepped = kernel_power(kernel, m)
-    indicator = np.array(
-        [1.0 if region.covers_state(x) else 0.0 for x in range(kernel.size)]
-    )
-    col = stepped.matrix @ indicator
-    sup_dirac = float(col.max())
-    best_mix = -math.inf
-    for eta in trials:
-        if not eta.is_probability():
-            raise PreconditionError("trial measures must be probabilities")
-        best_mix = max(best_mix, float(to_vector(eta) @ col))
-    return sup_dirac, best_mix
-
-
 # -- countable-chain surrogate ---------------------------------------------------
 
 def doeblin_truncation_trend(kernel: TransitionKernel) -> list[tuple[int, float]]:

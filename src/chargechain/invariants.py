@@ -1,13 +1,13 @@
-"""Invariant measures: bases, end-charge detection, averaged sequences, escape.
+"""Invariant measures: bases, end-charge detection, classification, escape.
 
 Finite chains get an exact treatment: one extreme invariant distribution
 per recurrent class, by subtraction-free state reduction (GTH).  Countable walks are
 handled within the representable class: invariant end charges come from
 the tail rows' action on them, and countably additive invariants (those
 with effectively finite support) are the GTH laws of the walk's reflecting
-truncation that its invariance residual certifies.  Averaged sequences
-iterate ``apply_A``, on every chain.  Escape profiles double the powers of
-one window matrix, whose end buckets act as end charges (``truncate_ends``).
+truncation that its invariance residual certifies.  Escape profiles, the
+window masses of the averaged sequence of A, double the powers of one
+window matrix, whose end buckets act as end charges (``truncate_ends``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, StructureError, ValidationError
 from .kernels import TransitionKernel, apply_A, successors, truncate_ends, truncate_reflecting
-from .measures import FAMeasure, end_direction, yosida_hewitt
+from .measures import FAMeasure, end_direction
 
 INVARIANCE_TOL = 1e-10
 
@@ -37,8 +37,11 @@ class ChainClass:
 class InvariantBasis:
     measures: list[FAMeasure]
     kinds: list[str]  # "ca" | "pfa", parallel to measures
-    dimension: int
     classes: list[ChainClass] = field(default_factory=list)  # finite: one per measure
+
+    @property
+    def dimension(self) -> int:
+        return len(self.measures)
 
 
 def invariance_residual(kernel: TransitionKernel, mu: FAMeasure) -> float:
@@ -179,7 +182,7 @@ def invariant_basis_finite(kernel: TransitionKernel) -> InvariantBasis:
     """One extreme invariant distribution per recurrent class; all countably additive."""
     classes = recurrent_classes(kernel)
     measures = [stationary_of_class(kernel, c.states) for c in classes]
-    return InvariantBasis(measures, ["ca"] * len(measures), len(measures), classes)
+    return InvariantBasis(measures, ["ca"] * len(measures), classes)
 
 
 # -- countable chains -------------------------------------------------------------
@@ -238,16 +241,10 @@ def invariant_basis(kernel: TransitionKernel) -> InvariantBasis:
         return invariant_basis_finite(kernel)
     ca = detect_ca_countable(kernel)
     pfa = detect_pfa_ends(kernel)
-    return InvariantBasis(ca + pfa, ["ca"] * len(ca) + ["pfa"] * len(pfa), len(ca) + len(pfa))
+    return InvariantBasis(ca + pfa, ["ca"] * len(ca) + ["pfa"] * len(pfa))
 
 
-def split_parts_invariant(kernel: TransitionKernel, mu: FAMeasure) -> tuple[float, float]:
-    """Invariance residuals of the two decomposition parts of a measure."""
-    ca, pfa = yosida_hewitt(mu)
-    return invariance_residual(kernel, ca), invariance_residual(kernel, pfa)
-
-
-# -- averaged sequences and escape -------------------------------------------------
+# -- classification and escape --------------------------------------------------
 
 @dataclass(frozen=True)
 class Classification:
@@ -270,22 +267,6 @@ def classify_invariant(kernel: TransitionKernel, mu: FAMeasure) -> Classificatio
     if d >= 2:
         return Classification("composite", d)
     return Classification("simple")
-
-
-def cesaro_sequence(kernel: TransitionKernel, mu0: FAMeasure, n: int) -> list[FAMeasure]:
-    """Running averages (A mu0 + ... + A^k mu0) / k for k = 1..n, by ``apply_A``, exact on walks too."""
-    if not mu0.is_probability():
-        raise PreconditionError("averaging starts from a probability measure")
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    out = []
-    cur = mu0
-    acc = FAMeasure(kernel.space)
-    for k in range(1, n + 1):
-        cur = apply_A(kernel, cur)
-        acc = acc + cur
-        out.append(acc * (1.0 / k))
-    return out
 
 
 @dataclass(frozen=True)

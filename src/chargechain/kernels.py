@@ -1,4 +1,4 @@
-"""Transition kernels and the adjoint operator pair (T on functions, A on measures).
+"""Transition kernels and the Markov operator A on measures.
 
 Finite kernels are dense row-stochastic matrices, read-only once a kernel
 holds them; their sparse rows are materialized once per kernel, on first
@@ -6,11 +6,12 @@ use, and ``row`` hands out copies (``successors`` reads the positive
 entries of the same table as a graph; ``kernel_to_spec`` writes it as the
 chain spec's ``rows``).  Countable kernels are "walks": finitely many
 exception rows plus one eventually-constant tail row per end, with bounded
-relative offsets.  ``TransitionKernel.radius`` bounds
-the fixed states: past it, every row is its end's tail row moved to x.  That
-structure keeps the action of A on end charges exact: an end charge keeps
-``preserved_mass`` at its end, leaks ``to_finite`` into fixed states, and
-leaks ``to_other_end`` across.
+relative offsets.  Past the fixed states (the exception rows and every
+exception and ``to_finite`` target), every row is its end's tail row moved
+to x.  That structure keeps the action of A on end charges exact: an end
+charge keeps ``preserved_mass`` at its end, leaks ``to_finite`` into fixed
+states, and leaks ``to_other_end`` across.  A's adjoint T on bounded
+functions is the tests' duality oracle (``tests/oracles.py``).
 
 Rows are countably additive by construction.  A tail row realizes its
 cross-end mass as the mirror jump x -> -x, which carries mass deep toward
@@ -32,15 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StructureError, ValidationError
-from .measures import (
-    END_NEG,
-    END_POS,
-    BoundedFunction,
-    FAMeasure,
-    MeasurableSet,
-    StateSpace,
-    pair,
-)
+from .measures import END_NEG, END_POS, FAMeasure, MeasurableSet, StateSpace
 
 ROW_SUM_TOL = 1e-9
 MAX_OFFSET = 64
@@ -141,18 +134,6 @@ class TransitionKernel:
             raise DomainError("countable kernel has no size")
         return self.space.size
 
-    def reach(self) -> int:
-        return max((t.reach() for t in self.tails.values()), default=0)
-
-    def radius(self) -> int:
-        """Least r >= 0 with every exception row, exception target and ``to_finite`` target in -r..r.
-
-        Past r, every row is its end's tail row moved to x (``row``).
-        """
-        tails = self.tails.values()
-        fixed = itertools.chain(self.exceptions, *self.exceptions.values(), *(t.to_finite for t in tails))
-        return max(map(abs, fixed), default=0)
-
     @cached_property
     def _finite_rows(self) -> list[dict[int, float]]:
         """Nonzero entries of each matrix row, in column order, as Python floats."""
@@ -248,31 +229,6 @@ def _validate_walk(kernel: TransitionKernel) -> None:
 
 
 # -- operator actions ----------------------------------------------------------
-
-def apply_T(kernel: TransitionKernel, f: BoundedFunction) -> BoundedFunction:
-    """(Tf)(x) = sum_y p(x, y) f(y), with end limits transported coarsely."""
-    if kernel.space != f.space:
-        raise DomainError("kernel and function live on different spaces")
-    if kernel.space.is_finite:
-        vals = np.array([f.value(x) for x in range(kernel.size)])
-        out = kernel.matrix @ vals
-        return BoundedFunction(kernel.space, {x: float(out[x]) for x in range(kernel.size)})
-    limits = {}
-    for e, tail in kernel.tails.items():
-        acc = tail.preserved_mass() * f.end_limits[e]
-        acc += math.fsum(p * f.value(y) for y, p in sorted(tail.to_finite.items()))
-        acc += math.fsum(p * f.end_limits[e2] for e2, p in sorted(tail.to_other_end.items()))
-        limits[e] = acc
-    # explicit values wherever Tf can differ from its end-region constant; on Z
-    # the window is symmetric, so it also holds where a mirror jump lands
-    hi = max([kernel.radius(), *map(abs, f.window)]) + kernel.reach()
-    lo = 0 if kernel.space.support == "N" else -hi
-    window = {}
-    for x in range(lo, hi + 1):
-        row = kernel.row(x)
-        window[x] = math.fsum(p * f.value(y) for y, p in sorted(row.items()))
-    return BoundedFunction(kernel.space, window, default=0.0, end_limits=limits)
-
 
 def apply_A(kernel: TransitionKernel, mu: FAMeasure) -> FAMeasure:
     """Push a measure forward one step: atoms through rows, end charges through their tail rows."""
@@ -384,11 +340,6 @@ def kernel_power(kernel: TransitionKernel, k: int) -> TransitionKernel:
 def cesaro_kernel(kernel: TransitionKernel, m: int) -> TransitionKernel:
     """Averaged kernel q_m = (p^1 + ... + p^m) / m; finite spaces only."""
     return TransitionKernel(kernel.space, matrix=_read_only(_nth_power(kernel, m, "average")[1] / m))
-
-
-def duality_residual(kernel: TransitionKernel, f: BoundedFunction, mu: FAMeasure) -> float:
-    """|<A mu, f> - <mu, Tf>|; both sides computed independently."""
-    return abs(pair(apply_A(kernel, mu), f) - pair(mu, apply_T(kernel, f)))
 
 
 # -- chain-spec JSON ------------------------------------------------------------

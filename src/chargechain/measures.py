@@ -10,8 +10,12 @@ that direction, coarsened to a single degree of freedom.
 Measurable sets are drawn from the finite/co-tail algebra: finite sets of
 atoms, end tails ``{x beyond m}``, unions of both, and complements.  Within
 this algebra the (atoms, ends) split of a measure is exactly its
-decomposition into a countably additive part and a pure-charge part, and
-the lattice operations have the closed form implemented below.
+Yosida–Hewitt decomposition into a countably additive part (``atoms``) and
+a pure-charge part (``ends``), the signs of the weights give its Jordan
+parts, and the lattice infimum has the closed form of ``lattice_inf``, so
+none of these needs a function of its own.  Bounded functions, the other
+side of the pairing, live with the test oracles (``tests/oracles.py``):
+the program only runs measures.
 """
 
 from __future__ import annotations
@@ -219,14 +223,6 @@ class FAMeasure:
     def is_probability(self, tol: float = 1e-9) -> bool:
         return self.is_nonnegative(tol) and abs(self.total() - 1.0) <= tol
 
-    def is_countably_additive(self, tol: float = 0.0) -> bool:
-        """True when the pure-charge part vanishes (no end mass)."""
-        return all(abs(v) <= tol for v in self.ends.values())
-
-    def is_pure_charge(self, tol: float = 0.0) -> bool:
-        """True when the atomic part vanishes."""
-        return all(abs(v) <= tol for v in self.atoms.values())
-
     # -- linear structure -----------------------------------------------------
 
     def __add__(self, other: "FAMeasure") -> "FAMeasure":
@@ -272,18 +268,6 @@ def _same_space(a, b) -> None:
 def dirac(space: StateSpace, x: int) -> FAMeasure:
     return FAMeasure(space, atoms={int(x): 1.0})
 
-def end_charge(space: StateSpace, ident: str, weight: float = 1.0) -> FAMeasure:
-    if not space.has_end(ident):
-        raise DomainError(f"unknown end {ident!r}")
-    return FAMeasure(space, ends={ident: float(weight)})
-
-def from_vector(space: StateSpace, vec) -> FAMeasure:
-    if not space.is_finite:
-        raise DomainError("from_vector needs a finite space")
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (space.size,):
-        raise ValidationError(f"vector length {vec.size} != space size {space.size}")
-    return FAMeasure(space, atoms={i: float(vec[i]) for i in range(space.size)})
 
 def to_vector(mu: FAMeasure) -> np.ndarray:
     if not mu.space.is_finite:
@@ -305,7 +289,7 @@ def measure_from_json(space: StateSpace, obj: dict) -> FAMeasure:
     return FAMeasure(space, atoms, ends)
 
 
-# -- evaluation and pairing ---------------------------------------------------
+# -- evaluation ---------------------------------------------------------------
 
 def evaluate(mu: FAMeasure, ev_set: MeasurableSet) -> float:
     """mu(E): atom weights inside E plus end weights whose tail E includes."""
@@ -317,101 +301,6 @@ def evaluate(mu: FAMeasure, ev_set: MeasurableSet) -> float:
     return math.fsum(parts)
 
 
-@dataclass(frozen=True)
-class BoundedFunction:
-    """Bounded function with finitely many explicit values and end limits.
-
-    The value at a state x is: ``window[x]`` when listed; the limit of the
-    end whose region x lies in when x is beyond the window's extent in that
-    direction; ``default`` on unlisted states inside the window's hull.  On
-    a finite space there are no ends and ``default`` fills every gap.  A
-    function on a countable space must declare a limit for every end so
-    that pairing with end charges is defined.
-    """
-
-    space: StateSpace
-    window: dict[int, float] = field(default_factory=dict)
-    default: float = 0.0
-    end_limits: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_states(self.space, self.window, "function window")
-        for e in self.end_limits:
-            if not self.space.has_end(e):
-                raise DomainError(f"function references unknown end {e!r}")
-        for e in self.space.end_ids():
-            if e not in self.end_limits:
-                raise DomainError(f"function must declare a limit at end {e!r}")
-        object.__setattr__(
-            self, "window", {int(k): float(v) for k, v in self.window.items()}
-        )
-
-    def value(self, x: int) -> float:
-        if x in self.window:
-            return self.window[x]
-        if self.space.is_finite:
-            return self.default
-        hi = max(self.window) if self.window else None
-        lo = min(self.window) if self.window else None
-        if self.space.support == "N":
-            if hi is None or x > hi:
-                return self.end_limits[END_POS]
-            return self.default
-        if hi is None:  # empty window on Z: split regions at the origin
-            return self.end_limits[END_POS if x >= 0 else END_NEG]
-        if x > hi:
-            return self.end_limits[END_POS]
-        if x < lo:
-            return self.end_limits[END_NEG]
-        return self.default
-
-    def sup_norm(self) -> float:
-        vals = [abs(v) for v in self.window.values()]
-        vals.append(abs(self.default))
-        vals += [abs(v) for v in self.end_limits.values()]
-        return max(vals)
-
-
-def pair(mu: FAMeasure, f: BoundedFunction) -> float:
-    """Integral pairing <mu, f>: atoms against values, end charges against limits."""
-    _same_space(mu, f)
-    parts = [w * f.value(x) for x, w in sorted(mu.atoms.items())]
-    for e in sorted(mu.ends):
-        if e not in f.end_limits:
-            raise DomainError(f"function has no limit at end {e!r}")
-        parts.append(mu.ends[e] * f.end_limits[e])
-    return math.fsum(parts)
-
-
-# -- decompositions -----------------------------------------------------------
-
-def jordan_decompose(mu: FAMeasure) -> tuple[FAMeasure, FAMeasure]:
-    """Split into positive and negative parts, componentwise.
-
-    ``mu = pos - neg`` exactly, and the total variation of ``mu`` equals
-    ``pos(X) + neg(X)``.
-    """
-    pos = FAMeasure(
-        mu.space,
-        {k: v for k, v in mu.atoms.items() if v > 0.0},
-        {k: v for k, v in mu.ends.items() if v > 0.0},
-    )
-    neg = FAMeasure(
-        mu.space,
-        {k: -v for k, v in mu.atoms.items() if v < 0.0},
-        {k: -v for k, v in mu.ends.items() if v < 0.0},
-    )
-    return pos, neg
-
-
-def yosida_hewitt(mu: FAMeasure) -> tuple[FAMeasure, FAMeasure]:
-    """Split into the countably additive part (atoms) and the pure-charge part (ends)."""
-    return (
-        FAMeasure(mu.space, dict(mu.atoms), {}),
-        FAMeasure(mu.space, {}, dict(mu.ends)),
-    )
-
-
 # -- lattice structure --------------------------------------------------------
 
 def lattice_inf(mu1: FAMeasure, mu2: FAMeasure) -> FAMeasure:
@@ -419,8 +308,7 @@ def lattice_inf(mu1: FAMeasure, mu2: FAMeasure) -> FAMeasure:
 
     Closed form in this representation: pointwise min on atoms and on end
     buckets.  Atomic mass and charge mass never overlap, so cross terms
-    contribute nothing.  Signed inputs must be routed through their Jordan
-    parts by the caller.
+    contribute nothing.  Signed inputs are refused.
     """
     _same_space(mu1, mu2)
     if not (mu1.is_nonnegative() and mu2.is_nonnegative()):
@@ -430,11 +318,6 @@ def lattice_inf(mu1: FAMeasure, mu2: FAMeasure) -> FAMeasure:
     }
     ends = {k: min(mu1.ends[k], mu2.ends[k]) for k in mu1.ends.keys() & mu2.ends.keys()}
     return FAMeasure(mu1.space, atoms, ends)
-
-
-def lattice_sup(mu1: FAMeasure, mu2: FAMeasure) -> FAMeasure:
-    """sup(a, b) = a + b - inf(a, b) for nonnegative inputs."""
-    return mu1 + mu2 - lattice_inf(mu1, mu2)
 
 
 def _subset_sums(weights: np.ndarray) -> np.ndarray:

@@ -84,9 +84,11 @@ class AnalysisRequest:
 
 
 def applicable_tasks(kernel: TransitionKernel, requested: tuple[str, ...]) -> list[str]:
-    for t in requested:
+    for i, t in enumerate(requested):
         if t not in ALL_TASKS:
             raise ValidationError(f"unknown task {t!r}; available: {', '.join(ALL_TASKS)}")
+        if t in requested[:i]:
+            raise ValidationError(f"task {t!r} is requested twice")
     tasks = list(requested) if requested else list(ALL_TASKS)
     if kernel.space.is_finite:
         tasks = [t for t in tasks if t != "escape"]
@@ -279,8 +281,11 @@ def verify_report(report: dict) -> list[dict]:
 
     Fails closed: a report of another schema, one that lists no tasks, an
     unknown task, or a task without its section gets a failed item.  The
-    sections of another schema are not read.
+    sections of another schema are not read.  A report that is not a JSON
+    object raises ValidationError.
     """
+    if not isinstance(report, dict):
+        raise ValidationError(f"report must be a JSON object, got {type(report).__name__}")
     results: list[dict] = []
 
     def record(check: str, ok: bool, detail: str = "") -> None:

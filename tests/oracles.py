@@ -1,16 +1,36 @@
-"""Brute-force oracles that the tests compare the package against.
+"""Oracles that the tests compare the package against, and the test-only constructors they share.
 
-Each one takes an independent route to a value the package computes in
-closed form or by iteration, and is capped at a size where its enumeration
-stays cheap.
+The brute-force oracles each take an independent route to a value the
+package computes in closed form or by iteration, and are capped at a size
+where their enumeration stays cheap.
+
+The duality oracle is the function side of the paper's operator pair.  A
+(``apply_A``) pushes a finitely additive measure forward one step; its
+adjoint T (``apply_T``) averages a bounded function over one step, and
+<A mu, f> = <mu, Tf> (``duality_residual``) checks each against the other.
+The program runs only A: the conditions it checks are statements about
+A's invariant measures.
 """
 
 import itertools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from chargechain import CapacityError, DomainError, FAMeasure, MeasurableSet
-from chargechain.measures import _subset_sums
+from chargechain import (
+    END_NEG,
+    END_POS,
+    CapacityError,
+    DomainError,
+    FAMeasure,
+    MeasurableSet,
+    StateSpace,
+    TransitionKernel,
+    ValidationError,
+    apply_A,
+)
+from chargechain.measures import _check_states, _same_space, _subset_sums
 
 #: exact subset enumeration is capped at this many states
 ORACLE_STATE_CAP = 20
@@ -79,3 +99,133 @@ def _perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+# -- test-only constructors -------------------------------------------------------------
+
+def end_charge(space: StateSpace, ident: str, weight: float = 1.0) -> FAMeasure:
+    if not space.has_end(ident):
+        raise DomainError(f"unknown end {ident!r}")
+    return FAMeasure(space, ends={ident: float(weight)})
+
+
+def from_vector(space: StateSpace, vec) -> FAMeasure:
+    if not space.is_finite:
+        raise DomainError("from_vector needs a finite space")
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (space.size,):
+        raise ValidationError(f"vector length {vec.size} != space size {space.size}")
+    return FAMeasure(space, atoms={i: float(vec[i]) for i in range(space.size)})
+
+
+# -- the duality oracle: T on bounded functions -------------------------------------------
+
+@dataclass(frozen=True)
+class BoundedFunction:
+    """Bounded function with finitely many explicit values and end limits.
+
+    The value at a state x is: ``window[x]`` when listed; the limit of the
+    end whose region x lies in when x is beyond the window's extent in that
+    direction; ``default`` on unlisted states inside the window's hull.  On
+    a finite space there are no ends and ``default`` fills every gap.  A
+    function on a countable space must declare a limit for every end so
+    that pairing with end charges is defined.
+    """
+
+    space: StateSpace
+    window: dict[int, float] = field(default_factory=dict)
+    default: float = 0.0
+    end_limits: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_states(self.space, self.window, "function window")
+        for e in self.end_limits:
+            if not self.space.has_end(e):
+                raise DomainError(f"function references unknown end {e!r}")
+        for e in self.space.end_ids():
+            if e not in self.end_limits:
+                raise DomainError(f"function must declare a limit at end {e!r}")
+        object.__setattr__(
+            self, "window", {int(k): float(v) for k, v in self.window.items()}
+        )
+
+    def value(self, x: int) -> float:
+        if x in self.window:
+            return self.window[x]
+        if self.space.is_finite:
+            return self.default
+        hi = max(self.window) if self.window else None
+        lo = min(self.window) if self.window else None
+        if self.space.support == "N":
+            if hi is None or x > hi:
+                return self.end_limits[END_POS]
+            return self.default
+        if hi is None:  # empty window on Z: split regions at the origin
+            return self.end_limits[END_POS if x >= 0 else END_NEG]
+        if x > hi:
+            return self.end_limits[END_POS]
+        if x < lo:
+            return self.end_limits[END_NEG]
+        return self.default
+
+    def sup_norm(self) -> float:
+        vals = [abs(v) for v in self.window.values()]
+        vals.append(abs(self.default))
+        vals += [abs(v) for v in self.end_limits.values()]
+        return max(vals)
+
+
+def pair(mu: FAMeasure, f: BoundedFunction) -> float:
+    """Integral pairing <mu, f>: atoms against values, end charges against limits."""
+    _same_space(mu, f)
+    parts = [w * f.value(x) for x, w in sorted(mu.atoms.items())]
+    for e in sorted(mu.ends):
+        if e not in f.end_limits:
+            raise DomainError(f"function has no limit at end {e!r}")
+        parts.append(mu.ends[e] * f.end_limits[e])
+    return math.fsum(parts)
+
+
+def reach(kernel: TransitionKernel) -> int:
+    """The longest jump of a walk's tail rows."""
+    return max((t.reach() for t in kernel.tails.values()), default=0)
+
+
+def radius(kernel: TransitionKernel) -> int:
+    """Least r >= 0 with every exception row, exception target and ``to_finite`` target in -r..r.
+
+    Past r, every row is its end's tail row moved to x (``TransitionKernel.row``).
+    """
+    tails = kernel.tails.values()
+    fixed = itertools.chain(kernel.exceptions, *kernel.exceptions.values(), *(t.to_finite for t in tails))
+    return max(map(abs, fixed), default=0)
+
+
+def apply_T(kernel: TransitionKernel, f: BoundedFunction) -> BoundedFunction:
+    """(Tf)(x) = sum_y p(x, y) f(y), with end limits transported coarsely."""
+    if kernel.space != f.space:
+        raise DomainError("kernel and function live on different spaces")
+    if kernel.space.is_finite:
+        vals = np.array([f.value(x) for x in range(kernel.size)])
+        out = kernel.matrix @ vals
+        return BoundedFunction(kernel.space, {x: float(out[x]) for x in range(kernel.size)})
+    limits = {}
+    for e, tail in kernel.tails.items():
+        acc = tail.preserved_mass() * f.end_limits[e]
+        acc += math.fsum(p * f.value(y) for y, p in sorted(tail.to_finite.items()))
+        acc += math.fsum(p * f.end_limits[e2] for e2, p in sorted(tail.to_other_end.items()))
+        limits[e] = acc
+    # explicit values wherever Tf can differ from its end-region constant; on Z
+    # the window is symmetric, so it also holds where a mirror jump lands
+    hi = max([radius(kernel), *map(abs, f.window)]) + reach(kernel)
+    lo = 0 if kernel.space.support == "N" else -hi
+    window = {}
+    for x in range(lo, hi + 1):
+        row = kernel.row(x)
+        window[x] = math.fsum(p * f.value(y) for y, p in sorted(row.items()))
+    return BoundedFunction(kernel.space, window, default=0.0, end_limits=limits)
+
+
+def duality_residual(kernel: TransitionKernel, f: BoundedFunction, mu: FAMeasure) -> float:
+    """|<A mu, f> - <mu, Tf>|; both sides computed independently."""
+    return abs(pair(apply_A(kernel, mu), f) - pair(mu, apply_T(kernel, f)))

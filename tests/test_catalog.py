@@ -24,7 +24,7 @@ from chargechain.catalog import entry, names
 @pytest.mark.parametrize("name", names())
 def test_expected_verdicts_reproduce(name):
     e = entry(name)
-    kernel = e.build()
+    kernel = build(name)
     basis = invariant_basis(kernel)
     expected = e.expected
     assert basis.dimension == expected["dimension"]["value"]
@@ -41,7 +41,7 @@ def test_expected_verdicts_reproduce(name):
 
 @pytest.mark.parametrize("name", names())
 def test_chain_spec_round_trip(name):
-    kernel = entry(name).build()
+    kernel = build(name)
     spec = kernel_to_spec(kernel)
     assert kernel_to_spec(kernel_from_spec(spec)) == spec
 

@@ -127,6 +127,23 @@ def test_repeated_escape_window_exits_2(tmp_path: Path, capsys):
     assert "window sizes must be positive and distinct, got [8, 16, 16]" in capsys.readouterr().err
 
 
+def test_repeated_task_exits_2(tmp_path: Path, capsys):
+    # the report would list the task twice, and verify-report would check its section twice
+    argv = ["analyze", "--catalog", "two_absorbing", "--tasks", "invariants,conditions,invariants"]
+    assert run_cli(argv + ["--out", str(tmp_path / "x.json")]) == 2
+    assert "error: task 'invariants' is requested twice" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("text, kind", [("[]", "list"), ('"x"', "str"), ("3", "int"), ("null", "NoneType")])
+def test_verify_report_on_a_report_that_is_no_object_exits_2(tmp_path: Path, capsys, text, kind):
+    # exit 1 means a failed check, so a report of the wrong shape must not crash with it
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    assert run_cli(["verify-report", "--report", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: report must be a JSON object, got {kind}\n"
+
+
 def test_capacity_exits_3(tmp_path: Path):
     big = tmp_path / "big.json"
     m = [[1.0 if i == j else 0.0 for j in range(25)] for i in range(25)]

@@ -11,6 +11,7 @@ from chargechain import (
     FAMeasure,
     PreconditionError,
     TransitionKernel,
+    apply_A,
     birth_death,
     check_alpha,
     check_beta,
@@ -22,10 +23,10 @@ from chargechain import (
     dirac,
     doeblin_truncation_trend,
     drift_walk_N,
-    from_vector,
+    evaluate,
     invariant_basis,
     invariant_basis_finite,
-    lemma_sup_dirac_residual,
+    kernel_power,
     measurable,
     quasicompact_diagnostic,
     restart_walk,
@@ -36,6 +37,7 @@ from chargechain import (
     truncate_reflecting,
     two_absorbing,
 )
+from oracles import from_vector
 
 TOL = 1e-12
 
@@ -291,7 +293,7 @@ def test_beta_fails_on_a_pair_without_witnesses_and_lists_the_others_in_order():
     space = TransitionKernel.finite(np.eye(3)).space
     d0, d2 = dirac(space, 0), dirac(space, 2)
     overlap = FAMeasure(space, atoms={0: 0.5, 1: 0.5})  # shares state 0 with δ_0
-    out = check_beta(invariants.InvariantBasis([d0, d2, overlap], ["ca"] * 3, 3))
+    out = check_beta(invariants.InvariantBasis([d0, d2, overlap], ["ca"] * 3))
     assert not out.holds
     assert [(i, j, sorted(a.atoms), sorted(b.atoms)) for i, j, a, b in out.witnesses] == [
         (0, 1, [0], [2]),
@@ -316,9 +318,11 @@ def test_beta_mixed_kind_witnesses():
 # -- sup-over-starts lemma ------------------------------------------------------------------
 
 def test_lemma_example_two_state():
+    # sup over Dirac starts of p(x, G) against (A eta)(G) for a mixture eta
     k = TransitionKernel.finite([[0.9, 0.1], [0.2, 0.8]])
     g = measurable(k.space, atoms=[0])
-    sup_d, mix = lemma_sup_dirac_residual(k, g, 1, [half_half(k)])
+    sup_d = max(k.prob(x, g) for x in range(2))
+    mix = evaluate(apply_A(k, half_half(k)), g)
     assert sup_d == pytest.approx(0.9)
     assert mix == pytest.approx(0.55)
     assert mix <= sup_d + TOL
@@ -328,12 +332,10 @@ def test_lemma_equal_rows_all_mixtures_equal():
     k = uniform2()
     g = measurable(k.space, atoms=[0])
     rng = np.random.default_rng(9)
-    trials = []
     for _ in range(20):
         w = rng.random(2)
-        trials.append(from_vector(k.space, w / w.sum()))
-    sup_d, mix = lemma_sup_dirac_residual(k, g, 1, trials)
-    assert sup_d == pytest.approx(0.5) and mix == pytest.approx(0.5)
+        assert evaluate(apply_A(k, from_vector(k.space, w / w.sum())), g) == pytest.approx(0.5)
+    assert max(k.prob(x, g) for x in range(2)) == pytest.approx(0.5)
 
 
 def test_lemma_dirac_attains_sup():
@@ -344,9 +346,14 @@ def test_lemma_dirac_attains_sup():
         k = TransitionKernel.finite(m / m.sum(axis=1, keepdims=True))
         g = measurable(k.space, atoms=[j for j in range(n) if rng.random() < 0.5])
         order = int(rng.integers(1, 5))
-        diracs = [dirac(k.space, x) for x in range(n)]
-        sup_d, mix = lemma_sup_dirac_residual(k, g, order, diracs)
-        assert mix == pytest.approx(sup_d, abs=TOL)
+        sup_d = max(kernel_power(k, order).prob(x, g) for x in range(n))
+        best = 0.0
+        for x in range(n):
+            lam = dirac(k.space, x)
+            for _ in range(order):
+                lam = apply_A(k, lam)
+            best = max(best, evaluate(lam, g))
+        assert best == pytest.approx(sup_d, abs=TOL)
 
 
 # -- truncation surrogate ---------------------------------------------------------------------

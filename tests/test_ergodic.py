@@ -19,7 +19,6 @@ from chargechain import (
     distance_series,
     ergodic_run,
     finite_uniform,
-    from_vector,
     invariant_basis_finite,
     kernel_power,
     projector_finite,
@@ -28,7 +27,7 @@ from chargechain import (
     swap2,
     two_absorbing,
 )
-from oracles import char_poly_second_modulus
+from oracles import char_poly_second_modulus, from_vector
 
 TOL = 1e-12
 RES_TOL = 1e-10

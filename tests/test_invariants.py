@@ -14,17 +14,14 @@ from chargechain import (
     PreconditionError,
     TailRow,
     TransitionKernel,
-    cesaro_sequence,
     check_beta,
     classify_invariant,
     detect_ca_countable,
     detect_pfa_ends,
     dirac,
     drift_walk_N,
-    end_charge,
     escape_profile,
     evaluate,
-    from_vector,
     grid_unit_interval,
     invariance_residual,
     invariant_basis,
@@ -34,7 +31,6 @@ from chargechain import (
     recurrent_classes,
     restart_walk,
     run_analysis,
-    split_parts_invariant,
     stationary_of_class,
     swap2,
     symmetric_walk_Z,
@@ -42,7 +38,8 @@ from chargechain import (
     truncate_ends,
     two_absorbing,
 )
-from chargechain.catalog import REGISTRY
+from chargechain.catalog import REGISTRY, build
+from oracles import end_charge, from_vector
 
 RES_TOL = 1e-10
 
@@ -195,11 +192,11 @@ def test_ca_detection_steps_no_window(monkeypatch):
 
 
 def test_invariant_existence_across_catalog():
-    for name, entry in REGISTRY.items():
-        basis = invariant_basis(entry.build())
+    for name in REGISTRY:
+        basis = invariant_basis(build(name))
         assert basis.dimension >= 1, f"{name} produced an empty invariant set"
         for mu in basis.measures:
-            assert invariance_residual(entry.build(), mu) <= RES_TOL
+            assert invariance_residual(build(name), mu) <= RES_TOL
 
 
 def test_mixture_parts_individually_invariant():
@@ -208,27 +205,37 @@ def test_mixture_parts_individually_invariant():
     k = TransitionKernel.walk("N", exceptions={0: {0: 1.0}}, tails={END_POS: tail})
     mix = dirac(k.space, 0) * 0.5 + end_charge(k.space, END_POS) * 0.5
     assert invariance_residual(k, mix) <= RES_TOL
-    res_ca, res_pfa = split_parts_invariant(k, mix)
-    assert res_ca <= RES_TOL and res_pfa <= RES_TOL
+    for part in (FAMeasure(k.space, mix.atoms), FAMeasure(k.space, ends=mix.ends)):
+        assert invariance_residual(k, part) <= RES_TOL
 
     slow_grid = grid_unit_interval(8, p_toward_zero=0.35)
     basis = invariant_basis(slow_grid)
     assert basis.kinds == ["ca", "pfa"]
     mix2 = basis.measures[0] * 0.5 + basis.measures[1] * 0.5
-    res_ca, res_pfa = split_parts_invariant(slow_grid, mix2)
-    assert res_ca <= RES_TOL and res_pfa <= RES_TOL
+    for part in (FAMeasure(slow_grid.space, mix2.atoms), FAMeasure(slow_grid.space, ends=mix2.ends)):
+        assert invariance_residual(slow_grid, part) <= RES_TOL
+
+
+def cesaro_means(kernel, mu0, n):
+    """The averaged sequence (A mu0 + ... + A^k mu0) / k for k = 1..n, by iterating ``apply_A``."""
+    out, cur, acc = [], mu0, FAMeasure(kernel.space)
+    for k in range(1, n + 1):
+        cur = apply_A(kernel, cur)
+        acc = acc + cur
+        out.append(acc * (1.0 / k))
+    return out
 
 
 def test_cesaro_sequence_identity_fixed_point():
     ident = TransitionKernel.finite(np.eye(3))
     mu0 = from_vector(ident.space, [0.2, 0.3, 0.5])
-    for lam in cesaro_sequence(ident, mu0, 6):
+    for lam in cesaro_means(ident, mu0, 6):
         assert (lam - mu0).total_variation() <= 1e-12
 
 
 def test_cesaro_sequence_swap_alternation():
     sw = swap2()
-    seq = cesaro_sequence(sw, dirac(sw.space, 0), 9)
+    seq = cesaro_means(sw, dirac(sw.space, 0), 9)
     for i, lam in enumerate(seq):
         n = i + 1
         assert lam.atoms.get(0, 0.0) == pytest.approx((n // 2) / n, abs=1e-12)
@@ -238,7 +245,7 @@ def test_cesaro_sequence_swap_alternation():
 
 def test_cesaro_sequence_drift_window_mass():
     dw = drift_walk_N(1.0)
-    seq = cesaro_sequence(dw, dirac(dw.space, 0), 20)
+    seq = cesaro_means(dw, dirac(dw.space, 0), 20)
     k5 = measurable(dw.space, atoms=range(6))  # {0..5}
     for i, lam in enumerate(seq):
         n = i + 1
@@ -246,16 +253,13 @@ def test_cesaro_sequence_drift_window_mass():
 
 
 def test_cesaro_sequence_keeps_end_leaks_to_fixed_targets():
+    # the charge keeps half its mass at each step and leaks the rest to state 50, whose mass walks on
     tail = TailRow(relative={1: 0.5}, to_finite={50: 0.5})
     k = TransitionKernel.walk("N", tails={END_POS: tail})
-    start = end_charge(k.space, END_POS)
-    seq = cesaro_sequence(k, start, 5)
-    cur, acc = start, FAMeasure(k.space)
-    for n, lam in enumerate(seq, start=1):
-        cur = apply_A(k, cur)
-        acc = acc + cur
+    for n, lam in enumerate(cesaro_means(k, end_charge(k.space, END_POS), 5), start=1):
         assert lam.is_probability()
-        assert (lam - acc * (1.0 / n)).total_variation() <= 1e-12
+        assert lam.ends[END_POS] == pytest.approx(sum(0.5**j for j in range(1, n + 1)) / n, abs=1e-15)
+        assert lam.atoms[50] == pytest.approx(0.5, abs=1e-15)  # half of every step's mass lands there
 
 
 def test_escape_profile_drift_exact():

@@ -8,23 +8,17 @@ import pytest
 from chargechain import (
     END_NEG,
     END_POS,
-    BoundedFunction,
     FAMeasure,
     StructureError,
     TailRow,
     TransitionKernel,
     ValidationError,
     apply_A,
-    apply_T,
     birth_death,
     catalog,
     cesaro_kernel,
-    cesaro_sequence,
     dirac,
     drift_walk_N,
-    duality_residual,
-    end_charge,
-    from_vector,
     kernel_from_spec,
     kernel_power,
     kernel_to_spec,
@@ -36,7 +30,7 @@ from chargechain import (
     truncate_reflecting,
     two_absorbing,
 )
-from test_window import seeded_walks
+from oracles import BoundedFunction, apply_T, duality_residual, end_charge, from_vector
 
 TOL = 1e-12
 
@@ -250,24 +244,6 @@ FAR_TARGETS = {
     "tail_+inf": {"relative": {"-1": 0.5, "1": 0.25}, "to_finite": {"0": 0.25}},
     "tail_-inf": {"relative": {"-1": 0.25, "1": 0.5}, "to_other_end": {"+inf": 0.25}},
 }
-
-
-def test_cesaro_sequence_is_the_apply_A_running_mean_on_walks():
-    k = kernel_from_spec(FAR_TARGETS)
-    assert k.radius() == 6
-    walks = [k, *seeded_walks(5, 24)]
-    assert {w.space.support for w in walks} == {"N", "Z"}
-    for kernel in walks:
-        space = kernel.space
-        for start in (dirac(space, 0), dirac(space, 3), *(end_charge(space, e) for e in space.end_ids())):
-            cur, acc, expected = start, FAMeasure(space), []
-            for n in range(1, 9):
-                cur = apply_A(kernel, cur)
-                acc = acc + cur
-                expected.append(acc * (1.0 / n))
-            got = cesaro_sequence(kernel, start, 8)
-            assert [(a.atoms, a.ends) for a in got] == [(b.atoms, b.ends) for b in expected]
-            assert all(lam.is_probability() for lam in got)
 
 
 def test_duality_holds_across_ends():

@@ -6,7 +6,6 @@ import pytest
 from chargechain import (
     END_NEG,
     END_POS,
-    BoundedFunction,
     DomainError,
     FAMeasure,
     PreconditionError,
@@ -14,22 +13,16 @@ from chargechain import (
     StateSpace,
     ValidationError,
     dirac,
-    end_charge,
     end_direction,
     evaluate,
-    from_vector,
     is_disjoint,
-    jordan_decompose,
     lattice_inf,
-    lattice_sup,
     measurable,
     measure_from_json,
-    pair,
     set_from_json,
     singularity_witness,
-    yosida_hewitt,
 )
-from oracles import lattice_inf_oracle
+from oracles import BoundedFunction, end_charge, from_vector, lattice_inf_oracle, pair
 
 TOL = 1e-12
 
@@ -109,39 +102,44 @@ def test_function_requires_end_limits():
         BoundedFunction(space, window={0: 1.0}, end_limits={END_POS: 0.0})
 
 
+def jordan_parts(mu):
+    """The positive and the negative weights of mu, each as a nonnegative measure."""
+    def part(sign, weights):
+        return {k: sign * v for k, v in weights.items() if sign * v > 0.0}
+
+    return (FAMeasure(mu.space, part(1.0, mu.atoms), part(1.0, mu.ends)),
+            FAMeasure(mu.space, part(-1.0, mu.atoms), part(-1.0, mu.ends)))
+
+
 def test_jordan_examples():
     space = StateSpace.half_line()
     mu = FAMeasure(space, atoms={0: 0.5, 1: -0.2}, ends={END_POS: -0.3})
-    pos, neg = jordan_decompose(mu)
+    pos, neg = jordan_parts(mu)
     assert pos.atoms == {0: 0.5} and not pos.ends
     assert neg.atoms == {1: 0.2} and neg.ends == {END_POS: 0.3}
-    assert mu.total_variation() == pytest.approx(1.0, abs=0.0)
+    assert mu.total_variation() == pos.total() + neg.total() == 1.0
 
     nonneg = FAMeasure(space, atoms={3: 0.4})
-    p2, n2 = jordan_decompose(nonneg)
-    assert p2.atoms == nonneg.atoms and n2.total_variation() == 0.0
+    p2, n2 = jordan_parts(nonneg)
+    assert p2 == nonneg and n2.total_variation() == 0.0
 
     d = dirac(space, 0) - dirac(space, 1)
-    p3, n3 = jordan_decompose(d)
+    p3, n3 = jordan_parts(d)
     assert p3.atoms == {0: 1.0} and n3.atoms == {1: 1.0}
     assert d.total_variation() == 2.0
 
 
 def test_yosida_hewitt_examples():
+    # the atoms are the countably additive part: nothing past them; the ends the pure charge: nothing on a finite set
     space = StateSpace.integer_line()
-    charge = end_charge(space, END_POS)
-    ca, pfa = yosida_hewitt(charge)
-    assert ca.total_variation() == 0.0 and pfa.ends == {END_POS: 1.0}
-
-    d = dirac(space, 0)
-    ca, pfa = yosida_hewitt(d)
-    assert ca.atoms == {0: 1.0} and pfa.total_variation() == 0.0
-
-    mixed = FAMeasure(space, atoms={3: 0.4}, ends={END_NEG: 0.6})
-    ca, pfa = yosida_hewitt(mixed)
-    assert ca.atoms == {3: 0.4} and pfa.ends == {END_NEG: 0.6}
-    again_ca, again_pfa = yosida_hewitt(ca)
-    assert again_ca == ca and again_pfa.total_variation() == 0.0
+    far = measurable(space, tails=[(END_POS, 10), (END_NEG, -10)])
+    near = measurable(space, atoms=range(-10, 11))
+    for mu in (end_charge(space, END_POS), dirac(space, 0), FAMeasure(space, atoms={3: 0.4}, ends={END_NEG: 0.6})):
+        ca, pfa = FAMeasure(space, mu.atoms), FAMeasure(space, ends=mu.ends)
+        assert ca + pfa == mu
+        assert evaluate(ca, far) == 0.0 and evaluate(ca, near) == ca.total()
+        assert evaluate(pfa, near) == 0.0 and evaluate(pfa, far) == pfa.total()
+        assert evaluate(mu, far) == pfa.total() and evaluate(mu, far.complement()) == ca.total()
 
 
 def test_decompositions_recompose_exactly():
@@ -151,9 +149,9 @@ def test_decompositions_recompose_exactly():
         atoms = {int(rng.integers(-20, 21)): float(rng.normal()) for _ in range(6)}
         ends = {END_POS: float(rng.normal()), END_NEG: float(rng.normal())}
         mu = FAMeasure(space, atoms, ends)
-        pos, neg = jordan_decompose(mu)
+        pos, neg = jordan_parts(mu)
         assert pos - neg == mu  # exact, tolerance zero
-        ca, pfa = yosida_hewitt(mu)
+        ca, pfa = FAMeasure(space, mu.atoms), FAMeasure(space, ends=mu.ends)
         assert ca + pfa == mu
         if mu.is_nonnegative():
             assert mu.total_variation() == ca.total_variation() + pfa.total_variation()
@@ -162,7 +160,7 @@ def test_decompositions_recompose_exactly():
 def test_norm_splits_for_nonnegative():
     space = StateSpace.half_line()
     mu = FAMeasure(space, atoms={0: 0.25, 2: 0.25}, ends={END_POS: 0.5})
-    ca, pfa = yosida_hewitt(mu)
+    ca, pfa = FAMeasure(space, mu.atoms), FAMeasure(space, ends=mu.ends)
     assert mu.total_variation() == ca.total_variation() + pfa.total_variation()
 
 
@@ -227,7 +225,7 @@ def test_inf_below_and_sup_above_setwise():
         m1 = from_vector(space, rng.random(6))
         m2 = from_vector(space, rng.random(6))
         lo = lattice_inf(m1, m2)
-        hi = lattice_sup(m1, m2)
+        hi = m1 + m2 - lo  # the lattice supremum of nonnegative measures
         for mask in range(64):
             e = measurable(space, atoms=[j for j in range(6) if mask >> j & 1])
             v1, v2 = evaluate(m1, e), evaluate(m2, e)
@@ -265,18 +263,16 @@ def test_pure_charge_behavior():
         assert evaluate(mu, measurable(space, atoms=range(-m, m + 1))) == 0.0
         assert evaluate(mu, measurable(space, tails=[(END_POS, m)])) == 0.4
         assert evaluate(mu, measurable(space, tails=[(END_NEG, -m)])) == 0.6
-    assert mu.is_pure_charge()
+    assert not mu.atoms
 
 
 def test_probability_membership_flags():
     space = StateSpace.integer_line()
     assert dirac(space, 5).is_probability()
-    assert dirac(space, 5).is_countably_additive()
     assert end_charge(space, END_NEG).is_probability()
-    assert end_charge(space, END_NEG).is_pure_charge()
     mixed = FAMeasure(space, atoms={0: 0.5}, ends={END_POS: 0.5})
     assert mixed.is_probability()
-    assert not mixed.is_countably_additive() and not mixed.is_pure_charge()
+    assert not (mixed * 2.0).is_probability() and not (mixed - dirac(space, 0)).is_probability()
 
 
 def test_json_literals_round_trip():

@@ -16,7 +16,6 @@ from chargechain import (
     check_doeblin,
     check_doeblin_tilde,
     doeblin_truncation_trend,
-    from_vector,
     kernel_from_spec,
     measurable,
     search_doeblin,
@@ -26,6 +25,7 @@ from chargechain.conditions import DoeblinOutcome, _small_set_max
 from chargechain.invariants import InvariantBasis
 from chargechain.kernels import cesaro_kernel, kernel_power
 from chargechain.measures import _subset_sums, to_vector
+from oracles import from_vector
 
 
 def brute_small_set_max(kernel, matrix, phi, eps, *, strict):
@@ -164,7 +164,7 @@ def test_search_computes_each_stepped_kernel_once(monkeypatch):
             assert sorted(calls) == list(range(1, k_max + 1))
     # a basis without measures leaves only the counting witness, which needs no stepped kernel
     calls.clear()
-    w = search_doeblin(kernel, basis=InvariantBasis(measures=[], kinds=[], dimension=0))
+    w = search_doeblin(kernel, basis=InvariantBasis(measures=[], kinds=[]))
     assert (w.phi_source, w.eps, w.k, w.vacuous) == ("counting", 0.5, 1, True)
     assert calls == []
 
