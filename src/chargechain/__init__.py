@@ -66,7 +66,7 @@ from .kernels import (
     kernel_power,
     kernel_to_spec,
     successors,
-    truncate_ends,
+    truncate,
     truncate_reflecting,
 )
 from .measures import (
@@ -75,7 +75,6 @@ from .measures import (
     FAMeasure,
     MeasurableSet,
     StateSpace,
-    dirac,
     end_direction,
     evaluate,
     is_disjoint,

@@ -288,15 +288,17 @@ def check_beta(basis: InvariantBasis) -> BetaOutcome:
 # -- countable-chain surrogate ---------------------------------------------------
 
 def doeblin_truncation_trend(kernel: TransitionKernel) -> list[tuple[int, float]]:
-    """(D) maxima at eps = 0.25, k = 1 of reflecting truncations, phi the truncated stationary mass.
+    """(D) maxima at eps = 0.25, k = 1 of reflecting truncations to 0..w-1 (N) or -w..w (Z), phi the truncated
+    stationary mass.
 
     When the chain carries an invariant end charge these maxima sit against
     1 across growing windows; the report phrases that as the condition
     failing in the limit.
     """
     out = []
-    for w in (4, 8, 16) if kernel.space.support == "N" else (2, 4, 8):
-        trunc = truncate_reflecting(kernel, w)
+    half_line = kernel.space.support == "N"
+    for w in (4, 8, 16) if half_line else (2, 4, 8):
+        trunc = truncate_reflecting(kernel, 0 if half_line else -w, w - 1 if half_line else w)
         basis = invariant_basis_finite(trunc)
         phi = sum(basis.measures[1:], basis.measures[0])
         out.append((w, check_doeblin(trunc, phi, 0.25, 1).max_value))

@@ -7,7 +7,7 @@ the tail rows' action on them, and countably additive invariants (those
 with effectively finite support) are the GTH laws of the walk's reflecting
 truncation that its invariance residual certifies.  Escape profiles, the
 window masses of the averaged sequence of A, double the powers of one
-window matrix, whose end buckets act as end charges (``truncate_ends``).
+window matrix, whose end buckets act as end charges (``truncate``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructureError, ValidationError
-from .kernels import TransitionKernel, apply_A, successors, truncate_ends, truncate_reflecting
+from .kernels import TransitionKernel, apply_A, successors, truncate, truncate_reflecting
 from .measures import FAMeasure, end_direction
 
 INVARIANCE_TOL = 1e-10
@@ -209,30 +209,24 @@ def detect_pfa_ends(kernel: TransitionKernel) -> list[FAMeasure]:
     return [FAMeasure(kernel.space, ends={ends[x]: w for x, w in pi.atoms.items()}) for pi in laws]
 
 
-def detect_ca_countable(
-    kernel: TransitionKernel,
-    window: int = 256,
-    steps: int | None = None,
-    tol: float = INVARIANCE_TOL,
-) -> list[FAMeasure]:
+def detect_ca_countable(kernel: TransitionKernel, window: int = 256, steps: int | None = None) -> list[FAMeasure]:
     """Numerically certified countably additive invariants of a countable walk.
 
     ``window`` sizes the reflecting truncation: the window + 1 states 0..window
     on N, -window/2..window/2 on Z.  Each recurrent class of the truncation
     gets its GTH law, cut at weights <= 1e-14 and renormalized; a law is kept
-    when its invariance residual on the walk itself meets ``tol``, so the list
-    holds one measure per certified class.  An empty list means no invariant
-    with effectively finite support was certified.  ``steps`` is ignored; it
-    stays for callers that pass it.
+    when its invariance residual on the walk itself meets ``INVARIANCE_TOL``,
+    so the list holds one measure per certified class.  An empty list means
+    no invariant with effectively finite support was certified.  ``steps`` is
+    ignored; it stays for callers that pass it.
     """
     if kernel.space.is_finite:
         raise DomainError("use invariant_basis_finite on finite chains")
-    half_line = kernel.space.support == "N"
-    lo = 0 if half_line else -(window // 2)
-    trunc = truncate_reflecting(kernel, window + 1 if half_line else window // 2)
+    lo, hi = (0, window) if kernel.space.support == "N" else (-(window // 2), window // 2)
+    trunc = truncate_reflecting(kernel, lo, hi)
     laws = (stationary_of_class(trunc, c.states) for c in recurrent_classes(trunc))
     cut = (FAMeasure(kernel.space, {lo + i: w for i, w in pi.atoms.items() if w > 1e-14}).normalized() for pi in laws)
-    return [mu for mu in cut if invariance_residual(kernel, mu) <= tol]
+    return [mu for mu in cut if invariance_residual(kernel, mu) <= INVARIANCE_TOL]
 
 
 def invariant_basis(kernel: TransitionKernel) -> InvariantBasis:
@@ -285,26 +279,18 @@ def escape_checkpoints(n_max: int) -> list[int]:
     return powers if n_max & (n_max - 1) == 0 else powers + [n_max]
 
 
-def escape_profile(
-    kernel: TransitionKernel,
-    mu0: FAMeasure,
-    n_max: int,
-    windows: tuple[int, ...] = (8, 16, 32),
-) -> EscapeProfile:
-    """Track lambda_n(K_m) for windows K_m = {|x| <= m} from an atomic start, at ``escape_checkpoints(n_max)``.
+def escape_profile(kernel: TransitionKernel, n_max: int, windows: tuple[int, ...] = (8, 16, 32)) -> EscapeProfile:
+    """Track lambda_n(K_m) for windows K_m = {|x| <= m} from delta_0, at ``escape_checkpoints(n_max)``.
 
-    The evolution is the window matrix W of the largest window (``truncate_ends``): mass past it sits in its
-    end's bucket and acts as that end's charge, so a tail's ``to_finite`` part brings it back.  With
+    The evolution is the window matrix W of the largest window m, 0..m on N and -m..m on Z, with end buckets
+    (``truncate``): mass past it sits in its end's bucket and acts as that end's charge, so a tail's
+    ``to_finite`` part brings it back.  With
     T_m = W + ... + W^m the sums double, T_2m = T_m + W^m T_m and W^2m = (W^m)^2, and n_max is composed from
     the binary pieces, T_(a+b) = T_a + W^a T_b.  The estimate of invariant charge mass is the largest
     window's complement at n_max; smaller windows are diagnostics.
     """
     if kernel.space.is_finite:
         raise DomainError("escape analysis needs a countable chain")
-    if mu0.ends:
-        raise PreconditionError("escape analysis starts from an atomic measure")
-    if not mu0.is_probability():
-        raise PreconditionError("escape analysis starts from a probability measure")
     ws = sorted(int(m) for m in windows)
     if not ws or ws[0] < 1 or len(set(ws)) < len(ws):
         raise ValidationError(f"window sizes must be positive and distinct, got {ws}")
@@ -314,11 +300,8 @@ def escape_profile(
     hi = ws[-1]
     lo = 0 if kernel.space.support == "N" else -hi
     start = np.zeros(hi - lo + 3)
-    for x, w in mu0.atoms.items():
-        if not lo <= x <= hi:
-            raise PreconditionError(f"atom at {x} lies outside the window")
-        start[x - lo + 1] = w
-    power = truncate_ends(kernel, hi)  # W^m and T_m at m = 2^j
+    start[1 - lo] = 1.0  # delta_0
+    power = truncate(kernel, lo, hi, ends=True)  # W^m and T_m at m = 2^j
     total = power.copy()
     sums, s, v = [], np.zeros_like(start), start  # start·T_n at each checkpoint; s and v compose n_max
     for j in range(n_max.bit_length()):

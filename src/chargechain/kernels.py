@@ -17,9 +17,9 @@ Rows are countably additive by construction.  A tail row realizes its
 cross-end mass as the mirror jump x -> -x, which carries mass deep toward
 one end as deep toward the other, as A does on end charges, and keeps a
 symmetric window closed under it.
-``window_table`` flattens the rows of a window of states into arrays; the
-reflecting truncation ``truncate_reflecting`` and the escape profile's
-window matrix ``truncate_ends`` read their one-step law from it.
+``truncate`` is the one finite window of a walk, and its boundary is its one
+choice: mass leaving the window is clipped onto its edges, or sent to one
+bucket per end that acts as that end's charge.
 """
 
 from __future__ import annotations
@@ -249,63 +249,43 @@ def apply_A(kernel: TransitionKernel, mu: FAMeasure) -> FAMeasure:
     return FAMeasure(kernel.space, atoms, ends)
 
 
-def window_table(
-    kernel: TransitionKernel, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of states lo..hi flattened to ``(sources, targets, probs)``.
+def truncate(kernel: TransitionKernel, lo: int, hi: int, ends: bool = False) -> np.ndarray:
+    """The window matrix of a walk on the states lo..hi.
 
-    Sources ascend and each row keeps the order of ``kernel.row``.  Targets
-    are states and may lie outside lo..hi, so a boundary policy is a clip of
-    ``targets``: onto lo..hi to reflect, onto lo-1..hi+1 to send overflow to
-    the end buckets.
-    """
-    table = np.array([(x, y, p) for x in range(lo, hi + 1) for y, p in kernel.row(x).items()])
-    table = table.reshape(-1, 3)  # states are small integers, exact as floats
-    return table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
-
-
-def truncate_reflecting(kernel: TransitionKernel, width: int) -> TransitionKernel:
-    """Finite restriction of a walk to 0..width-1 (N) or -width..width (Z), from 0; outbound mass is clipped."""
-    if kernel.space.is_finite:
-        raise DomainError("truncation applies to countable chains")
-    lo, hi = (0, width - 1) if kernel.space.support == "N" else (-width, width)
-    sources, targets, probs = window_table(kernel, lo, hi)
-    mat = np.zeros((hi - lo + 1, hi - lo + 1))
-    # unbuffered, in table order: the same sums as adding the entries one by one
-    np.add.at(mat, (sources - lo, np.clip(targets, lo, hi) - lo), probs)
-    return TransitionKernel.finite(mat)
-
-
-def truncate_ends(kernel: TransitionKernel, half_width: int) -> np.ndarray:
-    """The window matrix W of a walk: the states lo..hi plus one bucket per end, each acting as its end's charge.
-
-    lo..hi is 0..half_width on N and -half_width..half_width on Z.  State x sits in cell x - lo + 1, and cells
-    0 and -1 are the buckets of -inf and +inf (cell 0 stays empty on N).  A state's row is its window table row
-    clipped onto lo-1..hi+1, so mass leaving the window lands in the bucket on its side.  A bucket's row is its
-    end's tail row acting on the end charge, as in ``apply_A``: the ``relative`` mass stays in the bucket, the
-    ``to_finite`` mass goes to its atoms (clipped like any target) and the ``to_other_end`` mass to the other
-    bucket.  So a row vector of cell masses times W is one step of A on atoms in the window plus charges at
-    the ends, with the atoms past the window summed into their end's cell.
+    State x sits in cell x - lo, and a target past an edge is clipped onto it.  With ``ends`` there is one
+    more cell per side: state x sits in cell x - lo + 1, a target past an edge lands in the bucket on its
+    side (cell 0 for -inf, empty on N, and the last cell for +inf), and a bucket's row is its end's tail row
+    acting on the end charge, as in ``apply_A``: the ``relative`` mass stays in the bucket, the ``to_finite``
+    mass goes to its atoms (clipped like any target) and the ``to_other_end`` mass to the other bucket.  So a
+    row vector of cell masses times the matrix is one step of A on atoms in the window plus charges at the
+    ends, with the atoms past the window summed into their end's cell.  The entries are added in the order
+    of ``kernel.row``.
     """
     if kernel.space.is_finite:
         raise DomainError("truncation applies to countable chains")
-    hi = int(half_width)
-    lo = 0 if kernel.space.support == "N" else -hi
+    edge = int(ends)
 
     def cell(x):
-        return np.clip(x, lo - 1, hi + 1) - lo + 1
+        return np.clip(x, lo - edge, hi + edge) - lo + edge
 
-    sources, targets, probs = window_table(kernel, lo, hi)
-    w = np.zeros((hi - lo + 3, hi - lo + 3))
-    np.add.at(w, (cell(sources), cell(targets)), probs)
-    bucket = {END_NEG: 0, END_POS: hi - lo + 2}
-    for e, tail in sorted(kernel.tails.items()):
-        w[bucket[e], bucket[e]] += tail.preserved_mass()
-        for y, p in sorted(tail.to_finite.items()):
-            w[bucket[e], cell(y)] += p
-        for e2, p in sorted(tail.to_other_end.items()):
-            w[bucket[e], bucket[e2]] += p
+    xs, ys, ps = zip(*((x, y, p) for x in range(lo, hi + 1) for y, p in kernel.row(x).items()))
+    w = np.zeros((hi - lo + 1 + 2 * edge,) * 2)
+    # unbuffered, in row order: the same sums as adding the entries one by one
+    np.add.at(w, (cell(np.array(xs)), cell(np.array(ys))), ps)
+    if ends:
+        bucket = {END_NEG: 0, END_POS: hi - lo + 2}
+        for e, tail in sorted(kernel.tails.items()):
+            w[bucket[e], bucket[e]] += tail.preserved_mass()
+            for y, p in sorted(tail.to_finite.items()):
+                w[bucket[e], cell(y)] += p
+            for e2, p in sorted(tail.to_other_end.items()):
+                w[bucket[e], bucket[e2]] += p
     return w
+
+
+def truncate_reflecting(kernel: TransitionKernel, lo: int, hi: int) -> TransitionKernel:
+    """``truncate`` without end buckets, as a finite kernel on 0..hi-lo."""
+    return TransitionKernel.finite(truncate(kernel, lo, hi))
 
 
 def powers(kernel: TransitionKernel) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -265,10 +265,6 @@ def _same_space(a, b) -> None:
         raise DomainError("objects live on different state spaces")
 
 
-def dirac(space: StateSpace, x: int) -> FAMeasure:
-    return FAMeasure(space, atoms={int(x): 1.0})
-
-
 def to_vector(mu: FAMeasure) -> np.ndarray:
     if not mu.space.is_finite:
         raise DomainError("to_vector needs a finite space")

@@ -42,7 +42,7 @@ from .invariants import (
     stationary_of_class,
 )
 from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
-from .measures import dirac, end_direction, evaluate, is_disjoint, measurable, measure_from_json, set_from_json, to_vector
+from .measures import end_direction, evaluate, is_disjoint, measurable, measure_from_json, set_from_json, to_vector
 from .ergodic import ErgodicRunResult, ergodic_run, fitted_rate
 
 SCHEMA_VERSION = 8
@@ -227,7 +227,7 @@ def _run_json(run: ErgodicRunResult) -> dict:
 
 
 def _escape_section(kernel: TransitionKernel, n_max: int, windows) -> dict:
-    profile = escape_profile(kernel, dirac(kernel.space, 0), n_max, tuple(windows))
+    profile = escape_profile(kernel, n_max, tuple(windows))
     return {
         "n_max": n_max,
         "checkpoints": list(profile.checkpoints),

@@ -103,6 +103,10 @@ def _perm_sign(perm) -> int:
 
 # -- test-only constructors -------------------------------------------------------------
 
+def dirac(space: StateSpace, x: int) -> FAMeasure:
+    return FAMeasure(space, atoms={int(x): 1.0})
+
+
 def end_charge(space: StateSpace, ident: str, weight: float = 1.0) -> FAMeasure:
     if not space.has_end(ident):
         raise DomainError(f"unknown end {ident!r}")
@@ -116,6 +120,11 @@ def from_vector(space: StateSpace, vec) -> FAMeasure:
     if vec.shape != (space.size,):
         raise ValidationError(f"vector length {vec.size} != space size {space.size}")
     return FAMeasure(space, atoms={i: float(vec[i]) for i in range(space.size)})
+
+
+def prob(kernel: TransitionKernel, x: int, ev_set: MeasurableSet) -> float:
+    """One-step transition probability p(x, E)."""
+    return math.fsum(p for y, p in sorted(kernel.row(x).items()) if ev_set.covers_state(y))
 
 
 # -- the duality oracle: T on bounded functions -------------------------------------------

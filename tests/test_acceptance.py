@@ -23,7 +23,6 @@ from chargechain import (
     check_doeblin,
     check_star,
     detect_pfa_ends,
-    dirac,
     distance_series,
     doeblin_truncation_trend,
     drift_walk_N,
@@ -51,10 +50,12 @@ from chargechain.report import AnalysisRequest, report_json, run_analysis, verif
 from oracles import (
     BoundedFunction,
     char_poly_second_modulus,
+    dirac,
     duality_residual,
     end_charge,
     from_vector,
     lattice_inf_oracle,
+    prob,
 )
 
 SUITE_T0 = time.time()
@@ -260,7 +261,7 @@ def test_criterion_09_escape_analytics():
     dw = drift_walk_N(1.0)
     windows = (8, 16, 32)
     n_max = 100 * windows[-1]
-    prof = escape_profile(dw, dirac(dw.space, 0), n_max=n_max, windows=windows)
+    prof = escape_profile(dw, n_max=n_max, windows=windows)
     assert prof.checkpoints == [2**j for j in range(12)] + [n_max]
     for m, seq in prof.windows:
         assert len(seq) == len(prof.checkpoints)
@@ -269,7 +270,7 @@ def test_criterion_09_escape_analytics():
     assert prof.pfa_mass_estimate >= 0.99
     assert prof.per_end_split == {END_POS: 1.0}
     sz = symmetric_walk_Z()
-    prof2 = escape_profile(sz, dirac(sz.space, 0), n_max=10_000, windows=windows)
+    prof2 = escape_profile(sz, n_max=10_000, windows=windows)
     assert abs(prof2.per_end_split[END_POS] - 0.5) <= 0.05
     assert abs(prof2.per_end_split[END_NEG] - 0.5) <= 0.05
     print(
@@ -284,7 +285,7 @@ def test_criterion_10_closed_sets_and_singular_bases():
     closed = check_alpha(ta, mu, measurable(ta.space, atoms=[0, 1]))
     assert closed is not None and sorted(closed.atoms) == [0]
     for x in sorted(closed.atoms):
-        assert ta.prob(x, closed) >= 1.0 - EXACT_TOL
+        assert prob(ta, x, closed) >= 1.0 - EXACT_TOL
     for name in FINITE_ENTRIES:
         kernel = build(name)
         basis = invariant_basis(kernel)

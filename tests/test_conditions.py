@@ -20,7 +20,6 @@ from chargechain import (
     check_double_star,
     check_star,
     check_tilde_star,
-    dirac,
     doeblin_truncation_trend,
     drift_walk_N,
     evaluate,
@@ -37,7 +36,7 @@ from chargechain import (
     truncate_reflecting,
     two_absorbing,
 )
-from oracles import from_vector
+from oracles import dirac, from_vector, prob
 
 TOL = 1e-12
 
@@ -260,7 +259,7 @@ def test_alpha_examples():
     closed = check_alpha(ta, mu, k_mu)
     assert closed is not None and sorted(closed.atoms) == [0]
     # re-verify stochastic closedness directly
-    assert ta.prob(0, closed) == 1.0
+    assert prob(ta, 0, closed) == 1.0
 
     whole = measurable(ta.space, atoms=[0, 1, 2])
     mu2 = from_vector(ta.space, [0.5, 0.0, 0.5])
@@ -321,7 +320,7 @@ def test_lemma_example_two_state():
     # sup over Dirac starts of p(x, G) against (A eta)(G) for a mixture eta
     k = TransitionKernel.finite([[0.9, 0.1], [0.2, 0.8]])
     g = measurable(k.space, atoms=[0])
-    sup_d = max(k.prob(x, g) for x in range(2))
+    sup_d = max(prob(k, x, g) for x in range(2))
     mix = evaluate(apply_A(k, half_half(k)), g)
     assert sup_d == pytest.approx(0.9)
     assert mix == pytest.approx(0.55)
@@ -335,7 +334,7 @@ def test_lemma_equal_rows_all_mixtures_equal():
     for _ in range(20):
         w = rng.random(2)
         assert evaluate(apply_A(k, from_vector(k.space, w / w.sum())), g) == pytest.approx(0.5)
-    assert max(k.prob(x, g) for x in range(2)) == pytest.approx(0.5)
+    assert max(prob(k, x, g) for x in range(2)) == pytest.approx(0.5)
 
 
 def test_lemma_dirac_attains_sup():
@@ -346,7 +345,7 @@ def test_lemma_dirac_attains_sup():
         k = TransitionKernel.finite(m / m.sum(axis=1, keepdims=True))
         g = measurable(k.space, atoms=[j for j in range(n) if rng.random() < 0.5])
         order = int(rng.integers(1, 5))
-        sup_d = max(kernel_power(k, order).prob(x, g) for x in range(n))
+        sup_d = max(prob(kernel_power(k, order), x, g) for x in range(n))
         best = 0.0
         for x in range(n):
             lam = dirac(k.space, x)
@@ -359,8 +358,8 @@ def test_lemma_dirac_attains_sup():
 # -- truncation surrogate ---------------------------------------------------------------------
 
 def test_truncate_reflecting_is_stochastic():
-    for kern, width in ((drift_walk_N(1.0), 6), (symmetric_walk_Z(), 4)):
-        t = truncate_reflecting(kern, width)
+    for kern, lo, hi in ((drift_walk_N(1.0), 0, 5), (symmetric_walk_Z(), -4, 4)):
+        t = truncate_reflecting(kern, lo, hi)
         assert np.all(np.abs(t.matrix.sum(axis=1) - 1.0) <= 1e-12)
 
 

@@ -17,7 +17,6 @@ from chargechain import (
     birth_death,
     catalog,
     cesaro_kernel,
-    dirac,
     drift_walk_N,
     kernel_from_spec,
     kernel_power,
@@ -30,7 +29,7 @@ from chargechain import (
     truncate_reflecting,
     two_absorbing,
 )
-from oracles import BoundedFunction, apply_T, duality_residual, end_charge, from_vector
+from oracles import BoundedFunction, apply_T, dirac, duality_residual, end_charge, from_vector, prob
 
 TOL = 1e-12
 
@@ -408,8 +407,8 @@ def test_finite_spec_takes_exactly_one_form():
 def test_prob_against_tail_sets():
     k = drift_walk_N(1.0)
     tail = measurable(k.space, tails=[(END_POS, 5)])
-    assert k.prob(5, tail) == 1.0  # 5 -> 6, which is beyond 5
-    assert k.prob(3, tail) == 0.0
+    assert prob(k, 5, tail) == 1.0  # 5 -> 6, which is beyond 5
+    assert prob(k, 3, tail) == 0.0
 
 
 def test_duality_asymmetric_line_walk():
@@ -506,7 +505,7 @@ def test_row_hands_out_copies():
 
 def test_finite_kernel_matrices_are_read_only():
     k = birth_death(6, 0.3, 0.2)
-    trunc = truncate_reflecting(drift_walk_N(0.4), 5)
+    trunc = truncate_reflecting(drift_walk_N(0.4), 0, 4)
     for kern in (k, kernel_power(k, 1), kernel_power(k, 3), cesaro_kernel(k, 4), trunc):
         before = kern.row(1)
         with pytest.raises(ValueError):

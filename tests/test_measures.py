@@ -12,7 +12,6 @@ from chargechain import (
     CapacityError,
     StateSpace,
     ValidationError,
-    dirac,
     end_direction,
     evaluate,
     is_disjoint,
@@ -22,7 +21,7 @@ from chargechain import (
     set_from_json,
     singularity_witness,
 )
-from oracles import BoundedFunction, end_charge, from_vector, lattice_inf_oracle, pair
+from oracles import BoundedFunction, dirac, end_charge, from_vector, lattice_inf_oracle, pair
 
 TOL = 1e-12
 

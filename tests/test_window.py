@@ -1,4 +1,4 @@
-"""Walk windows: the window table, the reflecting truncation, the window matrix and the escape profile."""
+"""Walk windows: the one truncation with its two boundaries, and the escape profile."""
 
 import math
 
@@ -12,15 +12,13 @@ from chargechain import (
     TailRow,
     TransitionKernel,
     apply_A,
-    dirac,
     escape_checkpoints,
     escape_profile,
-    truncate_ends,
+    truncate,
     truncate_reflecting,
 )
 from chargechain.catalog import REGISTRY, build
-from chargechain.kernels import window_table
-from oracles import radius, reach
+from oracles import dirac, radius, reach
 
 CATALOG_WALKS = [name for name in sorted(REGISTRY) if not build(name).space.is_finite]
 
@@ -61,16 +59,42 @@ def all_walks():
     return [build(name) for name in CATALOG_WALKS] + list(seeded_walks(5, 24))
 
 
-def reflecting_oracle(kernel, width):
+def reflecting_oracle(kernel, lo, hi):
     """The per-row clip loop that built reflecting truncations before the window table."""
-    states = list(range(width)) if kernel.space.support == "N" else list(range(-width, width + 1))
-    lo, hi = states[0], states[-1]
+    states = list(range(lo, hi + 1))
     index = {x: i for i, x in enumerate(states)}
     mat = np.zeros((len(states), len(states)))
     for x in states:
         for y, p in kernel.row(x).items():
             mat[index[x], index[min(max(y, lo), hi)]] += p
     return mat
+
+
+def ends_oracle(kernel, lo, hi):
+    """The per-row loop of the window with end buckets: each row clipped onto lo-1..hi+1, then the bucket rows."""
+    size = hi - lo + 3
+    mat = np.zeros((size, size))
+    bucket = {END_NEG: 0, END_POS: size - 1}
+
+    def cell(x):
+        return min(max(x, lo - 1), hi + 1) - lo + 1
+
+    for x in range(lo, hi + 1):
+        for y, p in kernel.row(x).items():
+            mat[cell(x), cell(y)] += p
+    for e in sorted(kernel.tails):
+        tail = kernel.tails[e]
+        mat[bucket[e], bucket[e]] += math.fsum(tail.relative.values())
+        for y, p in sorted(tail.to_finite.items()):
+            mat[bucket[e], cell(y)] += p
+        for e2, p in sorted(tail.to_other_end.items()):
+            mat[bucket[e], bucket[e2]] += p
+    return mat
+
+
+def window(kernel, m):
+    """The window of half-width m: 0..m on N, -m..m on Z."""
+    return (0 if kernel.space.support == "N" else -m), m
 
 
 def hex_entries(matrix):
@@ -105,24 +129,40 @@ def test_truncate_reflecting_matches_the_row_loop_bit_for_bit():
     checked = 0
     for kernel in all_walks():
         for width in range(1, 21):
-            got = truncate_reflecting(kernel, width).matrix
-            assert hex_entries(got) == hex_entries(reflecting_oracle(kernel, width))
+            lo, hi = (0, width - 1) if kernel.space.support == "N" else (-width, width)
+            got = truncate_reflecting(kernel, lo, hi).matrix
+            assert hex_entries(got) == hex_entries(reflecting_oracle(kernel, lo, hi))
             checked += 1
     assert checked == 20 * (len(CATALOG_WALKS) + 24)
 
 
-def test_window_table_flattens_rows_in_order():
-    for kernel in all_walks():
-        lo = 0 if kernel.space.support == "N" else -5
-        sources, targets, probs = window_table(kernel, lo, 5)
-        expected = [(x, y, p) for x in range(lo, 6) for y, p in kernel.row(x).items()]
-        assert list(zip(sources.tolist(), targets.tolist(), probs.tolist())) == expected
+@pytest.mark.parametrize("half_width", [1, 2, 3, 5, 8, 16, 32])
+def test_truncate_with_ends_matches_the_row_loop_bit_for_bit(half_width):
+    for kernel in [*all_walks(), cross_end_walk(), far_target_walk()]:
+        lo, hi = window(kernel, half_width)
+        got = truncate(kernel, lo, hi, ends=True)
+        assert hex_entries(got) == hex_entries(ends_oracle(kernel, lo, hi))
+
+
+def test_truncate_adds_rows_in_order():
+    # the row of 0 lands whole on one cell; added in its own order it sums to 1 - 2^-53, in sorted order to 1
+    row = {-1: 0.7, -2: 0.2, -3: 0.1}
+    tail = TailRow(relative={1: 0.5, -1: 0.5})
+    k = TransitionKernel.walk("Z", exceptions={0: row}, tails={END_POS: tail, END_NEG: tail})
+    assert (0.7 + 0.2) + 0.1 == 1.0 - 2.0**-53 and (0.1 + 0.2) + 0.7 == 1.0
+    clipped = truncate(k, 0, 3)  # state x in cell x, and the targets below 0 clipped onto it
+    assert clipped[0, 0] == 1.0 - 2.0**-53 and not clipped[0, 1:].any()
+    buckets = truncate(k, 0, 3, ends=True)  # state x in cell x + 1, and the targets below 0 in the -inf bucket
+    assert buckets[1, 0] == 1.0 - 2.0**-53 and not buckets[1, 1:].any()
+    for lo, hi in ((0, 3), (-2, 5)):  # a row inside the window is the kernel's row, moved to its cells
+        assert list(truncate(k, lo, hi)[2 - lo, 1 - lo : 4 - lo]) == [0.5, 0.0, 0.5]
+        assert list(truncate(k, lo, hi, ends=True)[3 - lo, 2 - lo : 5 - lo]) == [0.5, 0.0, 0.5]
 
 
 def window_layout(kernel, half_width):
-    """lo, hi and the cell of a state in ``truncate_ends``: state x in cell x - lo + 1, past the window in a bucket."""
-    lo = 0 if kernel.space.support == "N" else -half_width
-    return lo, half_width, lambda x: min(max(x, lo - 1), half_width + 1) - lo + 1
+    """lo, hi and the cell of a state in ``truncate`` with ends: state x in cell x - lo + 1, past the window in a bucket."""
+    lo, hi = window(kernel, half_width)
+    return lo, hi, lambda x: min(max(x, lo - 1), hi + 1) - lo + 1
 
 
 def collapse(kernel, mu, half_width):
@@ -164,7 +204,7 @@ def test_window_step_is_apply_A_with_overflow_per_end(half_width):
         xs = rng.choice(np.arange(lo, hi + 1), size=min(4, hi - lo + 1), replace=False)
         ends = {e: float(rng.random()) for e in kernel.space.end_ids()}
         mu = FAMeasure(kernel.space, atoms=dict(zip(xs.tolist(), rng.random(xs.size).tolist())), ends=ends)
-        w = truncate_ends(kernel, half_width)
+        w = truncate(kernel, lo, hi, ends=True)
         assert w.shape == (hi - lo + 3, hi - lo + 3)
         stepped = collapse(kernel, mu, half_width) @ w
         exact = collapse(kernel, apply_A(kernel, mu), half_width)
@@ -179,7 +219,7 @@ def test_window_step_is_apply_A_with_overflow_per_end(half_width):
 def test_window_step_sends_fixed_targets_past_the_window_to_their_end():
     tail = TailRow(relative={1: 0.3, -1: 0.3}, to_finite={-7: 0.1, 9: 0.3})
     k = TransitionKernel.walk("Z", tails={END_POS: tail, END_NEG: tail})
-    w = truncate_ends(k, 2)
+    w = truncate(k, -2, 2, ends=True)
     stepped = collapse(k, dirac(k.space, 0), 2) @ w
     assert stepped[0] == 0.1 and stepped[-1] == 0.3
     assert stepped.sum() == pytest.approx(1.0, abs=1e-15)
@@ -187,7 +227,7 @@ def test_window_step_sends_fixed_targets_past_the_window_to_their_end():
     assert w[-1, -1] == pytest.approx(0.6 + 0.3, abs=1e-15) and w[-1, 0] == 0.1 and not w[-1, 1:-1].any()
     assert w[0, 0] == pytest.approx(0.6 + 0.1, abs=1e-15) and w[0, -1] == 0.3 and not w[0, 1:-1].any()
     far = far_target_walk()
-    w = truncate_ends(far, 32)
+    w = truncate(far, 0, 32, ends=True)
     # the tail keeps 0.9 at +inf, and its target 40 lies past the window of 32, so the bucket keeps all
     assert w[-1, -1] == pytest.approx(1.0, abs=1e-15) and not w[-1, 1:-1].any()
 
@@ -220,7 +260,7 @@ def test_escape_profile_matches_apply_A_while_the_window_holds_the_walk():
         for top in (holding, fixed):
             means = collapsed_cesaro(kernel, top(n_max), n_max)
             for n in range(1, n_max + 1):
-                prof = escape_profile(kernel, dirac(kernel.space, 0), n, (2, 5, top(n)))
+                prof = escape_profile(kernel, n, (2, 5, top(n)))
                 assert prof.checkpoints == escape_checkpoints(n) and prof.checkpoints[-1] == n
                 for m, seq in prof.windows:
                     inside = math.fsum(w for x, w in means[n - 1].items() if abs(x) <= m)
