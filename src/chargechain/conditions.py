@@ -242,6 +242,11 @@ def quasicompact_diagnostic(star: ConditionVerdict) -> tuple[str, str]:
     return "consistent", "(*) holds within the representable class"
 
 
+def limit_verdict(star_holds: bool) -> str:
+    """The verdict of a walk's (D) and (D~) "limit" findings, read off (*): they fail with it."""
+    return "undecided on infinite spaces" if star_holds else "fails in the limit"
+
+
 def check_alpha(
     kernel: TransitionKernel, mu: FAMeasure, k_mu: MeasurableSet
 ) -> MeasurableSet | None:
@@ -362,8 +367,7 @@ def build_condition_report(
             )
     else:
         trend = doeblin_truncation_trend(kernel)
-        verdict = "fails in the limit" if not star.holds else "undecided on infinite spaces"
-        doeblin = doeblin_tilde = DoeblinFinding(kind="limit", trend=trend, verdict=verdict)
+        doeblin = doeblin_tilde = DoeblinFinding(kind="limit", trend=trend, verdict=limit_verdict(star.holds))
     return ConditionReport(
         star=star,
         tilde_star=tilde,

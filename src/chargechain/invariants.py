@@ -284,10 +284,9 @@ def escape_profile(kernel: TransitionKernel, n_max: int, windows: tuple[int, ...
 
     The evolution is the window matrix W of the largest window m, 0..m on N and -m..m on Z, with end buckets
     (``truncate``): mass past it sits in its end's bucket and acts as that end's charge, so a tail's
-    ``to_finite`` part brings it back.  With
-    T_m = W + ... + W^m the sums double, T_2m = T_m + W^m T_m and W^2m = (W^m)^2, and n_max is composed from
-    the binary pieces, T_(a+b) = T_a + W^a T_b.  The estimate of invariant charge mass is the largest
-    window's complement at n_max; smaller windows are diagnostics.
+    ``to_finite`` part brings it back.  With T_m = W + ... + W^m the sums double, T_2m = T_m + W^m T_m and
+    W^2m = (W^m)^2, and n_max is composed from the binary pieces, T_(a+b) = T_a + W^a T_b.  The estimate of
+    invariant charge mass is the largest window's complement at n_max; smaller windows are diagnostics.
     """
     if kernel.space.is_finite:
         raise DomainError("escape analysis needs a countable chain")

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StructureError, ValidationError
-from .measures import END_NEG, END_POS, FAMeasure, MeasurableSet, StateSpace
+from .measures import END_NEG, END_POS, FAMeasure, StateSpace
 
 ROW_SUM_TOL = 1e-9
 MAX_OFFSET = 64
@@ -160,11 +160,6 @@ class TransitionKernel:
         for p in tail.to_other_end.values():  # the mirror jump x -> -x (only Z has two ends)
             out[-x] = out.get(-x, 0.0) + p
         return out
-
-    def prob(self, x: int, ev_set: MeasurableSet) -> float:
-        """One-step transition probability p(x, E)."""
-        row = self.row(x)
-        return math.fsum(p for y, p in sorted(row.items()) if ev_set.covers_state(y))
 
 
 def successors(kernel: TransitionKernel) -> list[list[int]]:

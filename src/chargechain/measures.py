@@ -175,7 +175,7 @@ def _entries(what: str, obj: dict, name: str, kind: type, read) -> list:
     for key, entry in value.items() if kind is dict else enumerate(value):
         try:
             out.append(read(key, entry))
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:  # OverflowError: int() of inf, read from 1e309
             raise ValidationError(f"{what}: bad entry {name}[{key!r}] = {entry!r}") from exc
     return out
 

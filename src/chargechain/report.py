@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from .conditions import (
     check_alpha,
     check_doeblin,
     check_doeblin_tilde,
+    limit_verdict,
     quasicompact_diagnostic,
 )
 from .errors import ChargeChainError, ValidationError
@@ -317,7 +319,7 @@ def verify_report(report: dict) -> list[dict]:
     laws = _class_laws(kernel, classes, projector, report)
     sections = {
         "invariants": lambda inv: _verify_invariants(kernel, classes, laws, basis, inv, record),
-        "conditions": lambda cond: _verify_conditions(kernel, classes, basis, cond, record),
+        "conditions": lambda cond: _verify_conditions(kernel, classes, laws, basis, cond, record),
         "ergodic": lambda erg: _verify_ergodic(kernel, classes, laws, projector, erg, record),
         "escape": lambda esc: _verify_escape(kernel, report["horizons"], esc, record),
     }
@@ -401,8 +403,8 @@ def _class_laws(kernel: TransitionKernel, classes, projector, report: dict) -> l
 
     The laws are the projector's when the report holds one on ``classes``, each
     bounded through its hitting times (``_stationary_error``); else, when the
-    ``invariants`` section needs them, solved afresh, with bound 0.  None on a
-    countable chain, and when nothing reads them.
+    ``invariants`` or ``conditions`` section needs them, solved afresh, with
+    bound 0.  None on a countable chain, and when nothing reads them.
     """
     if classes is None:
         return None
@@ -410,22 +412,28 @@ def _class_laws(kernel: TransitionKernel, classes, projector, report: dict) -> l
         _, proj_classes, laws, hitting, _, _ = projector
         if proj_classes == [list(c.states) for c in classes] and len(laws) == len(hitting) == len(classes):
             return [(pi, _stationary_error(kernel, c.states, pi, t)) for c, pi, t in zip(classes, laws, hitting)]
-    if not report.get("invariants"):
+    if not (report.get("invariants") or report.get("conditions")):
         return None
     return [(stationary_of_class(kernel, c.states), 0.0) for c in classes]
 
 
-def _verify_conditions(kernel: TransitionKernel, classes, basis, cond: dict, record) -> None:
+def _verify_conditions(kernel: TransitionKernel, classes, laws, basis, cond: dict, record) -> None:
+    """Check the conditions section.  On a finite chain each of (D) and (D~) must be a "capacity" finding
+    over the cap or a witness that holds and re-verifies, and each class law in ``laws`` must have its
+    (alpha) entry: its support, and ``check_alpha``'s closed set in it.  A walk's (D) and (D~) are
+    "limit" findings, checked with the verdicts."""
     space = kernel.space
     for key, strict in (("D", False), ("D_tilde", True)):
-        finding = cond.get(key)
-        if finding and finding.get("kind") == "capacity":
+        finding = cond.get(key) or {}
+        kind, verdict, w = finding.get("kind"), finding.get("verdict"), finding.get("witness")
+        if kind == "capacity":
             over = space.is_finite and kernel.size > MAX_ENUM_STATES
             record(f"{key} over capacity", over, f"{space.size} states, cap {MAX_ENUM_STATES}")
             continue
-        if not finding or finding.get("kind") != "witness" or not finding.get("witness"):
+        if kind != "witness" or verdict != "holds" or not w:
+            if classes is not None:
+                record(f"{key} witness", False, f"a {kind!r} finding reading {verdict!r}, with no witness that holds")
             continue
-        w = finding["witness"]
         phi = measure_from_json(space, w["phi"])
         if strict:
             out = check_doeblin_tilde(kernel, phi, w["eps"], w["k"])
@@ -436,15 +444,16 @@ def _verify_conditions(kernel: TransitionKernel, classes, basis, cond: dict, rec
             out.holds and out.vacuous == w["vacuous"],
             f"max small-set value {out.max_value:.6f}",
         )
-    for item in cond.get("alpha", []):
-        if item.get("closed_set") is None:
-            continue
-        closed = set_from_json(space, item["closed_set"])
-        members = [x for x in range(kernel.size) if closed.covers_state(x)]
-        ok = all(kernel.prob(x, closed) >= 1.0 - 1e-12 for x in members)
-        record(f"alpha closed set [{item['index']}]", ok and bool(members))
-    if basis is None and classes is not None:  # a finite chain's basis is its class laws, in class order
-        basis = [stationary_of_class(kernel, c.states) for c in classes]
+    if classes is not None:  # a finite chain's basis is its class laws, in class order
+        class_laws = [pi for pi, _ in laws]
+        alpha = cond.get("alpha") or []
+        for i, mu in enumerate(class_laws):
+            support = measurable(space, atoms=sorted(mu.atoms))
+            item = alpha[i] if len(alpha) == len(class_laws) else {}
+            read = [None if item.get(k) is None else set_from_json(space, item[k]) for k in ("k_mu", "closed_set")]
+            ok = item.get("index") == i and read == [support, check_alpha(kernel, mu, support)]
+            record(f"alpha closed set [{i}]", ok)
+        basis = class_laws if basis is None else basis
     _verify_beta(space, basis, cond["beta"], cond["double_star"]["evidence"]["dimension"], record)
     for charge_json in cond.get("star", {}).get("evidence", {}).get("invariant_charges", []):
         charge = measure_from_json(space, charge_json)
@@ -460,16 +469,21 @@ def _verify_verdicts(classes, cond: dict, record) -> None:
     """
     star = cond["star"]
     holds = star["holds"]
+    free = not star["evidence"].get("invariant_charges")
     d = cond["double_star"]["evidence"]["dimension"]
     qc_status, _ = quasicompact_diagnostic(ConditionVerdict("*", holds, star["scope"]))
+    limits = classes is not None or all(
+        cond[key]["kind"] == "limit" and cond[key]["verdict"] == limit_verdict(free) for key in ("D", "D_tilde")
+    )
     wrong = [
         name
         for name, ok in (
-            ("(*) against its charges", holds == (not star["evidence"].get("invariant_charges"))),
+            ("(*) against its charges", holds == free),
             ("(*) on a finite chain", classes is None or holds),
             ("(~*) against (*)", cond["tilde_star"]["holds"] == holds),
             ("quasicompact against (*)", cond["quasicompact"]["status"] == qc_status),
             ("(**) dimension against the classes", classes is None or d == len(classes)),
+            ("(D) and (D~) on a walk against the charges", limits),
         )
         if not ok
     ]
@@ -482,6 +496,7 @@ def _verify_beta(space, basis, beta: dict, d: int, record) -> None:
     The sets must be disjoint and, when the basis is known (``_read_basis``, or on a finite chain the
     class laws), hold their measures' full mass.  The pairs must be some of (i, j) with i < j < d, in
     order: all of them when (beta) holds, and a pair left out must have measures that are not disjoint.
+    A known basis must have d measures.  The pairs are counted, not listed, as a report may claim any d.
     """
     measures = basis if isinstance(basis, list) else None
     unread = "the measures are not in the report" if basis is None else "the measures do not parse"
@@ -493,15 +508,25 @@ def _verify_beta(space, basis, beta: dict, d: int, record) -> None:
         full = all(abs(evaluate(mu, s) - mu.total()) <= 1e-9 for mu, s in held)
         record(f"beta witness ({i},{j})", full and _sets_disjoint(*sets), "" if measures is not None else unread)
         pairs.append((i, j))
-    every = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    left_out = [p for p in every if p not in pairs]
-    # without the measures, no pair left out can be shown not disjoint
-    apart = [(i, j) for i, j in left_out if measures is None or is_disjoint(measures[i], measures[j])]
+    n, listed = len(range(d)), set(pairs)  # len(range(d)) fails on a d that is no integer
+    missing = n * (n - 1) // 2 - len(listed)
+
+    def left_out():  # lazily, in order: d may be far past the basis
+        return ((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in listed)
+
+    sized = measures is None or d == len(measures)
+    apart = missing > 0  # without the measures, no pair left out can be shown not disjoint
+    if measures is not None:
+        apart = sized and any(is_disjoint(measures[i], measures[j]) for i, j in left_out())
+    shown = list(itertools.islice(left_out(), 10))
+    more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
     record(
         "beta pairs",
-        pairs == [p for p in every if p in pairs] and beta["holds"] == (not left_out) and not apart,
-        f"{len(pairs)} of the {len(every)} pairs i < j < {d} listed, holds {beta['holds']}"
-        + (f"; left out {left_out}" if left_out else "")
+        sized and pairs == sorted(listed) and all(0 <= i < j < d for i, j in pairs)
+        and beta["holds"] == (not missing) and not apart,
+        f"{len(pairs)} of the {n * (n - 1) // 2} pairs i < j < {d} listed, holds {beta['holds']}"
+        + (f"; left out {shown}{more}" if shown else "")
+        + ("" if sized else f"; d is not the basis length {len(measures)}")
         + ("" if measures is not None else f"; {unread}"),
     )
 

@@ -716,3 +716,118 @@ def test_transient_rows_solve_the_absorption_equation(tmp_path: Path, capsys):
     proj["absorption"]["2"], proj["absorption"]["3"] = proj["absorption"]["3"], proj["absorption"]["2"]
     code, out = verify(tmp_path, rep, capsys)
     assert code == 1 and "FAILED: projector absorption equation" in out
+
+
+# on a finite chain, (D) and (D~) are each an over-cap "capacity" finding or a witness that holds and re-verifies
+FINITE_D_TAMPERS = {
+    "deleted": lambda cond, key: cond.pop(key),
+    "made a limit finding": lambda cond, key: cond.update(
+        {key: {"kind": "limit", "verdict": "undecided on infinite spaces", "trend": [[4, 1.0]]}}
+    ),
+    "witness set to null": lambda cond, key: cond[key].update(witness=None),
+    "no witness found beside a valid witness": lambda cond, key: cond[key].update(verdict="no witness found"),
+}
+
+
+@pytest.mark.parametrize("key", ["D", "D_tilde"])
+@pytest.mark.parametrize("case", sorted(FINITE_D_TAMPERS))
+def test_finite_doeblin_finding_without_a_witness_that_holds_fails(tmp_path: Path, capsys, case, key):
+    rep = analyze(tmp_path, "analyze", "--catalog", "birth_death")
+    assert rep["conditions"][key]["verdict"] == "holds"
+    assert verify(tmp_path, rep, capsys)[0] == 0
+    FINITE_D_TAMPERS[case](rep["conditions"], key)
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAILED")]
+    assert line.startswith(f"FAILED: {key} witness (")
+
+
+@pytest.mark.parametrize(
+    "key, field, value",
+    [
+        ("D", "verdict", "holds"),
+        ("D_tilde", "verdict", "holds"),
+        ("D", "verdict", "undecided on infinite spaces"),
+        ("D_tilde", "kind", "witness"),  # without a witness, so nothing is re-run
+    ],
+)
+def test_walk_doeblin_finding_that_contradicts_its_charge_fails(tmp_path: Path, capsys, key, field, value):
+    # drift_walk_N carries an invariant charge, so (*) fails and so do (D) and (D~), in the limit
+    rep = analyze(tmp_path, "analyze", "--catalog", "drift_walk_N")
+    assert rep["conditions"][key]["kind"] == "limit" and rep["conditions"][key]["verdict"] == "fails in the limit"
+    assert verify(tmp_path, rep, capsys)[0] == 0
+    rep["conditions"][key][field] = value
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
+        f"FAILED: {VERDICTS} ((D) and (D~) on a walk against the charges fails)"
+    ]
+
+
+# two_absorbing: its class laws δ_0 and δ_2 have the closed sets {0} and {2}
+ALPHA_TAMPERS = {
+    "deleted": (lambda cond: cond.pop("alpha"), [0, 1]),
+    "emptied": (lambda cond: cond.update(alpha=[]), [0, 1]),
+    "last entry dropped": (lambda cond: cond["alpha"].pop(), [0, 1]),
+    "closed set null": (lambda cond: cond["alpha"][0].update(closed_set=None), [0]),
+    "closed set grown": (lambda cond: cond["alpha"][1].update(closed_set={"atoms": [1, 2]}), [1]),
+    "k_mu edited": (lambda cond: cond["alpha"][1].update(k_mu={"atoms": [1, 2]}), [1]),
+    "index edited": (lambda cond: cond["alpha"][0].update(index=1), [0]),
+}
+
+
+@pytest.mark.parametrize("tasks", [(), ("--tasks", "conditions")], ids=["default tasks", "conditions"])
+@pytest.mark.parametrize("case", sorted(ALPHA_TAMPERS))
+def test_tampered_alpha_fails(tmp_path: Path, capsys, case, tasks):
+    edit, failed = ALPHA_TAMPERS[case]
+    rep = analyze(tmp_path, "analyze", "--catalog", "two_absorbing", *tasks)
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 0 and "ok: alpha closed set [0]\nok: alpha closed set [1]\n" in out
+    edit(rep["conditions"])
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
+        f"FAILED: alpha closed set [{i}]" for i in failed
+    ]
+
+
+INF = json.loads("1e309")  # JSON reads a number past the float range as inf
+
+
+@pytest.mark.parametrize(
+    "d1, entry",
+    [
+        ({"atoms": [INF]}, "atoms[0] = inf"),
+        ({"tails": [{"end": "+inf", "after": INF}]}, "tails[0] = {'end': '+inf', 'after': inf}"),
+    ],
+    ids=["atom", "tail after"],
+)
+def test_set_literal_past_the_float_range_fails_the_format_item(tmp_path: Path, capsys, d1, entry):
+    rep = analyze(tmp_path, "analyze", "--catalog", "symmetric_walk_Z")
+    set_beta_pair(d1=d1)(rep)
+    code, out = verify(tmp_path, rep, capsys)  # an OverflowError would end the test here
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
+        f"FAILED: conditions format (ValidationError: set literal: bad entry {entry})"
+    ]
+
+
+def test_beta_dimension_past_the_basis_fails_beta_pairs(tmp_path: Path, capsys):
+    rep = analyze(tmp_path, "analyze", "--catalog", "drift_walk_N")
+    rep["conditions"]["double_star"]["evidence"]["dimension"] = 2000
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    first = ", ".join(f"(0, {j})" for j in range(1, 11))
+    assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
+        f"FAILED: beta pairs (0 of the 1999000 pairs i < j < 2000 listed, holds True; left out [{first}] "
+        "and 1998990 more; d is not the basis length 1)"
+    ]
+
+
+def test_beta_pairs_are_counted_not_listed(tmp_path: Path):
+    # without the basis nothing bounds d, so the d(d - 1)/2 pairs must be counted
+    rep = analyze(tmp_path, "analyze", "--catalog", "drift_walk_N", "--tasks", "conditions")
+    rep["conditions"]["double_star"]["evidence"]["dimension"] = 10**7
+    failed = [item for item in verify_report(rep) if not item["ok"]]
+    assert [item["check"] for item in failed] == ["beta pairs"]
+    assert failed[0]["detail"].startswith("0 of the 49999995000000 pairs i < j < 10000000 listed, holds True;")

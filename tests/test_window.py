@@ -160,7 +160,7 @@ def test_truncate_adds_rows_in_order():
 
 
 def window_layout(kernel, half_width):
-    """lo, hi and the cell of a state in ``truncate`` with ends: state x in cell x - lo + 1, past the window in a bucket."""
+    """lo, hi and the cell of a state in ``truncate`` with ends: x in cell x - lo + 1, past the window in a bucket."""
     lo, hi = window(kernel, half_width)
     return lo, hi, lambda x: min(max(x, lo - 1), hi + 1) - lo + 1
 
