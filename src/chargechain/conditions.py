@@ -12,19 +12,12 @@ invariant-charge analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, PreconditionError, ValidationError
-from .invariants import (
-    INVARIANCE_TOL,
-    InvariantBasis,
-    detect_pfa_ends,
-    invariance_residual,
-    invariant_basis,
-    invariant_basis_finite,
-)
+from .invariants import InvariantBasis, detect_pfa_ends, invariant_basis, invariant_basis_finite
 from .kernels import TransitionKernel, cesaro_kernel, kernel_power, truncate_reflecting
 from .measures import (
     FAMeasure,
@@ -53,6 +46,16 @@ class DoeblinWitness:
     vacuous: bool
     phi_source: str = ""
     averaged: bool = False
+
+    def to_json(self) -> dict:
+        return {
+            "phi": self.phi.to_json(),
+            "eps": float(self.eps),
+            "k": int(self.k),
+            "vacuous": self.vacuous,
+            "phi_source": self.phi_source,
+            "averaged": self.averaged,
+        }
 
 
 @dataclass(frozen=True)
@@ -184,6 +187,9 @@ class ConditionVerdict:
     detail: str = ""
     evidence: dict = field(default_factory=dict)
 
+    def to_json(self) -> dict:
+        return asdict(self)
+
 
 def check_star(kernel: TransitionKernel, basis: InvariantBasis | None = None) -> ConditionVerdict:
     """(*): every invariant measure is countably additive (no invariant charges).
@@ -252,13 +258,12 @@ def check_alpha(
 ) -> MeasurableSet | None:
     """Greatest stochastically closed K inside K_mu with mu(K) = 1, if any.
 
-    Fixpoint deletion: repeatedly drop every x with p(x, K) < 1.
+    Fixpoint deletion: repeatedly drop every x with p(x, K) < 1.  mu is read
+    only through its mass on K, so its invariance is not checked here: every
+    caller hands in a law that is certified elsewhere.
     """
     if not kernel.space.is_finite:
         raise DomainError("closed-set search needs a finite chain")
-    res = invariance_residual(kernel, mu)
-    if res > INVARIANCE_TOL:
-        raise PreconditionError(f"measure is not invariant (residual {res:.3e})")
     current = {x for x in range(kernel.size) if k_mu.covers_state(x)}
     while current:
         inside = np.zeros(kernel.size)
@@ -310,71 +315,61 @@ def doeblin_truncation_trend(kernel: TransitionKernel) -> list[tuple[int, float]
     return out
 
 
-# -- aggregate report -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DoeblinFinding:
-    kind: str  # "witness" | "limit" | "capacity"
-    witness: DoeblinWitness | None = None
-    trend: list[tuple[int, float]] | None = None
-    verdict: str = ""
-    detail: str = ""  # the CapacityError message of a "capacity" finding
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    star: ConditionVerdict
-    tilde_star: ConditionVerdict
-    double_star: ConditionVerdict
-    doeblin: DoeblinFinding
-    doeblin_tilde: DoeblinFinding
-    quasicompact: str
-    quasicompact_reason: str
-    beta: BetaOutcome
-
+# -- the report section -------------------------------------------------------------
 
 def build_condition_report(
     kernel: TransitionKernel,
     basis: InvariantBasis | None = None,
     k_max: int = 5,
     eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID,
-) -> ConditionReport:
+) -> dict:
+    """The report's ``conditions`` section.
+
+    (D) and (D~) are "witness" findings of the exact search on a finite
+    chain, or one "capacity" finding each when the chain is over the cap, and
+    "limit" findings read off the truncation trend on a walk.  (alpha) is
+    reported on a finite chain, for each basis measure on its support.
+    """
     if basis is None:
         basis = invariant_basis(kernel)
     star = check_star(kernel, basis)
-    tilde = check_tilde_star(kernel, star)
-    double = check_double_star(basis)
     qc, qc_reason = quasicompact_diagnostic(star)
-    if kernel.space.is_finite:
+    beta = check_beta(basis)
+    section = {
+        "star": star.to_json(),
+        "tilde_star": check_tilde_star(kernel, star).to_json(),
+        "double_star": check_double_star(basis).to_json(),
+        "quasicompact": {"status": qc, "reason": qc_reason},
+        "beta": {
+            "holds": beta.holds,
+            "witnesses": [{"i": i, "j": j, "d1": d1.to_json(), "d2": d2.to_json()} for i, j, d1, d2 in beta.witnesses],
+        },
+    }
+    if not kernel.space.is_finite:
+        trend = doeblin_truncation_trend(kernel)
+        findings = [
+            {"kind": "limit", "verdict": limit_verdict(star.holds), "trend": [[int(w), float(v)] for w, v in trend]}
+            for _ in range(2)
+        ]
+    else:
         try:
-            wit = search_doeblin(kernel, k_max, eps_grid, basis=basis)
-            wit_avg = search_doeblin(kernel, k_max, eps_grid, basis=basis, averaged=True)
+            found = [search_doeblin(kernel, k_max, eps_grid, basis=basis, averaged=a) for a in (False, True)]
         except CapacityError as exc:
             # the exact search is out of reach; the other conditions are still reported
-            doeblin = doeblin_tilde = DoeblinFinding(
-                kind="capacity", verdict="capacity exceeded", detail=str(exc)
-            )
+            findings = [{"kind": "capacity", "verdict": "capacity exceeded", "detail": str(exc)} for _ in range(2)]
         else:
-            doeblin = DoeblinFinding(
-                kind="witness",
-                witness=wit,
-                verdict="holds" if wit is not None else "no witness found",
+            findings = [
+                {"kind": "witness", "verdict": "no witness found"}
+                if w is None
+                else {"kind": "witness", "verdict": "holds", "witness": w.to_json()}
+                for w in found
+            ]
+        section["alpha"] = []
+        for idx, mu in enumerate(basis.measures):
+            support = measurable(kernel.space, atoms=sorted(mu.atoms))
+            closed = check_alpha(kernel, mu, support)
+            section["alpha"].append(
+                {"index": idx, "k_mu": support.to_json(), "closed_set": None if closed is None else closed.to_json()}
             )
-            doeblin_tilde = DoeblinFinding(
-                kind="witness",
-                witness=wit_avg,
-                verdict="holds" if wit_avg is not None else "no witness found",
-            )
-    else:
-        trend = doeblin_truncation_trend(kernel)
-        doeblin = doeblin_tilde = DoeblinFinding(kind="limit", trend=trend, verdict=limit_verdict(star.holds))
-    return ConditionReport(
-        star=star,
-        tilde_star=tilde,
-        double_star=double,
-        doeblin=doeblin,
-        doeblin_tilde=doeblin_tilde,
-        quasicompact=qc,
-        quasicompact_reason=qc_reason,
-        beta=check_beta(basis),
-    )
+    section["D"], section["D_tilde"] = findings
+    return section

@@ -21,9 +21,7 @@ from . import catalog
 from .conditions import (
     DEFAULT_EPS_GRID,
     MAX_ENUM_STATES,
-    ConditionReport,
     ConditionVerdict,
-    DoeblinWitness,
     build_condition_report,
     check_alpha,
     check_doeblin,
@@ -125,8 +123,7 @@ def run_analysis(request: AnalysisRequest) -> dict:
     if "invariants" in tasks:
         report["invariants"] = _invariants_section(kernel, basis)
     if "conditions" in tasks:
-        cond = build_condition_report(kernel, basis, request.k_max, request.eps_grid)
-        report["conditions"] = _conditions_section(kernel, basis, cond)
+        report["conditions"] = build_condition_report(kernel, basis, request.k_max, request.eps_grid)
     if "ergodic" in tasks:
         report["ergodic"] = _ergodic_section(kernel, request.n_max, basis)
     if "escape" in tasks:
@@ -144,74 +141,6 @@ def _invariants_section(kernel: TransitionKernel, basis: InvariantBasis) -> dict
         "scope": "exact" if kernel.space.is_finite else "representable",
         "residuals": [float(invariance_residual(kernel, m)) for m in basis.measures],
     }
-
-
-def _verdict_json(v) -> dict:
-    return {
-        "condition": v.condition,
-        "holds": v.holds,
-        "scope": v.scope,
-        "detail": v.detail,
-        "evidence": v.evidence,
-    }
-
-
-def _witness_json(w: DoeblinWitness | None) -> dict | None:
-    if w is None:
-        return None
-    return {
-        "phi": w.phi.to_json(),
-        "eps": float(w.eps),
-        "k": int(w.k),
-        "vacuous": w.vacuous,
-        "phi_source": w.phi_source,
-        "averaged": w.averaged,
-    }
-
-
-def _finding_json(f) -> dict:
-    out = {"kind": f.kind, "verdict": f.verdict}
-    if f.detail:
-        out["detail"] = f.detail
-    if f.witness is not None:
-        out["witness"] = _witness_json(f.witness)
-    if f.trend is not None:
-        out["trend"] = [[int(w), float(v)] for w, v in f.trend]
-    return out
-
-
-def _conditions_section(
-    kernel: TransitionKernel, basis: InvariantBasis, cond: ConditionReport
-) -> dict:
-    section = {
-        "star": _verdict_json(cond.star),
-        "tilde_star": _verdict_json(cond.tilde_star),
-        "double_star": _verdict_json(cond.double_star),
-        "D": _finding_json(cond.doeblin),
-        "D_tilde": _finding_json(cond.doeblin_tilde),
-        "quasicompact": {"status": cond.quasicompact, "reason": cond.quasicompact_reason},
-        "beta": {
-            "holds": cond.beta.holds,
-            "witnesses": [
-                {"i": i, "j": j, "d1": d1.to_json(), "d2": d2.to_json()}
-                for i, j, d1, d2 in cond.beta.witnesses
-            ],
-        },
-    }
-    if kernel.space.is_finite:
-        alphas = []
-        for idx, mu in enumerate(basis.measures):
-            support = measurable(kernel.space, atoms=sorted(mu.atoms))
-            closed = check_alpha(kernel, mu, support)
-            alphas.append(
-                {
-                    "index": idx,
-                    "k_mu": support.to_json(),
-                    "closed_set": None if closed is None else closed.to_json(),
-                }
-            )
-        section["alpha"] = alphas
-    return section
 
 
 def _ergodic_section(kernel: TransitionKernel, n_max: int, basis: InvariantBasis) -> dict:
@@ -343,38 +272,46 @@ def _read_basis(kernel: TransitionKernel, report: dict) -> list | Exception | No
 
 
 def _verify_invariants(kernel: TransitionKernel, classes, laws, measures, inv: dict, record) -> None:
-    """Check the invariance of each of ``measures`` (``_read_basis``), and that ``dimension`` and ``kinds``
-    describe them.  On a finite chain, also check that the basis is one "ca" measure per class of
-    ``classes``, in class order, each its class's law in ``laws``."""
+    """Check the invariance of each of ``measures`` (``_read_basis``), that its stored residual is the
+    recomputed one, and that ``dimension``, ``kinds`` and ``scope`` describe them.  On a finite chain,
+    also check that the basis is one "ca" measure per class of ``classes``, in class order, each its
+    class's law in ``laws``."""
     if isinstance(measures, Exception):
         raise measures
-    for idx, mu in enumerate(measures):
+    residuals, scope = inv["residuals"], inv["scope"]
+    if len(residuals) != len(measures):
+        raise ValidationError(f"{len(residuals)} residuals for {len(measures)} measures")
+    for idx, (mu, stored) in enumerate(zip(measures, residuals)):
         res = invariance_residual(kernel, mu)
         record(
             f"invariant[{idx}] residual",
-            res <= INVARIANCE_TOL,
-            f"residual {res:.3e}",
+            res <= INVARIANCE_TOL and stored == res,
+            f"residual {res:.3e}" + ("" if stored == res else f", stored {stored!r}"),
         )
         record(f"invariant[{idx}] probability", mu.is_probability())
     dimension, kinds = inv["dimension"], inv["kinds"]
+    scoped = scope == ("exact" if classes is not None else "representable")
+    misscoped = "" if scoped else f"; scope {scope!r}"
     if classes is None:
         # a kind is read off its measure: atoms only or ends only; one with both, or neither, has none
         read = [("ca" if mu.atoms else "pfa") if bool(mu.atoms) != bool(mu.ends) else None for mu in measures]
         record(
             "invariant basis kinds",
-            len(measures) == dimension and None not in read and kinds == read,
-            f"{len(measures)} measures, dimension {dimension}, kinds {kinds}; the measures read as {read}",
+            scoped and len(measures) == dimension and None not in read and kinds == read,
+            f"{len(measures)} measures, dimension {dimension}, kinds {kinds}; the measures read as {read}{misscoped}",
         )
         return
     ok = (
-        len(measures) == len(classes) == dimension
+        scoped
+        and len(measures) == len(classes) == dimension
         and kinds == ["ca"] * len(classes)
         and all(not mu.ends and set(mu.atoms) <= set(c.states) for mu, c in zip(measures, classes))
     )
     record(
         "invariant basis complete",
         ok,
-        f"{len(measures)} measures, dimension {dimension}, kinds {kinds}; the kernel has {len(classes)} classes",
+        f"{len(measures)} measures, dimension {dimension}, kinds {kinds}; the kernel has {len(classes)} classes"
+        + misscoped,
     )
     # bounds on the l1 distances to the exact laws; a measure on a finite space has atoms only
     gaps = [math.fsum(map(abs, (to_vector(mu) - to_vector(pi)).tolist())) + e for mu, (pi, e) in zip(measures, laws)]

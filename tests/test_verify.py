@@ -8,7 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from chargechain import birth_death, catalog, kernel_to_spec, recurrent_classes, report, stationary_of_class
+from chargechain import (
+    birth_death,
+    catalog,
+    invariance_residual,
+    kernel_from_spec,
+    kernel_to_spec,
+    measure_from_json,
+    recurrent_classes,
+    report,
+    stationary_of_class,
+)
 from chargechain.cli import main
 from chargechain.report import SCHEMA_VERSION, verify_report
 
@@ -126,6 +136,8 @@ MALFORMED = {
         "conditions format",
     ),
     "ergodic section not an object": (lambda rep: rep.update(ergodic=[1]), "ergodic format"),
+    "invariant residuals missing": (lambda rep: rep["invariants"].pop("residuals"), "invariants format"),
+    "invariant residual dropped": (lambda rep: rep["invariants"]["residuals"].pop(), "invariants format"),
 }
 
 
@@ -285,6 +297,12 @@ UNCHECKED_CLAIMS = {
     ),
     "basis dimension edited": (lambda rep: rep["invariants"].update(dimension=3), BASIS),
     "basis kind edited": (lambda rep: rep["invariants"]["kinds"].__setitem__(1, "pfa"), BASIS),
+    "basis scope edited": (lambda rep: rep["invariants"].update(scope="representable"), BASIS),
+    # the stored residual must be the recomputed one, 0.0 for δ_0
+    "stored residual edited": (
+        lambda rep: rep["invariants"]["residuals"].__setitem__(0, 1e-17),
+        "invariant[0] residual (residual 0.000e+00, stored 1e-17)",
+    ),
     "star flipped": (set_condition("star", "holds", False), f"{VERDICTS} ((*) against its charges fails"),
     "tilde_star flipped": (set_condition("tilde_star", "holds", False), f"{VERDICTS} ((~*) against (*) fails)"),
     "beta flipped": (set_condition("beta", "holds", False), "beta pairs (1 of the 1 pairs i < j < 2 listed, holds False)"),
@@ -421,6 +439,7 @@ WALK_CLAIMS = {
     "dimension edited": lambda inv: inv.update(dimension=2),
     "kind edited": lambda inv: inv.update(kinds=["ca"]),
     "kind dropped": lambda inv: inv.update(kinds=[]),
+    "scope edited": lambda inv: inv.update(scope="exact"),
     "measure with atoms and ends": lambda inv: inv["measures"].__setitem__(
         0, {"atoms": {"0": 0.5}, "ends": {"+inf": 0.5}}
     ),
@@ -541,6 +560,9 @@ def test_wrong_finite_invariant_law_fails(tmp_path: Path, capsys, tasks, law, in
     code, out = verify(tmp_path, rep, capsys)
     assert code == 0 and f"ok: {LAWS}" in out
     rep["invariants"]["measures"][0] = law
+    # its stored residual is the law's own, so only the distance to the exact law is left to fail
+    kernel = kernel_from_spec(rep["chain"]["spec"])
+    rep["invariants"]["residuals"][0] = invariance_residual(kernel, measure_from_json(kernel.space, law))
     if in_projector:
         rep["ergodic"]["projector"]["stationary"][0] = law
     code, out = verify(tmp_path, rep, capsys)
@@ -831,3 +853,17 @@ def test_beta_pairs_are_counted_not_listed(tmp_path: Path):
     failed = [item for item in verify_report(rep) if not item["ok"]]
     assert [item["check"] for item in failed] == ["beta pairs"]
     assert failed[0]["detail"].startswith("0 of the 49999995000000 pairs i < j < 10000000 listed, holds True;")
+
+
+def test_certified_class_law_off_the_invariance_tolerance_verifies(tmp_path: Path):
+    # swap2's projector law moved by 1e-10: its residual 4e-10 is past INVARIANCE_TOL = 1e-10, but the law is
+    # certified within 4e-10 in l1, and the (alpha) closed set reads it only through its mass on K
+    rep = analyze(tmp_path, "analyze", "--catalog", "swap2")
+    rep["ergodic"]["projector"]["stationary"][0] = {"atoms": {"0": 0.5 + 1e-10, "1": 0.5 - 1e-10}, "ends": {}}
+    items = verify_report(rep)
+    assert [item for item in items if not item["ok"]] == []
+    assert len(items) == 20
+    details = {item["check"]: item["detail"] for item in items}
+    assert details["projector stationary[0]"] == "l1 distance to the exact law <= 4.000e-10"
+    assert details[LAWS] == "l1 distance to the exact class laws <= 6.000e-10"
+    assert "alpha closed set [0]" in details and "beta pairs" in details and VERDICTS in details
