@@ -23,6 +23,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
+#: each horizon option's default is its ``AnalysisRequest`` field's
+_DEFAULT = {name: f.default for name, f in AnalysisRequest.__dataclass_fields__.items()}
 
 
 def _add_chain_args(p: argparse.ArgumentParser) -> None:
@@ -32,10 +34,10 @@ def _add_chain_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_horizon_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-max", type=int, default=200, help="iteration horizon")
-    p.add_argument("--k-max", type=int, default=5, help="largest step order scanned")
+    p.add_argument("--n-max", type=int, default=_DEFAULT["n_max"], help="iteration horizon")
+    p.add_argument("--k-max", type=int, default=_DEFAULT["k_max"], help="largest step order scanned")
     p.add_argument("--eps-grid", default=None, help="comma-separated eps values")
-    p.add_argument("--windows", default="8,16,32", help="comma-separated window sizes")
+    p.add_argument("--windows", default=",".join(map(str, _DEFAULT["windows"])), help="comma-separated window sizes")
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _request_from_args(args, tasks: tuple[str, ...]) -> AnalysisRequest:
-    eps_grid = AnalysisRequest.__dataclass_fields__["eps_grid"].default
+    eps_grid = _DEFAULT["eps_grid"]
     if args.eps_grid:
         try:
             eps_grid = tuple(float(x) for x in args.eps_grid.split(","))

@@ -12,7 +12,7 @@ invariant-charge analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,68 +179,49 @@ def search_doeblin(
 
 # -- qualitative conditions ------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    condition: str
-    holds: bool
-    scope: str  # "exact" | "representable"
-    detail: str = ""
-    evidence: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-def check_star(kernel: TransitionKernel, basis: InvariantBasis | None = None) -> ConditionVerdict:
+def check_star(kernel: TransitionKernel, basis: InvariantBasis | None = None) -> dict:
     """(*): every invariant measure is countably additive (no invariant charges).
 
     On a countable chain the invariant charges are the basis's "pfa"
     measures when a basis is given, and are detected afresh otherwise.
     """
     if kernel.space.is_finite:
-        return ConditionVerdict(
-            condition="*",
-            holds=True,
-            scope="exact",
-            detail="finite spaces carry no pure charges",
-        )
+        return _verdict("*", True, "exact", "finite spaces carry no pure charges")
     if basis is None:
         charges = detect_pfa_ends(kernel)
     else:
         charges = [m for m, kind in zip(basis.measures, basis.kinds) if kind == "pfa"]
-    return ConditionVerdict(
-        condition="*",
-        holds=not charges,
-        scope="representable",
-        detail="within the representable class of end charges",
-        evidence={"invariant_charges": [c.to_json() for c in charges]},
+    return _verdict(
+        "*",
+        not charges,
+        "representable",
+        "within the representable class of end charges",
+        {"invariant_charges": [c.to_json() for c in charges]},
     )
 
 
-def check_tilde_star(
-    kernel: TransitionKernel, star: ConditionVerdict | None = None
-) -> ConditionVerdict:
+def check_tilde_star(kernel: TransitionKernel, star: dict | None = None) -> dict:
     """(~*): the invariant pure-charge set is empty; equivalent to (*), so it restates ``star``."""
-    base = check_star(kernel) if star is None else star
-    return ConditionVerdict("~*", base.holds, base.scope, base.detail, base.evidence)
+    return {**(check_star(kernel) if star is None else star), "condition": "~*"}
 
 
-def check_double_star(basis: InvariantBasis) -> ConditionVerdict:
+def check_double_star(basis: InvariantBasis) -> dict:
     """(**): the invariant space has finite dimension (reported within representation)."""
-    return ConditionVerdict(
-        condition="**",
-        holds=True,
-        scope="representable",
-        detail="dimension counted over the representable basis",
-        evidence={"dimension": basis.dimension},
+    return _verdict(
+        "**", True, "representable", "dimension counted over the representable basis", {"dimension": basis.dimension}
     )
 
 
-def quasicompact_diagnostic(star: ConditionVerdict) -> tuple[str, str]:
+def _verdict(condition: str, holds: bool, scope: str, detail: str, evidence: dict | None = None) -> dict:
+    """A verdict as the report writes it; ``scope`` is "exact" or "representable"."""
+    return {"condition": condition, "holds": holds, "scope": scope, "detail": detail, "evidence": evidence or {}}
+
+
+def quasicompact_diagnostic(star: dict) -> tuple[str, str]:
     """Report quasicompactness through its implications from the (*) verdict, never directly."""
-    if star.scope == "exact":
+    if star["scope"] == "exact":
         return "consistent", "(*) holds, which implies quasicompactness"
-    if not star.holds:
+    if not star["holds"]:
         return (
             "inconsistent",
             "an invariant end charge exists, which rules out quasicompactness",
@@ -281,18 +262,14 @@ def check_alpha(
     return measurable(kernel.space, atoms=current)
 
 
-@dataclass(frozen=True)
-class BetaOutcome:
-    holds: bool
-    witnesses: list[tuple[int, int, MeasurableSet, MeasurableSet]]
-
-
-def check_beta(basis: InvariantBasis) -> BetaOutcome:
+def check_beta(basis: InvariantBasis) -> dict:
     """(beta): the basis measures are pairwise singular; witness sets of each singular pair i < j, in order."""
     ms = basis.measures
     pairs = [(i, j, singularity_witness(ms[i], ms[j])) for i in range(len(ms)) for j in range(i + 1, len(ms))]
-    witnesses = [(i, j, *wit) for i, j, wit in pairs if wit is not None]  # the basis measures are nonnegative
-    return BetaOutcome(len(witnesses) == len(pairs), witnesses)
+    witnesses = [  # the basis measures are nonnegative
+        {"i": i, "j": j, "d1": wit[0].to_json(), "d2": wit[1].to_json()} for i, j, wit in pairs if wit is not None
+    ]
+    return {"holds": len(witnesses) == len(pairs), "witnesses": witnesses}
 
 
 # -- countable-chain surrogate ---------------------------------------------------
@@ -334,21 +311,17 @@ def build_condition_report(
         basis = invariant_basis(kernel)
     star = check_star(kernel, basis)
     qc, qc_reason = quasicompact_diagnostic(star)
-    beta = check_beta(basis)
     section = {
-        "star": star.to_json(),
-        "tilde_star": check_tilde_star(kernel, star).to_json(),
-        "double_star": check_double_star(basis).to_json(),
+        "star": star,
+        "tilde_star": check_tilde_star(kernel, star),
+        "double_star": check_double_star(basis),
         "quasicompact": {"status": qc, "reason": qc_reason},
-        "beta": {
-            "holds": beta.holds,
-            "witnesses": [{"i": i, "j": j, "d1": d1.to_json(), "d2": d2.to_json()} for i, j, d1, d2 in beta.witnesses],
-        },
+        "beta": check_beta(basis),
     }
     if not kernel.space.is_finite:
         trend = doeblin_truncation_trend(kernel)
         findings = [
-            {"kind": "limit", "verdict": limit_verdict(star.holds), "trend": [[int(w), float(v)] for w, v in trend]}
+            {"kind": "limit", "verdict": limit_verdict(star["holds"]), "trend": [[int(w), float(v)] for w, v in trend]}
             for _ in range(2)
         ]
     else:

@@ -155,49 +155,28 @@ def distance_series(
     return cesaro, raw
 
 
-@dataclass(frozen=True)
-class RateFit:
-    kind: str  # "geometric" | "subgeometric" | "finite_exact"
-    ratio: float | None = None
-    n_zero: int | None = None
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.ratio is not None:
-            out["ratio"] = float(self.ratio)
-        if self.n_zero is not None:
-            out["n_zero"] = int(self.n_zero)
-        return out
-
-
-@dataclass(frozen=True)
-class ErgodicRunResult:
-    distances: list[float]  # index i holds the distance at n = i + 1
-    rate: RateFit
-
-
-def ergodic_run(
-    kernel: TransitionKernel, n_max: int, basis: InvariantBasis | None = None
-) -> tuple[Projector, ErgodicRunResult, ErgodicRunResult]:
-    """The limit projector and the averaged and raw runs measured against it."""
+def ergodic_run(kernel: TransitionKernel, n_max: int, basis: InvariantBasis | None = None) -> dict:
+    """The report's ``ergodic`` section: the limit projector, and the averaged and raw distances to it
+    with their fitted rates."""
     projector = projector_finite(kernel, basis)
     cesaro, raw = distance_series(kernel, n_max, projector)
-    return (
-        projector,
-        ErgodicRunResult(distances=cesaro, rate=fitted_rate(cesaro)),
-        ErgodicRunResult(distances=raw, rate=fitted_rate(raw)),
-    )
+    return {
+        "n_max": n_max,
+        "projector": projector.to_json(),
+        "cesaro": {"distances": cesaro, "rate": fitted_rate(cesaro)},
+        "raw": {"distances": raw, "rate": fitted_rate(raw)},
+    }
 
 
-def fitted_rate(distances) -> RateFit:
+def fitted_rate(distances) -> dict:
     """``rate_fit``, or the ``undetermined`` kind when the horizon is too short for a fit."""
     try:
         return rate_fit(distances)
     except PreconditionError:
-        return RateFit("undetermined")
+        return {"kind": "undetermined"}
 
 
-def rate_fit(distances) -> RateFit:
+def rate_fit(distances) -> dict:
     """Classify a decay sequence: clean geometric ratio, subgeometric, or exactly zero.
 
     The fit uses only the tail half of the entries above ``RATE_FLOOR`` (the
@@ -212,11 +191,11 @@ def rate_fit(distances) -> RateFit:
     if not d:
         raise PreconditionError("empty distance sequence")
     if max(d) <= 0.0:
-        return RateFit("finite_exact", n_zero=1)
+        return {"kind": "finite_exact", "n_zero": 1}
     last_pos = max(i for i, x in enumerate(d) if x > 0.0)
     trailing = len(d) - 1 - last_pos
     if trailing >= max(3, len(d) // 4):
-        return RateFit("finite_exact", n_zero=last_pos + 2)
+        return {"kind": "finite_exact", "n_zero": last_pos + 2}
     pairs = [(i + 1, x) for i, x in enumerate(d) if x > RATE_FLOOR]
     if len(pairs) < 8:
         raise PreconditionError(f"need at least 8 entries above {RATE_FLOOR:g} for a fit")
@@ -234,5 +213,5 @@ def rate_fit(distances) -> RateFit:
     sxx = float(np.sum((ns - ns.mean()) ** 2))
     se = math.sqrt(max(resid_geo, 0.0) / dof / sxx) if sxx > 0 else math.inf
     if resid_geo <= resid_pow and slope < 0.0 and slope + 2.0 * se < 0.0:
-        return RateFit("geometric", ratio=math.exp(slope))
-    return RateFit("subgeometric")
+        return {"kind": "geometric", "ratio": math.exp(slope)}
+    return {"kind": "subgeometric"}

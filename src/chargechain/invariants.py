@@ -23,6 +23,8 @@ from .kernels import TransitionKernel, apply_A, successors, truncate, truncate_r
 from .measures import FAMeasure, end_direction
 
 INVARIANCE_TOL = 1e-10
+#: the largest escape window: its matrix on Z is (2·1024 + 3)² floats, 33.6 MB
+MAX_ESCAPE_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ def detect_ca_countable(kernel: TransitionKernel, window: int = 256, steps: int 
     when its invariance residual on the walk itself meets ``INVARIANCE_TOL``,
     so the list holds one measure per certified class.  An empty list means
     no invariant with effectively finite support was certified.  ``steps`` is
-    ignored; it stays for callers that pass it.
+    ignored; it stays because perfbench's ``_observe_ca`` binds it.
     """
     if kernel.space.is_finite:
         raise DomainError("use invariant_basis_finite on finite chains")
@@ -263,36 +265,30 @@ def classify_invariant(kernel: TransitionKernel, mu: FAMeasure) -> Classificatio
     return Classification("simple")
 
 
-@dataclass(frozen=True)
-class EscapeProfile:
-    """Window masses of the averaged sequence at its checkpoints, plus escape accounting."""
-
-    checkpoints: list[int]
-    windows: list[tuple[int, list[float]]]  # one mass per checkpoint
-    pfa_mass_estimate: float
-    per_end_split: dict[str, float]
-
-
 def escape_checkpoints(n_max: int) -> list[int]:
     """Where an escape profile reads its windows: n = 1, 2, 4, ..., 2^J <= n_max, then n_max unless it is 2^J."""
     powers = [1 << j for j in range(n_max.bit_length())]
     return powers if n_max & (n_max - 1) == 0 else powers + [n_max]
 
 
-def escape_profile(kernel: TransitionKernel, n_max: int, windows: tuple[int, ...] = (8, 16, 32)) -> EscapeProfile:
-    """Track lambda_n(K_m) for windows K_m = {|x| <= m} from delta_0, at ``escape_checkpoints(n_max)``.
+def escape_profile(kernel: TransitionKernel, n_max: int, windows: tuple[int, ...] = (8, 16, 32)) -> dict:
+    """The report's ``escape`` section: lambda_n(K_m) for windows K_m = {|x| <= m} from delta_0, at
+    ``escape_checkpoints(n_max)``, with the escaped mass and its split over the ends.
 
     The evolution is the window matrix W of the largest window m, 0..m on N and -m..m on Z, with end buckets
     (``truncate``): mass past it sits in its end's bucket and acts as that end's charge, so a tail's
     ``to_finite`` part brings it back.  With T_m = W + ... + W^m the sums double, T_2m = T_m + W^m T_m and
     W^2m = (W^m)^2, and n_max is composed from the binary pieces, T_(a+b) = T_a + W^a T_b.  The estimate of
     invariant charge mass is the largest window's complement at n_max; smaller windows are diagnostics.
+    A window over ``MAX_ESCAPE_WINDOW`` is refused before the window matrix is formed.
     """
     if kernel.space.is_finite:
         raise DomainError("escape analysis needs a countable chain")
     ws = sorted(int(m) for m in windows)
     if not ws or ws[0] < 1 or len(set(ws)) < len(ws):
         raise ValidationError(f"window sizes must be positive and distinct, got {ws}")
+    if ws[-1] > MAX_ESCAPE_WINDOW:
+        raise ValidationError(f"window sizes must be at most {MAX_ESCAPE_WINDOW}, got {ws}")
     n_max = int(n_max)
     if n_max < 1:
         raise ValidationError(f"need n_max >= 1, got {n_max}")
@@ -328,9 +324,10 @@ def escape_profile(kernel: TransitionKernel, n_max: int, windows: tuple[int, ...
         if total_escaped > 1e-15
         else {}
     )
-    return EscapeProfile(
-        checkpoints=checkpoints,
-        windows=[(m, series[m]) for m in ws],
-        pfa_mass_estimate=1.0 - series[hi][-1],
-        per_end_split=split,
-    )
+    return {
+        "n_max": n_max,
+        "checkpoints": checkpoints,
+        "windows": [[m, series[m]] for m in ws],
+        "pfa_mass_estimate": 1.0 - series[hi][-1],
+        "per_end_split": split,
+    }

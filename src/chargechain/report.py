@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,6 @@ from . import catalog
 from .conditions import (
     DEFAULT_EPS_GRID,
     MAX_ENUM_STATES,
-    ConditionVerdict,
     build_condition_report,
     check_alpha,
     check_doeblin,
@@ -43,7 +43,7 @@ from .invariants import (
 )
 from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
 from .measures import end_direction, evaluate, is_disjoint, measurable, measure_from_json, set_from_json, to_vector
-from .ergodic import ErgodicRunResult, ergodic_run, fitted_rate
+from .ergodic import ergodic_run, fitted_rate
 
 SCHEMA_VERSION = 8
 #: tolerance of the absorption rows' sums, and of the certified error max |H - H*| of the rows
@@ -125,9 +125,9 @@ def run_analysis(request: AnalysisRequest) -> dict:
     if "conditions" in tasks:
         report["conditions"] = build_condition_report(kernel, basis, request.k_max, request.eps_grid)
     if "ergodic" in tasks:
-        report["ergodic"] = _ergodic_section(kernel, request.n_max, basis)
+        report["ergodic"] = ergodic_run(kernel, request.n_max, basis)
     if "escape" in tasks:
-        report["escape"] = _escape_section(kernel, request.n_max, request.windows)
+        report["escape"] = escape_profile(kernel, request.n_max, request.windows)
     return report
 
 
@@ -140,31 +140,6 @@ def _invariants_section(kernel: TransitionKernel, basis: InvariantBasis) -> dict
         "measures": [m.to_json() for m in basis.measures],
         "scope": "exact" if kernel.space.is_finite else "representable",
         "residuals": [float(invariance_residual(kernel, m)) for m in basis.measures],
-    }
-
-
-def _ergodic_section(kernel: TransitionKernel, n_max: int, basis: InvariantBasis) -> dict:
-    projector, cesaro, raw = ergodic_run(kernel, n_max, basis)
-    return {
-        "n_max": n_max,
-        "projector": projector.to_json(),
-        "cesaro": _run_json(cesaro),
-        "raw": _run_json(raw),
-    }
-
-
-def _run_json(run: ErgodicRunResult) -> dict:
-    return {"distances": [float(d) for d in run.distances], "rate": run.rate.to_json()}
-
-
-def _escape_section(kernel: TransitionKernel, n_max: int, windows) -> dict:
-    profile = escape_profile(kernel, n_max, tuple(windows))
-    return {
-        "n_max": n_max,
-        "checkpoints": list(profile.checkpoints),
-        "windows": [[int(m), [float(v) for v in seq]] for m, seq in profile.windows],
-        "pfa_mass_estimate": float(profile.pfa_mass_estimate),
-        "per_end_split": {e: float(v) for e, v in sorted(profile.per_end_split.items())},
     }
 
 
@@ -408,7 +383,7 @@ def _verify_verdicts(classes, cond: dict, record) -> None:
     holds = star["holds"]
     free = not star["evidence"].get("invariant_charges")
     d = cond["double_star"]["evidence"]["dimension"]
-    qc_status, _ = quasicompact_diagnostic(ConditionVerdict("*", holds, star["scope"]))
+    qc_status, _ = quasicompact_diagnostic(star)
     limits = classes is not None or all(
         cond[key]["kind"] == "limit" and cond[key]["verdict"] == limit_verdict(free) for key in ("D", "D_tilde")
     )
@@ -445,7 +420,7 @@ def _verify_beta(space, basis, beta: dict, d: int, record) -> None:
         full = all(abs(evaluate(mu, s) - mu.total()) <= 1e-9 for mu, s in held)
         record(f"beta witness ({i},{j})", full and _sets_disjoint(*sets), "" if measures is not None else unread)
         pairs.append((i, j))
-    n, listed = len(range(d)), set(pairs)  # len(range(d)) fails on a d that is no integer
+    n, listed = max(operator.index(d), 0), set(pairs)  # fails on a d that is no integer; d may be any size
     missing = n * (n - 1) // 2 - len(listed)
 
     def left_out():  # lazily, in order: d may be far past the basis
@@ -617,7 +592,7 @@ def _stationary_error(kernel: TransitionKernel, states: list[int], pi, times: di
 def _verify_rate(run, mode: str, record) -> None:
     """Re-fit the rate from the stored distances and compare it with the stored fit."""
     try:
-        refit = fitted_rate(run["distances"]).to_json()
+        refit = fitted_rate(run["distances"])
         stored = run["rate"]
         same = set(stored) == set(refit) and all(
             math.isclose(stored[k], v, rel_tol=RATE_TOL, abs_tol=0.0) if k == "ratio" else stored[k] == v

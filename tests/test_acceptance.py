@@ -190,7 +190,7 @@ def test_criterion_04_invariants_exist_and_parts_stay_invariant():
 def test_criterion_05_small_set_condition_finite_side():
     for name in FINITE_ENTRIES:
         kernel = build(name)
-        assert check_star(kernel).holds, f"{name}: (*) must hold on a finite chain"
+        assert check_star(kernel)["holds"], f"{name}: (*) must hold on a finite chain"
         w = search_doeblin(kernel)
         assert w is not None, f"{name}: no witness found"
         out = check_doeblin(kernel, w.phi, w.eps, w.k)
@@ -224,8 +224,8 @@ def test_criterion_06_small_set_condition_countable_side():
 
 def test_criterion_07_uniform_averaged_convergence():
     sw = swap2()
-    _, cesaro, _ = ergodic_run(sw, 500)
-    for i, d in enumerate(cesaro.distances):
+    cesaro = ergodic_run(sw, 500)["cesaro"]
+    for i, d in enumerate(cesaro["distances"]):
         n = i + 1
         expected = 1.0 / n if n % 2 else 0.0
         assert abs(d - expected) <= EXACT_TOL
@@ -244,15 +244,15 @@ def test_criterion_08_raw_vs_averaged_dichotomy():
     k = TransitionKernel.finite([[0.9, 0.1], [0.2, 0.8]])
     lam2 = char_poly_second_modulus(k.matrix)
     assert lam2 == pytest.approx(0.7, abs=1e-9)
-    _, _, run = ergodic_run(k, 48)
-    assert run.rate.kind == "geometric"
-    assert abs(run.rate.ratio - lam2) <= 0.05 * lam2
+    rate = ergodic_run(k, 48)["raw"]["rate"]
+    assert rate["kind"] == "geometric"
+    assert abs(rate["ratio"] - lam2) <= 0.05 * lam2
     sw = swap2()
     cesaro, raw = distance_series(sw, 500, projector_finite(sw))
     assert min(raw) >= 0.1
     assert cesaro[-1] <= 0.01
     print(
-        f"ACCEPTANCE 8 PASS: fitted geometric ratio {run.rate.ratio:.4f} within 5% of "
+        f"ACCEPTANCE 8 PASS: fitted geometric ratio {rate['ratio']:.4f} within 5% of "
         f"oracle 0.7; periodic raw distance never converges"
     )
 
@@ -262,20 +262,20 @@ def test_criterion_09_escape_analytics():
     windows = (8, 16, 32)
     n_max = 100 * windows[-1]
     prof = escape_profile(dw, n_max=n_max, windows=windows)
-    assert prof.checkpoints == [2**j for j in range(12)] + [n_max]
-    for m, seq in prof.windows:
-        assert len(seq) == len(prof.checkpoints)
-        for n, v in zip(prof.checkpoints, seq):
+    assert prof["checkpoints"] == [2**j for j in range(12)] + [n_max]
+    for m, seq in prof["windows"]:
+        assert len(seq) == len(prof["checkpoints"])
+        for n, v in zip(prof["checkpoints"], seq):
             assert abs(v - min(n, m) / n) <= EXACT_TOL
-    assert prof.pfa_mass_estimate >= 0.99
-    assert prof.per_end_split == {END_POS: 1.0}
+    assert prof["pfa_mass_estimate"] >= 0.99
+    assert prof["per_end_split"] == {END_POS: 1.0}
     sz = symmetric_walk_Z()
     prof2 = escape_profile(sz, n_max=10_000, windows=windows)
-    assert abs(prof2.per_end_split[END_POS] - 0.5) <= 0.05
-    assert abs(prof2.per_end_split[END_NEG] - 0.5) <= 0.05
+    assert abs(prof2["per_end_split"][END_POS] - 0.5) <= 0.05
+    assert abs(prof2["per_end_split"][END_NEG] - 0.5) <= 0.05
     print(
         f"ACCEPTANCE 9 PASS: drift window masses exact, charge estimate "
-        f"{prof.pfa_mass_estimate:.4f}; symmetric split {prof2.per_end_split}"
+        f"{prof['pfa_mass_estimate']:.4f}; symmetric split {prof2['per_end_split']}"
     )
 
 
@@ -290,11 +290,11 @@ def test_criterion_10_closed_sets_and_singular_bases():
         kernel = build(name)
         basis = invariant_basis(kernel)
         beta = check_beta(basis)
-        assert beta.holds
+        assert beta["holds"]
         expected_pairs = basis.dimension * (basis.dimension - 1) // 2
-        assert len(beta.witnesses) == expected_pairs
-        for _, _, d1, d2 in beta.witnesses:
-            assert not (set(d1.atoms) & set(d2.atoms))
+        assert len(beta["witnesses"]) == expected_pairs
+        for w in beta["witnesses"]:
+            assert not (set(w["d1"]["atoms"]) & set(w["d2"]["atoms"]))
     print("ACCEPTANCE 10 PASS: closed-set extraction re-verifies; bases pairwise singular with witnesses")
 
 

@@ -8,8 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from chargechain import AnalysisRequest, birth_death, catalog, invariant_basis, kernel_to_spec, report, run_analysis
-from chargechain.cli import main
+from chargechain import (
+    AnalysisRequest,
+    birth_death,
+    catalog,
+    invariant_basis,
+    invariants,
+    kernel_to_spec,
+    report,
+    run_analysis,
+)
+from chargechain.cli import _request_from_args, build_parser, main
 from chargechain.catalog import names
 from chargechain.report import applicable_tasks
 
@@ -125,6 +134,28 @@ def test_repeated_escape_window_exits_2(tmp_path: Path, capsys):
     argv = ["escape", "--catalog", "drift_walk_N", "--n-max", "5", "--windows", "16,8,16"]
     assert run_cli(argv + ["--out", str(tmp_path / "x.json")]) == 2
     assert "window sizes must be positive and distinct, got [8, 16, 16]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, windows, named",
+    [("drift_walk_N", "100000", "[100000]"), ("symmetric_walk_Z", "8,1025", "[8, 1025]")],
+    ids=["N 100000", "Z 8,1025"],
+)
+def test_escape_window_past_the_cap_exits_2_before_its_matrix(tmp_path, capsys, monkeypatch, name, windows, named):
+    # a window of 100000 on N asked numpy for a 74.5 GiB window matrix; the refusal comes before any is formed
+    def formed(*args, **kwargs):
+        raise AssertionError("the window matrix was formed")
+
+    monkeypatch.setattr(invariants, "truncate", formed)
+    argv = ["analyze", "--catalog", name, "--windows", windows]
+    assert run_cli(argv + ["--out", str(tmp_path / "x.json")]) == 2
+    assert f"error: window sizes must be at most 1024, got {named}" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_horizon_options_default_to_the_request_defaults():
+    args = build_parser().parse_args(["analyze", "--catalog", "swap2"])
+    assert _request_from_args(args, ()) == AnalysisRequest(catalog="swap2")
 
 
 def test_repeated_task_exits_2(tmp_path: Path, capsys):

@@ -188,16 +188,16 @@ def test_search_agreement_between_plain_and_averaged():
 def test_star_finite_always_holds():
     for k in (uniform2(), swap2(), two_absorbing()):
         v = check_star(k)
-        assert v.holds and v.scope == "exact"
-        assert check_tilde_star(k).holds
+        assert v["holds"] and v["scope"] == "exact"
+        assert check_tilde_star(k)["holds"]
 
 
 def test_star_countable_examples():
     v = check_star(drift_walk_N(1.0))
-    assert not v.holds and v.scope == "representable"
-    assert v.evidence["invariant_charges"]
-    assert check_star(restart_walk(0.1)).holds
-    assert not check_tilde_star(symmetric_walk_Z()).holds
+    assert not v["holds"] and v["scope"] == "representable"
+    assert v["evidence"]["invariant_charges"]
+    assert check_star(restart_walk(0.1))["holds"]
+    assert not check_tilde_star(symmetric_walk_Z())["holds"]
 
 
 def test_star_from_the_basis_matches_fresh_detection():
@@ -235,10 +235,10 @@ def test_double_star_counts():
     k = TransitionKernel.finite(
         [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]
     )
-    assert check_double_star(invariant_basis(k)).evidence["dimension"] == 1
-    assert check_double_star(invariant_basis(symmetric_walk_Z())).evidence["dimension"] == 2
+    assert check_double_star(invariant_basis(k))["evidence"]["dimension"] == 1
+    assert check_double_star(invariant_basis(symmetric_walk_Z()))["evidence"]["dimension"] == 2
     ident = TransitionKernel.finite(np.eye(2))
-    assert check_double_star(invariant_basis(ident)).evidence["dimension"] == 2
+    assert check_double_star(invariant_basis(ident))["evidence"]["dimension"] == 2
 
 
 def test_quasicompact_diagnostic():
@@ -279,13 +279,13 @@ def test_alpha_has_no_invariance_precondition():
 def test_beta_examples():
     ta = two_absorbing()
     out = check_beta(invariant_basis_finite(ta))
-    assert out.holds
-    (i, j, d1, d2) = out.witnesses[0]
-    assert sorted(d1.atoms) == [0] and sorted(d2.atoms) == [2]
+    assert out["holds"]
+    d1, d2 = out["witnesses"][0]["d1"], out["witnesses"][0]["d2"]
+    assert sorted(d1["atoms"]) == [0] and sorted(d2["atoms"]) == [2]
 
     basis = invariant_basis(drift_walk_N(1.0))
     mixed = invariant_basis(TransitionKernel.finite(np.eye(3)))
-    assert check_beta(mixed).holds and len(check_beta(mixed).witnesses) == 3
+    assert check_beta(mixed)["holds"] and len(check_beta(mixed)["witnesses"]) == 3
 
 
 def test_beta_fails_on_a_pair_without_witnesses_and_lists_the_others_in_order():
@@ -293,8 +293,8 @@ def test_beta_fails_on_a_pair_without_witnesses_and_lists_the_others_in_order():
     d0, d2 = dirac(space, 0), dirac(space, 2)
     overlap = FAMeasure(space, atoms={0: 0.5, 1: 0.5})  # shares state 0 with δ_0
     out = check_beta(invariants.InvariantBasis([d0, d2, overlap], ["ca"] * 3))
-    assert not out.holds
-    assert [(i, j, sorted(a.atoms), sorted(b.atoms)) for i, j, a, b in out.witnesses] == [
+    assert not out["holds"]
+    assert [(w["i"], w["j"], sorted(w["d1"]["atoms"]), sorted(w["d2"]["atoms"])) for w in out["witnesses"]] == [
         (0, 1, [0], [2]),
         (1, 2, [2], [0, 1]),
     ]
@@ -308,10 +308,10 @@ def test_beta_mixed_kind_witnesses():
     basis = invariant_basis(k)
     assert basis.kinds == ["ca", "pfa"]
     out = check_beta(basis)
-    assert out.holds
-    _, _, d1, d2 = out.witnesses[0]
-    assert sorted(d1.atoms) == [0]
-    assert d2.tails and not d2.atoms
+    assert out["holds"]
+    d1, d2 = out["witnesses"][0]["d1"], out["witnesses"][0]["d2"]
+    assert sorted(d1["atoms"]) == [0]
+    assert d2["tails"] and not d2["atoms"]
 
 
 # -- sup-over-starts lemma ------------------------------------------------------------------

@@ -130,19 +130,19 @@ def test_cesaro_envelope_c_over_n():
 
 def test_rate_fit_examples():
     geo = rate_fit([0.5 ** n for n in range(1, 21)])
-    assert geo.kind == "geometric"
-    assert geo.ratio == pytest.approx(0.5, abs=1e-6)
+    assert geo["kind"] == "geometric"
+    assert geo["ratio"] == pytest.approx(0.5, abs=1e-6)
 
-    assert rate_fit([1.0 / n for n in range(1, 41)]).kind == "subgeometric"
+    assert rate_fit([1.0 / n for n in range(1, 41)])["kind"] == "subgeometric"
 
     zero = rate_fit([0.0] * 12)
-    assert zero.kind == "finite_exact" and zero.n_zero == 1
+    assert zero["kind"] == "finite_exact" and zero["n_zero"] == 1
 
 
 def test_rate_fit_trailing_zeros():
     seq = [0.5, 0.25, 0.125] + [0.0] * 9
     out = rate_fit(seq)
-    assert out.kind == "finite_exact" and out.n_zero == 4
+    assert out["kind"] == "finite_exact" and out["n_zero"] == 4
 
 
 def test_rate_fit_needs_enough_positives():
@@ -155,8 +155,8 @@ def test_rate_fit_leaves_the_roundoff_floor_out():
     rng = np.random.default_rng(3)
     seq = [0.15**n for n in range(1, 15)] + list(rng.uniform(5e-16, 2e-15, size=186))
     fit = rate_fit(seq)
-    assert fit.kind == "geometric" and fit.ratio == pytest.approx(0.15, rel=1e-9)
-    assert rate_fit(seq[:14] + [0.0] * 186).kind == "finite_exact"  # exact zeros still end a decay
+    assert fit["kind"] == "geometric" and fit["ratio"] == pytest.approx(0.15, rel=1e-9)
+    assert rate_fit(seq[:14] + [0.0] * 186)["kind"] == "finite_exact"  # exact zeros still end a decay
     with pytest.raises(PreconditionError):
         rate_fit(seq[:7] + seq[14:])  # 7 entries above the floor are too few
 
@@ -168,15 +168,15 @@ def test_rate_fit_has_no_rate_for_a_tail_that_has_not_moved():
     for seq in (flat, [2.0] * 40):
         with pytest.raises(PreconditionError, match="has not moved"):
             rate_fit(seq)
-        assert ergodic.fitted_rate(seq).kind == "undetermined"
+        assert ergodic.fitted_rate(seq)["kind"] == "undetermined"
 
 
 def test_rate_fit_keeps_a_slow_clean_decay():
     # two states that swap with probability 2^-40: the raw distances are (1 - 2^-39)^n exactly
     eps = 2.0**-40
-    _, _, raw = ergodic_run(TransitionKernel.finite([[1.0 - eps, eps], [eps, 1.0 - eps]]), 200)
-    assert raw.rate.kind == "geometric"
-    assert (1.0 - raw.rate.ratio) / (2.0 * eps) == pytest.approx(1.0, rel=1e-3)
+    rate = ergodic_run(TransitionKernel.finite([[1.0 - eps, eps], [eps, 1.0 - eps]]), 200)["raw"]["rate"]
+    assert rate["kind"] == "geometric"
+    assert (1.0 - rate["ratio"]) / (2.0 * eps) == pytest.approx(1.0, rel=1e-3)
 
 
 def test_fitted_rate_matches_second_eigenvalue():
@@ -188,9 +188,9 @@ def test_fitted_rate_matches_second_eigenvalue():
     ]
     for k in cases:
         lam2 = char_poly_second_modulus(k.matrix)
-        _, _, run = ergodic_run(k, 48)
-        assert run.rate.kind == "geometric"
-        assert abs(run.rate.ratio - lam2) <= 0.05 * lam2
+        rate = ergodic_run(k, 48)["raw"]["rate"]
+        assert rate["kind"] == "geometric"
+        assert abs(rate["ratio"] - lam2) <= 0.05 * lam2
 
 
 def test_char_poly_oracle_values():
@@ -203,9 +203,9 @@ def test_char_poly_oracle_values():
 
 
 def test_ergodic_run_series_shape():
-    projector, run, raw = ergodic_run(swap2(), 20)
-    assert projector.rank == projector_finite(swap2()).rank
-    assert len(run.distances) == len(raw.distances) == 20
+    section = ergodic_run(swap2(), 20)
+    assert section["projector"]["rank"] == projector_finite(swap2()).rank
+    assert len(section["cesaro"]["distances"]) == len(section["raw"]["distances"]) == 20
 
 
 def test_projector_rank_equals_basis_dimension():

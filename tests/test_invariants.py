@@ -83,8 +83,10 @@ def test_basis_identity_and_absorbing():
     assert basis.dimension == 2
     assert [m.atoms for m in basis.measures] == [{0: 1.0}, {2: 1.0}]
     beta = check_beta(basis)
-    assert beta.holds
-    assert [(i, j, sorted(d1.atoms), sorted(d2.atoms)) for i, j, d1, d2 in beta.witnesses] == [(0, 1, [0], [2])]
+    assert beta["holds"]
+    assert [(w["i"], w["j"], sorted(w["d1"]["atoms"]), sorted(w["d2"]["atoms"])) for w in beta["witnesses"]] == [
+        (0, 1, [0], [2])
+    ]
 
 
 def test_every_basis_measure_is_invariant():
@@ -268,21 +270,21 @@ def test_cesaro_sequence_keeps_end_leaks_to_fixed_targets():
 def test_escape_profile_drift_exact():
     dw = drift_walk_N(1.0)
     prof = escape_profile(dw, n_max=400, windows=(4, 8, 16))
-    assert prof.checkpoints == [1, 2, 4, 8, 16, 32, 64, 128, 256, 400]
-    for m, seq in prof.windows:
-        assert len(seq) == len(prof.checkpoints)
-        for n, v in zip(prof.checkpoints, seq):
+    assert prof["checkpoints"] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 400]
+    for m, seq in prof["windows"]:
+        assert len(seq) == len(prof["checkpoints"])
+        for n, v in zip(prof["checkpoints"], seq):
             assert v == pytest.approx(min(n, m) / n, abs=1e-12)
-    assert prof.per_end_split == {END_POS: 1.0}
+    assert prof["per_end_split"] == {END_POS: 1.0}
     # window masses are monotone in m at fixed n
-    for masses in zip(*(seq for _, seq in prof.windows)):
+    for masses in zip(*(seq for _, seq in prof["windows"])):
         assert list(masses) == sorted(masses)
 
 
 def test_escape_profile_restart_recycles_mass():
     rw = restart_walk(0.1)
     prof = escape_profile(rw, n_max=200, windows=(16, 32, 64))
-    assert prof.pfa_mass_estimate <= 0.05
+    assert prof["pfa_mass_estimate"] <= 0.05
 
 
 def test_escape_profile_returns_the_restart_walks_mass():
@@ -309,14 +311,14 @@ def test_escape_estimate_without_returning_mass_stays_put(name):
     build, before = SCHEMA_7_ESTIMATES[name]
     kernel = build()
     prof = escape_profile(kernel, 2000, (8, 16, 32))
-    assert abs(prof.pfa_mass_estimate - before) < 1e-3
+    assert abs(prof["pfa_mass_estimate"] - before) < 1e-3
 
 
 def test_escape_profile_symmetric_split():
     sz = symmetric_walk_Z()
     prof = escape_profile(sz, n_max=2000, windows=(8, 16, 32))
-    assert prof.per_end_split[END_POS] == pytest.approx(0.5, abs=1e-12)
-    assert prof.per_end_split[END_NEG] == pytest.approx(0.5, abs=1e-12)
+    assert prof["per_end_split"][END_POS] == pytest.approx(0.5, abs=1e-12)
+    assert prof["per_end_split"][END_NEG] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_classification_examples():

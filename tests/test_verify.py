@@ -855,6 +855,27 @@ def test_beta_pairs_are_counted_not_listed(tmp_path: Path):
     assert failed[0]["detail"].startswith("0 of the 49999995000000 pairs i < j < 10000000 listed, holds True;")
 
 
+@pytest.mark.parametrize(
+    "args, d, checks, ending",
+    [
+        (("--catalog", "finite_uniform"), 2**70, ["beta pairs", VERDICTS], "d is not the basis length 1"),
+        (("--catalog", "drift_walk_N", "--tasks", "conditions"), 10**30, ["beta pairs"], "not in the report"),
+    ],
+    ids=["finite d=2^70", "walk d=10^30"],
+)
+def test_beta_pairs_count_a_dimension_past_the_index_range(tmp_path: Path, capsys, args, d, checks, ending):
+    # len(range(d)) raises OverflowError on these d; the pairs are counted all the same
+    rep = analyze(tmp_path, "analyze", *args)
+    rep["conditions"]["double_star"]["evidence"]["dimension"] = d
+    code, out = verify(tmp_path, rep, capsys)  # an OverflowError would end the test here
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAILED")]
+    assert [line.split(" (")[0] for line in failed] == [f"FAILED: {check}" for check in checks]
+    counted = f"FAILED: beta pairs (0 of the {d * (d - 1) // 2} pairs i < j < {d} listed, holds True;"
+    assert failed[0].startswith(counted)
+    assert failed[0].endswith(f"{ending})")
+
+
 def test_certified_class_law_off_the_invariance_tolerance_verifies(tmp_path: Path):
     # swap2's projector law moved by 1e-10: its residual 4e-10 is past INVARIANCE_TOL = 1e-10, but the law is
     # certified within 4e-10 in l1, and the (alpha) closed set reads it only through its mass on K

@@ -261,11 +261,11 @@ def test_escape_profile_matches_apply_A_while_the_window_holds_the_walk():
             means = collapsed_cesaro(kernel, top(n_max), n_max)
             for n in range(1, n_max + 1):
                 prof = escape_profile(kernel, n, (2, 5, top(n)))
-                assert prof.checkpoints == escape_checkpoints(n) and prof.checkpoints[-1] == n
-                for m, seq in prof.windows:
+                assert prof["checkpoints"] == escape_checkpoints(n) and prof["checkpoints"][-1] == n
+                for m, seq in prof["windows"]:
                     inside = math.fsum(w for x, w in means[n - 1].items() if abs(x) <= m)
-                    assert len(seq) == len(prof.checkpoints)
+                    assert len(seq) == len(prof["checkpoints"])
                     assert seq[-1] == pytest.approx(inside, abs=1e-13)
                 if top is holding:
-                    assert prof.pfa_mass_estimate == pytest.approx(0.0, abs=1e-13)
-                    assert prof.per_end_split == {}
+                    assert prof["pfa_mass_estimate"] == pytest.approx(0.0, abs=1e-13)
+                    assert prof["per_end_split"] == {}
