@@ -3,7 +3,9 @@
 Verdicts are certificates: every small-set maximization is an exact
 enumeration over each row's support under the phi-admissible states (capped
 at MAX_ENUM_STATES states, no heuristic fallback), and every returned
-witness or counterexample re-verifies under the same checker.
+witness or counterexample re-verifies under the same checker.  The witness
+search decides a check that fails at its first row past 1 - eps; a check
+that holds, and every ``check_doeblin*`` call, reads every row.
 Quasicompactness is never tested by constructing a compact comparison
 operator; it is reported only through its proven implications from the
 invariant-charge analysis.
@@ -29,6 +31,8 @@ from .measures import (
 )
 
 MAX_ENUM_STATES = 22
+#: the largest step order k (or m) that the analysis scans and that a report's witness may carry
+MAX_ORDER = 64
 DEFAULT_EPS_GRID = (0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.02, 0.01)
 
 
@@ -85,40 +89,51 @@ def _admits(values: np.ndarray, eps: float, strict: bool) -> np.ndarray:
     return (np.less if strict else np.less_equal)(values, eps)
 
 
+def _row_maxima(matrix: np.ndarray, weights: np.ndarray, eps: float, strict: bool):
+    """Each row's exact max of matrix[x, E] over phi-admissible E, in row order, as (value, items, mask).
+
+    The enumeration runs over the row's support under the phi-admissible
+    states: states j with matrix[x, j] > 0 and phi_j <= eps (< eps when
+    strict), kept in ``items``.  Since phi >= 0, float subset sums of phi only
+    grow as states join, so a set holding any other state is inadmissible or
+    no larger than the same set without it.  The kept states are enumerated
+    in increasing order by the doubling construction, so every set is summed
+    exactly as a full 2^n enumeration sums it, and ``mask`` picks the first
+    maximizing set's members out of ``items``.  Rows are enumerated only as
+    they are read.
+    """
+    fits = _admits(weights, eps, strict)
+    for row in matrix:
+        items = np.flatnonzero(fits & (row > 0.0))
+        adm = _admits(_subset_sums(weights[items]), eps, strict)
+        vals = np.where(adm, _subset_sums(row[items]), -np.inf)
+        i = int(np.argmax(vals))
+        yield float(vals[i]), items, i
+
+
 def _small_set_max(
     kernel: TransitionKernel, matrix: np.ndarray, weights: np.ndarray, eps: float, *, strict: bool
 ) -> DoeblinOutcome:
     """Exact max of matrix[x, E] over x and phi-admissible E, for a stepped matrix of kernel.
 
     ``matrix`` is p^k or q_m of ``kernel``, and ``weights`` a phi that
-    ``_weights`` accepted.  The enumeration runs over each row's support
-    under the phi-admissible states: states j with matrix[x, j] > 0 and
-    phi_j <= eps (< eps when strict).  Since phi >= 0, float subset sums of
-    phi only grow as states join, so a set holding any other state is
-    inadmissible or no larger than the same set without it.  The kept states
-    are enumerated in increasing order by the doubling construction, so every
-    set is summed exactly as a full 2^n enumeration sums it, and the maximum,
-    the row and the counterexample set come out bit for bit the same.  When
-    no state fits, only the empty set is left and the outcome is vacuous.
+    ``_weights`` accepted.  Every row of ``_row_maxima`` is read, so the
+    maximum, the row and the counterexample set come out bit for bit as a
+    full 2^n enumeration of every row gives them.  When no state fits, only
+    the empty set is left and the outcome is vacuous.
     """
-    fits = _admits(weights, eps, strict)
     worst_val = -math.inf
     worst: tuple[np.ndarray, int, int] | None = None
-    for x in range(kernel.size):
-        items = np.flatnonzero(fits & (matrix[x] > 0.0))
-        adm = _admits(_subset_sums(weights[items]), eps, strict)
-        vals = np.where(adm, _subset_sums(matrix[x, items]), -np.inf)
-        i = int(np.argmax(vals))
-        if vals[i] > worst_val:
-            worst_val = float(vals[i])
-            worst = (items, i, x)
+    for x, (val, items, mask) in enumerate(_row_maxima(matrix, weights, eps, strict)):
+        if val > worst_val:
+            worst_val, worst = val, (items, mask, x)
     holds = worst_val <= 1.0 - eps
     counter = None
     if not holds:
         items, mask, x = worst
         members = [int(j) for b, j in enumerate(items) if mask >> b & 1]
         counter = (measurable(kernel.space, atoms=members), x, worst_val)
-    return DoeblinOutcome(holds, not fits.any(), worst_val, counter)
+    return DoeblinOutcome(holds, not _admits(weights, eps, strict).any(), worst_val, counter)
 
 
 def check_doeblin(kernel: TransitionKernel, phi: FAMeasure, eps: float, k: int) -> DoeblinOutcome:
@@ -149,6 +164,8 @@ def search_doeblin(
     The grid is scanned by descending eps and ascending k.  phi and the whole
     grid are validated before the first product, and each stepped kernel
     (p^k, or q_k when averaged) is formed once and shared across the grid.
+    Only a check's verdict is read, so a check that fails stops at its first
+    row past 1 - eps.
     A non-vacuous witness wins over a vacuous one.  The last resort is the
     counting measure, which admits no nonempty set at any eps < 1 on a
     finite space, so it is returned without a scan.
@@ -170,7 +187,7 @@ def search_doeblin(
         for k in range(1, k_max + 1):
             if k not in stepped:
                 stepped[k] = step(kernel, k).matrix
-            if _small_set_max(kernel, stepped[k], weights, eps, strict=averaged).holds:
+            if all(v <= 1.0 - eps for v, _, _ in _row_maxima(stepped[k], weights, eps, averaged)):
                 return DoeblinWitness(phi, eps, k, False, source, averaged)
     if fallback is None and grid:
         fallback = DoeblinWitness(counting, grid[0], 1, True, "counting", averaged)

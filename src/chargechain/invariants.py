@@ -271,6 +271,16 @@ def escape_checkpoints(n_max: int) -> list[int]:
     return powers if n_max & (n_max - 1) == 0 else powers + [n_max]
 
 
+def escape_windows(windows: tuple[int, ...]) -> list[int]:
+    """The window sizes in increasing order, once they are positive, distinct and at most ``MAX_ESCAPE_WINDOW``."""
+    ws = sorted(int(m) for m in windows)
+    if not ws or ws[0] < 1 or len(set(ws)) < len(ws):
+        raise ValidationError(f"window sizes must be positive and distinct, got {ws}")
+    if ws[-1] > MAX_ESCAPE_WINDOW:
+        raise ValidationError(f"window sizes must be at most {MAX_ESCAPE_WINDOW}, got {ws}")
+    return ws
+
+
 def escape_profile(kernel: TransitionKernel, n_max: int, windows: tuple[int, ...] = (8, 16, 32)) -> dict:
     """The report's ``escape`` section: lambda_n(K_m) for windows K_m = {|x| <= m} from delta_0, at
     ``escape_checkpoints(n_max)``, with the escaped mass and its split over the ends.
@@ -284,11 +294,7 @@ def escape_profile(kernel: TransitionKernel, n_max: int, windows: tuple[int, ...
     """
     if kernel.space.is_finite:
         raise DomainError("escape analysis needs a countable chain")
-    ws = sorted(int(m) for m in windows)
-    if not ws or ws[0] < 1 or len(set(ws)) < len(ws):
-        raise ValidationError(f"window sizes must be positive and distinct, got {ws}")
-    if ws[-1] > MAX_ESCAPE_WINDOW:
-        raise ValidationError(f"window sizes must be at most {MAX_ESCAPE_WINDOW}, got {ws}")
+    ws = escape_windows(windows)
     n_max = int(n_max)
     if n_max < 1:
         raise ValidationError(f"need n_max >= 1, got {n_max}")

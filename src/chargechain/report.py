@@ -22,6 +22,7 @@ from . import catalog
 from .conditions import (
     DEFAULT_EPS_GRID,
     MAX_ENUM_STATES,
+    MAX_ORDER,
     build_condition_report,
     check_alpha,
     check_doeblin,
@@ -35,6 +36,7 @@ from .invariants import (
     InvariantBasis,
     escape_checkpoints,
     escape_profile,
+    escape_windows,
     invariance_residual,
     invariant_basis,
     recurrent_classes,
@@ -53,7 +55,7 @@ STATIONARY_TOL = 1e-9
 #: relative tolerance of a re-fitted rate ratio against the stored one
 RATE_TOL = 1e-9
 #: what reading or checking a report section of the wrong shape or out of its domain raises; verify fails an item on it
-MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError, ChargeChainError)
+MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError, ChargeChainError)
 #: each task writes the report section of the same name
 ALL_TASKS = ("invariants", "conditions", "ergodic", "escape")
 
@@ -102,11 +104,15 @@ def applicable_tasks(kernel: TransitionKernel, requested: tuple[str, ...]) -> li
 def run_analysis(request: AnalysisRequest) -> dict:
     if request.n_max < 1 or request.k_max < 1:
         raise ValidationError("horizons must be positive")
+    if request.k_max > MAX_ORDER:
+        raise ValidationError(f"the step order (--k-max) must be at most {MAX_ORDER}, got {request.k_max}")
     for eps in request.eps_grid:
         if not 0.0 < eps < 1.0:
             raise ValidationError(f"eps grid (--eps-grid) values must lie in (0, 1), got {eps}")
     kernel, source = request.load()
     tasks = applicable_tasks(kernel, request.tasks)
+    if "escape" in tasks:
+        escape_windows(request.windows)  # refused before the basis and the other sections are formed
     report = {
         "schema": SCHEMA_VERSION,
         "chain": {"source": source, "spec": kernel_to_spec(kernel)},
@@ -331,9 +337,9 @@ def _class_laws(kernel: TransitionKernel, classes, projector, report: dict) -> l
 
 def _verify_conditions(kernel: TransitionKernel, classes, laws, basis, cond: dict, record) -> None:
     """Check the conditions section.  On a finite chain each of (D) and (D~) must be a "capacity" finding
-    over the cap or a witness that holds and re-verifies, and each class law in ``laws`` must have its
-    (alpha) entry: its support, and ``check_alpha``'s closed set in it.  A walk's (D) and (D~) are
-    "limit" findings, checked with the verdicts."""
+    over the cap or a witness of order at most ``MAX_ORDER`` that holds and re-verifies, and each class
+    law in ``laws`` must have its (alpha) entry: its support, and ``check_alpha``'s closed set in it.  A
+    walk's (D) and (D~) are "limit" findings, checked with the verdicts."""
     space = kernel.space
     for key, strict in (("D", False), ("D_tilde", True)):
         finding = cond.get(key) or {}
@@ -345,6 +351,9 @@ def _verify_conditions(kernel: TransitionKernel, classes, laws, basis, cond: dic
         if kind != "witness" or verdict != "holds" or not w:
             if classes is not None:
                 record(f"{key} witness", False, f"a {kind!r} finding reading {verdict!r}, with no witness that holds")
+            continue
+        if w["k"] > MAX_ORDER:  # refused before any product is formed; the checkers refuse a k below 1
+            record(f"{key} witness", False, f"order {w['k']!r} is past the cap {MAX_ORDER}")
             continue
         phi = measure_from_json(space, w["phi"])
         if strict:
@@ -571,7 +580,7 @@ def _stationary_error(kernel: TransitionKernel, states: list[int], pi, times: di
     ``times`` hold the expected steps to the class's anchor s from every
     other class state.  Π − Π* = p + cΠ* with p = r'(I − Q_s)⁻¹ on the class
     minus s and c = Π·1 − 1 − p·1, so |Π − Π*|₁ <= 2 Σ_j |r_j| t*_j + |Π·1 − 1|.
-    A law with mass off the class gets no bound (inf).
+    A law with mass off the class, or whose sums leave the float range, gets no bound (inf).
     """
     on_class = not pi.ends and set(pi.atoms) <= set(states)
     if not on_class or len(set(states) - set(times)) != 1 or not set(times) <= set(states):
@@ -585,8 +594,11 @@ def _stationary_error(kernel: TransitionKernel, states: list[int], pi, times: di
         r[x] += pi.atoms.get(x, 0.0) * math.fsum(row.values())
         for y, p in row.items():
             r[y] -= pi.atoms.get(x, 0.0) * p
-    weighted = math.fsum(abs(r[j]) * t for j, t in times.items())
-    return 2.0 * weighted * factor + abs(pi.total() - 1.0)
+    try:
+        weighted = math.fsum(abs(r[j]) * t for j, t in times.items())
+        return 2.0 * weighted * factor + abs(pi.total() - 1.0)
+    except OverflowError:  # sums past the float range
+        return math.inf
 
 
 def _verify_rate(run, mode: str, record) -> None:

@@ -20,6 +20,7 @@ from chargechain import (
 )
 from chargechain.cli import _request_from_args, build_parser, main
 from chargechain.catalog import names
+from chargechain.conditions import MAX_ORDER
 from chargechain.report import applicable_tasks
 
 
@@ -150,6 +151,25 @@ def test_escape_window_past_the_cap_exits_2_before_its_matrix(tmp_path, capsys, 
     argv = ["analyze", "--catalog", name, "--windows", windows]
     assert run_cli(argv + ["--out", str(tmp_path / "x.json")]) == 2
     assert f"error: window sizes must be at most 1024, got {named}" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_escape_window_past_the_cap_exits_2_before_the_basis(tmp_path, capsys, monkeypatch):
+    # the windows are refused up front, before the basis and the conditions section are formed
+    def formed(*args, **kwargs):
+        raise AssertionError("the invariant basis was formed")
+
+    monkeypatch.setattr(report, "invariant_basis", formed)
+    argv = ["analyze", "--catalog", "symmetric_walk_Z", "--windows", "100000"]
+    assert run_cli(argv + ["--out", str(tmp_path / "x.json")]) == 2
+    assert "error: window sizes must be at most 1024, got [100000]" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_k_max_past_the_order_cap_exits_2(tmp_path, capsys):
+    argv = ["analyze", "--catalog", "birth_death", "--k-max", str(MAX_ORDER + 1)]
+    assert run_cli(argv + ["--out", str(tmp_path / "x.json")]) == 2
+    assert "error: the step order (--k-max) must be at most 64, got 65" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 

@@ -1,6 +1,6 @@
-"""Small-set maximization against a brute-force oracle, the per-search kernel cache,
-the eps range checked before any power, and the truncation trend on round-off stationary
-weights."""
+"""Small-set maximization against a brute-force oracle, the search's first-violating-row exit,
+the per-search kernel cache, the eps range checked before any power, and the truncation trend on
+round-off stationary weights."""
 
 import math
 
@@ -22,38 +22,54 @@ from chargechain import (
 )
 from chargechain import conditions
 from chargechain.conditions import DoeblinOutcome, _small_set_max
-from chargechain.invariants import InvariantBasis
+from chargechain.invariants import InvariantBasis, invariant_basis_finite
 from chargechain.kernels import cesaro_kernel, kernel_power
 from chargechain.measures import _subset_sums, to_vector
 from oracles import from_vector
 
 
-def brute_small_set_max(kernel, matrix, phi, eps, *, strict):
-    """Full 2^n enumeration of every subset for every row of a stepped matrix: the reference."""
-    n = kernel.size
-    phis = _subset_sums(to_vector(phi))
+def brute_row_maxima(matrix, weights, eps, strict):
+    """Full 2^n enumeration of every subset of each row of a stepped matrix, in row order, as the
+    (value, items, mask) of ``conditions._row_maxima``: the reference."""
+    phis = _subset_sums(np.asarray(weights, dtype=float))
     adm = phis < eps if strict else phis <= eps
-    vacuous = not bool(adm[1:].any())
+    for row in matrix:
+        vals = np.where(adm, _subset_sums(row), -np.inf)
+        i = int(np.argmax(vals))
+        yield float(vals[i]), np.arange(len(row)), i
+
+
+def brute_small_set_max(kernel, matrix, phi, eps, *, strict):
+    """The maximum over every row of ``brute_row_maxima``, with its first row and set."""
+    weights = to_vector(phi)
+    phis = _subset_sums(weights)
+    vacuous = not bool((phis[1:] < eps if strict else phis[1:] <= eps).any())
     worst_val = -math.inf
     worst = None
-    for x in range(n):
-        vals = np.where(adm, _subset_sums(matrix[x]), -np.inf)
-        i = int(np.argmax(vals))
-        if vals[i] > worst_val:
-            worst_val = float(vals[i])
-            worst = (i, x)
+    for x, (val, _, mask) in enumerate(brute_row_maxima(matrix, weights, eps, strict)):
+        if val > worst_val:
+            worst_val = val
+            worst = (mask, x)
     holds = worst_val <= 1.0 - eps
     counter = None
     if not holds:
         mask, x = worst
-        members = [j for j in range(n) if mask >> j & 1]
+        members = [j for j in range(kernel.size) if mask >> j & 1]
         counter = (measurable(kernel.space, atoms=members), x, worst_val)
     return DoeblinOutcome(holds, vacuous, worst_val, counter)
 
 
-def brute_on_weights(kernel, matrix, weights, eps, *, strict):
-    """The oracle behind the signature of ``_small_set_max``, which takes phi as a vector."""
-    return brute_small_set_max(kernel, matrix, from_vector(kernel.space, weights), eps, strict=strict)
+def recorded(rows_read, enumerate_rows):
+    """``enumerate_rows`` (a ``_row_maxima``), appending to ``rows_read`` the values of each call's rows as
+    they are read."""
+
+    def rows(matrix, weights, eps, strict):
+        rows_read.append([])
+        for row in enumerate_rows(matrix, weights, eps, strict):
+            rows_read[-1].append(row[0])
+            yield row
+
+    return rows
 
 
 def _random_matrix(rng, n):
@@ -129,16 +145,73 @@ def test_public_checkers_match_brute_force_on_ties():
 
 
 def test_search_matches_brute_force_search(monkeypatch):
+    # the oracle search reads brute_row_maxima through the one per-row seam
     chains = [birth_death(9, 0.05, 0.15), birth_death(6, 0.3, 0.2)]
     rng = np.random.default_rng(5)
     for _ in range(6):
         chains.append(TransitionKernel.finite(_random_matrix(rng, int(rng.integers(2, 8)))))
     for averaged in (False, True):
         got = [search_doeblin(k, averaged=averaged) for k in chains]
+        rows_read = []
         with monkeypatch.context() as m:
-            m.setattr(conditions, "_small_set_max", brute_on_weights)
+            m.setattr(conditions, "_row_maxima", recorded(rows_read, brute_row_maxima))
             want = [search_doeblin(k, averaged=averaged) for k in chains]
         assert got == want
+        assert len(rows_read) > len(chains)  # the oracle was read, by more than one check
+        assert sum(not w.vacuous for w in want) >= 4
+
+
+def test_early_exit_verdict_matches_the_full_maximum_and_brute_force():
+    # a one-eps search with phi as its basis holds at the first order whose check holds; a
+    # check that fails stops at its first row past 1 - eps, and so must agree with the full scans
+    rng = np.random.default_rng(2031)
+    eps_choices = (0.25, 0.5, 0.75, 0.1, 0.3)
+    compared = held = failed = 0
+    for _ in range(120):
+        n = int(rng.integers(1, 11))
+        kernel = TransitionKernel.finite(_random_matrix(rng, n))
+        phi = _random_phi(rng, kernel.space, n)
+        eps = float(rng.choice(eps_choices))
+        basis = InvariantBasis(measures=[phi], kinds=["ca"])
+        for averaged, step in ((False, kernel_power), (True, cesaro_kernel)):
+            w = search_doeblin(kernel, k_max=3, eps_grid=(eps,), basis=basis, averaged=averaged)
+            if not (to_vector(phi) < eps if averaged else to_vector(phi) <= eps).any():
+                assert w.vacuous  # no state fits: decided before any row is read
+                continue
+            verdicts = []
+            for k in (1, 2, 3):
+                matrix = step(kernel, k).matrix
+                full = _small_set_max(kernel, matrix, to_vector(phi), eps, strict=averaged).holds
+                assert full == brute_small_set_max(kernel, matrix, phi, eps, strict=averaged).holds
+                verdicts.append(full)
+            first = verdicts.index(True) + 1 if True in verdicts else None
+            assert (None if w.vacuous else w.k) == first
+            assert w.vacuous or w.eps == eps
+            compared += 1
+            held += sum(verdicts)
+            failed += len(verdicts) - sum(verdicts)
+    assert compared > 100 and held > 50 and failed > 50
+
+
+def test_failing_check_enumerates_rows_up_to_its_first_violating_row(monkeypatch):
+    # birth_death(12, 0.05, 0.15) has no witness under its basis sum: its one check at eps = 0.5, k = 1
+    # fails, and the search is decided at the first row whose maximum exceeds 1 - eps
+    kernel = birth_death(12, 0.05, 0.15)
+    basis = invariant_basis_finite(kernel)
+    phi = basis.measures[0]
+    rows = brute_row_maxima(kernel.matrix, to_vector(phi), 0.5, False)
+    first = next(x for x, (v, _, _) in enumerate(rows) if v > 0.5)
+    assert first == 1
+    sums = []
+
+    def counted(values):
+        sums.append(len(values))
+        return _subset_sums(values)
+
+    monkeypatch.setattr(conditions, "_subset_sums", counted)
+    w = search_doeblin(kernel, k_max=1, eps_grid=(0.5,), basis=basis)
+    assert w.phi_source == "counting"  # the check failed
+    assert len(sums) == 2 * (first + 1)  # phi's and the row's subset sums of rows 0..first, and no more
 
 
 def test_search_computes_each_stepped_kernel_once(monkeypatch):
@@ -170,22 +243,21 @@ def test_search_computes_each_stepped_kernel_once(monkeypatch):
 
 
 def test_search_witness_rechecks_to_the_same_max(monkeypatch):
-    found = []
-
-    def recording(*args, **kwargs):
-        found.append(_small_set_max(*args, **kwargs))
-        return found[-1]
-
-    monkeypatch.setattr(conditions, "_small_set_max", recording)
+    # the oracle search reads brute_row_maxima; its holding check reads every row, and their maximum
+    # is what the public checker finds for the witness
+    rows_read = []
     # witnesses at k = 4 and 5, where p^k is four and five products
     chains = [birth_death(6, 0.3, 0.2), birth_death(9, 0.3, 0.2), birth_death(12, 0.45, 0.45)]
     orders = set()
     for kernel in chains:
         for averaged, check in ((False, check_doeblin), (True, check_doeblin_tilde)):
-            w = search_doeblin(kernel, averaged=averaged)
+            with monkeypatch.context() as m:
+                m.setattr(conditions, "_row_maxima", recorded(rows_read, brute_row_maxima))
+                w = search_doeblin(kernel, averaged=averaged)
             assert not w.vacuous
-            searched = found[-1]
-            assert check(kernel, w.phi, w.eps, w.k).max_value == searched.max_value
+            searched = rows_read[-1]
+            assert len(searched) == kernel.size
+            assert check(kernel, w.phi, w.eps, w.k).max_value == max(searched)
             orders.add(w.k)
     assert orders >= {4, 5}
 

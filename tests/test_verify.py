@@ -20,6 +20,7 @@ from chargechain import (
     stationary_of_class,
 )
 from chargechain.cli import main
+from chargechain.conditions import MAX_ORDER
 from chargechain.report import SCHEMA_VERSION, verify_report
 
 
@@ -784,6 +785,43 @@ def test_walk_doeblin_finding_that_contradicts_its_charge_fails(tmp_path: Path, 
     assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
         f"FAILED: {VERDICTS} ((D) and (D~) on a walk against the charges fails)"
     ]
+
+
+@pytest.mark.parametrize("k", [10**7, MAX_ORDER + 1, 1e300], ids=["1e7", "cap+1", "1e300"])
+def test_witness_order_outside_the_cap_fails_before_any_product(tmp_path: Path, capsys, power_steps, k):
+    # p^k is k sequential products, so a k of 10^7 took about 30 s to re-check
+    rep = analyze(tmp_path, "analyze", "--catalog", "birth_death", "--tasks", "conditions")
+    for key in ("D", "D_tilde"):
+        rep["conditions"][key]["witness"]["k"] = k
+    power_steps.clear()
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
+        f"FAILED: {key} witness (order {k!r} is past the cap {MAX_ORDER})" for key in ("D", "D_tilde")
+    ]
+    assert power_steps == []
+
+
+@pytest.mark.parametrize("name", ["finite_uniform", "swap2", "cycle3", "birth_death"])
+def test_invariant_measure_past_the_float_range_fails_an_item(tmp_path: Path, capsys, name):
+    # its invariance residual sums past the float range inside the section
+    rep = analyze(tmp_path, "analyze", "--catalog", name)
+    mu = rep["invariants"]["measures"][0]
+    mu["atoms"] = dict.fromkeys(mu["atoms"], 1e308)
+    code, out = verify(tmp_path, rep, capsys)  # an OverflowError would end the test here
+    assert code == 1
+    assert "FAILED: invariants format (OverflowError: intermediate overflow in fsum)" in out.splitlines()
+
+
+@pytest.mark.parametrize("name", ["finite_uniform", "swap2", "cycle3", "birth_death"])
+def test_projector_law_past_the_float_range_fails_its_item(tmp_path: Path, capsys, name):
+    # its error bound is summed before the sections are checked, outside their guard
+    rep = analyze(tmp_path, "analyze", "--catalog", name)
+    law = rep["ergodic"]["projector"]["stationary"][0]
+    law["atoms"] = dict.fromkeys(law["atoms"], 1e308)
+    code, out = verify(tmp_path, rep, capsys)  # an OverflowError would end the test here
+    assert code == 1
+    assert "FAILED: projector stationary[0] (l1 distance to the exact law <= inf)" in out.splitlines()
 
 
 # two_absorbing: its class laws δ_0 and δ_2 have the closed sets {0} and {2}
