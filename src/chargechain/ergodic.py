@@ -26,6 +26,8 @@ from .measures import FAMeasure, to_vector
 RATE_FLOOR = 1e-12
 #: a fit whose total log decay is at most this many times its largest residual has seen no decay
 RATE_DECAY_RESIDUALS = 2.0
+#: entries in each scratch stack of ``distance_series`` (512 KB of float64)
+STACK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -130,29 +132,38 @@ def _hitting_times(kernel: TransitionKernel, states: tuple[int, ...], pi: FAMeas
     return dict(zip(rest, steps[:, 0].tolist()))
 
 
-def _max_row_tv(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> float:
-    """max_x |a(x, ·) − b(x, ·)|₁, formed in ``out`` (which may be ``a``)."""
-    np.subtract(a, b, out=out)
-    np.abs(out, out=out)
-    return float(out.sum(axis=1).max())
-
-
 def distance_series(
     kernel: TransitionKernel, n_max: int, projector: Projector
 ) -> tuple[list[float], list[float]]:
     """Averaged and raw distances to ``projector`` for n = 1..n_max, in one pass over the powers.
 
-    Returns ``(cesaro, raw)``; index i of each list holds the distance at n = i + 1.
+    Returns ``(cesaro, raw)``; index i of each list holds the distance at n = i + 1.  Each step
+    writes p^n − P and (p^1 + ... + p^n)/n into its slot of two scratch stacks of
+    ``STACK_ENTRIES`` entries at most; a full stack (or the last step) is reduced with one
+    abs, row sum and max per series.  These are the element operations of a step-by-step
+    reduction, and the row sums still run along the contiguous last axis, so every
+    distance keeps its bits.  From 182 states on, a stack holds one step.
     """
     if not kernel.space.is_finite:
         raise DomainError("operator distances need a finite chain")
     pi_mat = projector.matrix
-    buf = np.empty(pi_mat.shape)  # one scratch array for both reductions, C-ordered like the temporaries it replaces
+    chunk = max(1, min(n_max, STACK_ENTRIES // pi_mat.size))
+    raw_stack = np.empty((chunk, *pi_mat.shape))
+    avg_stack = np.empty_like(raw_stack)
     cesaro, raw = [], []
     for n, (cur, acc) in enumerate(itertools.islice(powers(kernel), n_max), start=1):
-        raw.append(_max_row_tv(cur, pi_mat, buf))
-        cesaro.append(_max_row_tv(np.divide(acc, n, out=buf), pi_mat, buf))
+        m = (n - 1) % chunk
+        np.subtract(cur, pi_mat, out=raw_stack[m])
+        np.divide(acc, n, out=avg_stack[m])
+        if m + 1 == chunk or n == n_max:
+            raw += _max_row_l1(raw_stack[: m + 1])
+            cesaro += _max_row_l1(np.subtract(avg_stack[: m + 1], pi_mat, out=avg_stack[: m + 1]))
     return cesaro, raw
+
+
+def _max_row_l1(stack: np.ndarray) -> list[float]:
+    """max_x |d(x, ·)|₁ for each matrix d of ``stack``, taking absolute values in place."""
+    return np.abs(stack, out=stack).sum(axis=2).max(axis=1).tolist()
 
 
 def ergodic_run(kernel: TransitionKernel, n_max: int, basis: InvariantBasis | None = None) -> dict:

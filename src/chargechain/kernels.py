@@ -289,7 +289,8 @@ def powers(kernel: TransitionKernel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     The package's only product of a finite transition matrix, so p^k has the
     same bits in the search, ``verify-report`` and the distance series.  The
     sum is one array updated in place (a fresh array per step slowed the
-    distance series of 150 states by a third); copy it to keep it past a step.
+    distance series of 150 states by a third); copy it to keep it past a step,
+    as the distance series does into its stacks of steps.
     """
     if not kernel.space.is_finite:
         raise StructureError("powers of countable kernels are not materialized; iterate apply_A")

@@ -276,10 +276,12 @@ def _verify_invariants(kernel: TransitionKernel, classes, laws, measures, inv: d
     if classes is None:
         # a kind is read off its measure: atoms only or ends only; one with both, or neither, has none
         read = [("ca" if mu.atoms else "pfa") if bool(mu.atoms) != bool(mu.ends) else None for mu in measures]
+        empty = "" if measures else "; but every Markov operator has an invariant FA probability (Markov-Kakutani)"
         record(
             "invariant basis kinds",
-            scoped and len(measures) == dimension and None not in read and kinds == read,
-            f"{len(measures)} measures, dimension {dimension}, kinds {kinds}; the measures read as {read}{misscoped}",
+            scoped and bool(measures) and len(measures) == dimension and None not in read and kinds == read,
+            f"{len(measures)} measures, dimension {dimension}, kinds {kinds}; the measures read as {read}{misscoped}"
+            + empty,
         )
         return
     ok = (

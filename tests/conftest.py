@@ -2,13 +2,13 @@
 
 import pytest
 
-from chargechain import kernels
+from chargechain import ergodic, kernels
 
 
 @pytest.fixture
 def power_steps(monkeypatch) -> list[int]:
-    """The size of the kernel at every step of ``kernels.powers``, which ``kernel_power`` and
-    ``cesaro_kernel`` read."""
+    """The size of the kernel at every step of ``kernels.powers``, which ``kernel_power``,
+    ``cesaro_kernel`` and ``distance_series`` read."""
     steps = []
     original = kernels.powers
 
@@ -18,4 +18,5 @@ def power_steps(monkeypatch) -> list[int]:
             yield pair
 
     monkeypatch.setattr(kernels, "powers", counted)
+    monkeypatch.setattr(ergodic, "powers", counted)
     return steps

@@ -332,17 +332,34 @@ def test_distance_series_is_the_sequential_loop():
 def test_distance_series_keeps_the_bits_of_the_textbook_reduction():
     from test_kernels import sequential_powers
 
+    # a stack holds STACK_ENTRIES // n² steps: one from 182 states on, two at 181
+    entries = ergodic.STACK_ENTRIES
+    assert entries // 182**2 == 1 and entries // 181**2 == 2 and entries // 90**2 == 8
     rng = np.random.default_rng(41)
-    chains = [random_kernel(rng, n) for n in (1, 2, 7, 33, 90)]
-    chains += [birth_death(60, 0.3, 0.2), TransitionKernel.finite(np.asfortranarray(random_kernel(rng, 12).matrix))]
-    for k in chains:
+    fortran = lambda n: TransitionKernel.finite(np.asfortranarray(random_kernel(rng, n).matrix))
+    cases = [(random_kernel(rng, n), 50) for n in (1, 2, 7, 33)]  # n_max below one stack
+    cases += [(random_kernel(rng, 90), 50), (fortran(90), 50)]  # stacks of 8, the last one of 2
+    cases += [(random_kernel(rng, 33), 130), (birth_death(60, 0.3, 0.2), 50), (fortran(12), 50)]
+    cases += [(random_kernel(rng, 181), 5), (random_kernel(rng, 182), 3), (random_kernel(rng, 257), 2)]
+    cases += [(random_kernel(rng, n), 1) for n in (1, 12, 182)]
+    for k, n_max in cases:
         pj = projector_finite(k)
-        cesaro, raw = distance_series(k, 50, pj)
-        ref = sequential_powers(k.matrix, 50)
+        cesaro, raw = distance_series(k, n_max, pj)
+        ref = sequential_powers(k.matrix, n_max)
         assert [d.hex() for d in raw] == [float(np.abs(cur - pj.matrix).sum(axis=1).max()).hex() for cur, _ in ref]
         assert [d.hex() for d in cesaro] == [
             float(np.abs(acc / n - pj.matrix).sum(axis=1).max()).hex() for n, (_, acc) in enumerate(ref, 1)
         ]
+
+
+@pytest.mark.parametrize("n_max", [1, 7, 200])
+def test_distance_series_reads_n_max_steps_of_the_powers(power_steps, n_max):
+    k = birth_death(15, 0.3, 0.2)
+    pj = projector_finite(k)
+    power_steps.clear()
+    cesaro, raw = distance_series(k, n_max, pj)
+    assert power_steps == [15] * n_max
+    assert len(cesaro) == len(raw) == n_max
 
 
 def test_hitting_time_solve_rejects_a_singular_class():

@@ -328,6 +328,19 @@ def test_tampered_basis_or_verdict_fails(tmp_path: Path, capsys, case):
     assert f"FAILED: {failed}" in out
 
 
+@pytest.mark.parametrize("name", ["restart_walk", "drift_walk_N"])
+def test_walk_basis_emptied_fails(tmp_path: Path, capsys, name):
+    # every Markov operator has an invariant finitely additive probability, so no chain has an empty basis
+    rep = analyze(tmp_path, "analyze", "--catalog", name, "--tasks", "invariants")
+    rep["invariants"].update(measures=[], residuals=[], kinds=[], dimension=0)
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
+        "FAILED: invariant basis kinds (0 measures, dimension 0, kinds []; the measures read as []; "
+        "but every Markov operator has an invariant FA probability (Markov-Kakutani))"
+    ]
+
+
 def swap_beta_sets(rep):
     pair = rep["conditions"]["beta"]["witnesses"][0]
     pair["d1"], pair["d2"] = pair["d2"], pair["d1"]
