@@ -28,6 +28,8 @@ RATE_FLOOR = 1e-12
 RATE_DECAY_RESIDUALS = 2.0
 #: entries in each scratch stack of ``distance_series`` (512 KB of float64)
 STACK_ENTRIES = 2**16
+#: the largest ergodic horizon n_max: the distance series forms one product per step
+MAX_HORIZON = 10**5
 
 
 @dataclass(frozen=True)

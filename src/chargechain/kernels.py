@@ -4,14 +4,18 @@ Finite kernels are dense row-stochastic matrices, read-only once a kernel
 holds them; their sparse rows are materialized once per kernel, on first
 use, and ``row`` hands out copies (``successors`` reads the positive
 entries of the same table as a graph; ``kernel_to_spec`` writes it as the
-chain spec's ``rows``).  Countable kernels are "walks": finitely many
-exception rows plus one eventually-constant tail row per end, with bounded
-relative offsets.  Past the fixed states (the exception rows and every
-exception and ``to_finite`` target), every row is its end's tail row moved
-to x.  That structure keeps the action of A on end charges exact: an end
-charge keeps ``preserved_mass`` at its end, leaks ``to_finite`` into fixed
-states, and leaks ``to_other_end`` across.  A's adjoint T on bounded
-functions is the tests' duality oracle (``tests/oracles.py``).
+chain spec's ``rows``).  ``powers`` is the one product of a finite matrix:
+it multiplies by p in column panels of ``PANEL``, each over only the rows
+nonzero in its columns, when that skips at least half of the multiply-adds,
+and by the one dense product cur @ p otherwise.  Countable kernels are
+"walks": finitely many exception rows plus one eventually-constant tail row
+per end, with bounded relative offsets.  Past the fixed states (the
+exception rows and every exception and ``to_finite`` target), every row is
+its end's tail row moved to x.  That structure keeps the action of A on end
+charges exact: an end charge keeps ``preserved_mass`` at its end, leaks
+``to_finite`` into fixed states, and leaks ``to_other_end`` across.  A's
+adjoint T on bounded functions is the tests' duality oracle
+(``tests/oracles.py``).
 
 Rows are countably additive by construction.  A tail row realizes its
 cross-end mass as the mirror jump x -> -x, which carries mass deep toward
@@ -37,6 +41,8 @@ from .measures import END_NEG, END_POS, FAMeasure, StateSpace
 
 ROW_SUM_TOL = 1e-9
 MAX_OFFSET = 64
+#: columns per panel of a ``powers`` step
+PANEL = 32
 
 
 @dataclass(frozen=True)
@@ -87,18 +93,18 @@ class TransitionKernel:
         m += 0.0  # -0.0 -> 0.0: the row table leaves zeros out, so a spec of its rows rebuilds m bit for bit
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"transition matrix must be square, got shape {m.shape}")
-        n = m.shape[0]
         if not np.isfinite(m).all():
             i, j = (int(v) for v in np.argwhere(~np.isfinite(m))[0])
             raise ValidationError(f"row {i}: non-finite probability at column {j}")
-        for i in range(n):
-            if (m[i] < -ROW_SUM_TOL).any():
-                j = int(np.argmin(m[i]))
-                raise ValidationError(f"row {i}: negative probability at column {j}")
-            s = float(m[i].sum())
-            if abs(s - 1.0) > ROW_SUM_TOL:
-                raise ValidationError(f"row {i} sums to {s!r}, expected 1")
-        return TransitionKernel(StateSpace.finite(n, labels), matrix=_read_only(m))
+        negative = (m < -ROW_SUM_TOL).any(axis=1)
+        sums = np.ascontiguousarray(m).sum(axis=1)  # each row summed along its contiguous axis, as m[i].sum()
+        bad = np.flatnonzero(negative | (np.abs(sums - 1.0) > ROW_SUM_TOL))
+        if bad.size:  # the first bad row; within it, a negative entry before the sum
+            i = int(bad[0])
+            if negative[i]:
+                raise ValidationError(f"row {i}: negative probability at column {int(np.argmin(m[i]))}")
+            raise ValidationError(f"row {i} sums to {float(sums[i])!r}, expected 1")
+        return TransitionKernel(StateSpace.finite(m.shape[0], labels), matrix=_read_only(m))
 
     @staticmethod
     def walk(support: str, exceptions=None, tails=None) -> "TransitionKernel":
@@ -287,19 +293,53 @@ def powers(kernel: TransitionKernel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(p^n, p^1 + ... + p^n) for n = 1, 2, ..., by sequential products; finite spaces only.
 
     The package's only product of a finite transition matrix, so p^k has the
-    same bits in the search, ``verify-report`` and the distance series.  The
-    sum is one array updated in place (a fresh array per step slowed the
-    distance series of 150 states by a third); copy it to keep it past a step,
-    as the distance series does into its stacks of steps.
+    same bits in the search, ``verify-report`` and the distance series.  A
+    sparse enough p is multiplied in the column panels of ``_panels``, each
+    step's panels written into one fresh array; any other p by the one dense
+    product cur @ p.  The sum is one array updated in place (a fresh array
+    per step slowed the distance series of 150 states by a third); copy it to
+    keep it past a step, as the distance series does into its stacks of steps.
     """
     if not kernel.space.is_finite:
         raise StructureError("powers of countable kernels are not materialized; iterate apply_A")
+    panels = _panels(kernel.matrix)
     cur = np.eye(kernel.size)
     acc = np.zeros_like(kernel.matrix)
     while True:
-        cur = cur @ kernel.matrix
+        if panels is None:
+            cur = cur @ kernel.matrix
+        else:
+            cur, prev = np.empty(cur.shape), cur
+            for rows, cols, block in panels:
+                np.matmul(prev[:, rows], block, out=cur[:, cols])
         acc += cur
         yield cur, acc
+
+
+def _panels(matrix: np.ndarray) -> list[tuple[slice | np.ndarray, slice, np.ndarray]] | None:
+    """The column panels of a step of ``powers``, ``(rows, cols, matrix[rows, cols])`` each, or None for
+    the one dense product.
+
+    The columns are cut into panels of ``PANEL``, and a panel's rows are the
+    ones nonzero in its columns, ascending (a slice when contiguous), so a
+    panel of cur·p is cur[:, rows] @ p[rows, cols], a sum of the same nonzero
+    terms in BLAS's order for that shape.  A matrix takes panels only when
+    they skip at least half of the dense product's multiply-adds,
+    Σ |rows|·|cols| ≤ n²/2, which no matrix of at most ``PANEL`` states does:
+    its one panel holds every row, as every row of a kernel has mass.
+    """
+    n = len(matrix)
+    if n <= PANEL:
+        return None
+    nonzero = matrix != 0.0
+    panels = []
+    for lo in range(0, n, PANEL):
+        cols = slice(lo, min(lo + PANEL, n))
+        rows = np.flatnonzero(nonzero[:, cols].any(axis=1))
+        if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        panels.append((rows, cols, matrix[rows, cols]))
+    return panels if 2 * sum(block.size for _, _, block in panels) <= n * n else None
 
 
 def _nth_power(kernel: TransitionKernel, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:

@@ -45,7 +45,7 @@ from .invariants import (
 )
 from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
 from .measures import end_direction, evaluate, is_disjoint, measurable, measure_from_json, set_from_json, to_vector
-from .ergodic import ergodic_run, fitted_rate
+from .ergodic import MAX_HORIZON, ergodic_run, fitted_rate
 
 SCHEMA_VERSION = 8
 #: tolerance of the absorption rows' sums, and of the certified error max |H - H*| of the rows
@@ -113,6 +113,8 @@ def run_analysis(request: AnalysisRequest) -> dict:
     tasks = applicable_tasks(kernel, request.tasks)
     if "escape" in tasks:
         escape_windows(request.windows)  # refused before the basis and the other sections are formed
+    if "ergodic" in tasks and request.n_max > MAX_HORIZON:  # the escape doubling takes any n_max
+        raise ValidationError(f"the ergodic horizon (--n-max) must be at most {MAX_HORIZON}, got {request.n_max}")
     report = {
         "schema": SCHEMA_VERSION,
         "chain": {"source": source, "spec": kernel_to_spec(kernel)},

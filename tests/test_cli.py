@@ -12,15 +12,18 @@ from chargechain import (
     AnalysisRequest,
     birth_death,
     catalog,
+    ergodic,
     invariant_basis,
     invariants,
     kernel_to_spec,
+    kernels,
     report,
     run_analysis,
 )
 from chargechain.cli import _request_from_args, build_parser, main
 from chargechain.catalog import names
 from chargechain.conditions import MAX_ORDER
+from chargechain.ergodic import MAX_HORIZON
 from chargechain.report import applicable_tasks
 
 
@@ -171,6 +174,28 @@ def test_k_max_past_the_order_cap_exits_2(tmp_path, capsys):
     assert run_cli(argv + ["--out", str(tmp_path / "x.json")]) == 2
     assert "error: the step order (--k-max) must be at most 64, got 65" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_n_max_past_the_horizon_cap_exits_2_before_any_power(tmp_path, capsys, monkeypatch):
+    # the horizon is refused up front, before the distance series forms its 10^8 products
+    def formed(kernel):
+        raise AssertionError("a power was formed")
+
+    monkeypatch.setattr(kernels, "powers", formed)
+    monkeypatch.setattr(ergodic, "powers", formed)
+    argv = ["analyze", "--catalog", "birth_death", "--tasks", "ergodic", "--n-max", "100000000"]
+    assert run_cli(argv + ["--out", str(tmp_path / "x.json")]) == 2
+    assert "error: the ergodic horizon (--n-max) must be at most 100000, got 100000000" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("name, code", [("two_absorbing", 2), ("drift_walk_N", 0)])
+def test_n_max_past_the_horizon_cap_exits_2_where_the_ergodic_task_applies(tmp_path, capsys, name, code):
+    # a walk has no ergodic section, and its escape doubling takes any n_max
+    argv = ["analyze", "--catalog", name, "--n-max", str(MAX_HORIZON + 1), "--out", str(tmp_path / "x.json")]
+    assert run_cli(argv) == code
+    assert ("error: the ergodic horizon (--n-max)" in capsys.readouterr().err) == (code == 2)
+    assert (tmp_path / "x.json").exists() == (code == 0)
 
 
 def test_horizon_options_default_to_the_request_defaults():

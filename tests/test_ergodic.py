@@ -1,5 +1,6 @@
 """Projector construction, operator-distance decay, rate fitting."""
 
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import chargechain.ergodic as ergodic
 import chargechain.invariants as invariants
+import chargechain.kernels as kernels
 from chargechain import (
     AnalysisRequest,
     CapacityError,
@@ -346,6 +348,25 @@ def test_distance_series_keeps_the_bits_of_the_textbook_reduction():
         pj = projector_finite(k)
         cesaro, raw = distance_series(k, n_max, pj)
         ref = sequential_powers(k.matrix, n_max)
+        assert [d.hex() for d in raw] == [float(np.abs(cur - pj.matrix).sum(axis=1).max()).hex() for cur, _ in ref]
+        assert [d.hex() for d in cesaro] == [
+            float(np.abs(acc / n - pj.matrix).sum(axis=1).max()).hex() for n, (_, acc) in enumerate(ref, 1)
+        ]
+
+
+def test_distance_series_keeps_the_bits_of_the_textbook_reduction_on_paneled_chains():
+    from test_kernels import banded_matrix
+
+    # a stack of two steps at 150 and 181 states, of one at 182; the reference reads the paneled powers
+    assert [ergodic.STACK_ENTRIES // n**2 for n in (150, 181, 182)] == [2, 2, 1]
+    rng = np.random.default_rng(47)
+    cases = [(birth_death(150, 0.3, 0.2), 41), (TransitionKernel.finite(banded_matrix(rng, 181, 2)), 5)]
+    cases += [(TransitionKernel.finite(banded_matrix(rng, 182, 3)), 3)]
+    for k, n_max in cases:
+        assert kernels._panels(k.matrix) is not None
+        pj = projector_finite(k)
+        cesaro, raw = distance_series(k, n_max, pj)
+        ref = [(cur, acc.copy()) for cur, acc in itertools.islice(kernels.powers(k), n_max)]
         assert [d.hex() for d in raw] == [float(np.abs(cur - pj.matrix).sum(axis=1).max()).hex() for cur, _ in ref]
         assert [d.hex() for d in cesaro] == [
             float(np.abs(acc / n - pj.matrix).sum(axis=1).max()).hex() for n, (_, acc) in enumerate(ref, 1)

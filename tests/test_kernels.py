@@ -1,5 +1,6 @@
 """Kernel core: validation, operator actions, powers, averaging, duality."""
 
+import itertools
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from chargechain import (
     kernel_from_spec,
     kernel_power,
     kernel_to_spec,
+    kernels,
     measurable,
     projector_finite,
     restart_walk,
@@ -48,6 +50,36 @@ def test_bad_rows_rejected():
         TransitionKernel.finite([[1.2, -0.2], [0.5, 0.5]])
     with pytest.raises(ValidationError, match="square"):
         TransitionKernel.finite([[1.0, 0.0]])
+
+
+def test_the_first_bad_row_is_reported_and_its_negative_entry_before_its_sum():
+    uniform = np.full((6, 6), 1 / 6)
+    sum_first = uniform.copy()
+    sum_first[3, 0] += 0.1  # row 3 sums past 1
+    sum_first[5, :2] = -0.1, 1 / 6 + 0.1 + 1 / 6  # row 5 has a negative entry and sums to 1
+    both = uniform.copy()
+    both[3, 2] = -0.1  # row 3 has a negative entry and does not sum to 1
+    for order in (np.ascontiguousarray, np.asfortranarray):
+        with pytest.raises(ValidationError, match=rf"^row 3 sums to {float(sum_first[3].sum())!r}, expected 1$"):
+            TransitionKernel.finite(order(sum_first))
+        with pytest.raises(ValidationError, match=r"^row 3: negative probability at column 2$"):
+            TransitionKernel.finite(order(both))
+
+
+def test_fortran_ordered_input_keeps_the_verdicts_and_messages():
+    rng = np.random.default_rng(13)
+    for m in table_matrices(seed=31, count=30):
+        bad = m.copy()
+        rows = rng.integers(len(m), size=2)
+        bad[rows[0], rng.integers(len(m))] -= rng.choice([1e-8, 0.5])  # a negative entry or a short row
+        bad[rows[1]] *= rng.choice([1.0, 1 + 1e-8])
+        verdicts = []
+        for order in (np.ascontiguousarray, np.asfortranarray):
+            try:
+                verdicts.append(TransitionKernel.finite(order(bad)).matrix.tobytes())
+            except ValidationError as exc:
+                verdicts.append(str(exc))
+        assert verdicts[0] == verdicts[1]
 
 
 def test_walk_validation():
@@ -477,6 +509,93 @@ def test_powers_and_averages_are_the_sequential_products():
         for n, (cur, acc) in enumerate(sequential_powers(k.matrix, 8), start=1):
             assert kernel_power(k, n).matrix.tobytes() == cur.tobytes()
             assert cesaro_kernel(k, n).matrix.tobytes() == (acc / n).tobytes()
+
+
+def banded_matrix(rng, n, width):
+    """A seeded stochastic matrix whose row x lives on the columns x - width .. x + width."""
+    m = np.zeros((n, n))
+    for x in range(n):
+        lo, hi = max(0, x - width), min(n, x + width + 1)
+        m[x, lo:hi] = rng.random(hi - lo) + 1e-3
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def block_matrix(rng, n, classes=3):
+    """Closed classes on the first states, and n // 8 transient states after them.
+
+    A class state reaches itself, its cycle successor and 4 random members of
+    its class; a transient state reaches one state of each class and every
+    transient state.
+    """
+    n_trans = n // 8
+    bounds = np.linspace(0, n - n_trans, classes + 1).round().astype(int)
+    m = np.zeros((n, n))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        for x in range(a, b):
+            targets = np.unique([x, a + (x - a + 1) % (b - a), *rng.choice(np.arange(a, b), 4, replace=False)])
+            m[x, targets] = rng.random(targets.size) + 1e-3
+    for x in range(n - n_trans, n):
+        m[x, [rng.integers(a, b) for a, b in zip(bounds[:-1], bounds[1:])]] = rng.random(classes) + 1.0
+        m[x, n - n_trans :] += rng.random(n_trans) * 0.02
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def test_dense_and_small_chains_take_the_one_dense_product():
+    rng = np.random.default_rng(17)
+    dense = rng.random((90, 90)) + 1e-3
+    mats = [dense / dense.sum(axis=1, keepdims=True), birth_death(60, 0.3, 0.2).matrix]
+    mats += [*table_matrices(seed=29, count=30), birth_death(32, 0.3, 0.2).matrix, banded_matrix(rng, 32, 1)]
+    for m in mats:
+        k = TransitionKernel.finite(m)
+        assert kernels._panels(k.matrix) is None
+        for (cur, acc), (ref, ref_acc) in zip(kernels.powers(k), sequential_powers(k.matrix, 30)):
+            assert cur.tobytes() == ref.tobytes()
+            assert acc.tobytes() == ref_acc.tobytes()
+
+
+def paneled_kernels():
+    rng = np.random.default_rng(19)
+    return {
+        "birth_death(150)": birth_death(150, 0.3, 0.2),
+        "birth_death(200)": birth_death(200, 0.35, 0.25),
+        "block(175)": TransitionKernel.finite(block_matrix(rng, 175)),
+    }
+
+
+@pytest.mark.parametrize("name", list(paneled_kernels()))
+def test_sparse_chains_take_panels_within_rounding_of_the_dense_product(name):
+    k = paneled_kernels()[name]
+    n = k.size
+    assert kernels._panels(k.matrix) is not None
+    got = [cur for cur, _ in itertools.islice(kernels.powers(k), 200)]  # each step's array, kept as yielded
+    ref = np.eye(n)
+    for cur in got:
+        ref = ref @ k.matrix
+        assert np.abs(cur - ref).max() <= 4 * n * 2.0**-53
+
+
+def test_a_panel_whose_columns_receive_no_mass_yields_exact_zeros():
+    # states 64..95 each step to state x - 64 and are never entered
+    rng = np.random.default_rng(23)
+    m = np.zeros((96, 96))
+    m[:64, :64] = banded_matrix(rng, 64, 1)
+    m[np.arange(64, 96), np.arange(32)] = 1.0
+    k = TransitionKernel.finite(m)
+    panels = kernels._panels(k.matrix)
+    assert panels is not None and panels[2][1] == slice(64, 96) and panels[2][0].size == 0
+    for cur, acc in itertools.islice(kernels.powers(k), 20):
+        assert cur[:, 64:].tobytes() == acc[:, 64:].tobytes() == bytes(8 * 96 * 32)
+
+
+@pytest.mark.parametrize("n", [1, 7, 200])
+def test_power_steps_counts_one_step_per_power_on_a_paneled_chain(power_steps, n):
+    k = birth_death(150, 0.3, 0.2)
+    assert kernels._panels(k.matrix) is not None
+    power_steps.clear()
+    kernel_power(k, n)
+    assert power_steps == [150] * n
+    cesaro_kernel(k, n)
+    assert power_steps == [150] * (2 * n)
 
 
 def test_row_table_matches_the_per_scalar_read():
