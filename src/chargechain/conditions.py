@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, PreconditionError, ValidationError
-from .invariants import InvariantBasis, detect_pfa_ends, invariant_basis, invariant_basis_finite
+from .invariants import InvariantBasis, invariant_basis, invariant_basis_finite
 from .kernels import TransitionKernel, cesaro_kernel, kernel_power, truncate_reflecting
 from .measures import (
     FAMeasure,
@@ -154,9 +154,9 @@ def check_doeblin_tilde(kernel: TransitionKernel, phi: FAMeasure, eps: float, m:
 
 def search_doeblin(
     kernel: TransitionKernel,
+    basis: InvariantBasis,
     k_max: int = 5,
     eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID,
-    basis: InvariantBasis | None = None,
     averaged: bool = False,
 ) -> DoeblinWitness | None:
     """Scan (eps, k) for a verified witness, with phi the sum of the invariant basis.
@@ -170,8 +170,6 @@ def search_doeblin(
     counting measure, which admits no nonempty set at any eps < 1 on a
     finite space, so it is returned without a scan.
     """
-    if basis is None:
-        basis = invariant_basis_finite(kernel)
     grid = tuple(sorted(set(float(e) for e in eps_grid), reverse=True))
     counting = FAMeasure(kernel.space, atoms=dict.fromkeys(range(kernel.size), 1.0))
     phi = sum(basis.measures[1:], basis.measures[0]) if basis.measures else counting
@@ -196,18 +194,14 @@ def search_doeblin(
 
 # -- qualitative conditions ------------------------------------------------------
 
-def check_star(kernel: TransitionKernel, basis: InvariantBasis | None = None) -> dict:
+def check_star(kernel: TransitionKernel, basis: InvariantBasis) -> dict:
     """(*): every invariant measure is countably additive (no invariant charges).
 
-    On a countable chain the invariant charges are the basis's "pfa"
-    measures when a basis is given, and are detected afresh otherwise.
+    On a countable chain the invariant charges are the basis's "pfa" measures.
     """
     if kernel.space.is_finite:
         return _verdict("*", True, "exact", "finite spaces carry no pure charges")
-    if basis is None:
-        charges = detect_pfa_ends(kernel)
-    else:
-        charges = [m for m, kind in zip(basis.measures, basis.kinds) if kind == "pfa"]
+    charges = [m for m, kind in zip(basis.measures, basis.kinds) if kind == "pfa"]
     return _verdict(
         "*",
         not charges,
@@ -217,9 +211,9 @@ def check_star(kernel: TransitionKernel, basis: InvariantBasis | None = None) ->
     )
 
 
-def check_tilde_star(kernel: TransitionKernel, star: dict | None = None) -> dict:
+def check_tilde_star(star: dict) -> dict:
     """(~*): the invariant pure-charge set is empty; equivalent to (*), so it restates ``star``."""
-    return {**(check_star(kernel) if star is None else star), "condition": "~*"}
+    return {**star, "condition": "~*"}
 
 
 def check_double_star(basis: InvariantBasis) -> dict:
@@ -323,6 +317,7 @@ def build_condition_report(
     chain, or one "capacity" finding each when the chain is over the cap, and
     "limit" findings read off the truncation trend on a walk.  (alpha) is
     reported on a finite chain, for each basis measure on its support.
+    ``basis`` defaults to ``invariant_basis(kernel)``, as ``perfbench/test_perfbench.py`` passes a kernel alone.
     """
     if basis is None:
         basis = invariant_basis(kernel)
@@ -330,7 +325,7 @@ def build_condition_report(
     qc, qc_reason = quasicompact_diagnostic(star)
     section = {
         "star": star,
-        "tilde_star": check_tilde_star(kernel, star),
+        "tilde_star": check_tilde_star(star),
         "double_star": check_double_star(basis),
         "quasicompact": {"status": qc, "reason": qc_reason},
         "beta": check_beta(basis),
@@ -343,7 +338,7 @@ def build_condition_report(
         ]
     else:
         try:
-            found = [search_doeblin(kernel, k_max, eps_grid, basis=basis, averaged=a) for a in (False, True)]
+            found = [search_doeblin(kernel, basis, k_max, eps_grid, averaged=a) for a in (False, True)]
         except CapacityError as exc:
             # the exact search is out of reach; the other conditions are still reported
             findings = [{"kind": "capacity", "verdict": "capacity exceeded", "detail": str(exc)} for _ in range(2)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, PreconditionError
-from .invariants import ChainClass, InvariantBasis, eliminate, recurrent_classes, states_outside, stationary_of_class
+from .invariants import InvariantBasis, eliminate, states_outside
 from .kernels import TransitionKernel, powers
 from .measures import FAMeasure, to_vector
 
@@ -46,7 +46,7 @@ class Projector:
     reaches the class's heaviest state, which has no entry).
     """
 
-    classes: list[ChainClass]
+    classes: list[tuple[int, ...]]  # each closed class, the ascending tuple of its states
     stationary: list[FAMeasure]  # one per class
     absorption: dict[int, list[float]]  # transient state -> one probability per class
     absorption_times: dict[int, float]  # transient state -> expected steps to enter a class
@@ -60,7 +60,7 @@ class Projector:
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
-            "classes": [list(c.states) for c in self.classes],
+            "classes": [list(c) for c in self.classes],
             "stationary": [pi.to_json() for pi in self.stationary],
             "hitting_times": [_times_json(times) for times in self.hitting_times],
             "absorption": {str(x): [float(h) for h in row] for x, row in sorted(self.absorption.items())},
@@ -72,28 +72,27 @@ def _times_json(times: dict[int, float]) -> dict[str, float]:
     return {str(x): float(t) for x, t in sorted(times.items())}
 
 
-def projector_finite(kernel: TransitionKernel, basis: InvariantBasis | None = None) -> Projector:
+def projector_finite(kernel: TransitionKernel, basis: InvariantBasis) -> Projector:
     """P = H·Π: row x mixes the class stationary laws by x's absorption probabilities.
 
-    The classes and their stationary distributions come from ``basis`` (an
-    ``invariant_basis_finite`` of this kernel) when given, else are solved here.
+    The classes and their stationary distributions are those of ``basis``, the
+    ``invariant_basis_finite`` of this kernel.
     """
     if not kernel.space.is_finite:
         raise DomainError("projector construction needs a finite chain")
     n = kernel.size
-    classes = recurrent_classes(kernel) if basis is None else basis.classes
-    pis = [stationary_of_class(kernel, c.states) for c in classes] if basis is None else basis.measures
+    classes, pis = basis.classes, basis.measures
     trans = list(states_outside(classes, n))
     absorb = np.zeros((n, len(classes)))
     for ci, c in enumerate(classes):
-        absorb[list(c.states), ci] = 1.0
-    enter = [kernel.matrix[np.ix_(trans, c.states)].sum(axis=1) for c in classes]
+        absorb[list(c), ci] = 1.0
+    enter = [kernel.matrix[np.ix_(trans, c)].sum(axis=1) for c in classes]
     rhs = [*enter, np.ones(len(trans))]  # one column per class, then the times
     solved = _solve_transient(kernel, trans, rhs, "absorption rows or times at transient states")
     absorb[trans] = solved[:, :-1]
     times = dict(zip(trans, solved[:, -1].tolist()))
     absorption = {x: absorb[x].tolist() for x in trans}
-    hitting = [_hitting_times(kernel, c.states, pi) for c, pi in zip(classes, pis)]
+    hitting = [_hitting_times(kernel, c, pi) for c, pi in zip(classes, pis)]
     # each law lives on its own class, so each entry of H·Π is a single product h·w
     mat = absorb @ np.array([to_vector(pi) for pi in pis])
     return Projector(list(classes), list(pis), absorption, times, hitting, mat)
@@ -168,7 +167,7 @@ def _max_row_l1(stack: np.ndarray) -> list[float]:
     return np.abs(stack, out=stack).sum(axis=2).max(axis=1).tolist()
 
 
-def ergodic_run(kernel: TransitionKernel, n_max: int, basis: InvariantBasis | None = None) -> dict:
+def ergodic_run(kernel: TransitionKernel, n_max: int, basis: InvariantBasis) -> dict:
     """The report's ``ergodic`` section: the limit projector, and the averaged and raw distances to it
     with their fitted rates."""
     projector = projector_finite(kernel, basis)

@@ -13,7 +13,6 @@ window matrix, whose end buckets act as end charges (``truncate``).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,22 +27,22 @@ MAX_ESCAPE_WINDOW = 1024
 
 
 @dataclass(frozen=True)
-class ChainClass:
-    """A closed communicating class of a finite chain."""
-
-    states: tuple[int, ...]
-    period: int
-
-
-@dataclass(frozen=True)
 class InvariantBasis:
     measures: list[FAMeasure]
-    kinds: list[str]  # "ca" | "pfa", parallel to measures
-    classes: list[ChainClass] = field(default_factory=list)  # finite: one per measure
+    classes: list[tuple[int, ...]] = field(default_factory=list)  # finite: the closed class of each measure
 
     @property
     def dimension(self) -> int:
         return len(self.measures)
+
+    @property
+    def kinds(self) -> list[str | None]:
+        return [measure_kind(mu) for mu in self.measures]
+
+
+def measure_kind(mu: FAMeasure) -> str | None:
+    """The kind of a measure: "ca" for atoms only, "pfa" for ends only; one with both, or neither, has none."""
+    return None if bool(mu.atoms) == bool(mu.ends) else "ca" if mu.atoms else "pfa"
 
 
 def invariance_residual(kernel: TransitionKernel, mu: FAMeasure) -> float:
@@ -53,8 +52,8 @@ def invariance_residual(kernel: TransitionKernel, mu: FAMeasure) -> float:
 
 # -- finite-chain structure -----------------------------------------------------
 
-def recurrent_classes(kernel: TransitionKernel) -> list[ChainClass]:
-    """Closed communicating classes with their periods, ordered by least state.
+def recurrent_classes(kernel: TransitionKernel) -> list[tuple[int, ...]]:
+    """Closed communicating classes, each the ascending tuple of its states, ordered by least state.
 
     The communicating classes are the strongly connected components of the
     positive entries of the row table (one Tarjan pass); a class is closed
@@ -69,7 +68,7 @@ def recurrent_classes(kernel: TransitionKernel) -> list[ChainClass]:
     for x, c in enumerate(comp):  # ascending states, so classes come by least state
         if c not in left:
             members.setdefault(c, []).append(x)
-    return [ChainClass(states=tuple(s), period=_class_period(succ, s)) for s in members.values()]
+    return [tuple(s) for s in members.values()]
 
 
 def _strong_components(succ: list[list[int]]) -> list[int]:
@@ -117,26 +116,10 @@ def transient_states(kernel: TransitionKernel) -> tuple[int, ...]:
     return states_outside(recurrent_classes(kernel), kernel.size)
 
 
-def states_outside(classes: list[ChainClass], size: int) -> tuple[int, ...]:
+def states_outside(classes: list[tuple[int, ...]], size: int) -> tuple[int, ...]:
     """The states of 0..size-1 in none of ``classes``: the transient states."""
-    covered = {s for c in classes for s in c.states}
+    covered = {s for c in classes for s in c}
     return tuple(x for x in range(size) if x not in covered)
-
-
-def _class_period(succ: list[list[int]], members) -> int:
-    """gcd of level[u] + 1 - level[v] over the edges of a closed class, BFS levels from its least state."""
-    root = members[0]
-    level = {root: 0}
-    queue = deque([root])
-    g = 0
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
-            if v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
-            g = math.gcd(g, level[u] + 1 - level[v])
-    return g or 1
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a zero pivot shows as inf or nan
@@ -183,8 +166,7 @@ def stationary_of_class(kernel: TransitionKernel, members: tuple[int, ...]) -> F
 def invariant_basis_finite(kernel: TransitionKernel) -> InvariantBasis:
     """One extreme invariant distribution per recurrent class; all countably additive."""
     classes = recurrent_classes(kernel)
-    measures = [stationary_of_class(kernel, c.states) for c in classes]
-    return InvariantBasis(measures, ["ca"] * len(measures), classes)
+    return InvariantBasis([stationary_of_class(kernel, c) for c in classes], classes)
 
 
 # -- countable chains -------------------------------------------------------------
@@ -207,7 +189,7 @@ def detect_pfa_ends(kernel: TransitionKernel) -> list[FAMeasure]:
         system[i, [ends.index(e2) for e2 in tail.to_other_end]] += list(tail.to_other_end.values())
         system[i, sink] = math.fsum(tail.to_finite.values())
     chain = TransitionKernel.finite(system)
-    laws = [stationary_of_class(chain, c.states) for c in recurrent_classes(chain) if sink not in c.states]
+    laws = [stationary_of_class(chain, c) for c in recurrent_classes(chain) if sink not in c]
     return [FAMeasure(kernel.space, ends={ends[x]: w for x, w in pi.atoms.items()}) for pi in laws]
 
 
@@ -226,7 +208,7 @@ def detect_ca_countable(kernel: TransitionKernel, window: int = 256, steps: int 
         raise DomainError("use invariant_basis_finite on finite chains")
     lo, hi = (0, window) if kernel.space.support == "N" else (-(window // 2), window // 2)
     trunc = truncate_reflecting(kernel, lo, hi)
-    laws = (stationary_of_class(trunc, c.states) for c in recurrent_classes(trunc))
+    laws = (stationary_of_class(trunc, c) for c in recurrent_classes(trunc))
     cut = (FAMeasure(kernel.space, {lo + i: w for i, w in pi.atoms.items() if w > 1e-14}).normalized() for pi in laws)
     return [mu for mu in cut if invariance_residual(kernel, mu) <= INVARIANCE_TOL]
 
@@ -235,9 +217,7 @@ def invariant_basis(kernel: TransitionKernel) -> InvariantBasis:
     """Invariant basis of a chain within the representable class."""
     if kernel.space.is_finite:
         return invariant_basis_finite(kernel)
-    ca = detect_ca_countable(kernel)
-    pfa = detect_pfa_ends(kernel)
-    return InvariantBasis(ca + pfa, ["ca"] * len(ca) + ["pfa"] * len(pfa))
+    return InvariantBasis(detect_ca_countable(kernel) + detect_pfa_ends(kernel))
 
 
 # -- classification and escape --------------------------------------------------
@@ -256,10 +236,19 @@ def classify_invariant(kernel: TransitionKernel, mu: FAMeasure) -> Classificatio
     if res > INVARIANCE_TOL:
         raise PreconditionError(f"measure is not invariant (residual {res:.3e})")
     support = {x for x, w in mu.atoms.items() if abs(w) > 1e-12}
+    succ = successors(kernel)
     d = 1
     for c in recurrent_classes(kernel):
-        if support & set(c.states):
-            d = d * c.period // math.gcd(d, c.period)
+        if support.isdisjoint(c):
+            continue
+        order, level, g = [c[0]], {c[0]: 0}, 0  # the period: gcd of level[u] + 1 - level[v] over the edges
+        for u in order:  # breadth first from the least state: ``order`` grows as it is read
+            for v in succ[u]:
+                if v not in level:
+                    level[v] = level[u] + 1
+                    order.append(v)
+                g = math.gcd(g, level[u] + 1 - level[v])
+        d = math.lcm(d, g or 1)
     if d >= 2:
         return Classification("composite", d)
     return Classification("simple")

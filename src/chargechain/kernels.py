@@ -41,6 +41,8 @@ from .measures import END_NEG, END_POS, FAMeasure, StateSpace
 
 ROW_SUM_TOL = 1e-9
 MAX_OFFSET = 64
+#: the most states a finite chain spec may have: a dense copy of its matrix is 2048² floats, 32 MB
+MAX_STATES = 2048
 #: columns per panel of a ``powers`` step
 PANEL = 32
 
@@ -326,7 +328,9 @@ def _panels(matrix: np.ndarray) -> list[tuple[slice | np.ndarray, slice, np.ndar
     terms in BLAS's order for that shape.  A matrix takes panels only when
     they skip at least half of the dense product's multiply-adds,
     Σ |rows|·|cols| ≤ n²/2, which no matrix of at most ``PANEL`` states does:
-    its one panel holds every row, as every row of a kernel has mass.
+    its one panel holds every row, as every row of a kernel has mass.  The
+    dense fork stays: panels for every matrix kept every report's bytes but
+    slowed a doeblin_small seed-11 analysis pass from 70–72 to 75–80 ms.
     """
     n = len(matrix)
     if n <= PANEL:
@@ -368,7 +372,10 @@ def kernel_from_spec(obj: dict) -> TransitionKernel:
     if kind == "finite":
         if ("rows" in obj) == ("matrix" in obj):
             raise ValidationError("finite chain spec needs exactly one of a 'rows' and a 'matrix' field")
-        matrix = _matrix_from_rows(obj["rows"]) if "rows" in obj else obj["matrix"]
+        name = "rows" if "rows" in obj else "matrix"
+        if isinstance(obj[name], list) and len(obj[name]) > MAX_STATES:  # before any n×n array is formed
+            raise ValidationError(f"'{name}' must hold at most {MAX_STATES} rows (states), got {len(obj[name])}")
+        matrix = _matrix_from_rows(obj["rows"]) if name == "rows" else obj["matrix"]
         return TransitionKernel.finite(matrix, labels=obj.get("labels"))
     if kind == "walk":
         tails = {}

@@ -39,6 +39,7 @@ from .invariants import (
     escape_windows,
     invariance_residual,
     invariant_basis,
+    measure_kind,
     recurrent_classes,
     states_outside,
     stationary_of_class,
@@ -276,8 +277,7 @@ def _verify_invariants(kernel: TransitionKernel, classes, laws, measures, inv: d
     scoped = scope == ("exact" if classes is not None else "representable")
     misscoped = "" if scoped else f"; scope {scope!r}"
     if classes is None:
-        # a kind is read off its measure: atoms only or ends only; one with both, or neither, has none
-        read = [("ca" if mu.atoms else "pfa") if bool(mu.atoms) != bool(mu.ends) else None for mu in measures]
+        read = [measure_kind(mu) for mu in measures]  # as the analysis reads its basis
         empty = "" if measures else "; but every Markov operator has an invariant FA probability (Markov-Kakutani)"
         record(
             "invariant basis kinds",
@@ -290,7 +290,7 @@ def _verify_invariants(kernel: TransitionKernel, classes, laws, measures, inv: d
         scoped
         and len(measures) == len(classes) == dimension
         and kinds == ["ca"] * len(classes)
-        and all(not mu.ends and set(mu.atoms) <= set(c.states) for mu, c in zip(measures, classes))
+        and all(not mu.ends and set(mu.atoms) <= set(c) for mu, c in zip(measures, classes))
     )
     record(
         "invariant basis complete",
@@ -332,14 +332,14 @@ def _class_laws(kernel: TransitionKernel, classes, projector, report: dict) -> l
         return None
     if not isinstance(projector, Exception):
         _, proj_classes, laws, hitting, _, _ = projector
-        if proj_classes == [list(c.states) for c in classes] and len(laws) == len(hitting) == len(classes):
-            return [(pi, _stationary_error(kernel, c.states, pi, t)) for c, pi, t in zip(classes, laws, hitting)]
+        if proj_classes == [list(c) for c in classes] and len(laws) == len(hitting) == len(classes):
+            return [(pi, _stationary_error(kernel, c, pi, t)) for c, pi, t in zip(classes, laws, hitting)]
     if not (report.get("invariants") or report.get("conditions")):
         return None
-    return [(stationary_of_class(kernel, c.states), 0.0) for c in classes]
+    return [(stationary_of_class(kernel, c), 0.0) for c in classes]
 
 
-def _verify_conditions(kernel: TransitionKernel, classes, laws, basis, cond: dict, record) -> None:
+def _verify_conditions(kernel: TransitionKernel, classes, laws, parsed, cond: dict, record) -> None:
     """Check the conditions section.  On a finite chain each of (D) and (D~) must be a "capacity" finding
     over the cap or a witness of order at most ``MAX_ORDER`` that holds and re-verifies, and each class
     law in ``laws`` must have its (alpha) entry: its support, and ``check_alpha``'s closed set in it.  A
@@ -378,8 +378,8 @@ def _verify_conditions(kernel: TransitionKernel, classes, laws, basis, cond: dic
             read = [None if item.get(k) is None else set_from_json(space, item[k]) for k in ("k_mu", "closed_set")]
             ok = item.get("index") == i and read == [support, check_alpha(kernel, mu, support)]
             record(f"alpha closed set [{i}]", ok)
-        basis = class_laws if basis is None else basis
-    _verify_beta(space, basis, cond["beta"], cond["double_star"]["evidence"]["dimension"], record)
+        parsed = class_laws if parsed is None else parsed
+    _verify_beta(space, parsed, cond["beta"], cond["double_star"]["evidence"]["dimension"], record)
     for charge_json in cond.get("star", {}).get("evidence", {}).get("invariant_charges", []):
         charge = measure_from_json(space, charge_json)
         res = invariance_residual(kernel, charge)
@@ -415,7 +415,7 @@ def _verify_verdicts(classes, cond: dict, record) -> None:
     record("condition verdicts consistent", not wrong, "; ".join(f"{w} fails" for w in wrong))
 
 
-def _verify_beta(space, basis, beta: dict, d: int, record) -> None:
+def _verify_beta(space, parsed, beta: dict, d: int, record) -> None:
     """Check each (beta) pair's sets, then the pairs against the (**) dimension ``d``.
 
     The sets must be disjoint and, when the basis is known (``_read_basis``, or on a finite chain the
@@ -423,8 +423,8 @@ def _verify_beta(space, basis, beta: dict, d: int, record) -> None:
     order: all of them when (beta) holds, and a pair left out must have measures that are not disjoint.
     A known basis must have d measures.  The pairs are counted, not listed, as a report may claim any d.
     """
-    measures = basis if isinstance(basis, list) else None
-    unread = "the measures are not in the report" if basis is None else "the measures do not parse"
+    measures = parsed if isinstance(parsed, list) else None
+    unread = "the measures are not in the report" if parsed is None else "the measures do not parse"
     pairs = []
     for w in beta["witnesses"]:
         i, j = w["i"], w["j"]
@@ -480,7 +480,7 @@ def _verify_projector(kernel: TransitionKernel, expected, laws, projector, recor
         record("projector format", False, f"{type(projector).__name__}: {projector}")
         return
     rank, classes, stationary, hitting, absorption, absorption_times = projector
-    ok = rank == len(expected) == len(stationary) == len(hitting) and classes == [list(c.states) for c in expected]
+    ok = rank == len(expected) == len(stationary) == len(hitting) and classes == [list(c) for c in expected]
     record(
         "projector classes",
         ok,

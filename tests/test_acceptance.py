@@ -190,8 +190,8 @@ def test_criterion_04_invariants_exist_and_parts_stay_invariant():
 def test_criterion_05_small_set_condition_finite_side():
     for name in FINITE_ENTRIES:
         kernel = build(name)
-        assert check_star(kernel)["holds"], f"{name}: (*) must hold on a finite chain"
-        w = search_doeblin(kernel)
+        assert check_star(kernel, invariant_basis(kernel))["holds"], f"{name}: (*) must hold on a finite chain"
+        w = search_doeblin(kernel, invariant_basis(kernel))
         assert w is not None, f"{name}: no witness found"
         out = check_doeblin(kernel, w.phi, w.eps, w.k)
         assert out.holds and out.vacuous == w.vacuous
@@ -218,19 +218,19 @@ def test_criterion_06_small_set_condition_countable_side():
         assert values[-1] >= 1.0 - 1e-9
     rw = restart_walk(0.1)
     assert detect_pfa_ends(rw) == []
-    assert quasicompact_diagnostic(check_star(rw))[0] == "consistent"
+    assert quasicompact_diagnostic(check_star(rw, invariant_basis(rw)))[0] == "consistent"
     print("ACCEPTANCE 6 PASS: end charges detected; truncated maxima climb to 1; restart stays clean")
 
 
 def test_criterion_07_uniform_averaged_convergence():
     sw = swap2()
-    cesaro = ergodic_run(sw, 500)["cesaro"]
+    cesaro = ergodic_run(sw, 500, invariant_basis(sw))["cesaro"]
     for i, d in enumerate(cesaro["distances"]):
         n = i + 1
         expected = 1.0 / n if n % 2 else 0.0
         assert abs(d - expected) <= EXACT_TOL
     ta = two_absorbing()
-    pj = projector_finite(ta)
+    pj = projector_finite(ta, invariant_basis(ta))
     row1 = from_vector(ta.space, pj.matrix[1])
     assert row1.atoms == pytest.approx({0: 0.5, 2: 0.5}, abs=RES_TOL)
     assert row1.atoms.get(1, 0.0) == 0.0
@@ -244,11 +244,11 @@ def test_criterion_08_raw_vs_averaged_dichotomy():
     k = TransitionKernel.finite([[0.9, 0.1], [0.2, 0.8]])
     lam2 = char_poly_second_modulus(k.matrix)
     assert lam2 == pytest.approx(0.7, abs=1e-9)
-    rate = ergodic_run(k, 48)["raw"]["rate"]
+    rate = ergodic_run(k, 48, invariant_basis(k))["raw"]["rate"]
     assert rate["kind"] == "geometric"
     assert abs(rate["ratio"] - lam2) <= 0.05 * lam2
     sw = swap2()
-    cesaro, raw = distance_series(sw, 500, projector_finite(sw))
+    cesaro, raw = distance_series(sw, 500, projector_finite(sw, invariant_basis(sw)))
     assert min(raw) >= 0.1
     assert cesaro[-1] <= 0.01
     print(

@@ -29,7 +29,7 @@ def test_expected_verdicts_reproduce(name):
     expected = e.expected
     assert basis.dimension == expected["dimension"]["value"]
     assert basis.kinds == expected["kinds"]["value"]
-    star = check_star(kernel)
+    star = check_star(kernel, basis)
     assert star["holds"] == expected["star"]["value"]
     assert quasicompact_diagnostic(star)[0] == expected["quasicompact"]["value"]
     if "classification" in expected:

@@ -4,7 +4,14 @@ import math
 
 import numpy as np
 
-from chargechain import TransitionKernel, birth_death, recurrent_classes, successors
+from chargechain import (
+    TransitionKernel,
+    birth_death,
+    classify_invariant,
+    recurrent_classes,
+    stationary_of_class,
+    successors,
+)
 from test_kernels import table_matrices
 
 
@@ -125,7 +132,8 @@ def test_classes_and_periods_match_the_closure_oracle():
     kinds = set()
     for m in seeded_matrices():
         k = TransitionKernel.finite(m)
-        got = [(c.states, c.period) for c in recurrent_classes(k)]
+        # a class's period is read off its law: a simple law is aperiodic
+        got = [(c, classify_invariant(k, stationary_of_class(k, c)).period or 1) for c in recurrent_classes(k)]
         assert got == classes_oracle(k)
         kinds.update(p for _, p in got)
         checked += 1

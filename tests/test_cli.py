@@ -198,6 +198,25 @@ def test_n_max_past_the_horizon_cap_exits_2_where_the_ergodic_task_applies(tmp_p
     assert (tmp_path / "x.json").exists() == (code == 0)
 
 
+def test_a_chain_past_the_state_cap_exits_2_before_any_dense_matrix(tmp_path, capsys, monkeypatch):
+    def formed(*args, **kwargs):
+        raise AssertionError("a dense matrix was formed")
+
+    monkeypatch.setattr(kernels.np, "zeros", formed)
+    n = kernels.MAX_STATES + 1
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"kind": "finite", "rows": [{}] * n}), encoding="utf-8")
+    assert run_cli(["analyze", "--chain", str(spec), "--out", str(tmp_path / "x.json")]) == 2
+    assert f"error: 'rows' must hold at most {kernels.MAX_STATES} rows (states), got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+    # verify-report reads a report's chain spec the same way
+    tampered = {"schema": report.SCHEMA_VERSION, "tasks": ["invariants"], "invariants": {"dimension": 0}}
+    tampered["chain"] = {"spec": json.loads(spec.read_text(encoding="utf-8"))}
+    (tmp_path / "report.json").write_text(json.dumps(tampered), encoding="utf-8")
+    assert run_cli(["verify-report", "--report", str(tmp_path / "report.json")]) == 2
+    assert f"got {n}" in capsys.readouterr().err
+
+
 def test_horizon_options_default_to_the_request_defaults():
     args = build_parser().parse_args(["analyze", "--catalog", "swap2"])
     assert _request_from_args(args, ()) == AnalysisRequest(catalog="swap2")

@@ -124,7 +124,7 @@ def test_doeblin_checks_validate_before_forming_a_power(power_steps):
     # and so does the search, which leaves a "capacity" finding
     for averaged in (False, True):
         with pytest.raises(CapacityError, match="capped at 22"):
-            search_doeblin(big, averaged=averaged)
+            search_doeblin(big, invariant_basis(big), averaged=averaged)
     section = conditions.build_condition_report(big)
     assert section["D"]["kind"] == section["D_tilde"]["kind"] == "capacity"
     assert power_steps == []
@@ -142,7 +142,7 @@ def test_signed_phi_rejected():
 
 def test_search_uniform_finds_nonvacuous():
     k = uniform2()
-    w = search_doeblin(k)
+    w = search_doeblin(k, invariant_basis(k))
     assert w is not None and not w.vacuous
     assert w.k == 1 and w.eps == 0.5
     out = check_doeblin(k, w.phi, w.eps, w.k)
@@ -151,7 +151,7 @@ def test_search_uniform_finds_nonvacuous():
 
 def test_search_swap_falls_back_to_vacuous():
     k = swap2()
-    w = search_doeblin(k)
+    w = search_doeblin(k, invariant_basis(k))
     assert w is not None and w.vacuous
     out = check_doeblin(k, w.phi, w.eps, w.k)
     assert out.holds and out.vacuous
@@ -159,7 +159,7 @@ def test_search_swap_falls_back_to_vacuous():
 
 def test_search_identity_vacuous_below_singleton_mass():
     k = TransitionKernel.finite(np.eye(2))
-    w = search_doeblin(k)
+    w = search_doeblin(k, invariant_basis(k))
     assert w is not None and w.vacuous
     # admissible nonempty sets would need eps at or above the singleton mass
     assert w.eps < min(w.phi.atoms.values())
@@ -168,7 +168,7 @@ def test_search_identity_vacuous_below_singleton_mass():
 
 def test_search_two_absorbing_uses_zero_mass_transient():
     k = two_absorbing()
-    w = search_doeblin(k)
+    w = search_doeblin(k, invariant_basis(k))
     assert w is not None and not w.vacuous
     assert check_doeblin(k, w.phi, w.eps, w.k).holds
 
@@ -176,8 +176,8 @@ def test_search_two_absorbing_uses_zero_mass_transient():
 def test_search_agreement_between_plain_and_averaged():
     # wherever a non-vacuous plain witness exists, an averaged one exists too
     for k in (uniform2(), two_absorbing(), swap2()):
-        plain = search_doeblin(k, k_max=6)
-        avg = search_doeblin(k, k_max=6, averaged=True)
+        plain = search_doeblin(k, invariant_basis(k), k_max=6)
+        avg = search_doeblin(k, invariant_basis(k), k_max=6, averaged=True)
         assert (plain is not None) == (avg is not None)
         if plain is not None and not plain.vacuous:
             assert avg is not None
@@ -187,24 +187,18 @@ def test_search_agreement_between_plain_and_averaged():
 
 def test_star_finite_always_holds():
     for k in (uniform2(), swap2(), two_absorbing()):
-        v = check_star(k)
+        v = check_star(k, invariant_basis(k))
         assert v["holds"] and v["scope"] == "exact"
-        assert check_tilde_star(k)["holds"]
+        assert check_tilde_star(v)["holds"]
 
 
 def test_star_countable_examples():
-    v = check_star(drift_walk_N(1.0))
+    drift, restart, sym = drift_walk_N(1.0), restart_walk(0.1), symmetric_walk_Z()
+    v = check_star(drift, invariant_basis(drift))
     assert not v["holds"] and v["scope"] == "representable"
     assert v["evidence"]["invariant_charges"]
-    assert check_star(restart_walk(0.1))["holds"]
-    assert not check_tilde_star(symmetric_walk_Z())["holds"]
-
-
-def test_star_from_the_basis_matches_fresh_detection():
-    for k in (drift_walk_N(1.0), drift_walk_N(0.3), restart_walk(0.1), symmetric_walk_Z()):
-        star = check_star(k, invariant_basis(k))
-        assert star == check_star(k)
-        assert check_tilde_star(k, star) == check_tilde_star(k)
+    assert check_star(restart, invariant_basis(restart))["holds"]
+    assert not check_tilde_star(check_star(sym, invariant_basis(sym)))["holds"]
 
 
 def test_countable_analysis_detects_end_charges_once(monkeypatch):
@@ -216,7 +210,6 @@ def test_countable_analysis_detects_end_charges_once(monkeypatch):
         return detect(kernel)
 
     monkeypatch.setattr(invariants, "detect_pfa_ends", counted)
-    monkeypatch.setattr(conditions, "detect_pfa_ends", counted)
     report = run_analysis(AnalysisRequest(catalog="drift_walk_N"))
     assert len(calls) == 1
     assert report["conditions"]["star"]["evidence"]["invariant_charges"] == report["invariants"]["measures"]
@@ -249,7 +242,7 @@ def test_quasicompact_diagnostic():
         (drift_walk_N(1.0), ("inconsistent", charge)),
         (symmetric_walk_Z(), ("inconsistent", charge)),
     ):
-        assert quasicompact_diagnostic(check_star(kernel)) == expected
+        assert quasicompact_diagnostic(check_star(kernel, invariant_basis(kernel))) == expected
 
 
 def test_alpha_examples():
@@ -292,7 +285,7 @@ def test_beta_fails_on_a_pair_without_witnesses_and_lists_the_others_in_order():
     space = TransitionKernel.finite(np.eye(3)).space
     d0, d2 = dirac(space, 0), dirac(space, 2)
     overlap = FAMeasure(space, atoms={0: 0.5, 1: 0.5})  # shares state 0 with δ_0
-    out = check_beta(invariants.InvariantBasis([d0, d2, overlap], ["ca"] * 3))
+    out = check_beta(invariants.InvariantBasis([d0, d2, overlap]))
     assert not out["holds"]
     assert [(w["i"], w["j"], sorted(w["d1"]["atoms"]), sorted(w["d2"]["atoms"])) for w in out["witnesses"]] == [
         (0, 1, [0], [2]),
@@ -417,6 +410,6 @@ def test_averaged_hold_does_not_pin_a_plain_horizon():
     eps = 0.34
     assert all(not check_doeblin(k, phi, eps, j).holds for j in range(1, 65))
     assert any(check_doeblin_tilde(k, phi, eps, m).holds for m in range(1, 65))
-    plain_w = search_doeblin(k, k_max=6)
-    avg_w = search_doeblin(k, k_max=6, averaged=True)
+    plain_w = search_doeblin(k, invariant_basis(k), k_max=6)
+    avg_w = search_doeblin(k, invariant_basis(k), k_max=6, averaged=True)
     assert plain_w is not None and avg_w is not None

@@ -42,12 +42,12 @@ def random_kernel(rng, n):
 
 def series(kernel, n_max):
     """(cesaro, raw) distance series against the kernel's own projector."""
-    return distance_series(kernel, n_max, projector_finite(kernel))
+    return distance_series(kernel, n_max, projector_finite(kernel, invariant_basis_finite(kernel)))
 
 
 def test_projector_absorption_example():
     k = two_absorbing()
-    pj = projector_finite(k)
+    pj = projector_finite(k, invariant_basis_finite(k))
     assert pj.rank == 2
     assert from_vector(k.space, pj.matrix[1]).atoms == pytest.approx({0: 0.5, 2: 0.5}, abs=RES_TOL)
     assert from_vector(k.space, pj.matrix[0]).atoms == {0: 1.0}
@@ -57,7 +57,7 @@ def test_projector_absorption_example():
 def test_projector_irreducible_rows_equal_stationary():
     k = birth_death(4, 0.4, 0.3)
     pi = invariant_basis_finite(k).measures[0]
-    pj = projector_finite(k)
+    pj = projector_finite(k, invariant_basis_finite(k))
     assert pj.rank == 1
     for x in range(4):
         assert (from_vector(k.space, pj.matrix[x]) - pi).total_variation() <= RES_TOL
@@ -65,7 +65,7 @@ def test_projector_irreducible_rows_equal_stationary():
 
 def test_projector_identity():
     k = TransitionKernel.finite(np.eye(3))
-    pj = projector_finite(k)
+    pj = projector_finite(k, invariant_basis_finite(k))
     assert pj.rank == 3
     for x in range(3):
         assert from_vector(k.space, pj.matrix[x]).atoms == {x: 1.0}
@@ -75,7 +75,7 @@ def test_projector_idempotent_and_intertwining():
     rng = np.random.default_rng(12)
     for _ in range(20):
         k = random_kernel(rng, int(rng.integers(2, 7)))
-        pj = projector_finite(k)
+        pj = projector_finite(k, invariant_basis_finite(k))
         m, p = pj.matrix, k.matrix
         for other in (m @ m, m @ p, p @ m):
             assert np.abs(other - m).sum(axis=1).max() <= RES_TOL
@@ -114,7 +114,7 @@ def test_raw_distance_examples():
 def test_single_point_distances_match_series():
     # the last element of each series is the n-step distance, computed apart
     k = TransitionKernel.finite([[0.9, 0.1], [0.2, 0.8]])
-    pi = projector_finite(k).matrix
+    pi = projector_finite(k, invariant_basis_finite(k)).matrix
     cesaro, raw = series(k, 7)
     assert len(cesaro) == len(raw) == 7
     assert cesaro[-1] == pytest.approx(np.abs(cesaro_kernel(k, 7).matrix - pi).sum(axis=1).max(), abs=TOL)
@@ -176,7 +176,8 @@ def test_rate_fit_has_no_rate_for_a_tail_that_has_not_moved():
 def test_rate_fit_keeps_a_slow_clean_decay():
     # two states that swap with probability 2^-40: the raw distances are (1 - 2^-39)^n exactly
     eps = 2.0**-40
-    rate = ergodic_run(TransitionKernel.finite([[1.0 - eps, eps], [eps, 1.0 - eps]]), 200)["raw"]["rate"]
+    k = TransitionKernel.finite([[1.0 - eps, eps], [eps, 1.0 - eps]])
+    rate = ergodic_run(k, 200, invariant_basis_finite(k))["raw"]["rate"]
     assert rate["kind"] == "geometric"
     assert (1.0 - rate["ratio"]) / (2.0 * eps) == pytest.approx(1.0, rel=1e-3)
 
@@ -190,7 +191,7 @@ def test_fitted_rate_matches_second_eigenvalue():
     ]
     for k in cases:
         lam2 = char_poly_second_modulus(k.matrix)
-        rate = ergodic_run(k, 48)["raw"]["rate"]
+        rate = ergodic_run(k, 48, invariant_basis_finite(k))["raw"]["rate"]
         assert rate["kind"] == "geometric"
         assert abs(rate["ratio"] - lam2) <= 0.05 * lam2
 
@@ -205,8 +206,9 @@ def test_char_poly_oracle_values():
 
 
 def test_ergodic_run_series_shape():
-    section = ergodic_run(swap2(), 20)
-    assert section["projector"]["rank"] == projector_finite(swap2()).rank
+    sw = swap2()
+    section = ergodic_run(sw, 20, invariant_basis_finite(sw))
+    assert section["projector"]["rank"] == projector_finite(sw, invariant_basis_finite(sw)).rank
     assert len(section["cesaro"]["distances"]) == len(section["raw"]["distances"]) == 20
 
 
@@ -214,7 +216,7 @@ def test_projector_rank_equals_basis_dimension():
     from chargechain import invariant_basis_finite
 
     for k in (two_absorbing(), TransitionKernel.finite(np.eye(3)), birth_death(4, 0.3, 0.3)):
-        assert projector_finite(k).rank == invariant_basis_finite(k).dimension
+        assert projector_finite(k, invariant_basis_finite(k)).rank == invariant_basis_finite(k).dimension
 
 
 def test_analysis_builds_one_projector_and_two_class_decompositions(monkeypatch):
@@ -230,7 +232,6 @@ def test_analysis_builds_one_projector_and_two_class_decompositions(monkeypatch)
     monkeypatch.setattr(ergodic, "projector_finite", counted("projector_finite", projector_finite))
     rc = counted("recurrent_classes", invariants.recurrent_classes)
     monkeypatch.setattr(invariants, "recurrent_classes", rc)
-    monkeypatch.setattr(ergodic, "recurrent_classes", rc)
     run_analysis(AnalysisRequest(catalog="two_absorbing", tasks=("invariants", "ergodic"), n_max=30))
     assert calls["projector_finite"] == 1
     assert 1 <= calls["recurrent_classes"] <= 2
@@ -248,18 +249,10 @@ def test_analysis_solves_each_recurrent_class_once(monkeypatch):
 
     rc = counted("recurrent_classes", invariants.recurrent_classes)
     sc = counted("stationary_of_class", invariants.stationary_of_class)
-    for module in (invariants, ergodic):
-        monkeypatch.setattr(module, "recurrent_classes", rc)
-        monkeypatch.setattr(module, "stationary_of_class", sc)
+    monkeypatch.setattr(invariants, "recurrent_classes", rc)
+    monkeypatch.setattr(invariants, "stationary_of_class", sc)
     run_analysis(AnalysisRequest(catalog="two_absorbing", tasks=("invariants", "ergodic"), n_max=30))
     assert calls == {"recurrent_classes": 1, "stationary_of_class": 2}
-
-
-def test_projector_from_the_basis_is_the_same_solve():
-    for k in (two_absorbing(), swap2(), birth_death(6, 0.3, 0.2), TransitionKernel.finite(np.eye(3))):
-        basis = invariant_basis_finite(k)
-        assert [c.states for c in basis.classes] == [c.states for c in invariants.recurrent_classes(k)]
-        assert projector_finite(k, basis).matrix.tobytes() == projector_finite(k).matrix.tobytes()
 
 
 def test_projector_rejects_non_finite_absorption():
@@ -268,7 +261,7 @@ def test_projector_rejects_non_finite_absorption():
     k = TransitionKernel.finite(m)
     assert invariants.states_outside(invariants.recurrent_classes(k), 3) == (0, 1)
     with pytest.raises(NumericalError, match=r"transient states \[0, 1\]"):
-        projector_finite(k)
+        projector_finite(k, invariant_basis_finite(k))
 
 
 def test_projector_factors_rebuild_the_matrix():
@@ -281,7 +274,7 @@ def test_projector_factors_rebuild_the_matrix():
         m[m.sum(axis=1) == 0.0, 0] = 1.0
         chains += (TransitionKernel.finite(m / m.sum(axis=1, keepdims=True)),)
     for k in chains:
-        pj = projector_finite(k)
+        pj = projector_finite(k, invariant_basis_finite(k))
         data = json.loads(json.dumps(pj.to_json()))
         h = np.zeros((k.size, pj.rank))
         pi = np.zeros((pj.rank, k.size))
@@ -304,14 +297,14 @@ def test_projector_times_solve_their_equations():
         m[m.sum(axis=1) == 0.0, 0] = 1.0
         chains.append(TransitionKernel.finite(m / m.sum(axis=1, keepdims=True)))
     for k in chains:
-        pj = projector_finite(k)
+        pj = projector_finite(k, invariant_basis_finite(k))
         p = k.matrix
         trans = sorted(pj.absorption_times)
         assert trans == sorted(pj.absorption) == list(invariants.transient_states(k))
         t = np.array([pj.absorption_times[x] for x in trans])
         assert np.abs(t - p[np.ix_(trans, trans)] @ t - 1.0).max(initial=0.0) <= 1e-12 * t.max(initial=1.0)
         for c, pi, times in zip(pj.classes, pj.stationary, pj.hitting_times):
-            (anchor,) = set(c.states) - set(times)
+            (anchor,) = set(c) - set(times)
             assert pi.atoms[anchor] == max(pi.atoms.values())
             rest = sorted(times)
             h = np.array([times[x] for x in rest])
@@ -324,7 +317,7 @@ def test_distance_series_is_the_sequential_loop():
     chains = [two_absorbing(), swap2(), birth_death(30, 0.3, 0.2)]
     chains += [TransitionKernel.finite(m) for m in table_matrices(29, 8, subnormals=False)]
     for k in chains:
-        pj = projector_finite(k)
+        pj = projector_finite(k, invariant_basis_finite(k))
         cesaro, raw = distance_series(k, 40, pj)
         ref = sequential_powers(k.matrix, 40)
         assert raw == [float(np.abs(cur - pj.matrix).sum(axis=1).max()) for cur, _ in ref]
@@ -345,7 +338,7 @@ def test_distance_series_keeps_the_bits_of_the_textbook_reduction():
     cases += [(random_kernel(rng, 181), 5), (random_kernel(rng, 182), 3), (random_kernel(rng, 257), 2)]
     cases += [(random_kernel(rng, n), 1) for n in (1, 12, 182)]
     for k, n_max in cases:
-        pj = projector_finite(k)
+        pj = projector_finite(k, invariant_basis_finite(k))
         cesaro, raw = distance_series(k, n_max, pj)
         ref = sequential_powers(k.matrix, n_max)
         assert [d.hex() for d in raw] == [float(np.abs(cur - pj.matrix).sum(axis=1).max()).hex() for cur, _ in ref]
@@ -364,7 +357,7 @@ def test_distance_series_keeps_the_bits_of_the_textbook_reduction_on_paneled_cha
     cases += [(TransitionKernel.finite(banded_matrix(rng, 182, 3)), 3)]
     for k, n_max in cases:
         assert kernels._panels(k.matrix) is not None
-        pj = projector_finite(k)
+        pj = projector_finite(k, invariant_basis_finite(k))
         cesaro, raw = distance_series(k, n_max, pj)
         ref = [(cur, acc.copy()) for cur, acc in itertools.islice(kernels.powers(k), n_max)]
         assert [d.hex() for d in raw] == [float(np.abs(cur - pj.matrix).sum(axis=1).max()).hex() for cur, _ in ref]
@@ -376,7 +369,7 @@ def test_distance_series_keeps_the_bits_of_the_textbook_reduction_on_paneled_cha
 @pytest.mark.parametrize("n_max", [1, 7, 200])
 def test_distance_series_reads_n_max_steps_of_the_powers(power_steps, n_max):
     k = birth_death(15, 0.3, 0.2)
-    pj = projector_finite(k)
+    pj = projector_finite(k, invariant_basis_finite(k))
     power_steps.clear()
     cesaro, raw = distance_series(k, n_max, pj)
     assert power_steps == [15] * n_max
@@ -387,4 +380,4 @@ def test_hitting_time_solve_rejects_a_singular_class():
     # the two states of one class swap only with a subnormal probability
     k = TransitionKernel.finite([[1.0, 1e-310], [1e-310, 1.0]])
     with pytest.raises(NumericalError, match=r"hitting times of state 0 from states \[1\]"):
-        projector_finite(k)
+        projector_finite(k, invariant_basis_finite(k))

@@ -23,6 +23,7 @@ from chargechain import (
     kernel_power,
     kernel_to_spec,
     kernels,
+    invariant_basis_finite,
     measurable,
     projector_finite,
     restart_walk,
@@ -436,6 +437,31 @@ def test_finite_spec_takes_exactly_one_form():
             kernel_from_spec(spec)
 
 
+def test_a_spec_past_the_state_cap_is_refused_before_any_dense_matrix(monkeypatch):
+    # MAX_STATES + 1 empty rows are a few KB of JSON; 50,000 of them would ask np.zeros for 20 GB
+    def formed(*args, **kwargs):
+        raise AssertionError("a dense matrix was formed")
+
+    monkeypatch.setattr(kernels.np, "zeros", formed)
+    monkeypatch.setattr(kernels.np, "array", formed)
+    n = kernels.MAX_STATES + 1
+    with pytest.raises(ValidationError, match=rf"'rows' must hold at most 2048 rows \(states\), got {n}"):
+        kernel_from_spec({"kind": "finite", "rows": [{}] * n})
+    row = [1.0] + [0.0] * (n - 1)  # one row list, held n times
+    with pytest.raises(ValidationError, match=rf"'matrix' must hold at most 2048 rows \(states\), got {n}"):
+        kernel_from_spec({"kind": "finite", "matrix": [row] * n})
+
+
+def test_the_state_cap_admits_a_spec_of_exactly_max_states(monkeypatch):
+    monkeypatch.setattr(kernels, "MAX_STATES", 3)
+    identity = [{"0": 1.0}, {"1": 1.0}, {"2": 1.0}]
+    assert kernel_from_spec({"kind": "finite", "rows": identity}).size == 3
+    assert kernel_from_spec({"kind": "finite", "matrix": np.eye(3).tolist()}).size == 3
+    for spec in ({"rows": identity + [{"3": 1.0}]}, {"matrix": np.eye(4).tolist()}):
+        with pytest.raises(ValidationError, match="at most 3 rows"):
+            kernel_from_spec({"kind": "finite", **spec})
+
+
 def test_prob_against_tail_sets():
     k = drift_walk_N(1.0)
     tail = measurable(k.space, tails=[(END_POS, 5)])
@@ -647,7 +673,7 @@ def test_A_of_projector_rows_adds_weighted_rows_in_order():
     # a subnormal exit from a transient set makes the absorption solve singular
     kernels += [TransitionKernel.finite(m) for m in table_matrices(29, 8, subnormals=False)]
     for k in kernels:
-        for mu in (from_vector(k.space, row) for row in projector_finite(k).matrix):
+        for mu in (from_vector(k.space, row) for row in projector_finite(k, invariant_basis_finite(k)).matrix):
             atoms = {}
             for x, w in sorted(mu.atoms.items()):
                 for y in np.flatnonzero(k.matrix[x]).tolist():

@@ -151,11 +151,11 @@ def test_search_matches_brute_force_search(monkeypatch):
     for _ in range(6):
         chains.append(TransitionKernel.finite(_random_matrix(rng, int(rng.integers(2, 8)))))
     for averaged in (False, True):
-        got = [search_doeblin(k, averaged=averaged) for k in chains]
+        got = [search_doeblin(k, invariant_basis_finite(k), averaged=averaged) for k in chains]
         rows_read = []
         with monkeypatch.context() as m:
             m.setattr(conditions, "_row_maxima", recorded(rows_read, brute_row_maxima))
-            want = [search_doeblin(k, averaged=averaged) for k in chains]
+            want = [search_doeblin(k, invariant_basis_finite(k), averaged=averaged) for k in chains]
         assert got == want
         assert len(rows_read) > len(chains)  # the oracle was read, by more than one check
         assert sum(not w.vacuous for w in want) >= 4
@@ -172,9 +172,9 @@ def test_early_exit_verdict_matches_the_full_maximum_and_brute_force():
         kernel = TransitionKernel.finite(_random_matrix(rng, n))
         phi = _random_phi(rng, kernel.space, n)
         eps = float(rng.choice(eps_choices))
-        basis = InvariantBasis(measures=[phi], kinds=["ca"])
+        basis = InvariantBasis(measures=[phi])
         for averaged, step in ((False, kernel_power), (True, cesaro_kernel)):
-            w = search_doeblin(kernel, k_max=3, eps_grid=(eps,), basis=basis, averaged=averaged)
+            w = search_doeblin(kernel, basis, k_max=3, eps_grid=(eps,), averaged=averaged)
             if not (to_vector(phi) < eps if averaged else to_vector(phi) <= eps).any():
                 assert w.vacuous  # no state fits: decided before any row is read
                 continue
@@ -209,7 +209,7 @@ def test_failing_check_enumerates_rows_up_to_its_first_violating_row(monkeypatch
         return _subset_sums(values)
 
     monkeypatch.setattr(conditions, "_subset_sums", counted)
-    w = search_doeblin(kernel, k_max=1, eps_grid=(0.5,), basis=basis)
+    w = search_doeblin(kernel, basis, k_max=1, eps_grid=(0.5,))
     assert w.phi_source == "counting"  # the check failed
     assert len(sums) == 2 * (first + 1)  # phi's and the row's subset sums of rows 0..first, and no more
 
@@ -232,12 +232,12 @@ def test_search_computes_each_stepped_kernel_once(monkeypatch):
     for averaged in (False, True):
         for k_max in (1, 5):
             calls.clear()
-            w = search_doeblin(kernel, k_max=k_max, averaged=averaged)
+            w = search_doeblin(kernel, invariant_basis_finite(kernel), k_max=k_max, averaged=averaged)
             assert w.vacuous and w.phi_source == "counting"
             assert sorted(calls) == list(range(1, k_max + 1))
     # a basis without measures leaves only the counting witness, which needs no stepped kernel
     calls.clear()
-    w = search_doeblin(kernel, basis=InvariantBasis(measures=[], kinds=[]))
+    w = search_doeblin(kernel, InvariantBasis(measures=[]))
     assert (w.phi_source, w.eps, w.k, w.vacuous) == ("counting", 0.5, 1, True)
     assert calls == []
 
@@ -253,7 +253,7 @@ def test_search_witness_rechecks_to_the_same_max(monkeypatch):
         for averaged, check in ((False, check_doeblin), (True, check_doeblin_tilde)):
             with monkeypatch.context() as m:
                 m.setattr(conditions, "_row_maxima", recorded(rows_read, brute_row_maxima))
-                w = search_doeblin(kernel, averaged=averaged)
+                w = search_doeblin(kernel, invariant_basis_finite(kernel), averaged=averaged)
             assert not w.vacuous
             searched = rows_read[-1]
             assert len(searched) == kernel.size
@@ -279,11 +279,11 @@ def test_eps_outside_unit_interval_rejected(power_steps, eps):
     with pytest.raises(ValidationError, match="eps"):
         check_doeblin_tilde(k, phi, eps, 1)
     # eps = 0.5 alone gives a witness at k = 1; beside a bad eps the search forms no power
-    assert not search_doeblin(k, eps_grid=(0.5,)).vacuous
+    assert not search_doeblin(k, invariant_basis_finite(k), eps_grid=(0.5,)).vacuous
     power_steps.clear()
     for averaged in (False, True):
         with pytest.raises(ValidationError, match="eps"):
-            search_doeblin(k, eps_grid=(0.5, eps), averaged=averaged)
+            search_doeblin(k, invariant_basis_finite(k), eps_grid=(0.5, eps), averaged=averaged)
     assert power_steps == []
 
 
