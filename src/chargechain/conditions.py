@@ -5,7 +5,11 @@ enumeration over each row's support under the phi-admissible states (capped
 at MAX_ENUM_STATES states, no heuristic fallback), and every returned
 witness or counterexample re-verifies under the same checker.  The witness
 search decides a check that fails at its first row past 1 - eps; a check
-that holds, and every ``check_doeblin*`` call, reads every row.
+that holds, and every ``check_doeblin*`` call, reads every row.  Within one
+search each row of p^k (or q_k) is enumerated at its first read only; a
+read at a smaller eps of the descending grid filters the admissible sets
+that the first read kept, which by monotonicity hold every set admissible
+there, with the same bits.
 Quasicompactness is never tested by constructing a compact comparison
 operator; it is reported only through its proven implications from the
 invariant-charge analysis.
@@ -31,6 +35,8 @@ from .measures import (
 )
 
 MAX_ENUM_STATES = 22
+#: a row keeps its admissible sets for later reads when it has at most this many (24 bytes each)
+MAX_KEPT_SETS = 4096
 #: the largest step order k (or m) that the analysis scans and that a report's witness may carry
 MAX_ORDER = 64
 DEFAULT_EPS_GRID = (0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.02, 0.01)
@@ -89,10 +95,10 @@ def _admits(values: np.ndarray, eps: float, strict: bool) -> np.ndarray:
     return (np.less if strict else np.less_equal)(values, eps)
 
 
-def _row_maxima(matrix: np.ndarray, weights: np.ndarray, eps: float, strict: bool):
+def _row_maxima(matrix: np.ndarray, kept: dict, weights: np.ndarray, eps: float, strict: bool):
     """Each row's exact max of matrix[x, E] over phi-admissible E, in row order, as (value, items, mask).
 
-    The enumeration runs over the row's support under the phi-admissible
+    A row's first read enumerates its support under the phi-admissible
     states: states j with matrix[x, j] > 0 and phi_j <= eps (< eps when
     strict), kept in ``items``.  Since phi >= 0, float subset sums of phi only
     grow as states join, so a set holding any other state is inadmissible or
@@ -100,15 +106,33 @@ def _row_maxima(matrix: np.ndarray, weights: np.ndarray, eps: float, strict: boo
     in increasing order by the doubling construction, so every set is summed
     exactly as a full 2^n enumeration sums it, and ``mask`` picks the first
     maximizing set's members out of ``items``.  Rows are enumerated only as
-    they are read.
+    they are read.  phi's sums and then the row's are written to one scratch
+    array, grown to the largest row read, so a first read allocates only the
+    admissible sets it keeps.
+
+    Those sets, with their masks, phi sums and row sums in mask order, go
+    into ``kept`` under x when there are at most MAX_KEPT_SETS of them.  A
+    later read at an eps no larger filters them again instead of enumerating
+    the row: by the same growth, every set admissible there is among them,
+    with the same bits and in the same order, so the same first maximizer.
     """
     fits = _admits(weights, eps, strict)
-    for row in matrix:
-        items = np.flatnonzero(fits & (row > 0.0))
-        adm = _admits(_subset_sums(weights[items]), eps, strict)
-        vals = np.where(adm, _subset_sums(row[items]), -np.inf)
-        i = int(np.argmax(vals))
-        yield float(vals[i]), items, i
+    scratch = np.empty(0)
+    for x, row in enumerate(matrix):
+        if x in kept:
+            items, masks, phis, sums = kept[x]
+            i = int(np.argmax(np.where(_admits(phis, eps, strict), sums, -np.inf)))
+        else:
+            items = np.flatnonzero(fits & (row > 0.0))
+            if scratch.size < 1 << items.size:
+                scratch = np.empty(1 << items.size)
+            masks = _admits(_subset_sums(weights[items], scratch), eps, strict).nonzero()[0]
+            phis = scratch[masks]
+            sums = _subset_sums(row[items], scratch)[masks]
+            if masks.size <= MAX_KEPT_SETS:
+                kept[x] = items, masks, phis, sums
+            i = int(np.argmax(sums))
+        yield float(sums[i]), items, int(masks[i])
 
 
 def _small_set_max(
@@ -117,14 +141,14 @@ def _small_set_max(
     """Exact max of matrix[x, E] over x and phi-admissible E, for a stepped matrix of kernel.
 
     ``matrix`` is p^k or q_m of ``kernel``, and ``weights`` a phi that
-    ``_weights`` accepted.  Every row of ``_row_maxima`` is read, so the
-    maximum, the row and the counterexample set come out bit for bit as a
-    full 2^n enumeration of every row gives them.  When no state fits, only
+    ``_weights`` accepted.  Every row of ``_row_maxima`` is read, once, so
+    the maximum, the row and the counterexample set come out bit for bit as
+    a full 2^n enumeration of every row gives them.  When no state fits, only
     the empty set is left and the outcome is vacuous.
     """
     worst_val = -math.inf
     worst: tuple[np.ndarray, int, int] | None = None
-    for x, (val, items, mask) in enumerate(_row_maxima(matrix, weights, eps, strict)):
+    for x, (val, items, mask) in enumerate(_row_maxima(matrix, {}, weights, eps, strict)):
         if val > worst_val:
             worst_val, worst = val, (items, mask, x)
     holds = worst_val <= 1.0 - eps
@@ -163,9 +187,10 @@ def search_doeblin(
 
     The grid is scanned by descending eps and ascending k.  phi and the whole
     grid are validated before the first product, and each stepped kernel
-    (p^k, or q_k when averaged) is formed once and shared across the grid.
-    Only a check's verdict is read, so a check that fails stops at its first
-    row past 1 - eps.
+    (p^k, or q_k when averaged) is formed once and shared across the grid,
+    with the admissible sets its rows kept at their first read, so each
+    (k, row) is enumerated at most once per call.  Only a check's verdict is
+    read, so a check that fails stops at its first row past 1 - eps.
     A non-vacuous witness wins over a vacuous one.  The last resort is the
     counting measure, which admits no nonempty set at any eps < 1 on a
     finite space, so it is returned without a scan.
@@ -176,7 +201,7 @@ def search_doeblin(
     source = "basis-sum" if basis.measures else "counting"
     weights = _weights(kernel, phi, *grid)
     step = cesaro_kernel if averaged else kernel_power
-    stepped: dict[int, np.ndarray] = {}
+    stepped: dict[int, tuple[np.ndarray, dict]] = {}  # k -> (p^k or q_k, its rows' kept sets)
     fallback = None
     for eps in grid:
         if not _admits(weights, eps, averaged).any():
@@ -184,8 +209,8 @@ def search_doeblin(
             continue
         for k in range(1, k_max + 1):
             if k not in stepped:
-                stepped[k] = step(kernel, k).matrix
-            if all(v <= 1.0 - eps for v, _, _ in _row_maxima(stepped[k], weights, eps, averaged)):
+                stepped[k] = step(kernel, k).matrix, {}
+            if all(v <= 1.0 - eps for v, _, _ in _row_maxima(*stepped[k], weights, eps, averaged)):
                 return DoeblinWitness(phi, eps, k, False, source, averaged)
     if fallback is None and grid:
         fallback = DoeblinWitness(counting, grid[0], 1, True, "counting", averaged)

@@ -316,10 +316,11 @@ def lattice_inf(mu1: FAMeasure, mu2: FAMeasure) -> FAMeasure:
     return FAMeasure(mu1.space, atoms, ends)
 
 
-def _subset_sums(weights: np.ndarray) -> np.ndarray:
-    """Sums over all subsets, indexed by bitmask (doubling construction)."""
+def _subset_sums(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sums over all subsets, indexed by bitmask (doubling construction), written to the head of ``out`` when given."""
     n = weights.size
-    sums = np.zeros(1 << n)
+    sums = np.zeros(1 << n) if out is None else out[: 1 << n]
+    sums[0] = 0.0
     for b in range(n):
         step = 1 << b
         sums[step : 2 * step] = sums[:step] + weights[b]

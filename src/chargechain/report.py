@@ -107,6 +107,8 @@ def run_analysis(request: AnalysisRequest) -> dict:
         raise ValidationError("horizons must be positive")
     if request.k_max > MAX_ORDER:
         raise ValidationError(f"the step order (--k-max) must be at most {MAX_ORDER}, got {request.k_max}")
+    if not request.eps_grid:  # no grid point to search, so (D) and (D~) would get no witness to verify
+        raise ValidationError("the eps grid (--eps-grid) must hold at least one value")
     for eps in request.eps_grid:
         if not 0.0 < eps < 1.0:
             raise ValidationError(f"eps grid (--eps-grid) values must lie in (0, 1), got {eps}")

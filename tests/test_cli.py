@@ -10,6 +10,7 @@ import pytest
 
 from chargechain import (
     AnalysisRequest,
+    ValidationError,
     birth_death,
     catalog,
     ergodic,
@@ -131,6 +132,12 @@ def test_eps_grid_outside_unit_interval_exits_2(tmp_path: Path, capsys):
         argv = ["doeblin", "--catalog", "finite_uniform", "--eps-grid", grid]
         assert run_cli(argv + ["--out", str(tmp_path / "x.json")]) == 2
         assert "--eps-grid" in capsys.readouterr().err
+
+
+def test_an_empty_eps_grid_is_refused():
+    # with no grid point the search has no witness for (D) or (D~), and the report would fail its own verify
+    with pytest.raises(ValidationError, match="--eps-grid"):
+        run_analysis(AnalysisRequest(catalog="birth_death", eps_grid=()))
 
 
 def test_repeated_escape_window_exits_2(tmp_path: Path, capsys):

@@ -213,10 +213,12 @@ def test_ergodic_run_series_shape():
 
 
 def test_projector_rank_equals_basis_dimension():
-    from chargechain import invariant_basis_finite
-
+    # the projector's classes are the chain's closed classes, one rank per class
     for k in (two_absorbing(), TransitionKernel.finite(np.eye(3)), birth_death(4, 0.3, 0.3)):
-        assert projector_finite(k, invariant_basis_finite(k)).rank == invariant_basis_finite(k).dimension
+        proj = projector_finite(k, invariant_basis_finite(k))
+        classes = invariants.recurrent_classes(k)
+        assert proj.classes == classes
+        assert proj.rank == len(classes)
 
 
 def test_analysis_builds_one_projector_and_two_class_decompositions(monkeypatch):

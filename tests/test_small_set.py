@@ -1,6 +1,6 @@
-"""Small-set maximization against a brute-force oracle, the search's first-violating-row exit,
-the per-search kernel cache, the eps range checked before any power, and the truncation trend on
-round-off stationary weights."""
+"""Small-set maximization and the witness search against brute-force oracles, the search's
+first-violating-row exit, the per-search kernel and row caches, the eps range checked before any
+power, and the truncation trend on round-off stationary weights."""
 
 import math
 
@@ -21,7 +21,7 @@ from chargechain import (
     search_doeblin,
 )
 from chargechain import conditions
-from chargechain.conditions import DoeblinOutcome, _small_set_max
+from chargechain.conditions import DoeblinOutcome, DoeblinWitness, _small_set_max
 from chargechain.invariants import InvariantBasis, invariant_basis_finite
 from chargechain.kernels import cesaro_kernel, kernel_power
 from chargechain.measures import _subset_sums, to_vector
@@ -59,13 +59,35 @@ def brute_small_set_max(kernel, matrix, phi, eps, *, strict):
     return DoeblinOutcome(holds, vacuous, worst_val, counter)
 
 
+def brute_search(kernel, basis, k_max=5, eps_grid=conditions.DEFAULT_EPS_GRID, averaged=False):
+    """The witness search with every check a full ``brute_small_set_max``, by descending eps and
+    ascending k: the reference, which calls no function of ``conditions``."""
+    grid = sorted(set(float(e) for e in eps_grid), reverse=True)
+    counting = FAMeasure(kernel.space, atoms=dict.fromkeys(range(kernel.size), 1.0))
+    phi = sum(basis.measures[1:], basis.measures[0]) if basis.measures else counting
+    source = "basis-sum" if basis.measures else "counting"
+    step = cesaro_kernel if averaged else kernel_power
+    fallback = None
+    for eps in grid:
+        for k in range(1, k_max + 1):
+            out = brute_small_set_max(kernel, step(kernel, k).matrix, phi, eps, strict=averaged)
+            if out.vacuous:  # no nonempty set is admitted, whatever k
+                fallback = fallback or DoeblinWitness(phi, eps, 1, True, source, averaged)
+                break
+            if out.holds:
+                return DoeblinWitness(phi, eps, k, False, source, averaged)
+    if fallback is None and grid:
+        fallback = DoeblinWitness(counting, grid[0], 1, True, "counting", averaged)
+    return fallback
+
+
 def recorded(rows_read, enumerate_rows):
     """``enumerate_rows`` (a ``_row_maxima``), appending to ``rows_read`` the values of each call's rows as
     they are read."""
 
-    def rows(matrix, weights, eps, strict):
+    def rows(*args):
         rows_read.append([])
-        for row in enumerate_rows(matrix, weights, eps, strict):
+        for row in enumerate_rows(*args):
             rows_read[-1].append(row[0])
             yield row
 
@@ -144,21 +166,44 @@ def test_public_checkers_match_brute_force_on_ties():
         )
 
 
-def test_search_matches_brute_force_search(monkeypatch):
-    # the oracle search reads brute_row_maxima through the one per-row seam
+def test_search_matches_brute_force_search():
     chains = [birth_death(9, 0.05, 0.15), birth_death(6, 0.3, 0.2)]
     rng = np.random.default_rng(5)
     for _ in range(6):
         chains.append(TransitionKernel.finite(_random_matrix(rng, int(rng.integers(2, 8)))))
     for averaged in (False, True):
         got = [search_doeblin(k, invariant_basis_finite(k), averaged=averaged) for k in chains]
-        rows_read = []
-        with monkeypatch.context() as m:
-            m.setattr(conditions, "_row_maxima", recorded(rows_read, brute_row_maxima))
-            want = [search_doeblin(k, invariant_basis_finite(k), averaged=averaged) for k in chains]
+        want = [brute_search(k, invariant_basis_finite(k), averaged=averaged) for k in chains]
         assert got == want
-        assert len(rows_read) > len(chains)  # the oracle was read, by more than one check
         assert sum(not w.vacuous for w in want) >= 4
+
+
+def test_multi_eps_search_matches_the_oracle_search(monkeypatch):
+    # random chains, phi and grids, with quarter-grid ties where sums land exactly on eps and zero-phi
+    # states: a row read again at a smaller eps filters the sets its first read kept, and a row over
+    # the kept-set cap (patched to 1, which keeps only rows whose one admissible set is empty) is
+    # enumerated again, and both give the oracle's witness
+    rng = np.random.default_rng(2107)
+    quarters, others = (0.75, 0.5, 0.25), (0.6, 0.4, 0.3, 0.2, 0.125, 0.1, 0.05)
+    compared = found = later = fallback = 0
+    for _ in range(120):
+        n = int(rng.integers(1, 9))
+        kernel = TransitionKernel.finite(_random_matrix(rng, n))
+        basis = InvariantBasis(measures=[_random_phi(rng, kernel.space, n)])
+        grid = tuple(float(e) for e in rng.choice(quarters if rng.random() < 0.5 else quarters + others, size=3))
+        k_max = int(rng.integers(1, 4))
+        for averaged in (False, True):
+            want = brute_search(kernel, basis, k_max, grid, averaged)
+            assert search_doeblin(kernel, basis, k_max, grid, averaged) == want
+            with monkeypatch.context() as m:
+                m.setattr(conditions, "MAX_KEPT_SETS", 1)
+                assert search_doeblin(kernel, basis, k_max, grid, averaged) == want
+            compared += 1
+            found += not want.vacuous
+            later += not want.vacuous and want.eps < max(grid)
+            fallback += want.phi_source == "counting"
+    # the draw covers witnesses at the first and at later grid points, and the counting fallback
+    assert compared == 240 and found > 40 and later > 20 and fallback > 20
 
 
 def test_early_exit_verdict_matches_the_full_maximum_and_brute_force():
@@ -193,6 +238,16 @@ def test_early_exit_verdict_matches_the_full_maximum_and_brute_force():
     assert compared > 100 and held > 50 and failed > 50
 
 
+def counted_sums(sums):
+    """``_subset_sums``, appending to ``sums`` the number of states of each enumeration."""
+
+    def counted(values, *out):
+        sums.append(len(values))
+        return _subset_sums(values, *out)
+
+    return counted
+
+
 def test_failing_check_enumerates_rows_up_to_its_first_violating_row(monkeypatch):
     # birth_death(12, 0.05, 0.15) has no witness under its basis sum: its one check at eps = 0.5, k = 1
     # fails, and the search is decided at the first row whose maximum exceeds 1 - eps
@@ -203,15 +258,38 @@ def test_failing_check_enumerates_rows_up_to_its_first_violating_row(monkeypatch
     first = next(x for x, (v, _, _) in enumerate(rows) if v > 0.5)
     assert first == 1
     sums = []
-
-    def counted(values):
-        sums.append(len(values))
-        return _subset_sums(values)
-
-    monkeypatch.setattr(conditions, "_subset_sums", counted)
+    monkeypatch.setattr(conditions, "_subset_sums", counted_sums(sums))
     w = search_doeblin(kernel, basis, k_max=1, eps_grid=(0.5,))
     assert w.phi_source == "counting"  # the check failed
     assert len(sums) == 2 * (first + 1)  # phi's and the row's subset sums of rows 0..first, and no more
+
+
+def test_each_stepped_row_is_enumerated_once_per_search(monkeypatch):
+    # birth_death(12, 0.05, 0.15) scans the whole grid, and every check fails: each (k, row) the checks
+    # read, rows 0 up to each check's first violating row, is enumerated at its first read only, once
+    # for phi's subset sums and once for the row's
+    kernel = birth_death(12, 0.05, 0.15)
+    basis = invariant_basis_finite(kernel)
+    weights = to_vector(basis.measures[0])
+    sums = []
+    monkeypatch.setattr(conditions, "_subset_sums", counted_sums(sums))
+    for averaged, step in ((False, kernel_power), (True, cesaro_kernel)):
+        stepped = {k: step(kernel, k).matrix for k in range(1, 6)}
+        for grid in ((0.5,), conditions.DEFAULT_EPS_GRID):
+            read, reads = set(), 0
+            for eps in grid:
+                if not (weights < eps if averaged else weights <= eps).any():
+                    continue  # no state fits: decided before any row is read
+                for k, matrix in stepped.items():
+                    rows = brute_row_maxima(matrix, weights, eps, averaged)
+                    first = next(x for x, (v, _, _) in enumerate(rows) if v > 1.0 - eps)
+                    read |= {(k, x) for x in range(first + 1)}
+                    reads += first + 1
+            sums.clear()
+            w = search_doeblin(kernel, basis, k_max=5, eps_grid=grid, averaged=averaged)
+            assert w.phi_source == "counting"  # every check failed
+            assert len(sums) == 2 * len(read)
+            assert reads == len(read) if len(grid) == 1 else reads > 2 * len(read)  # the longer grid rereads rows
 
 
 def test_search_computes_each_stepped_kernel_once(monkeypatch):
@@ -243,23 +321,38 @@ def test_search_computes_each_stepped_kernel_once(monkeypatch):
 
 
 def test_search_witness_rechecks_to_the_same_max(monkeypatch):
-    # the oracle search reads brute_row_maxima; its holding check reads every row, and their maximum
-    # is what the public checker finds for the witness
+    # the search's holding check reads every row, partly from the sets that rows kept at larger eps; their
+    # maximum is what the public checker and the brute-force enumeration find for the witness, which is
+    # the oracle search's
     rows_read = []
     # witnesses at k = 4 and 5, where p^k is four and five products
     chains = [birth_death(6, 0.3, 0.2), birth_death(9, 0.3, 0.2), birth_death(12, 0.45, 0.45)]
     orders = set()
     for kernel in chains:
+        step = {False: kernel_power, True: cesaro_kernel}
         for averaged, check in ((False, check_doeblin), (True, check_doeblin_tilde)):
             with monkeypatch.context() as m:
-                m.setattr(conditions, "_row_maxima", recorded(rows_read, brute_row_maxima))
+                m.setattr(conditions, "_row_maxima", recorded(rows_read, conditions._row_maxima))
                 w = search_doeblin(kernel, invariant_basis_finite(kernel), averaged=averaged)
             assert not w.vacuous
+            assert w == brute_search(kernel, invariant_basis_finite(kernel), averaged=averaged)
             searched = rows_read[-1]
             assert len(searched) == kernel.size
-            assert check(kernel, w.phi, w.eps, w.k).max_value == max(searched)
+            brute = brute_small_set_max(kernel, step[averaged](kernel, w.k).matrix, w.phi, w.eps, strict=averaged)
+            assert check(kernel, w.phi, w.eps, w.k).max_value == max(searched) == brute.max_value
             orders.add(w.k)
     assert orders >= {4, 5}
+
+
+def test_only_rows_within_the_kept_set_cap_are_kept():
+    # phi of 1/32 per state admits every subset at eps = 0.5: 2^12 sets per row fit MAX_KEPT_SETS, 2^13 do not
+    assert conditions.MAX_KEPT_SETS == 1 << 12
+    for n, kept_rows in ((12, 12), (13, 0)):
+        matrix, weights = np.full((n, n), 1.0 / n), np.full(n, 1.0 / 32)
+        kept = {}
+        got = list(conditions._row_maxima(matrix, kept, weights, 0.5, False))
+        assert [v for v, _, _ in got] == [v for v, _, _ in brute_row_maxima(matrix, weights, 0.5, False)]
+        assert len(kept) == kept_rows
 
 
 def test_vacuous_means_no_single_state_fits():
