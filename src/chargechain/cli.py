@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _request_from_args(args, tasks: tuple[str, ...]) -> AnalysisRequest:
     eps_grid = _DEFAULT["eps_grid"]
-    if args.eps_grid:
+    if args.eps_grid is not None:  # an empty value is refused, not read as the default
         try:
             eps_grid = tuple(float(x) for x in args.eps_grid.split(","))
         except ValueError as exc:
@@ -133,8 +133,10 @@ def main(argv=None) -> int:
                 return EXIT_OK
             return EXIT_VERIFY_FAILED
         tasks: tuple[str, ...] = ()
-        if args.command == "analyze" and args.tasks:
-            tasks = tuple(t.strip() for t in args.tasks.split(",") if t.strip())
+        if args.command == "analyze" and args.tasks is not None:
+            tasks = tuple(t.strip() for t in args.tasks.split(","))
+            if "" in tasks:  # an empty value would run every task
+                raise ValidationError(f"bad --tasks value {args.tasks!r}: an empty task name")
         elif args.command == "doeblin":
             tasks = ("conditions",)
         elif args.command == "ergodic":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructureError, ValidationError
-from .kernels import TransitionKernel, apply_A, successors, truncate, truncate_reflecting
+from .kernels import TransitionKernel, apply_A, edges, successors, truncate, truncate_reflecting
 from .measures import FAMeasure, end_direction
 
 INVARIANCE_TOL = 1e-10
@@ -55,19 +55,21 @@ def invariance_residual(kernel: TransitionKernel, mu: FAMeasure) -> float:
 def recurrent_classes(kernel: TransitionKernel) -> list[tuple[int, ...]]:
     """Closed communicating classes, each the ascending tuple of its states, ordered by least state.
 
-    The communicating classes are the strongly connected components of the
-    positive entries of the row table (one Tarjan pass); a class is closed
-    when no edge leaves it.
+    The communicating classes are the strongly connected components (one
+    Tarjan pass) of the kernel's ``edges``, its positive entries, read in one
+    nonzero pass; a class is closed when none of those edges leaves it.
     """
     if not kernel.space.is_finite:
         raise DomainError("recurrent_classes needs a finite chain")
-    succ = successors(kernel)
-    comp = _strong_components(succ)
-    left = {comp[x] for x, ys in enumerate(succ) if any(comp[y] != comp[x] for y in ys)}
+    graph = edges(kernel)
+    comp = np.array(_strong_components(successors(kernel, graph)))
+    xs, ys = graph
+    is_closed = np.ones(comp.max() + 1, dtype=bool)
+    is_closed[comp[xs][comp[xs] != comp[ys]]] = False
+    closed = np.flatnonzero(is_closed[comp])
     members: dict[int, list[int]] = {}
-    for x, c in enumerate(comp):  # ascending states, so classes come by least state
-        if c not in left:
-            members.setdefault(c, []).append(x)
+    for x, c in zip(closed.tolist(), comp[closed].tolist()):  # ascending states, so classes come by least state
+        members.setdefault(c, []).append(x)
     return [tuple(s) for s in members.values()]
 
 
@@ -133,24 +135,29 @@ def eliminate(a: np.ndarray, leave: np.ndarray, rhs: np.ndarray | None, last: in
     r0, c0 = (np.minimum.accumulate(m.argmax(axis=0)[::-1])[::-1].tolist() for m in (nz, nz.T))
     pivots = np.zeros(len(a))
     for k in range(len(a) - 1, last - 1, -1):
-        row, col = a[k, c0[k] : k], a[r0[k] : k, k]
-        s = leave[k] + row.sum()
+        r, c = r0[k], c0[k]
+        row, col = a[k, c:k], a[r:k, k]
+        s = leave[k] + np.add.reduce(row)  # row.sum() without its wrapper
         col /= s
         if s < 1e-200 and not (col <= 1e100).all():
             break  # the states below weigh under 1e-100 of k: they drop out, and every weight stays finite
         pivots[k] = s
-        a[r0[k] : k, c0[k] : k] += col[:, None] * row
+        if r == k - 1:  # one entry over the pivot, as in a walk's band: the same products, one row
+            a[r, c:k] += col[0] * row
+        else:
+            a[r:k, c:k] += col[:, None] * row
         if leave[k]:
-            leave[r0[k] : k] += col * leave[k]
+            leave[r:k] += col * leave[k]
         if rhs is not None:
-            rhs[r0[k] : k] += col[:, None] * rhs[k]
+            rhs[r:k] += col[:, None] * rhs[k]
     return pivots
 
 
 def stationary_of_class(kernel: TransitionKernel, members: tuple[int, ...]) -> FAMeasure:
     """Extreme invariant distribution of one recurrent class: GTH, so no weight is negative."""
     idx = list(members)
-    a = kernel.matrix[np.ix_(idx, idx)]
+    # a class of every state, as a walk's window mostly is, is the matrix itself: copied, not gathered
+    a = kernel.matrix.copy() if len(idx) == kernel.size else kernel.matrix[np.ix_(idx, idx)]
     pivots = eliminate(a, np.zeros(len(idx)), None, 1)
     pi = np.zeros(len(idx))
     start = int(np.flatnonzero(pivots == 0.0)[-1])  # a state that never moves down outweighs those below

@@ -2,12 +2,13 @@
 
 Finite kernels are dense row-stochastic matrices, read-only once a kernel
 holds them; their sparse rows are materialized once per kernel, on first
-use, and ``row`` hands out copies (``successors`` reads the positive
-entries of the same table as a graph; ``kernel_to_spec`` writes it as the
-chain spec's ``rows``).  ``powers`` is the one product of a finite matrix:
-it multiplies by p in column panels of ``PANEL``, each over only the rows
-nonzero in its columns, when that skips at least half of the multiply-adds,
-and by the one dense product cur @ p otherwise.  Countable kernels are
+use, and ``row`` hands out copies (``kernel_to_spec`` writes them as the
+chain spec's ``rows``).  A finite kernel's graph, its positive entries, is
+read in one nonzero pass over the matrix (``edges``, ``successors``).
+``powers`` is the one product of a finite matrix: it multiplies by p in
+column panels of ``PANEL``, each over only the rows nonzero in its columns,
+when that skips at least half of the multiply-adds, and by the one dense
+product cur @ p otherwise.  Countable kernels are
 "walks": finitely many exception rows plus one eventually-constant tail row
 per end, with bounded relative offsets.  Past the fixed states (the
 exception rows and every exception and ``to_finite`` target), every row is
@@ -23,7 +24,8 @@ one end as deep toward the other, as A does on end charges, and keeps a
 symmetric window closed under it.
 ``truncate`` is the one finite window of a walk, and its boundary is its one
 choice: mass leaving the window is clipped onto its edges, or sent to one
-bucket per end that acts as that end's charge.
+bucket per end that acts as that end's charge.  It reads ``row`` only within
+a walk's ``radius + reach`` of 0, and writes each end's farther rows at once.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ MAX_OFFSET = 64
 MAX_STATES = 2048
 #: columns per panel of a ``powers`` step
 PANEL = 32
+#: the fewest far rows toward one end that ``truncate`` writes at once: below it, reading each row is cheaper
+BULK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,21 @@ class TransitionKernel:
         return self.space.size
 
     @cached_property
+    def reach(self) -> int:
+        """The longest jump of a walk's tail rows."""
+        return max((t.reach() for t in self.tails.values()), default=0)
+
+    @cached_property
+    def radius(self) -> int:
+        """Least r >= 0 with every exception row, exception target and ``to_finite`` target in -r..r.
+
+        Past r every row is its end's tail row moved to x, and past r + reach no two of its targets meet.
+        """
+        fixed = [*self.exceptions, *(y for row in self.exceptions.values() for y in row)]
+        fixed += [y for t in self.tails.values() for y in t.to_finite]
+        return max(map(abs, fixed), default=0)
+
+    @cached_property
     def _finite_rows(self) -> list[dict[int, float]]:
         """Nonzero entries of each matrix row, in column order, as Python floats."""
         rows: list[dict[int, float]] = [{} for _ in range(self.size)]
@@ -170,9 +189,19 @@ class TransitionKernel:
         return out
 
 
-def successors(kernel: TransitionKernel) -> list[list[int]]:
-    """The states each state of a finite kernel reaches with positive probability, ascending."""
-    return [[y for y, p in row.items() if p > 0.0] for row in kernel._finite_rows]
+def edges(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
+    """The graph of a finite kernel, its positive entries x -> y, as (xs, ys) by x and then y ascending."""
+    # the flat indices, split: np.nonzero of the 2-d mask took eight times as long on a 257-state window
+    return np.divmod(np.flatnonzero(kernel.matrix > 0.0), kernel.size)
+
+
+def successors(kernel: TransitionKernel, graph: tuple[np.ndarray, np.ndarray] | None = None) -> list[list[int]]:
+    """The states each state of a finite kernel reaches with positive probability, ascending, from its
+    ``edges`` (``graph``, when the caller has read them)."""
+    xs, ys = edges(kernel) if graph is None else graph
+    ends = np.bincount(xs, minlength=kernel.size).cumsum().tolist()
+    targets = ys.tolist()
+    return [targets[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _read_only(matrix: np.ndarray) -> np.ndarray:
@@ -262,19 +291,40 @@ def truncate(kernel: TransitionKernel, lo: int, hi: int, ends: bool = False) -> 
     mass goes to its atoms (clipped like any target) and the ``to_other_end`` mass to the other bucket.  So a
     row vector of cell masses times the matrix is one step of A on atoms in the window plus charges at the
     ends, with the atoms past the window summed into their end's cell.  The entries are added in the order
-    of ``kernel.row``.
+    of ``kernel.row``: the rows within ``radius + reach`` of 0 are read from it, and the farther rows toward an
+    end, when there are at least ``BULK_ROWS`` of them, are written at once as the end's tail row moved to x
+    (``_moved_tail_rows``).
     """
     if kernel.space.is_finite:
         raise DomainError("truncation applies to countable chains")
+    if not kernel.space.contains_state(lo):
+        raise DomainError(f"state {lo} not in space")
     edge = int(ends)
+    size = hi - lo + 1 + 2 * edge
 
-    def cell(x):
-        return np.clip(x, lo - edge, hi + edge) - lo + edge
+    def cell(x):  # np.clip's wrapper takes several times as long on a small window
+        return np.minimum(np.maximum(x, lo - edge), hi + edge) - lo + edge
 
-    xs, ys, ps = zip(*((x, y, p) for x in range(lo, hi + 1) for y, p in kernel.row(x).items()))
-    w = np.zeros((hi - lo + 1 + 2 * edge,) * 2)
-    # unbuffered, in row order: the same sums as adding the entries one by one
-    np.add.at(w, (cell(np.array(xs)), cell(np.array(ys))), ps)
+    band = kernel.radius + kernel.reach
+    neg, pos = (n if n >= BULK_ROWS else 0 for n in (min(hi + 1, -band) - lo, hi - max(lo - 1, band)))
+    xs, ys, ps = [], [], []
+    for x in range(lo + neg, hi - pos + 1):
+        row = kernel.row(x)
+        xs += [x] * len(row)
+        ys += row
+        ps += row.values()
+    cells = [(np.array(xs, dtype=int) - lo + edge) * size + cell(np.array(ys, dtype=int))]
+    probs = [np.array(ps)]
+    for e, far in ((END_NEG, range(lo, lo + neg)), (END_POS, range(hi - pos + 1, hi + 1))):
+        if far:
+            far = np.arange(far.start, far.stop)
+            targets, p = _moved_tail_rows(kernel.tails[e], far)
+            cells.append(((far - lo + edge) * size + cell(targets)).ravel())  # entry by entry, each for every row
+            probs.append(np.repeat(p, far.size))
+    w = np.zeros((size, size))
+    # unbuffered: the same sums as adding the entries one by one, and as a row's entries meet only within its
+    # own row of cells, only their order within a row counts; on the flat cells, numpy's faster path
+    np.add.at(w.reshape(-1), np.concatenate(cells), np.concatenate(probs))
     if ends:
         bucket = {END_NEG: 0, END_POS: hi - lo + 2}
         for e, tail in sorted(kernel.tails.items()):
@@ -284,6 +334,19 @@ def truncate(kernel: TransitionKernel, lo: int, hi: int, ends: bool = False) -> 
             for e2, p in sorted(tail.to_other_end.items()):
                 w[bucket[e], bucket[e2]] += p
     return w
+
+
+def _moved_tail_rows(tail: TailRow, far: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The rows of the states ``far``, past ``radius + reach`` toward the end of ``tail``: the targets of each
+    entry for every row, one line per entry, and the entries' probabilities.
+
+    Each row is the tail row moved to x, with its entries in the order ``TransitionKernel.row`` adds them:
+    ``relative`` at x + offset, ``to_finite`` at its fixed targets, then the mirror target -x.  That far
+    out no two of them meet (a moved target lies past ``radius`` and short of -x), so ``row`` merges none.
+    """
+    ys = [far + off for off in tail.relative] + [np.full(far.size, y) for y in tail.to_finite]
+    ys += [-far] * len(tail.to_other_end)
+    return np.array(ys), [*tail.relative.values(), *tail.to_finite.values(), *tail.to_other_end.values()]
 
 
 def truncate_reflecting(kernel: TransitionKernel, lo: int, hi: int) -> TransitionKernel:
@@ -375,8 +438,11 @@ def kernel_from_spec(obj: dict) -> TransitionKernel:
         name = "rows" if "rows" in obj else "matrix"
         if isinstance(obj[name], list) and len(obj[name]) > MAX_STATES:  # before any n×n array is formed
             raise ValidationError(f"'{name}' must hold at most {MAX_STATES} rows (states), got {len(obj[name])}")
+        labels = obj.get("labels")
+        if "labels" in obj and not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
+            raise ValidationError(f"'labels' must be an array of strings, one per state, got {labels!r}")
         matrix = _matrix_from_rows(obj["rows"]) if name == "rows" else obj["matrix"]
-        return TransitionKernel.finite(matrix, labels=obj.get("labels"))
+        return TransitionKernel.finite(matrix, labels=labels)
     if kind == "walk":
         tails = {}
         for key, val in obj.items():

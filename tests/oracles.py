@@ -10,6 +10,11 @@ adjoint T (``apply_T``) averages a bounded function over one step, and
 <A mu, f> = <mu, Tf> (``duality_residual``) checks each against the other.
 The program runs only A: the conditions it checks are statements about
 A's invariant measures.
+
+The row-by-row oracles (``truncate_by_rows``, ``successors_by_rows``,
+``recurrent_classes_by_rows``, ``eliminate_by_loop``) are the package's
+earlier per-row and per-pivot code, kept as it was, so that the array paths
+that replaced it can be compared with it byte for byte.
 """
 
 import itertools
@@ -30,6 +35,7 @@ from chargechain import (
     ValidationError,
     apply_A,
 )
+from chargechain.invariants import _strong_components
 from chargechain.measures import _check_states, _same_space, _subset_sums
 
 #: exact subset enumeration is capped at this many states
@@ -238,3 +244,64 @@ def apply_T(kernel: TransitionKernel, f: BoundedFunction) -> BoundedFunction:
 def duality_residual(kernel: TransitionKernel, f: BoundedFunction, mu: FAMeasure) -> float:
     """|<A mu, f> - <mu, Tf>|; both sides computed independently."""
     return abs(pair(apply_A(kernel, mu), f) - pair(mu, apply_T(kernel, f)))
+
+
+# -- the row-by-row oracles ----------------------------------------------------------
+
+def truncate_by_rows(kernel: TransitionKernel, lo: int, hi: int, ends: bool = False) -> np.ndarray:
+    """``truncate`` as every row read from ``kernel.row``, its entries added in row order."""
+    edge = int(ends)
+
+    def cell(x):
+        return np.clip(x, lo - edge, hi + edge) - lo + edge
+
+    xs, ys, ps = zip(*((x, y, p) for x in range(lo, hi + 1) for y, p in kernel.row(x).items()))
+    w = np.zeros((hi - lo + 1 + 2 * edge,) * 2)
+    np.add.at(w, (cell(np.array(xs)), cell(np.array(ys))), ps)
+    if ends:
+        bucket = {END_NEG: 0, END_POS: hi - lo + 2}
+        for e, tail in sorted(kernel.tails.items()):
+            w[bucket[e], bucket[e]] += tail.preserved_mass()
+            for y, p in sorted(tail.to_finite.items()):
+                w[bucket[e], cell(y)] += p
+            for e2, p in sorted(tail.to_other_end.items()):
+                w[bucket[e], bucket[e2]] += p
+    return w
+
+
+def successors_by_rows(kernel: TransitionKernel) -> list[list[int]]:
+    """The positive entries of each row of a finite kernel's row table."""
+    return [[y for y, p in kernel.row(x).items() if p > 0.0] for x in range(kernel.size)]
+
+
+def recurrent_classes_by_rows(kernel: TransitionKernel) -> list[tuple[int, ...]]:
+    """The closed classes of the row table's positive entries, closedness tested edge by edge."""
+    succ = successors_by_rows(kernel)
+    comp = _strong_components(succ)
+    left = {comp[x] for x, ys in enumerate(succ) if any(comp[y] != comp[x] for y in ys)}
+    members: dict[int, list[int]] = {}
+    for x, c in enumerate(comp):
+        if c not in left:
+            members.setdefault(c, []).append(x)
+    return [tuple(s) for s in members.values()]
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def eliminate_by_loop(a: np.ndarray, leave: np.ndarray, rhs: np.ndarray | None, last: int) -> np.ndarray:
+    """``eliminate`` with one outer-product update of the box per pivot."""
+    nz = (a != 0.0) | np.eye(len(a), dtype=bool)
+    r0, c0 = (np.minimum.accumulate(m.argmax(axis=0)[::-1])[::-1].tolist() for m in (nz, nz.T))
+    pivots = np.zeros(len(a))
+    for k in range(len(a) - 1, last - 1, -1):
+        row, col = a[k, c0[k] : k], a[r0[k] : k, k]
+        s = leave[k] + row.sum()
+        col /= s
+        if s < 1e-200 and not (col <= 1e100).all():
+            break
+        pivots[k] = s
+        a[r0[k] : k, c0[k] : k] += col[:, None] * row
+        if leave[k]:
+            leave[r0[k] : k] += col * leave[k]
+        if rhs is not None:
+            rhs[r0[k] : k] += col[:, None] * rhs[k]
+    return pivots

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from chargechain import (
+    StateSpace,
     TransitionKernel,
     birth_death,
     classify_invariant,
@@ -12,6 +13,7 @@ from chargechain import (
     stationary_of_class,
     successors,
 )
+from oracles import recurrent_classes_by_rows, successors_by_rows
 from test_kernels import table_matrices
 
 
@@ -145,3 +147,28 @@ def test_successors_are_the_positive_entries():
     m = np.array([[0.5, -0.0, 0.5], [5e-324, 1.0 + 1e-12, -1e-12], [0.0, 0.0, 1.0]])
     assert successors(TransitionKernel.finite(m)) == [[0, 2], [0, 1], [2]]
 
+
+
+def with_signed_zeros_and_subnormals(rng):
+    """Sparse rows whose zeros are partly -0.0, with subnormal edges and entries of -1e-12 within the row
+    tolerance; the kernel holds the matrix as is, so -0.0 is not turned into 0.0."""
+    n = int(rng.integers(1, 40))
+    m = normalized(rng.random((n, n)) * (rng.random((n, n)) < 0.2) + np.eye(n) * 1e-3)
+    zeros = m == 0.0
+    m[zeros & (rng.random((n, n)) < 0.4)] = -0.0
+    m[zeros & (rng.random((n, n)) < 0.05)] = 5e-324
+    m[zeros & (rng.random((n, n)) < 0.05)] = 1e-310
+    m[zeros & (rng.random((n, n)) < 0.05)] = -1e-12
+    m.flags.writeable = False
+    return TransitionKernel(StateSpace.finite(n), matrix=m)
+
+
+def test_successors_and_classes_match_the_row_table():
+    rng = np.random.default_rng(47)
+    kernels = [TransitionKernel.finite(m) for m in seeded_matrices()]
+    kernels += [with_signed_zeros_and_subnormals(rng) for _ in range(150)]
+    for k in kernels:
+        assert successors(k) == successors_by_rows(k)
+        assert recurrent_classes(k) == recurrent_classes_by_rows(k)
+    drawn = np.concatenate([k.matrix.ravel() for k in kernels])
+    assert np.signbit(drawn[drawn == 0.0]).any() and (drawn == 5e-324).any() and (drawn == -1e-12).any()

@@ -224,6 +224,33 @@ def test_a_chain_past_the_state_cap_exits_2_before_any_dense_matrix(tmp_path, ca
     assert f"got {n}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["", " "])
+def test_an_empty_eps_grid_option_exits_2(tmp_path: Path, capsys, grid):
+    # an empty value is no grid: it must not stand for the default one
+    argv = ["doeblin", "--catalog", "finite_uniform", "--eps-grid", grid, "--out", str(tmp_path / "x.json")]
+    assert run_cli(argv) == 2
+    assert "--eps-grid" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("tasks", ["", " ", ",", "invariants,", "invariants, ,conditions"])
+def test_an_empty_task_name_exits_2(tmp_path: Path, capsys, tasks):
+    # an empty value would run every task, and an empty item would be dropped unseen
+    argv = ["analyze", "--catalog", "two_absorbing", "--tasks", tasks, "--out", str(tmp_path / "x.json")]
+    assert run_cli(argv) == 2
+    assert "--tasks" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("labels", ["ab", [1, None], ["a"], ["a", "b", "c"], None, {"0": "a", "1": "b"}])
+def test_finite_spec_labels_other_than_one_string_per_state_exit_2(tmp_path: Path, capsys, labels):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "finite", "matrix": [[0.5, 0.5], [0.25, 0.75]], "labels": labels}))
+    assert run_cli(["analyze", "--chain", str(bad), "--out", str(tmp_path / "x.json")]) == 2
+    assert "labels" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_horizon_options_default_to_the_request_defaults():
     args = build_parser().parse_args(["analyze", "--catalog", "swap2"])
     assert _request_from_args(args, ()) == AnalysisRequest(catalog="swap2")

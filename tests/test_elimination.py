@@ -24,10 +24,13 @@ from chargechain import (
     invariant_basis_finite,
     kernel_to_spec,
     stationary_of_class,
+    truncate_reflecting,
 )
 from chargechain.ergodic import _solve_transient
 from chargechain.invariants import eliminate
+from oracles import eliminate_by_loop
 from test_classes import seeded_matrices
+from test_window import fuzz_walk
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -131,6 +134,40 @@ def test_eliminate_pivots_are_the_mass_below_and_leaving():
     pivots = eliminate(a, leave, rhs, 0)
     assert pivots.tolist() == [0.125, 0.75]
     assert a[1, 0] == 0.25 and rhs.tolist() == [[1.0], [1.0]]  # column 1 above 1 is zero: nothing spreads
+
+
+def elimination_cases():
+    """(a, leave, rhs, last): stationary reductions of finite chains and walk windows, banded or not, and
+    transient solves with leaks on some states only, one with a pivot that underflows."""
+    rng = np.random.default_rng(26)
+    for m in seeded_matrices():
+        yield np.array(m), np.zeros(len(m)), None, 1
+    for _ in range(60):
+        kernel = fuzz_walk(rng)
+        half = int(rng.integers(1, 40))
+        yield truncate_reflecting(kernel, 0 if kernel.space.support == "N" else -half, half).matrix.copy(), np.zeros(2 * half + 1), None, 1
+    for n in (3, 40, 400):
+        yield birth_death(n, 0.45, 0.02).matrix.copy(), np.zeros(n), None, 1
+    for _ in range(60):
+        n = int(rng.integers(2, 30))
+        k = substochastic(rng, n, float(rng.choice([0.1, 0.3, 1.0])))
+        leave = k.matrix[:n, n] * (rng.random(n) < 0.7)
+        yield k.matrix[:n, :n].copy(), leave, rng.random((n, int(rng.integers(1, 4)))), 0
+    yield np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 1e-200], [1e-200, 1.0, 0.0]]), np.zeros(3), None, 1
+    yield np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 5e-324], [5e-324, 1.0, 0.0]]), np.full(3, 0.25), np.ones((3, 1)), 0
+
+
+def test_eliminate_matches_the_per_pivot_loop_bit_for_bit():
+    single = 0
+    for a, leave, rhs, last in elimination_cases():
+        want = [a.copy(), leave.copy(), None if rhs is None else rhs.copy()]
+        got = [a, leave, rhs]
+        pivots = eliminate(*got, last)
+        assert pivots.tobytes() == eliminate_by_loop(*want, last).tobytes()
+        for x, y in zip(got, want):
+            assert (x is None and y is None) or x.tobytes() == y.tobytes()
+        single += int((np.diag(a, 1) != 0.0).sum())  # reduced walk windows and birth-death chains: a band
+    assert single > 1000
 
 
 @pytest.mark.parametrize("n", [100, 150, 400])

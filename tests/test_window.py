@@ -18,7 +18,8 @@ from chargechain import (
     truncate_reflecting,
 )
 from chargechain.catalog import REGISTRY, build
-from oracles import dirac, radius, reach
+from chargechain.kernels import BULK_ROWS
+from oracles import dirac, radius, reach, truncate_by_rows
 
 CATALOG_WALKS = [name for name in sorted(REGISTRY) if not build(name).space.is_finite]
 
@@ -142,6 +143,88 @@ def test_truncate_with_ends_matches_the_row_loop_bit_for_bit(half_width):
         lo, hi = window(kernel, half_width)
         got = truncate(kernel, lo, hi, ends=True)
         assert hex_entries(got) == hex_entries(ends_oracle(kernel, lo, hi))
+
+
+def fuzz_walk(rng):
+    """A walk on N or Z with reach up to 3, shuffled offsets, exception rows and fixed targets in -12..12, mass
+    across the ends, and zero entries; on about a third of the Z walks the rows of 1 and -1 jump 2 toward 0,
+    onto their mirror target, so that ``row`` merges the two."""
+    support = "N" if rng.random() < 0.4 else "Z"
+    reach = int(rng.integers(1, 4))
+    low = 0 if support == "N" else -12
+    merge = support == "Z" and reach >= 2 and rng.random() < 0.35
+    tails = {}
+    for end in (END_POS,) if support == "N" else (END_POS, END_NEG):
+        toward_0 = -2 if end == END_POS else 2
+        offsets = [o for o in range(-reach, reach + 1) if rng.random() < 0.7] or [reach]
+        if merge and toward_0 not in offsets:
+            offsets.append(toward_0)
+        rng.shuffle(offsets)
+        fixed = sorted(set(rng.integers(low, 13, size=int(rng.integers(0, 3))).tolist()), key=lambda _: rng.random())
+        across = support == "Z" and (merge or rng.random() < 0.5)
+        weights = rng.random(len(offsets) + len(fixed) + across) * (rng.random(len(offsets) + len(fixed) + across) > 0.1)
+        weights[0] += 0.05
+        weights /= weights.sum()
+        parts = np.split(weights, [len(offsets), len(offsets) + len(fixed)])
+        tails[end] = TailRow(
+            relative=dict(zip(offsets, parts[0].tolist())),
+            to_finite=dict(zip(fixed, parts[1].tolist())),
+            to_other_end={END_NEG if end == END_POS else END_POS: float(parts[2][0])} if across else {},
+        )
+    states = set(range(reach)) if support == "N" else set()  # on N no tail jump may leave the support
+    states |= set(rng.choice(range(low, 13), int(rng.integers(0, 4)), replace=False).tolist())
+    if merge:
+        states -= {1, -1}
+    exceptions = {}
+    for x in sorted(states, key=lambda _: rng.random()):
+        targets = sorted({max(y, low) for y in range(x - 3, x + 4)} | {int(rng.integers(low, 13))}, key=lambda _: rng.random())
+        exceptions[x] = dict(zip(targets, rng.dirichlet(np.ones(len(targets))).tolist()))
+    return TransitionKernel.walk(support, exceptions=exceptions, tails=tails)
+
+
+def fuzz_windows(rng, kernel):
+    """Windows lo..hi of a walk: tiny ones, ones whose edge is within 2 of ``radius + reach``, and random ones
+    anywhere from the least fixed state to past the band, so some hold no state of the band."""
+    band = radius(kernel) + reach(kernel)
+    least = 0 if kernel.space.support == "N" else -14
+    for hi in range(max(band - 2, 0), band + 3):  # the edge straddles the band
+        yield (0, hi) if kernel.space.support == "N" else (-hi, hi)
+    for _ in range(6):
+        lo = int(rng.integers(least, band + 6))
+        yield lo, lo + int(rng.integers(0, 4))  # tiny
+        yield lo, lo + int(rng.integers(4, 40))
+
+
+def test_truncate_matches_the_row_by_row_builder_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    seen = {"windows": 0, "merged": 0, "far rows read": 0, "far rows at once": 0, "tiny": 0, "straddle": 0}
+    for _ in range(220):
+        kernel = fuzz_walk(rng)
+        band = radius(kernel) + reach(kernel)
+        for lo, hi in fuzz_windows(rng, kernel):
+            for ends in (False, True):
+                got = truncate(kernel, lo, hi, ends)
+                assert got.tobytes() == truncate_by_rows(kernel, lo, hi, ends).tobytes(), (kernel, lo, hi, ends)
+                seen["windows"] += 1
+            far = max(min(hi + 1, -band) - lo, hi - max(lo - 1, band))  # the most rows past the band on one side
+            seen["far rows read"] += 0 < far < BULK_ROWS
+            seen["far rows at once"] += far >= BULK_ROWS
+            seen["tiny"] += hi - lo < 4
+            seen["straddle"] += lo <= band < hi
+        mirror_rows = [x for x in (1, -1) if kernel.space.contains_state(x) and x not in kernel.exceptions]
+        tail_parts = [kernel.tails[END_POS if x > 0 else END_NEG] for x in mirror_rows]
+        seen["merged"] += any(
+            len(kernel.row(x)) < len(t.relative) + len(t.to_finite) + len(t.to_other_end)
+            for x, t in zip(mirror_rows, tail_parts)
+        )
+    assert seen["windows"] > 5000
+    assert min(seen.values()) > 20, seen
+
+
+def test_kernel_radius_and_reach_are_the_oracles():
+    rng = np.random.default_rng(7)
+    for kernel in [*all_walks(), cross_end_walk(), far_target_walk(), *(fuzz_walk(rng) for _ in range(200))]:
+        assert (kernel.radius, kernel.reach) == (radius(kernel), reach(kernel))
 
 
 def test_truncate_adds_rows_in_order():

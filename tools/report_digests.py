@@ -4,12 +4,14 @@
 
 SRC is a ``src/`` directory holding the ``chargechain`` package.  For every
 catalog entry (default tasks and horizons, then each task that applies to
-it on its own), five edge chains under the default tasks (``EDGE_CHAINS``:
+it on its own), six edge chains under the default tasks (``EDGE_CHAINS``:
 one over the small-set cap, one whose states swap with probability 2^-40,
 a walk on Z with an exception row whose tail rows send mass across the
 ends both ways, drift_walk_N(0.45), positive recurrent with a slow
-geometric law, and a walk on N whose tail sends mass to a fixed state past
-the largest escape window), and every case of the three benchmark workloads at each
+geometric law, a walk on N whose tail sends mass to a fixed state past
+the largest escape window, and a walk on Z whose rows of 1 and -1 jump 2
+toward 0, onto their mirror target, which ``row`` merges with the jump),
+and every case of the three benchmark workloads at each
 seed (the workload's own tasks and horizons), the script analyzes the chain, and
 writes to OUT, as sorted JSON, the sha256 of the
 ``report_json`` text and the ``verify_report`` item list.  A case
@@ -53,6 +55,13 @@ EDGE_CHAINS = {
         "support": "N",
         "exceptions": {"0": {"1": 1.0}},
         "tail_+inf": {"relative": {"1": 0.8, "-1": 0.1}, "to_finite": {"40": 0.1}},
+    },
+    "mirror_merge_walk": lambda cc: {
+        "kind": "walk",
+        "support": "Z",
+        "exceptions": {"0": {"-1": 0.5, "1": 0.5}},
+        "tail_+inf": {"relative": {"-2": 0.35, "-1": 0.25, "1": 0.1, "2": 0.1}, "to_other_end": {"-inf": 0.2}},
+        "tail_-inf": {"relative": {"2": 0.35, "1": 0.25, "-1": 0.1, "-2": 0.1}, "to_other_end": {"+inf": 0.2}},
     },
 }
 
