@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, PreconditionError, ValidationError
 from .invariants import InvariantBasis, invariant_basis, invariant_basis_finite
-from .kernels import TransitionKernel, cesaro_kernel, kernel_power, truncate_reflecting
+from .kernels import TransitionKernel, cesaro_kernel, edges, kernel_power, truncate_reflecting
 from .measures import (
     FAMeasure,
     MeasurableSet,
@@ -275,25 +275,18 @@ def check_alpha(
 ) -> MeasurableSet | None:
     """Greatest stochastically closed K inside K_mu with mu(K) = 1, if any.
 
-    Fixpoint deletion: repeatedly drop every x with p(x, K) < 1.  mu is read
-    only through its mass on K, so its invariance is not checked here: every
-    caller hands in a law that is certified elsewhere.
+    A state leaves K while one of its ``edges`` leads out of K, as ``recurrent_classes`` reads closedness.
+    mu is read only through its mass on K, so its invariance is not checked here: every caller hands in a
+    law that is certified elsewhere.
     """
     if not kernel.space.is_finite:
         raise DomainError("closed-set search needs a finite chain")
-    current = {x for x in range(kernel.size) if k_mu.covers_state(x)}
-    while current:
-        inside = np.zeros(kernel.size)
-        for x in current:
-            inside[x] = 1.0
-        bad = {x for x in current if float(kernel.matrix[x] @ inside) < 1.0 - 1e-12}
-        if not bad:
-            break
-        current -= bad
-    if not current:
-        return None
-    mass = math.fsum(mu.atoms.get(x, 0.0) for x in sorted(current))
-    if abs(mass - 1.0) > 1e-9:
+    xs, ys = edges(kernel)
+    inside = np.array([k_mu.covers_state(x) for x in range(kernel.size)])
+    while (leaving := xs[inside[xs] & ~inside[ys]]).size:  # one pass when K is a closed class
+        inside[leaving] = False
+    current = np.flatnonzero(inside).tolist()
+    if abs(math.fsum(mu.atoms.get(x, 0.0) for x in current) - 1.0) > 1e-9:  # an empty K has mass 0
         return None
     return measurable(kernel.space, atoms=current)
 
@@ -341,7 +334,7 @@ def build_condition_report(
     (D) and (D~) are "witness" findings of the exact search on a finite
     chain, or one "capacity" finding each when the chain is over the cap, and
     "limit" findings read off the truncation trend on a walk.  (alpha) is
-    reported on a finite chain, for each basis measure on its support.
+    reported on a finite chain, for each class law with its class as K_mu.
     ``basis`` defaults to ``invariant_basis(kernel)``, as ``perfbench/test_perfbench.py`` passes a kernel alone.
     """
     if basis is None:
@@ -375,11 +368,11 @@ def build_condition_report(
                 for w in found
             ]
         section["alpha"] = []
-        for idx, mu in enumerate(basis.measures):
-            support = measurable(kernel.space, atoms=sorted(mu.atoms))
-            closed = check_alpha(kernel, mu, support)
+        for idx, (mu, members) in enumerate(zip(basis.measures, basis.classes, strict=True)):
+            k_mu = measurable(kernel.space, atoms=members)  # a class law is positive on its whole class
+            closed = check_alpha(kernel, mu, k_mu)
             section["alpha"].append(
-                {"index": idx, "k_mu": support.to_json(), "closed_set": None if closed is None else closed.to_json()}
+                {"index": idx, "k_mu": k_mu.to_json(), "closed_set": None if closed is None else closed.to_json()}
             )
     section["D"], section["D_tilde"] = findings
     return section

@@ -65,8 +65,9 @@ class TailRow:
     to_other_end: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "relative", {int(k): float(v) for k, v in self.relative.items()})
-        object.__setattr__(self, "to_finite", {int(k): float(v) for k, v in self.to_finite.items()})
+        for name in ("relative", "to_finite"):
+            table = _int_keyed(getattr(self, name), f"{name}: key")
+            object.__setattr__(self, name, {k: float(v) for k, v in table.items()})
         object.__setattr__(self, "to_other_end", {str(k): float(v) for k, v in self.to_other_end.items()})
 
     def mass(self) -> float:
@@ -122,10 +123,10 @@ class TransitionKernel:
             raise ValidationError(f"support must be 'N' or 'Z', got {support!r}")
         try:
             exceptions = {
-                int(x): {int(y): float(p) for y, p in row.items()}
-                for x, row in (exceptions or {}).items()
+                x: {y: float(p) for y, p in _int_keyed(row, f"row {x}: target").items()}
+                for x, row in _int_keyed(exceptions or {}, "state").items()
             }
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, ValidationError) as exc:
             raise ValidationError(f"bad exceptions table: {exc}") from exc
         tails = dict(tails or {})
         for e in space.end_ids():
@@ -451,7 +452,7 @@ def kernel_from_spec(obj: dict) -> TransitionKernel:
                     tails[key[len("tail_"):]] = TailRow(
                         val.get("relative", {}), val.get("to_finite", {}), val.get("to_other_end", {})
                     )
-                except (TypeError, ValueError, AttributeError) as exc:
+                except (TypeError, ValueError, AttributeError, ValidationError) as exc:
                     raise ValidationError(f"bad tail row {key!r}: {exc}") from exc
         return TransitionKernel.walk(obj.get("support"), obj.get("exceptions", {}), tails)
     raise ValidationError(f"unknown chain kind {kind!r}")
@@ -466,20 +467,29 @@ def _matrix_from_rows(rows) -> np.ndarray:
     for x, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValidationError(f"rows[{x}] = {row!r} is not a JSON object")
-        for key, p in row.items():
-            try:
-                y = int(key)
-            except (TypeError, ValueError):
-                y = None
-            if y is None or str(y) != str(key):  # one spelling per column: "07" would alias "7"
-                raise ValidationError(f"rows[{x}]: column {key!r} is not an integer")
+        for y, p in _int_keyed(row, f"rows[{x}]: column").items():
             if not 0 <= y < n:
-                raise ValidationError(f"rows[{x}]: column {key!r} outside 0..{n - 1}")
+                raise ValidationError(f"rows[{x}]: column {str(y)!r} outside 0..{n - 1}")
             try:
                 m[x, y] = p
             except (TypeError, ValueError):
-                raise ValidationError(f"rows[{x}]: column {key!r} = {p!r} is not a number") from None
+                raise ValidationError(f"rows[{x}]: column {str(y)!r} = {p!r} is not a number") from None
     return m
+
+
+def _int_keyed(table: dict, what: str) -> dict:
+    """``table`` keyed by ints, each spelled one way (an int or its decimal string): "07", "+7" or " 7" would
+    alias "7", and the last would win silently, so each raises, named by ``what``."""
+    out = {}
+    for key, value in table.items():
+        try:
+            y = int(key)
+        except (TypeError, ValueError):
+            y = None
+        if y is None or str(y) != str(key):
+            raise ValidationError(f"{what} {key!r} is not an integer")
+        out[y] = value
+    return out
 
 
 def kernel_to_spec(kernel: TransitionKernel) -> dict:

@@ -344,7 +344,7 @@ def _class_laws(kernel: TransitionKernel, classes, projector, report: dict) -> l
 def _verify_conditions(kernel: TransitionKernel, classes, laws, parsed, cond: dict, record) -> None:
     """Check the conditions section.  On a finite chain each of (D) and (D~) must be a "capacity" finding
     over the cap or a witness of order at most ``MAX_ORDER`` that holds and re-verifies, and each class
-    law in ``laws`` must have its (alpha) entry: its support, and ``check_alpha``'s closed set in it.  A
+    law in ``laws`` must have its (alpha) entry: its class as K_mu, and ``check_alpha``'s closed set in it.  A
     walk's (D) and (D~) are "limit" findings, checked with the verdicts."""
     space = kernel.space
     for key, strict in (("D", False), ("D_tilde", True)):
@@ -374,11 +374,11 @@ def _verify_conditions(kernel: TransitionKernel, classes, laws, parsed, cond: di
     if classes is not None:  # a finite chain's basis is its class laws, in class order
         class_laws = [pi for pi, _ in laws]
         alpha = cond.get("alpha") or []
-        for i, mu in enumerate(class_laws):
-            support = measurable(space, atoms=sorted(mu.atoms))
+        for i, (mu, members) in enumerate(zip(class_laws, classes, strict=True)):
+            k_mu = measurable(space, atoms=members)
             item = alpha[i] if len(alpha) == len(class_laws) else {}
             read = [None if item.get(k) is None else set_from_json(space, item[k]) for k in ("k_mu", "closed_set")]
-            ok = item.get("index") == i and read == [support, check_alpha(kernel, mu, support)]
+            ok = item.get("index") == i and read == [k_mu, check_alpha(kernel, mu, k_mu)]
             record(f"alpha closed set [{i}]", ok)
         parsed = class_laws if parsed is None else parsed
     _verify_beta(space, parsed, cond["beta"], cond["double_star"]["evidence"]["dimension"], record)
@@ -626,20 +626,12 @@ def _sets_disjoint(a, b) -> bool:
     """Disjointness inside the finite/co-tail algebra (no complements expected)."""
     if a.complemented or b.complemented:
         return False
-    if a.atoms & b.atoms:
+    if any(b.covers_state(x) for x in a.atoms) or any(a.covers_state(x) for x in b.atoms):
         return False
-    ends_a = {e for e, _ in a.tails}
-    ends_b = {e for e, _ in b.tails}
-    if ends_a & ends_b:
-        return False
-    for atoms, other in ((a.atoms, b), (b.atoms, a)):
-        for x in atoms:
-            if any(other._tail_has(e, m, x) for e, m in other.tails):
-                return False
     for e1, m1 in a.tails:
         for e2, m2 in b.tails:
             d1 = end_direction(e1)
-            if d1 == end_direction(e2):
+            if d1 == end_direction(e2):  # two tails toward one end meet past both thresholds
                 return False
             hi, lo = (m1, m2) if d1 > 0 else (m2, m1)
             if lo > hi + 1:

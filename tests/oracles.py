@@ -133,6 +133,37 @@ def prob(kernel: TransitionKernel, x: int, ev_set: MeasurableSet) -> float:
     return math.fsum(p for y, p in sorted(kernel.row(x).items()) if ev_set.covers_state(y))
 
 
+def closed_part_by_rows(kernel: TransitionKernel, k_states) -> set[int]:
+    """K less every state with a path out of K: the greatest closed set inside K, by its definition.
+
+    A depth-first search from each state of K over the positive entries of ``kernel.row``, with no edge
+    table and no float row sum.
+    """
+    inside = set(k_states)
+
+    def leaks(x):
+        seen, stack = {x}, [x]
+        while stack:
+            for y, p in kernel.row(stack.pop()).items():
+                if p > 0.0 and y not in seen:
+                    if y not in inside:
+                        return True
+                    seen.add(y)
+                    stack.append(y)
+        return False
+
+    return {x for x in inside if not leaks(x)}
+
+
+def sets_meet_by_states(a: MeasurableSet, b: MeasurableSet) -> bool:
+    """Whether two sets of N or Z share a state or an end, read state by state over a window two past every
+    threshold and atom: past it, each set is constant toward each end, so a shared end stands for the rest."""
+    marks = [*a.atoms, *b.atoms, *(m for _, m in a.tails | b.tails), 0]
+    lo = 0 if a.space.support == "N" else min(marks) - 2
+    shared = any(a.covers_state(x) and b.covers_state(x) for x in range(lo, max(marks) + 3))
+    return shared or any(a.covers_end(e) and b.covers_end(e) for e in a.space.end_ids())
+
+
 # -- the duality oracle: T on bounded functions -------------------------------------------
 
 @dataclass(frozen=True)

@@ -251,6 +251,32 @@ def test_finite_spec_labels_other_than_one_string_per_state_exit_2(tmp_path: Pat
     assert not (tmp_path / "x.json").exists()
 
 
+WALK_TAIL = {"relative": {"1": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ({"tail_+inf": {"relative": {"1": 0.5, "01": 0.5, "2": 0.5}}}, "bad tail row 'tail_+inf': relative: key '01'"),
+        ({"tail_+inf": {"relative": {"+1": 1.0}}}, "bad tail row 'tail_+inf': relative: key '+1'"),
+        (
+            {"tail_+inf": {"relative": {"1": 0.5}, "to_finite": {" 0": 0.5}}},
+            "bad tail row 'tail_+inf': to_finite: key ' 0'",
+        ),
+        ({"exceptions": {"0": {"1": 1.0}, "00": {"0": 1.0}}, "tail_+inf": WALK_TAIL}, "bad exceptions table: state '00'"),
+        ({"exceptions": {"0": {"1": 0.5, "01": 0.5}}, "tail_+inf": WALK_TAIL}, "bad exceptions table: row 0: target '01'"),
+    ],
+    ids=["offset 01", "offset +1", "to_finite target", "exception state", "exception target"],
+)
+def test_walk_spec_keys_spelled_two_ways_exit_2(tmp_path: Path, capsys, spec, named):
+    # int() reads "01", "+1" and " 1" as 1, so a second spelling of a key would replace the first unseen
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "walk", "support": "N", **spec}))
+    assert run_cli(["analyze", "--chain", str(bad), "--out", str(tmp_path / "x.json")]) == 2
+    assert f"error: {named} is not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_horizon_options_default_to_the_request_defaults():
     args = build_parser().parse_args(["analyze", "--catalog", "swap2"])
     assert _request_from_args(args, ()) == AnalysisRequest(catalog="swap2")

@@ -13,6 +13,7 @@ from chargechain import (
     TransitionKernel,
     apply_A,
     birth_death,
+    build_condition_report,
     check_alpha,
     check_beta,
     check_doeblin,
@@ -36,7 +37,7 @@ from chargechain import (
     truncate_reflecting,
     two_absorbing,
 )
-from oracles import dirac, from_vector, prob
+from oracles import closed_part_by_rows, dirac, from_vector, prob
 
 TOL = 1e-12
 
@@ -267,6 +268,48 @@ def test_alpha_has_no_invariance_precondition():
     # no invariance precondition: δ_1 is not invariant, and K_mu = {0, 1} keeps the closed {0}, where δ_1 has no mass
     ta = two_absorbing()
     assert check_alpha(ta, dirac(ta.space, 1), measurable(ta.space, atoms=[0, 1])) is None
+
+
+def random_graph_kernel(rng, n: int) -> TransitionKernel:
+    """A random chain on n states whose rows mix zeros, ordinary entries and entries of about 1e-15."""
+    m = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 0.6))
+    m[np.arange(n), rng.integers(0, n, n)] += 1.0  # every row has mass
+    m *= np.where(rng.random((n, n)) < 0.3, 1e-15, 1.0)
+    return TransitionKernel.finite(m / m.sum(axis=1, keepdims=True))
+
+
+def test_alpha_is_the_closed_part_of_k_by_rows():
+    rng = np.random.default_rng(27)
+    for _ in range(400):
+        n = int(rng.integers(1, 13))
+        kernel = random_graph_kernel(rng, n)
+        space = kernel.space
+        atoms = np.flatnonzero(rng.random(n) < rng.uniform(0.2, 0.9)).tolist()
+        complement = bool(rng.random() < 0.3)
+        k_mu = measurable(space, atoms=atoms, complement=complement)
+        closed = closed_part_by_rows(kernel, (x for x in range(n) if k_mu.covers_state(x)))
+        # mu uniform on the closed part has mass 1 on it and on no smaller set
+        vec = np.zeros(n)
+        vec[sorted(closed) or list(range(n))] = 1.0
+        got = check_alpha(kernel, from_vector(space, vec / vec.sum()), k_mu)
+        assert got == (measurable(space, atoms=closed) if closed else None)
+        outside = [x for x in range(n) if x not in closed]
+        if closed and outside:  # mass off the closed part: mu(K) < 1 for every closed K inside K_mu
+            assert check_alpha(kernel, dirac(space, outside[0]), k_mu) is None
+
+
+def test_alpha_drops_a_state_with_an_edge_out_of_k_however_small():
+    # p(1, 2) = 1e-15 leads out of K = {0, 1}; the row of state 1 sums within 1e-12 of 1 on K all the same
+    kernel = TransitionKernel.finite([[1.0, 0.0, 0.0], [0.5, 0.5 - 1e-15, 1e-15], [0.0, 0.0, 1.0]])
+    closed = check_alpha(kernel, dirac(kernel.space, 0), measurable(kernel.space, atoms=[0, 1]))
+    assert closed == measurable(kernel.space, atoms=[0])
+
+
+def test_alpha_keeps_a_class_whose_row_sums_short_of_one():
+    # the class {0} is closed: its one edge stays in it, though its row sums to 1 - 5e-10, within ROW_SUM_TOL
+    kernel = TransitionKernel.finite([[1.0 - 5e-10, 0.0], [0.5, 0.5]])
+    one = {"atoms": [0], "tails": [], "complement": False}
+    assert build_condition_report(kernel)["alpha"] == [{"index": 0, "k_mu": one, "closed_set": one}]
 
 
 def test_beta_examples():

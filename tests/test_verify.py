@@ -6,14 +6,17 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chargechain import (
+    StateSpace,
     birth_death,
     catalog,
     invariance_residual,
     kernel_from_spec,
     kernel_to_spec,
+    measurable,
     measure_from_json,
     recurrent_classes,
     report,
@@ -22,6 +25,7 @@ from chargechain import (
 from chargechain.cli import main
 from chargechain.conditions import MAX_ORDER
 from chargechain.report import SCHEMA_VERSION, verify_report
+from oracles import sets_meet_by_states
 
 
 def analyze(tmp_path: Path, *args) -> dict:
@@ -862,6 +866,49 @@ def test_tampered_alpha_fails(tmp_path: Path, capsys, case, tasks):
     assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
         f"FAILED: alpha closed set [{i}]" for i in failed
     ]
+
+
+def steep_birth_death_report(tmp_path: Path, n: int, p: float, q: float) -> dict:
+    spec = tmp_path / "bd.json"
+    spec.write_text(json.dumps(kernel_to_spec(birth_death(n, p, q))))
+    return analyze(tmp_path, "analyze", "--chain", str(spec), "--tasks", "invariants,conditions")
+
+
+@pytest.mark.parametrize("n, p, q, zeros", [(400, 0.45, 0.05, 60), (2000, 0.3, 0.2, 164)])
+def test_alpha_of_a_class_law_with_underflowed_atoms_is_its_whole_class(tmp_path: Path, capsys, n, p, q, zeros):
+    # the law of the lowest states underflows to exact zeros, yet the one class is closed with mass 1
+    rep = steep_birth_death_report(tmp_path, n, p, q)
+    law = rep["invariants"]["measures"][0]["atoms"]
+    assert len(law) == n - zeros and min(map(int, law)) == zeros
+    every = {"atoms": list(range(n)), "tails": [], "complement": False}
+    assert rep["conditions"]["alpha"] == [{"index": 0, "k_mu": every, "closed_set": every}]
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 0 and "ok: alpha closed set [0]" in out.splitlines()
+
+
+def test_alpha_entry_read_off_the_float_support_fails(tmp_path: Path, capsys):
+    # the entry that K_mu as the law's float support gave bd(400, 0.45, 0.05): its 340 positive atoms, no closed set
+    rep = steep_birth_death_report(tmp_path, 400, 0.45, 0.05)
+    rep["conditions"]["alpha"][0] = {"index": 0, "k_mu": {"atoms": list(range(60, 400))}, "closed_set": None}
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAILED")] == ["FAILED: alpha closed set [0]"]
+
+
+def test_sets_disjoint_agrees_with_membership_state_by_state():
+    rng = np.random.default_rng(27)
+    for _ in range(3000):
+        space = StateSpace.half_line() if rng.random() < 0.5 else StateSpace.integer_line()
+        lo = 0 if space.support == "N" else -6
+
+        def draw():
+            atoms = rng.choice(np.arange(lo, 7), size=int(rng.integers(0, 5)), replace=False).tolist()
+            tails = [(e, int(rng.integers(lo, 7))) for e in space.end_ids() if rng.random() < 0.5]
+            return measurable(space, atoms, tails)
+
+        a, b = draw(), draw()
+        assert report._sets_disjoint(a, b) == (not sets_meet_by_states(a, b))
+        assert not report._sets_disjoint(a, a.complement()) and not report._sets_disjoint(a.complement(), b)
 
 
 INF = json.loads("1e309")  # JSON reads a number past the float range as inf
