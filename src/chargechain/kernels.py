@@ -70,13 +70,6 @@ class TailRow:
             object.__setattr__(self, name, {k: float(v) for k, v in table.items()})
         object.__setattr__(self, "to_other_end", {str(k): float(v) for k, v in self.to_other_end.items()})
 
-    def mass(self) -> float:
-        return (
-            math.fsum(self.relative.values())
-            + math.fsum(self.to_finite.values())
-            + math.fsum(self.to_other_end.values())
-        )
-
     def preserved_mass(self) -> float:
         return math.fsum(self.relative.values())
 
@@ -212,53 +205,42 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
 
 
 def _validate_walk(kernel: TransitionKernel) -> None:
+    """Each row, an exception row or an end's tail row, is one probability measure on the support."""
     space = kernel.space
+    rows = []  # (label, entries, targets): the targets are the row's states, which must lie in the support
     for x, row in kernel.exceptions.items():
         if not space.contains_state(x):
             raise ValidationError(f"exception row for state {x} outside support")
-        for y, p in row.items():
+        rows.append((f"exception row {x}", row.items(), row))
+    for e, t in kernel.tails.items():
+        entries = [*t.relative.items(), *t.to_finite.items(), *t.to_other_end.items()]
+        rows.append((f"tail row {e}", entries, t.to_finite))
+    for label, entries, targets in rows:
+        for k, p in entries:
             if not math.isfinite(p):
-                raise ValidationError(f"exception row {x}: non-finite probability at {y}")
-        s = math.fsum(row.values())
+                raise ValidationError(f"{label}: non-finite probability at {k}")
+        s = math.fsum(p for _, p in entries)
         if abs(s - 1.0) > ROW_SUM_TOL:
-            raise ValidationError(f"exception row {x} sums to {s!r}, expected 1")
-        for y, p in row.items():
+            raise ValidationError(f"{label}: mass sums to {s!r}, expected 1")
+        for k, p in entries:
             if p < -ROW_SUM_TOL:
-                raise ValidationError(f"exception row {x}: negative probability at {y}")
+                raise ValidationError(f"{label}: negative probability at {k}")
+        for y in targets:
             if not space.contains_state(y):
-                raise ValidationError(f"exception row {x}: target {y} outside support")
+                raise ValidationError(f"{label}: target {y} outside support")
     for e, tail in kernel.tails.items():
-        for part in (tail.relative, tail.to_finite, tail.to_other_end):
-            for k, p in part.items():
-                if not math.isfinite(p):
-                    raise ValidationError(f"tail row {e}: non-finite probability at {k}")
-        s = tail.mass()
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            raise ValidationError(f"tail row {e}: mass sums to {s!r}, expected 1")
-        for part in (tail.relative, tail.to_finite, tail.to_other_end):
-            for k, p in part.items():
-                if p < -ROW_SUM_TOL:
-                    raise ValidationError(f"tail row {e}: negative probability at {k}")
         if tail.reach() > MAX_OFFSET:
             raise ValidationError(f"tail row {e}: offsets beyond +-{MAX_OFFSET}")
         for e2 in tail.to_other_end:
             if not space.has_end(e2) or e2 == e:
                 raise ValidationError(f"tail row {e}: bad cross-end target {e2!r}")
-        for y in tail.to_finite:
-            if not space.contains_state(y):
-                raise ValidationError(f"tail row {e}: target {y} outside support")
     if space.support == "N":
         tail = kernel.tails[END_POS]
         min_off = min(tail.relative, default=0)
         if min_off < 0:
-            first_tail_state = 0
-            while first_tail_state in kernel.exceptions:
-                first_tail_state += 1
-            if first_tail_state + min_off < 0:
-                raise ValidationError(
-                    f"tail row {END_POS}: offset {min_off} jumps below state 0 "
-                    f"from state {first_tail_state}"
-                )
+            first = next(x for x in itertools.count() if x not in kernel.exceptions)  # the first tail state
+            if first + min_off < 0:
+                raise ValidationError(f"tail row {END_POS}: offset {min_off} jumps below state 0 from state {first}")
 
 
 # -- operator actions ----------------------------------------------------------

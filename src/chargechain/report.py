@@ -471,8 +471,9 @@ def _verify_projector(kernel: TransitionKernel, expected, laws, projector, recor
     The classes must be ``expected``, the kernel's closed communicating classes.  The
     stored expected times bound ‖(I − Q)⁻¹‖∞ (``_time_factor``), which turns
     the residuals of Π_i(I − P) = 0 and (I − Q)·H = B into bounds on the
-    distance to the exact factors; those bounds are what is checked.  Once
-    the format and the classes pass, ``laws`` hold this projector's laws with
+    distance to the exact factors; those bounds are what is checked (with one
+    class every exact absorption row is [1]: the distance is read off the rows).
+    Once the format and the classes pass, ``laws`` hold this projector's laws with
     their bounds, as ``_class_laws`` reads them from the same ``projector``.
     """
     if not kernel.space.is_finite:
@@ -525,6 +526,8 @@ def _verify_projector(kernel: TransitionKernel, expected, laws, projector, recor
         worst = max(worst, max(map(abs, lhs), default=0.0))
     factor = _time_factor(kernel, absorption_times)
     bound = worst * max(absorption_times.values(), default=0.0) * factor if factor < math.inf else math.inf
+    if rank == 1 and factor < math.inf:  # every exact row is [1]: the distance is read off the stored rows
+        bound = max((abs(h[0] - 1.0) for h in absorption.values()), default=0.0)
     record(
         "projector absorption equation",
         bound <= ABSORPTION_TOL,

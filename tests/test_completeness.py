@@ -4,7 +4,8 @@ is its class, which is closed and on all of which its law is positive.
 A seeded sample of four families under the ``invariants`` and ``conditions`` tasks: dense chains, sparse
 chains, chains of several closed blocks fed by transient states, and steep birth-death chains of 300-420
 states whose laws underflow to exact zeros at one end.  The small chains stay at 12 states or fewer, as the
-exact small-set search dominates their analysis.
+exact small-set search dominates their analysis.  A fifth family, under the ``ergodic`` task, draws chains of one
+closed class with a slow exit, whose projector's expected times run to millions of steps.
 """
 
 import json
@@ -18,6 +19,7 @@ from chargechain.report import report_json, verify_report
 from oracles import recurrent_classes_by_rows
 
 SEED = 27
+SLOW_EXIT_SEED = 28
 
 
 def dense(rng) -> TransitionKernel:
@@ -70,3 +72,27 @@ def test_every_report_verifies_and_each_alpha_closed_set_is_its_class(tmp_path: 
         classes = [{"atoms": list(c), "tails": [], "complement": False} for c in recurrent_classes_by_rows(kernel)]
         alpha = rep["conditions"]["alpha"]
         assert [(a["index"], a["k_mu"], a["closed_set"]) for a in alpha] == [(i, c, c) for i, c in enumerate(classes)]
+
+
+def slow_exit(rng) -> TransitionKernel:
+    """3-11 states: state 0 absorbing, every other state with an edge to a lower one, and one of them held with
+    probability between 1 - 10^-6 and 1 - 10^-7."""
+    n = int(rng.integers(3, 12))
+    m = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    m[np.arange(1, n), rng.integers(0, np.arange(1, n))] += rng.random(n - 1) + 1e-3
+    m[0] = np.eye(n)[0]
+    m /= m.sum(axis=1, keepdims=True)
+    x, leak = int(rng.integers(1, n)), 10.0 ** -rng.uniform(6.0, 7.0)
+    m[x] *= leak
+    m[x, x] += 1.0 - leak
+    return TransitionKernel.finite(m)
+
+
+def test_every_one_class_projector_with_a_slow_exit_verifies(tmp_path: Path):
+    rng = np.random.default_rng(SLOW_EXIT_SEED)
+    for i in range(40):
+        spec = tmp_path / f"slow_exit{i}.json"
+        spec.write_text(json.dumps(kernel_to_spec(slow_exit(rng))))
+        rep = json.loads(report_json(run_analysis(AnalysisRequest(chain_path=str(spec), tasks=("ergodic",)))))
+        assert rep["ergodic"]["projector"]["rank"] == 1, spec.name
+        assert [item for item in verify_report(rep) if not item["ok"]] == [], spec.name

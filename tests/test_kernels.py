@@ -129,6 +129,57 @@ def test_non_finite_walk_rows_rejected(bad):
         )
 
 
+STEP = {END_POS: TailRow(relative={1: 1.0})}  # a valid tail row on N
+STEPS = {END_POS: TailRow(relative={1: 1.0}), END_NEG: TailRow(relative={-1: 1.0})}  # valid tail rows on Z
+
+
+@pytest.mark.parametrize(
+    "support, exceptions, tails, message",
+    [
+        ("N", {-1: {0: 1.0}}, STEP, "exception row for state -1 outside support"),
+        ("N", {0: {1: 0.5}}, STEP, "exception row 0: mass sums to 0.5, expected 1"),
+        ("N", {0: {0: -0.5, 1: 1.5}}, STEP, "exception row 0: negative probability at 0"),
+        ("N", {0: {-1: 1.0}}, STEP, "exception row 0: target -1 outside support"),
+        ("N", {}, {END_POS: TailRow(relative={1: 0.9})}, "tail row +inf: mass sums to 0.9, expected 1"),
+        ("N", {}, {END_POS: TailRow(relative={1: 1.5, 2: -0.5})}, "tail row +inf: negative probability at 2"),
+        (
+            "N",
+            {},
+            {END_POS: TailRow(relative={1: 0.5}, to_finite={-3: 0.5})},
+            "tail row +inf: target -3 outside support",
+        ),
+        ("Z", {}, {**STEPS, END_POS: TailRow(relative={65: 1.0})}, "tail row +inf: offsets beyond +-64"),
+        ("Z", {}, {**STEPS, END_NEG: TailRow(relative={-65: 1.0})}, "tail row -inf: offsets beyond +-64"),
+        (
+            "Z",
+            {},
+            {**STEPS, END_POS: TailRow(relative={1: 0.5}, to_other_end={END_POS: 0.5})},
+            "tail row +inf: bad cross-end target '+inf'",
+        ),
+        (
+            "N",
+            {},
+            {END_POS: TailRow(relative={1: 0.5}, to_other_end={END_NEG: 0.5})},
+            "tail row +inf: bad cross-end target '-inf'",
+        ),
+        ("N", {}, {**STEP, END_NEG: TailRow(relative={-1: 1.0})}, "tail row for unknown end '-inf'"),
+        ("N", {}, {}, "missing tail row for end '+inf'"),
+        (
+            "N",
+            {0: {1: 1.0}},
+            {END_POS: TailRow(relative={-2: 0.5, 1: 0.5})},
+            "tail row +inf: offset -2 jumps below state 0 from state 1",
+        ),
+        ("R", {}, STEP, "support must be 'N' or 'Z', got 'R'"),
+    ],
+)
+def test_each_walk_validation_message(support, exceptions, tails, message):
+    """One fault per spec, each refused with the message that names its row and entry."""
+    with pytest.raises(ValidationError) as info:
+        TransitionKernel.walk(support, exceptions=exceptions, tails=tails)
+    assert str(info.value) == message
+
+
 def test_tail_row_after_exceptions_can_step_back():
     k = drift_walk_N(0.7)  # reflects at 0 through an exception row
     assert k.row(0) == {0: pytest.approx(0.3), 1: pytest.approx(0.7)}

@@ -658,6 +658,29 @@ def test_slow_leak_not_exact_in_binary_verifies(tmp_path: Path, capsys):
     assert code == 1 and "FAILED: projector absorption equation" in out
 
 
+# one closed class, the absorbing state 0; state 4 leaves with probability 1e-7, so its expected time is 1.5e7
+SLOW_EXIT = [
+    [1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.5, 0.0, 0.25, 0.25, 0.0],
+    [0.0, 0.0, 0.0, 0.6, 0.4],
+    [0.3333333333333333, 0.2222222222222222, 0.2222222222222222, 0.0, 0.2222222222222222],
+    [2.222222222222222e-08, 2.222222222222222e-08, 2.222222222222222e-08, 3.333333333333333e-08, 0.9999999],
+]
+
+
+def test_one_class_projector_with_a_slow_exit_verifies(tmp_path: Path, capsys):
+    # every exact absorption row is [1]: a residual of 3e-16 times the times' 1.5e7 steps must not decide
+    rep = chain_report(tmp_path, SLOW_EXIT)
+    proj = rep["ergodic"]["projector"]
+    assert proj["rank"] == 1 and max(proj["absorption_times"].values()) > 1e7
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 0, out
+    # a time that is no solution still fails
+    proj["absorption_times"]["4"] = 0.0
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1 and "FAILED: projector absorption equation" in out
+
+
 def test_nearly_decomposable_not_exact_in_binary_verifies(tmp_path: Path, capsys):
     # Π(I − P) takes its diagonal from the off-diagonal masses 3e-10 and 1e-10: 1 − (1 − 1e-10) would
     # leave about 1e-17, which the hitting time 3.3e9 turns into a bound of 4e-8
