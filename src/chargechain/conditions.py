@@ -3,13 +3,13 @@
 Verdicts are certificates: every small-set maximization is an exact
 enumeration over each row's support under the phi-admissible states (capped
 at MAX_ENUM_STATES states, no heuristic fallback), and every returned
-witness or counterexample re-verifies under the same checker.  The witness
-search decides a check that fails at its first row past 1 - eps; a check
-that holds, and every ``check_doeblin*`` call, reads every row.  Within one
-search each row of p^k (or q_k) is enumerated at its first read only; a
-read at a smaller eps of the descending grid filters the admissible sets
-that the first read kept, which by monotonicity hold every set admissible
-there, with the same bits.
+witness re-verifies under the same checker, whose exact maximum is the only
+value it computes.  The witness search decides a check that fails at its
+first row past 1 - eps; a check that holds, and every ``check_doeblin*``
+call, reads every row.  Within one search each row of p^k (or q_k) is
+enumerated at its first read only; a read at a smaller eps of the
+descending grid filters the admissible sets that the first read kept, which
+by monotonicity hold every set admissible there, with the same bits.
 Quasicompactness is never tested by constructing a compact comparison
 operator; it is reported only through its proven implications from the
 invariant-charge analysis.
@@ -35,7 +35,7 @@ from .measures import (
 )
 
 MAX_ENUM_STATES = 22
-#: a row keeps its admissible sets for later reads when it has at most this many (24 bytes each)
+#: a row keeps its admissible sets for later reads when it has at most this many (16 bytes each: phi and row sums)
 MAX_KEPT_SETS = 4096
 #: the largest step order k (or m) that the analysis scans and that a report's witness may carry
 MAX_ORDER = 64
@@ -70,10 +70,11 @@ class DoeblinWitness:
 
 @dataclass(frozen=True)
 class DoeblinOutcome:
+    """A small-set check's verdict, whether no nonempty set was admitted, and its exact maximum."""
+
     holds: bool
     vacuous: bool
     max_value: float
-    counterexample: tuple[MeasurableSet, int, float] | None = None
 
 
 def _weights(kernel: TransitionKernel, phi: FAMeasure, *eps: float) -> np.ndarray:
@@ -96,84 +97,67 @@ def _admits(values: np.ndarray, eps: float, strict: bool) -> np.ndarray:
 
 
 def _row_maxima(matrix: np.ndarray, kept: dict, weights: np.ndarray, eps: float, strict: bool):
-    """Each row's exact max of matrix[x, E] over phi-admissible E, in row order, as (value, items, mask).
+    """Each row's exact max of matrix[x, E] over phi-admissible E, in row order.
 
     A row's first read enumerates its support under the phi-admissible
     states: states j with matrix[x, j] > 0 and phi_j <= eps (< eps when
-    strict), kept in ``items``.  Since phi >= 0, float subset sums of phi only
-    grow as states join, so a set holding any other state is inadmissible or
-    no larger than the same set without it.  The kept states are enumerated
-    in increasing order by the doubling construction, so every set is summed
-    exactly as a full 2^n enumeration sums it, and ``mask`` picks the first
-    maximizing set's members out of ``items``.  Rows are enumerated only as
-    they are read.  phi's sums and then the row's are written to one scratch
-    array, grown to the largest row read, so a first read allocates only the
-    admissible sets it keeps.
+    strict).  Since phi >= 0, float subset sums of phi only grow as states
+    join, so a set holding any other state is inadmissible or no larger than
+    the same set without it.  The kept states are enumerated in increasing
+    order by the doubling construction, so every set is summed exactly as a
+    full 2^n enumeration sums it.  Rows are enumerated only as they are read.
+    phi's sums and then the row's are written to one scratch array, grown to
+    the largest row read, so a first read allocates only the admissible sets
+    it keeps.
 
-    Those sets, with their masks, phi sums and row sums in mask order, go
-    into ``kept`` under x when there are at most MAX_KEPT_SETS of them.  A
-    later read at an eps no larger filters them again instead of enumerating
-    the row: by the same growth, every set admissible there is among them,
-    with the same bits and in the same order, so the same first maximizer.
+    Those sets' phi sums and row sums go into ``kept`` under x when there are
+    at most MAX_KEPT_SETS of them.  A later read at an eps no larger filters
+    them again instead of enumerating the row: by the same growth, every set
+    admissible there is among them, with the same bits.
     """
     fits = _admits(weights, eps, strict)
     scratch = np.empty(0)
     for x, row in enumerate(matrix):
         if x in kept:
-            items, masks, phis, sums = kept[x]
-            i = int(np.argmax(np.where(_admits(phis, eps, strict), sums, -np.inf)))
+            phis, sums = kept[x]
+            sums = sums[_admits(phis, eps, strict)]
         else:
             items = np.flatnonzero(fits & (row > 0.0))
             if scratch.size < 1 << items.size:
                 scratch = np.empty(1 << items.size)
-            masks = _admits(_subset_sums(weights[items], scratch), eps, strict).nonzero()[0]
-            phis = scratch[masks]
-            sums = _subset_sums(row[items], scratch)[masks]
-            if masks.size <= MAX_KEPT_SETS:
-                kept[x] = items, masks, phis, sums
-            i = int(np.argmax(sums))
-        yield float(sums[i]), items, int(masks[i])
+            phis = _subset_sums(weights[items], scratch)
+            admitted = _admits(phis, eps, strict)
+            phis = phis[admitted]
+            sums = _subset_sums(row[items], scratch)[admitted]
+            if sums.size <= MAX_KEPT_SETS:
+                kept[x] = phis, sums
+        yield float(sums.max())  # the empty set is always admitted
 
 
-def _small_set_max(
-    kernel: TransitionKernel, matrix: np.ndarray, weights: np.ndarray, eps: float, *, strict: bool
-) -> DoeblinOutcome:
-    """Exact max of matrix[x, E] over x and phi-admissible E, for a stepped matrix of kernel.
+def _small_set_max(kernel: TransitionKernel, phi: FAMeasure, eps: float, order: int, *, strict: bool) -> DoeblinOutcome:
+    """Exact max of p^order[x, E] (q_order when strict) over x and phi-admissible E.
 
-    ``matrix`` is p^k or q_m of ``kernel``, and ``weights`` a phi that
-    ``_weights`` accepted.  Every row of ``_row_maxima`` is read, once, so
-    the maximum, the row and the counterexample set come out bit for bit as
-    a full 2^n enumeration of every row gives them.  When no state fits, only
-    the empty set is left and the outcome is vacuous.
+    Every row of ``_row_maxima`` is read, once, so the maximum comes out bit
+    for bit as a full 2^n enumeration of every row gives it.  When no state
+    fits, only the empty set is left: the outcome is vacuous, decided before
+    the stepped kernel is formed.
     """
-    worst_val = -math.inf
-    worst: tuple[np.ndarray, int, int] | None = None
-    for x, (val, items, mask) in enumerate(_row_maxima(matrix, {}, weights, eps, strict)):
-        if val > worst_val:
-            worst_val, worst = val, (items, mask, x)
-    holds = worst_val <= 1.0 - eps
-    counter = None
-    if not holds:
-        items, mask, x = worst
-        members = [int(j) for b, j in enumerate(items) if mask >> b & 1]
-        counter = (measurable(kernel.space, atoms=members), x, worst_val)
-    return DoeblinOutcome(holds, not _admits(weights, eps, strict).any(), worst_val, counter)
+    weights = _weights(kernel, phi, eps)
+    if not _admits(weights, eps, strict).any():
+        return DoeblinOutcome(True, True, 0.0)
+    stepped = (cesaro_kernel if strict else kernel_power)(kernel, order).matrix
+    worst = max(_row_maxima(stepped, {}, weights, eps, strict))
+    return DoeblinOutcome(worst <= 1.0 - eps, False, worst)
 
 
 def check_doeblin(kernel: TransitionKernel, phi: FAMeasure, eps: float, k: int) -> DoeblinOutcome:
     """Condition (D): phi(E) <= eps must force p^k(x, E) <= 1 - eps for every x."""
-    weights = _weights(kernel, phi, eps)
-    if not _admits(weights, eps, False).any():  # decided before p^k is formed
-        return DoeblinOutcome(True, True, 0.0)
-    return _small_set_max(kernel, kernel_power(kernel, k).matrix, weights, eps, strict=False)
+    return _small_set_max(kernel, phi, eps, k, strict=False)
 
 
 def check_doeblin_tilde(kernel: TransitionKernel, phi: FAMeasure, eps: float, m: int) -> DoeblinOutcome:
     """Condition (D~): strict admission phi(E) < eps against the averaged kernel q_m."""
-    weights = _weights(kernel, phi, eps)
-    if not _admits(weights, eps, True).any():  # decided before q_m is formed
-        return DoeblinOutcome(True, True, 0.0)
-    return _small_set_max(kernel, cesaro_kernel(kernel, m).matrix, weights, eps, strict=True)
+    return _small_set_max(kernel, phi, eps, m, strict=True)
 
 
 def search_doeblin(
@@ -210,7 +194,7 @@ def search_doeblin(
         for k in range(1, k_max + 1):
             if k not in stepped:
                 stepped[k] = step(kernel, k).matrix, {}
-            if all(v <= 1.0 - eps for v, _, _ in _row_maxima(*stepped[k], weights, eps, averaged)):
+            if all(v <= 1.0 - eps for v in _row_maxima(*stepped[k], weights, eps, averaged)):
                 return DoeblinWitness(phi, eps, k, False, source, averaged)
     if fallback is None and grid:
         fallback = DoeblinWitness(counting, grid[0], 1, True, "counting", averaged)

@@ -29,6 +29,8 @@ from .errors import DomainError, PreconditionError, ValidationError
 
 END_POS = "+inf"
 END_NEG = "-inf"
+#: the mass a pair's lattice infimum, or a negative weight, may carry for the pair to read as disjoint and nonnegative
+SINGULAR_TOL = 1e-12
 
 _ENDS = {None: (), "N": (END_POS,), "Z": (END_POS, END_NEG)}
 
@@ -327,23 +329,21 @@ def _subset_sums(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return sums
 
 
-def is_disjoint(mu1: FAMeasure, mu2: FAMeasure, tol: float = 1e-12) -> bool:
+def is_disjoint(mu1: FAMeasure, mu2: FAMeasure) -> bool:
     """Lattice infimum vanishes."""
-    return lattice_inf(mu1, mu2).total() <= tol
+    return lattice_inf(mu1, mu2).total() <= SINGULAR_TOL
 
 
-def singularity_witness(
-    mu1: FAMeasure, mu2: FAMeasure, tol: float = 1e-12
-) -> tuple[MeasurableSet, MeasurableSet] | None:
+def singularity_witness(mu1: FAMeasure, mu2: FAMeasure) -> tuple[MeasurableSet, MeasurableSet] | None:
     """Disjoint full-measure sets (D1, D2) for a singular pair, if they exist.
 
     Within the finite/co-tail algebra a disjoint nonnegative pair always
     has such a witness: the supports are separated state sets and, for end
     mass, tails chosen beyond every atom of either measure.
     """
-    if not (mu1.is_nonnegative(tol) and mu2.is_nonnegative(tol)):
+    if not (mu1.is_nonnegative(SINGULAR_TOL) and mu2.is_nonnegative(SINGULAR_TOL)):
         raise PreconditionError("singularity needs nonnegative measures")
-    if not is_disjoint(mu1, mu2, tol):
+    if not is_disjoint(mu1, mu2):
         return None
     space = mu1.space
     all_atoms = set(mu1.atoms) | set(mu2.atoms)

@@ -55,6 +55,8 @@ ABSORPTION_TOL = 1e-9
 STATIONARY_TOL = 1e-9
 #: relative tolerance of a re-fitted rate ratio against the stored one
 RATE_TOL = 1e-9
+#: the largest residual δ = max |t − Q·t − 1| of stored expected times, each then exact to relative δ
+TIME_TOL = 1e-6
 #: what reading or checking a report section of the wrong shape or out of its domain raises; verify fails an item on it
 MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError, ChargeChainError)
 #: each task writes the report section of the same name
@@ -566,10 +568,10 @@ def _time_factor(kernel: TransitionKernel, times: dict[int, float]) -> float:
     """How far stored expected times may undershoot the exact ones: t* <= t · factor.
 
     Q is the kernel restricted to the states of ``times`` and t* = (I − Q)⁻¹·1,
-    so max t* = ‖(I − Q)⁻¹‖∞.  With δ = max |t − Q·t − 1| < 1,
-    t = (I − Q)⁻¹(1 + e) with |e| <= δ, and as (I − Q)⁻¹ >= 0 this gives
-    t* <= t / (1 − δ).  The factor is 1 / (1 − δ), infinite when δ >= 1 or
-    a time is not finite.
+    so max t* = ‖(I − Q)⁻¹‖∞.  With δ = max |t − Q·t − 1|, t = (I − Q)⁻¹(1 + e)
+    with |e| <= δ, and as (I − Q)⁻¹ >= 0 this gives t / (1 + δ) <= t* <= t / (1 − δ):
+    each stored time is certified to relative δ.  The factor is 1 / (1 − δ),
+    infinite when δ > TIME_TOL or a time is not finite.
     """
     delta = 0.0
     for x, t in times.items():
@@ -577,7 +579,7 @@ def _time_factor(kernel: TransitionKernel, times: dict[int, float]) -> float:
         res = math.fsum(row.values()) * t - 1.0
         for y, p in row.items():
             res -= p * times.get(y, 0.0)
-        if not abs(res) < 1.0:
+        if not abs(res) <= TIME_TOL:
             return math.inf
         delta = max(delta, abs(res))
     return 1.0 / (1.0 - delta)

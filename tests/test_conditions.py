@@ -59,14 +59,11 @@ def test_doeblin_uniform_holds():
     assert out.max_value == pytest.approx(0.5)
 
 
-def test_doeblin_swap_counterexample_exact():
+def test_doeblin_swap_maximum_exact():
+    # p(0, {1}) = 1 with phi({1}) = 1/2: the maximum is exactly 1
     k = swap2()
     out = check_doeblin(k, half_half(k), eps=0.5, k=1)
-    assert not out.holds
-    e, x, value = out.counterexample
-    assert sorted(e.atoms) == [1]
-    assert x == 0
-    assert value == 1.0
+    assert out == conditions.DoeblinOutcome(False, False, 1.0)
 
 
 def test_doeblin_swap_vacuous_at_smaller_eps():

@@ -17,11 +17,10 @@ from chargechain import (
     check_doeblin_tilde,
     doeblin_truncation_trend,
     kernel_from_spec,
-    measurable,
     search_doeblin,
 )
 from chargechain import conditions
-from chargechain.conditions import DoeblinOutcome, DoeblinWitness, _small_set_max
+from chargechain.conditions import DoeblinOutcome, DoeblinWitness
 from chargechain.invariants import InvariantBasis, invariant_basis_finite
 from chargechain.kernels import cesaro_kernel, kernel_power
 from chargechain.measures import _subset_sums, to_vector
@@ -30,33 +29,20 @@ from oracles import from_vector
 
 def brute_row_maxima(matrix, weights, eps, strict):
     """Full 2^n enumeration of every subset of each row of a stepped matrix, in row order, as the
-    (value, items, mask) of ``conditions._row_maxima``: the reference."""
+    values of ``conditions._row_maxima``: the reference."""
     phis = _subset_sums(np.asarray(weights, dtype=float))
     adm = phis < eps if strict else phis <= eps
     for row in matrix:
-        vals = np.where(adm, _subset_sums(row), -np.inf)
-        i = int(np.argmax(vals))
-        yield float(vals[i]), np.arange(len(row)), i
+        yield float(np.where(adm, _subset_sums(row), -np.inf).max())
 
 
-def brute_small_set_max(kernel, matrix, phi, eps, *, strict):
-    """The maximum over every row of ``brute_row_maxima``, with its first row and set."""
+def brute_small_set_max(matrix, phi, eps, *, strict):
+    """The maximum over every row of ``brute_row_maxima``, with its verdict and vacuity."""
     weights = to_vector(phi)
     phis = _subset_sums(weights)
     vacuous = not bool((phis[1:] < eps if strict else phis[1:] <= eps).any())
-    worst_val = -math.inf
-    worst = None
-    for x, (val, _, mask) in enumerate(brute_row_maxima(matrix, weights, eps, strict)):
-        if val > worst_val:
-            worst_val = val
-            worst = (mask, x)
-    holds = worst_val <= 1.0 - eps
-    counter = None
-    if not holds:
-        mask, x = worst
-        members = [j for j in range(kernel.size) if mask >> j & 1]
-        counter = (measurable(kernel.space, atoms=members), x, worst_val)
-    return DoeblinOutcome(holds, vacuous, worst_val, counter)
+    worst = max(brute_row_maxima(matrix, weights, eps, strict))
+    return DoeblinOutcome(worst <= 1.0 - eps, vacuous, worst)
 
 
 def brute_search(kernel, basis, k_max=5, eps_grid=conditions.DEFAULT_EPS_GRID, averaged=False):
@@ -70,7 +56,7 @@ def brute_search(kernel, basis, k_max=5, eps_grid=conditions.DEFAULT_EPS_GRID, a
     fallback = None
     for eps in grid:
         for k in range(1, k_max + 1):
-            out = brute_small_set_max(kernel, step(kernel, k).matrix, phi, eps, strict=averaged)
+            out = brute_small_set_max(step(kernel, k).matrix, phi, eps, strict=averaged)
             if out.vacuous:  # no nonempty set is admitted, whatever k
                 fallback = fallback or DoeblinWitness(phi, eps, 1, True, source, averaged)
                 break
@@ -88,7 +74,7 @@ def recorded(rows_read, enumerate_rows):
     def rows(*args):
         rows_read.append([])
         for row in enumerate_rows(*args):
-            rows_read[-1].append(row[0])
+            rows_read[-1].append(row)
             yield row
 
     return rows
@@ -127,8 +113,8 @@ def _random_phi(rng, space, n):
 def test_row_support_enumeration_matches_brute_force():
     rng = np.random.default_rng(2024)
     eps_choices = (0.25, 0.5, 0.75, 0.1, 0.3, 0.01)
-    compared = holds = counter = vacuous = 0
-    for _ in range(150):
+    compared = holds = failed = vacuous = 0
+    for _ in range(300):
         n = int(rng.integers(1, 11))
         kernel = TransitionKernel.finite(_random_matrix(rng, n))
         phi = _random_phi(rng, kernel.space, n)
@@ -137,22 +123,25 @@ def test_row_support_enumeration_matches_brute_force():
         else:
             eps = float(rng.uniform(0.01, 0.99))
         order = int(rng.integers(1, 4))
+        weights = to_vector(phi)
         for step in (kernel_power, cesaro_kernel):
             matrix = step(kernel, order).matrix
-            for strict in (False, True):
-                got = _small_set_max(kernel, matrix, to_vector(phi), eps, strict=strict)
-                want = brute_small_set_max(kernel, matrix, phi, eps, strict=strict)
-                assert got.holds == want.holds
-                assert got.vacuous == want.vacuous
-                assert got.max_value == want.max_value
-                assert got.counterexample == want.counterexample
-                assert got == want
-                compared += 1
-                holds += got.holds
-                counter += got.counterexample is not None
-                vacuous += got.vacuous
+            for strict in (False, True):  # every row, under either admission on either stepped matrix
+                got = list(conditions._row_maxima(matrix, {}, weights, eps, strict))
+                assert got == list(brute_row_maxima(matrix, weights, eps, strict))
+        for check, step, strict in ((check_doeblin, kernel_power, False), (check_doeblin_tilde, cesaro_kernel, True)):
+            got = check(kernel, phi, eps, order)
+            want = brute_small_set_max(step(kernel, order).matrix, phi, eps, strict=strict)
+            assert got.holds == want.holds
+            assert got.vacuous == want.vacuous
+            assert got.max_value == want.max_value
+            assert got == want
+            compared += 1
+            holds += got.holds
+            failed += not got.holds
+            vacuous += got.vacuous
     # the draw covers every kind of outcome
-    assert compared == 600 and holds > 50 and counter > 50 and vacuous > 10
+    assert compared == 600 and holds > 50 and failed > 50 and vacuous > 10
 
 
 def test_public_checkers_match_brute_force_on_ties():
@@ -160,9 +149,9 @@ def test_public_checkers_match_brute_force_on_ties():
     k = TransitionKernel.finite(np.full((4, 4), 0.25))
     phi = from_vector(k.space, [0.25] * 4)
     for eps in (0.25, 0.5, 0.75):
-        assert check_doeblin(k, phi, eps, 1) == brute_small_set_max(k, k.matrix, phi, eps, strict=False)
+        assert check_doeblin(k, phi, eps, 1) == brute_small_set_max(k.matrix, phi, eps, strict=False)
         assert check_doeblin_tilde(k, phi, eps, 2) == brute_small_set_max(
-            k, cesaro_kernel(k, 2).matrix, phi, eps, strict=True
+            cesaro_kernel(k, 2).matrix, phi, eps, strict=True
         )
 
 
@@ -218,7 +207,7 @@ def test_early_exit_verdict_matches_the_full_maximum_and_brute_force():
         phi = _random_phi(rng, kernel.space, n)
         eps = float(rng.choice(eps_choices))
         basis = InvariantBasis(measures=[phi])
-        for averaged, step in ((False, kernel_power), (True, cesaro_kernel)):
+        for averaged, step, check in ((False, kernel_power, check_doeblin), (True, cesaro_kernel, check_doeblin_tilde)):
             w = search_doeblin(kernel, basis, k_max=3, eps_grid=(eps,), averaged=averaged)
             if not (to_vector(phi) < eps if averaged else to_vector(phi) <= eps).any():
                 assert w.vacuous  # no state fits: decided before any row is read
@@ -226,8 +215,8 @@ def test_early_exit_verdict_matches_the_full_maximum_and_brute_force():
             verdicts = []
             for k in (1, 2, 3):
                 matrix = step(kernel, k).matrix
-                full = _small_set_max(kernel, matrix, to_vector(phi), eps, strict=averaged).holds
-                assert full == brute_small_set_max(kernel, matrix, phi, eps, strict=averaged).holds
+                full = check(kernel, phi, eps, k).holds
+                assert full == brute_small_set_max(matrix, phi, eps, strict=averaged).holds
                 verdicts.append(full)
             first = verdicts.index(True) + 1 if True in verdicts else None
             assert (None if w.vacuous else w.k) == first
@@ -255,7 +244,7 @@ def test_failing_check_enumerates_rows_up_to_its_first_violating_row(monkeypatch
     basis = invariant_basis_finite(kernel)
     phi = basis.measures[0]
     rows = brute_row_maxima(kernel.matrix, to_vector(phi), 0.5, False)
-    first = next(x for x, (v, _, _) in enumerate(rows) if v > 0.5)
+    first = next(x for x, v in enumerate(rows) if v > 0.5)
     assert first == 1
     sums = []
     monkeypatch.setattr(conditions, "_subset_sums", counted_sums(sums))
@@ -282,7 +271,7 @@ def test_each_stepped_row_is_enumerated_once_per_search(monkeypatch):
                     continue  # no state fits: decided before any row is read
                 for k, matrix in stepped.items():
                     rows = brute_row_maxima(matrix, weights, eps, averaged)
-                    first = next(x for x, (v, _, _) in enumerate(rows) if v > 1.0 - eps)
+                    first = next(x for x, v in enumerate(rows) if v > 1.0 - eps)
                     read |= {(k, x) for x in range(first + 1)}
                     reads += first + 1
             sums.clear()
@@ -338,7 +327,7 @@ def test_search_witness_rechecks_to_the_same_max(monkeypatch):
             assert w == brute_search(kernel, invariant_basis_finite(kernel), averaged=averaged)
             searched = rows_read[-1]
             assert len(searched) == kernel.size
-            brute = brute_small_set_max(kernel, step[averaged](kernel, w.k).matrix, w.phi, w.eps, strict=averaged)
+            brute = brute_small_set_max(step[averaged](kernel, w.k).matrix, w.phi, w.eps, strict=averaged)
             assert check(kernel, w.phi, w.eps, w.k).max_value == max(searched) == brute.max_value
             orders.add(w.k)
     assert orders >= {4, 5}
@@ -351,8 +340,11 @@ def test_only_rows_within_the_kept_set_cap_are_kept():
         matrix, weights = np.full((n, n), 1.0 / n), np.full(n, 1.0 / 32)
         kept = {}
         got = list(conditions._row_maxima(matrix, kept, weights, 0.5, False))
-        assert [v for v, _, _ in got] == [v for v, _, _ in brute_row_maxima(matrix, weights, 0.5, False)]
+        assert got == list(brute_row_maxima(matrix, weights, 0.5, False))
         assert len(kept) == kept_rows
+        # a kept row holds its sets' phi sums and row sums, in mask order, and nothing else
+        for phis, sums in kept.values():
+            assert np.array_equal(phis, _subset_sums(weights)) and np.array_equal(sums, _subset_sums(matrix[0]))
 
 
 def test_vacuous_means_no_single_state_fits():

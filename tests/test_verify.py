@@ -681,6 +681,34 @@ def test_one_class_projector_with_a_slow_exit_verifies(tmp_path: Path, capsys):
     assert code == 1 and "FAILED: projector absorption equation" in out
 
 
+def scale_times(key, factor):
+    def edit(proj):
+        times = proj[key] if key == "absorption_times" else proj[key][0]
+        times.update({x: t * factor for x, t in times.items()})
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    ("catalog", "tamper", "item"),
+    [
+        # the one absorption time, 1.0, set to 1/1.9: δ = 0.47
+        ("two_absorbing", scale_times("absorption_times", 1 / 1.9), "projector absorption equation"),
+        # every hitting time of the anchor 1.3 times the exact one: δ = 0.3
+        ("birth_death", scale_times("hitting_times", 1.3), "projector stationary[0]"),
+    ],
+    ids=["absorption_time", "hitting_times"],
+)
+def test_expected_times_off_by_a_factor_fail(tmp_path: Path, capsys, catalog, tamper, item):
+    # a time within a factor of 2 of the exact one solves t = 1 + Q·t to a residual δ < 1; only δ <= TIME_TOL
+    # certifies the stored times, to relative δ
+    rep = analyze(tmp_path, "analyze", "--catalog", catalog)
+    assert verify(tmp_path, rep, capsys)[0] == 0
+    tamper(rep["ergodic"]["projector"])
+    code, out = verify(tmp_path, rep, capsys)
+    assert code == 1 and f"FAILED: {item}" in out, out
+
+
 def test_nearly_decomposable_not_exact_in_binary_verifies(tmp_path: Path, capsys):
     # Π(I − P) takes its diagonal from the off-diagonal masses 3e-10 and 1e-10: 1 − (1 − 1e-10) would
     # leave about 1e-17, which the hitting time 3.3e9 turns into a bound of 4e-8
