@@ -5,13 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import catalog
 from .errors import CapacityError, ChargeChainError, ValidationError
 from .report import (
     ALL_TASKS,
     AnalysisRequest,
+    read_json,
     report_csv,
     report_json,
     run_analysis,
@@ -25,6 +25,13 @@ EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 #: each horizon option's default is its ``AnalysisRequest`` field's
 _DEFAULT = {name: f.default for name, f in AnalysisRequest.__dataclass_fields__.items()}
+#: each analysis subcommand's help and tasks; one without fixed tasks takes ``--tasks``, every task when omitted
+SUBCOMMANDS = {
+    "analyze": ("run the full analysis pipeline", ()),
+    "doeblin": ("small-set witness search and the other ergodicity conditions", ("conditions",)),
+    "ergodic": ("operator-distance decay and fitted rates", ("ergodic",)),
+    "escape": ("window-mass escape profile of a countable chain", ("escape",)),
+}
 
 
 def _add_chain_args(p: argparse.ArgumentParser) -> None:
@@ -52,17 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, tasks_arg in (
-        ("analyze", "run the full analysis pipeline", True),
-        ("doeblin", "small-set witness search and the other ergodicity conditions", False),
-        ("ergodic", "operator-distance decay and fitted rates", False),
-        ("escape", "window-mass escape profile of a countable chain", False),
-    ):
+    for name, (help_text, tasks) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_chain_args(p)
         _add_horizon_args(p)
         _add_output_args(p)
-        if tasks_arg:
+        if not tasks:
             p.add_argument(
                 "--tasks",
                 default=None,
@@ -117,13 +119,7 @@ def main(argv=None) -> int:
                 print(f"{name} {params}" + (f"  # {e.notes}" if e.notes else ""))
             return EXIT_OK
         if args.command == "verify-report":
-            try:
-                report = json.loads(Path(args.report).read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise ValidationError(f"cannot read report: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"report is not valid JSON: {exc}") from exc
-            results = verify_report(report)
+            results = verify_report(read_json(args.report, "report"))
             for item in results:
                 status = "ok" if item["ok"] else "FAILED"
                 detail = f" ({item['detail']})" if item["detail"] else ""
@@ -132,17 +128,11 @@ def main(argv=None) -> int:
                 print(f"verified {len(results)} checks")
                 return EXIT_OK
             return EXIT_VERIFY_FAILED
-        tasks: tuple[str, ...] = ()
-        if args.command == "analyze" and args.tasks is not None:
+        _, tasks = SUBCOMMANDS[args.command]
+        if not tasks and args.tasks is not None:
             tasks = tuple(t.strip() for t in args.tasks.split(","))
             if "" in tasks:  # an empty value would run every task
                 raise ValidationError(f"bad --tasks value {args.tasks!r}: an empty task name")
-        elif args.command == "doeblin":
-            tasks = ("conditions",)
-        elif args.command == "ergodic":
-            tasks = ("ergodic",)
-        elif args.command == "escape":
-            tasks = ("escape",)
         request = _request_from_args(args, tasks)
         report = run_analysis(request)
         if args.command == "doeblin" and report["conditions"]["D"]["kind"] == "capacity":

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, PreconditionError
+from .errors import DomainError, NumericalError
 from .invariants import InvariantBasis, eliminate, states_outside
 from .kernels import TransitionKernel, powers
 from .measures import FAMeasure, to_vector
@@ -32,51 +31,18 @@ STACK_ENTRIES = 2**16
 MAX_HORIZON = 10**5
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Finite-rank limit P = H·Π of the averaged operator iterates.
+def projector_finite(kernel: TransitionKernel, basis: InvariantBasis) -> tuple[dict, np.ndarray]:
+    """The finite-rank limit P = H·Π of the averaged iterates: the report's ``projector`` section, and P dense.
 
-    Π holds one stationary law per recurrent class.  H is 1 on a class
-    state's own class and 0 on the others; ``absorption`` holds its rows
-    at the transient states, the probabilities of ending in each class.
-    ``matrix`` is P itself, dense.  Two sets of expected times ride along
+    Π holds one stationary law per closed class, those of ``basis``, the
+    ``invariant_basis_finite`` of this kernel.  H is 1 on a class state's own
+    class and 0 on the others; the section's ``absorption`` holds its rows at
+    the transient states, the probabilities of ending in each class, and row x
+    of P mixes the class laws by them.  Two sets of expected times ride along
     so that a verifier can bound the error of the factors, not only their
-    residuals: ``absorption_times`` (steps until a transient state enters
-    a class) and ``hitting_times`` (per class, steps until each state
-    reaches the class's heaviest state, which has no entry).
-    """
-
-    classes: list[tuple[int, ...]]  # each closed class, the ascending tuple of its states
-    stationary: list[FAMeasure]  # one per class
-    absorption: dict[int, list[float]]  # transient state -> one probability per class
-    absorption_times: dict[int, float]  # transient state -> expected steps to enter a class
-    hitting_times: list[dict[int, float]]  # per class: state -> expected steps to its anchor
-    matrix: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.classes)
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "classes": [list(c) for c in self.classes],
-            "stationary": [pi.to_json() for pi in self.stationary],
-            "hitting_times": [_times_json(times) for times in self.hitting_times],
-            "absorption": {str(x): [float(h) for h in row] for x, row in sorted(self.absorption.items())},
-            "absorption_times": _times_json(self.absorption_times),
-        }
-
-
-def _times_json(times: dict[int, float]) -> dict[str, float]:
-    return {str(x): float(t) for x, t in sorted(times.items())}
-
-
-def projector_finite(kernel: TransitionKernel, basis: InvariantBasis) -> Projector:
-    """P = H·Π: row x mixes the class stationary laws by x's absorption probabilities.
-
-    The classes and their stationary distributions are those of ``basis``, the
-    ``invariant_basis_finite`` of this kernel.
+    residuals: ``absorption_times`` (steps until a transient state enters a
+    class) and ``hitting_times`` (per class, steps until each state reaches the
+    class's heaviest state, which has no entry).
     """
     if not kernel.space.is_finite:
         raise DomainError("projector construction needs a finite chain")
@@ -90,12 +56,16 @@ def projector_finite(kernel: TransitionKernel, basis: InvariantBasis) -> Project
     rhs = [*enter, np.ones(len(trans))]  # one column per class, then the times
     solved = _solve_transient(kernel, trans, rhs, "absorption rows or times at transient states")
     absorb[trans] = solved[:, :-1]
-    times = dict(zip(trans, solved[:, -1].tolist()))
-    absorption = {x: absorb[x].tolist() for x in trans}
-    hitting = [_hitting_times(kernel, c, pi) for c, pi in zip(classes, pis)]
+    section = {
+        "rank": len(classes),
+        "classes": [list(c) for c in classes],
+        "stationary": [pi.to_json() for pi in pis],
+        "hitting_times": [_hitting_times(kernel, c, pi) for c, pi in zip(classes, pis)],
+        "absorption": {str(x): absorb[x].tolist() for x in trans},
+        "absorption_times": dict(zip(map(str, trans), solved[:, -1].tolist())),
+    }
     # each law lives on its own class, so each entry of H·Π is a single product h·w
-    mat = absorb @ np.array([to_vector(pi) for pi in pis])
-    return Projector(list(classes), list(pis), absorption, times, hitting, mat)
+    return section, absorb @ np.array([to_vector(pi) for pi in pis])
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a zero pivot leaves non-finite rows
@@ -121,8 +91,9 @@ def _solve_transient(kernel: TransitionKernel, states: list[int], rhs: list[np.n
     return x
 
 
-def _hitting_times(kernel: TransitionKernel, states: tuple[int, ...], pi: FAMeasure) -> dict[int, float]:
-    """Expected steps from each state of a class to its anchor, the least state of largest weight.
+def _hitting_times(kernel: TransitionKernel, states: tuple[int, ...], pi: FAMeasure) -> dict[str, float]:
+    """Expected steps from each other state of a class to its anchor, the least state of largest weight,
+    keyed as in a report.
 
     The heaviest state keeps these times small (about its return time) where
     the least state of a birth-death class can be 1e16 steps away.
@@ -130,13 +101,11 @@ def _hitting_times(kernel: TransitionKernel, states: tuple[int, ...], pi: FAMeas
     anchor = max(states, key=lambda s: pi.atoms.get(s, 0.0))  # the first maximum: states ascend
     rest = [s for s in states if s != anchor]
     steps = _solve_transient(kernel, rest, [np.ones(len(rest))], f"hitting times of state {anchor} from states")
-    return dict(zip(rest, steps[:, 0].tolist()))
+    return dict(zip(map(str, rest), steps[:, 0].tolist()))
 
 
-def distance_series(
-    kernel: TransitionKernel, n_max: int, projector: Projector
-) -> tuple[list[float], list[float]]:
-    """Averaged and raw distances to ``projector`` for n = 1..n_max, in one pass over the powers.
+def distance_series(kernel: TransitionKernel, n_max: int, projector: np.ndarray) -> tuple[list[float], list[float]]:
+    """Averaged and raw distances to the dense limit ``projector`` for n = 1..n_max, in one pass over the powers.
 
     Returns ``(cesaro, raw)``; index i of each list holds the distance at n = i + 1.  Each step
     writes p^n − P and (p^1 + ... + p^n)/n into its slot of two scratch stacks of
@@ -147,18 +116,17 @@ def distance_series(
     """
     if not kernel.space.is_finite:
         raise DomainError("operator distances need a finite chain")
-    pi_mat = projector.matrix
-    chunk = max(1, min(n_max, STACK_ENTRIES // pi_mat.size))
-    raw_stack = np.empty((chunk, *pi_mat.shape))
+    chunk = max(1, min(n_max, STACK_ENTRIES // projector.size))
+    raw_stack = np.empty((chunk, *projector.shape))
     avg_stack = np.empty_like(raw_stack)
     cesaro, raw = [], []
     for n, (cur, acc) in enumerate(itertools.islice(powers(kernel), n_max), start=1):
         m = (n - 1) % chunk
-        np.subtract(cur, pi_mat, out=raw_stack[m])
+        np.subtract(cur, projector, out=raw_stack[m])
         np.divide(acc, n, out=avg_stack[m])
         if m + 1 == chunk or n == n_max:
             raw += _max_row_l1(raw_stack[: m + 1])
-            cesaro += _max_row_l1(np.subtract(avg_stack[: m + 1], pi_mat, out=avg_stack[: m + 1]))
+            cesaro += _max_row_l1(np.subtract(avg_stack[: m + 1], projector, out=avg_stack[: m + 1]))
     return cesaro, raw
 
 
@@ -170,38 +138,32 @@ def _max_row_l1(stack: np.ndarray) -> list[float]:
 def ergodic_run(kernel: TransitionKernel, n_max: int, basis: InvariantBasis) -> dict:
     """The report's ``ergodic`` section: the limit projector, and the averaged and raw distances to it
     with their fitted rates."""
-    projector = projector_finite(kernel, basis)
-    cesaro, raw = distance_series(kernel, n_max, projector)
+    projector, matrix = projector_finite(kernel, basis)
+    cesaro, raw = distance_series(kernel, n_max, matrix)
     return {
         "n_max": n_max,
-        "projector": projector.to_json(),
-        "cesaro": {"distances": cesaro, "rate": fitted_rate(cesaro)},
-        "raw": {"distances": raw, "rate": fitted_rate(raw)},
+        "projector": projector,
+        "cesaro": {"distances": cesaro, "rate": rate_fit(cesaro)},
+        "raw": {"distances": raw, "rate": rate_fit(raw)},
     }
 
 
-def fitted_rate(distances) -> dict:
-    """``rate_fit``, or the ``undetermined`` kind when the horizon is too short for a fit."""
-    try:
-        return rate_fit(distances)
-    except PreconditionError:
-        return {"kind": "undetermined"}
-
-
 def rate_fit(distances) -> dict:
-    """Classify a decay sequence: clean geometric ratio, subgeometric, or exactly zero.
+    """Classify a decay sequence: clean geometric ratio, subgeometric, exactly zero, or undetermined.
 
     The fit uses only the tail half of the entries above ``RATE_FLOOR`` (the
     rest is round-off); a leading zero stretch is tolerated.  A sequence that
     reaches zero and stays there (a trailing zero run of at least a quarter of
     the data) is finite_exact, with the first (1-based) index of that run.
-    A tail that has not moved, its fitted log decay |slope|·(n_last − n_first)
-    at most ``RATE_DECAY_RESIDUALS`` times the fit's largest residual, has no
-    rate: PreconditionError.
+    The rate is undetermined for an empty sequence, for fewer than 8 entries
+    above the floor, and for a tail that has not moved: its fitted log decay
+    |slope|·(n_last − n_first) at most ``RATE_DECAY_RESIDUALS`` times the
+    fit's largest residual.
     """
+    undetermined = {"kind": "undetermined"}
     d = [float(x) for x in distances]
     if not d:
-        raise PreconditionError("empty distance sequence")
+        return undetermined
     if max(d) <= 0.0:
         return {"kind": "finite_exact", "n_zero": 1}
     last_pos = max(i for i, x in enumerate(d) if x > 0.0)
@@ -210,14 +172,14 @@ def rate_fit(distances) -> dict:
         return {"kind": "finite_exact", "n_zero": last_pos + 2}
     pairs = [(i + 1, x) for i, x in enumerate(d) if x > RATE_FLOOR]
     if len(pairs) < 8:
-        raise PreconditionError(f"need at least 8 entries above {RATE_FLOOR:g} for a fit")
+        return undetermined
     tail = pairs[len(pairs) // 2 :]
     ns = np.array([n for n, _ in tail], dtype=float)
     logs = np.array([math.log(x) for _, x in tail])
     slope, intercept = np.polyfit(ns, logs, 1)
     misfit = logs - (slope * ns + intercept)
     if abs(slope) * (ns[-1] - ns[0]) <= RATE_DECAY_RESIDUALS * float(np.max(np.abs(misfit))):
-        raise PreconditionError("the tail has not moved beyond the misfit of its fit")
+        return undetermined
     resid_geo = float(np.sum(misfit**2))
     slope_pow, icept_pow = np.polyfit(np.log(ns), logs, 1)
     resid_pow = float(np.sum((logs - (slope_pow * np.log(ns) + icept_pow)) ** 2))

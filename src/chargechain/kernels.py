@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StructureError, ValidationError
-from .measures import END_NEG, END_POS, FAMeasure, StateSpace
+from .measures import END_NEG, END_POS, FAMeasure, StateSpace, json_number
 
 ROW_SUM_TOL = 1e-9
 MAX_OFFSET = 64
@@ -65,10 +65,10 @@ class TailRow:
     to_other_end: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("relative", "to_finite"):
-            table = _int_keyed(getattr(self, name), f"{name}: key")
-            object.__setattr__(self, name, {k: float(v) for k, v in table.items()})
-        object.__setattr__(self, "to_other_end", {str(k): float(v) for k, v in self.to_other_end.items()})
+        tables = {name: _int_keyed(getattr(self, name), f"{name}: key") for name in ("relative", "to_finite")}
+        tables["to_other_end"] = {str(k): v for k, v in self.to_other_end.items()}
+        for name, table in tables.items():
+            object.__setattr__(self, name, {k: _probability(v, f"{name}[{k!r}]") for k, v in table.items()})
 
     def preserved_mass(self) -> float:
         return math.fsum(self.relative.values())
@@ -88,7 +88,7 @@ class TransitionKernel:
     def finite(matrix, labels=None) -> "TransitionKernel":
         try:
             m = np.array(matrix, dtype=float)  # a copy: the caller's array stays theirs
-        except (TypeError, ValueError) as exc:  # ragged rows, or an entry that is no number
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, an entry that is no number or past floats
             raise ValidationError(f"transition matrix is not a square array of numbers: {exc}") from None
         m += 0.0  # -0.0 -> 0.0: the row table leaves zeros out, so a spec of its rows rebuilds m bit for bit
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -116,7 +116,7 @@ class TransitionKernel:
             raise ValidationError(f"support must be 'N' or 'Z', got {support!r}")
         try:
             exceptions = {
-                x: {y: float(p) for y, p in _int_keyed(row, f"row {x}: target").items()}
+                x: {y: _probability(p, f"row {x}: target {y}") for y, p in _int_keyed(row, f"row {x}: target").items()}
                 for x, row in _int_keyed(exceptions or {}, "state").items()
             }
         except (TypeError, ValueError, AttributeError, ValidationError) as exc:
@@ -424,7 +424,7 @@ def kernel_from_spec(obj: dict) -> TransitionKernel:
         labels = obj.get("labels")
         if "labels" in obj and not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
             raise ValidationError(f"'labels' must be an array of strings, one per state, got {labels!r}")
-        matrix = _matrix_from_rows(obj["rows"]) if name == "rows" else obj["matrix"]
+        matrix = _matrix_from_rows(obj["rows"]) if name == "rows" else _matrix_of_numbers(obj["matrix"])
         return TransitionKernel.finite(matrix, labels=labels)
     if kind == "walk":
         tails = {}
@@ -446,17 +446,42 @@ def _matrix_from_rows(rows) -> np.ndarray:
         raise ValidationError(f"rows = {rows!r} is not a JSON array")
     n = len(rows)
     m = np.zeros((n, n))
+    columns = {str(y): y for y in range(n)}  # each column's one spelling: one lookup, not int() and str() per entry
     for x, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValidationError(f"rows[{x}] = {row!r} is not a JSON object")
-        for y, p in _int_keyed(row, f"rows[{x}]: column").items():
-            if not 0 <= y < n:
-                raise ValidationError(f"rows[{x}]: column {str(y)!r} outside 0..{n - 1}")
+        for key, p in row.items():
+            y = columns.get(key)
+            if y is None:  # spelled another way, or outside the columns
+                (y,) = _int_keyed({key: p}, f"rows[{x}]: column")
+                if not 0 <= y < n:
+                    raise ValidationError(f"rows[{x}]: column {str(y)!r} outside 0..{n - 1}")
             try:
-                m[x, y] = p
-            except (TypeError, ValueError):
+                m[x, y] = json_number(p)
+            except (TypeError, OverflowError):  # OverflowError: an int past the float range
                 raise ValidationError(f"rows[{x}]: column {str(y)!r} = {p!r} is not a number") from None
     return m
+
+
+def _matrix_of_numbers(matrix):
+    """A "matrix" spec, once each entry of each row that is an array is a JSON number; ``TransitionKernel.finite``
+    refuses any other shape."""
+    for x, row in enumerate(matrix if isinstance(matrix, list) else ()):
+        for y, p in enumerate(row if isinstance(row, list) else ()):
+            try:
+                json_number(p)
+            except TypeError:
+                what = "transition matrix is not a square array of numbers"
+                raise ValidationError(f"{what}: matrix[{x}][{y}] = {p!r} is not a number") from None
+    return matrix
+
+
+def _probability(p, what: str) -> float:
+    """A spec's entry ``p`` as a float when it is a JSON number; else ValidationError naming it by ``what``."""
+    try:
+        return float(json_number(p))
+    except (TypeError, OverflowError):  # OverflowError: an int past the float range
+        raise ValidationError(f"{what} = {p!r} is not a number") from None
 
 
 def _int_keyed(table: dict, what: str) -> dict:

@@ -163,9 +163,19 @@ def measurable(space: StateSpace, atoms=(), tails=(), complement: bool = False) 
 
 def set_from_json(space: StateSpace, obj: dict) -> MeasurableSet:
     """Read a set literal; a field or entry of the wrong shape raises ValidationError naming it."""
-    atoms = _entries("set literal", obj, "atoms", list, lambda i, a: int(a))
-    tails = _entries("set literal", obj, "tails", list, lambda i, t: (t["end"], int(t["after"])))
+    atoms = _entries("set literal", obj, "atoms", list, lambda i, a: json_number(a, int))
+    tails = _entries("set literal", obj, "tails", list, lambda i, t: (t["end"], json_number(t["after"], int)))
     return measurable(space, atoms, tails, bool(obj.get("complement", False)))
+
+
+def json_number(value, kind: type | tuple[type, ...] = (int, float)):
+    """``value`` when JSON wrote it as a number of ``kind``, an int or a float by default; else TypeError.
+
+    A bool, which Python counts as an int, and a numeric string are no numbers.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{value!r} is not {'an integer' if kind is int else 'a number'}")
+    return value
 
 
 def _entries(what: str, obj: dict, name: str, kind: type, read) -> list:
@@ -278,8 +288,8 @@ def to_vector(mu: FAMeasure) -> np.ndarray:
 
 def measure_from_json(space: StateSpace, obj: dict) -> FAMeasure:
     """Read a measure literal; a wrong shape or a non-finite weight raises ValidationError naming the entry."""
-    atoms = dict(_entries("measure literal", obj, "atoms", dict, lambda k, w: (int(k), float(w))))
-    ends = dict(_entries("measure literal", obj, "ends", dict, lambda k, w: (str(k), float(w))))
+    atoms = dict(_entries("measure literal", obj, "atoms", dict, lambda k, w: (int(k), float(json_number(w)))))
+    ends = dict(_entries("measure literal", obj, "ends", dict, lambda k, w: (str(k), float(json_number(w)))))
     for field_name, weights in (("atoms", atoms), ("ends", ends)):
         for k, v in weights.items():
             if not math.isfinite(v):

@@ -45,8 +45,17 @@ from .invariants import (
     stationary_of_class,
 )
 from .kernels import TransitionKernel, kernel_from_spec, kernel_to_spec
-from .measures import end_direction, evaluate, is_disjoint, measurable, measure_from_json, set_from_json, to_vector
-from .ergodic import MAX_HORIZON, ergodic_run, fitted_rate
+from .measures import (
+    end_direction,
+    evaluate,
+    is_disjoint,
+    json_number,
+    measurable,
+    measure_from_json,
+    set_from_json,
+    to_vector,
+)
+from .ergodic import MAX_HORIZON, ergodic_run, rate_fit
 
 SCHEMA_VERSION = 8
 #: tolerance of the absorption rows' sums, and of the certified error max |H - H*| of the rows
@@ -57,6 +66,8 @@ STATIONARY_TOL = 1e-9
 RATE_TOL = 1e-9
 #: the largest residual δ = max |t − Q·t − 1| of stored expected times, each then exact to relative δ
 TIME_TOL = 1e-6
+#: past TIME_TOL, δ may reach this many times max t: rounding the stored times alone leaves about 2⁻⁵³ max t
+TIME_ROUNDING = 16 * 2.0**-53
 #: what reading or checking a report section of the wrong shape or out of its domain raises; verify fails an item on it
 MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError, ChargeChainError)
 #: each task writes the report section of the same name
@@ -78,14 +89,18 @@ class AnalysisRequest:
             raise ValidationError("exactly one of catalog name or chain file is required")
         if self.catalog is not None:
             return catalog.build(self.catalog), f"catalog:{self.catalog}"
-        path = Path(self.chain_path)
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ValidationError(f"cannot read chain file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"chain file is not valid JSON: {exc}") from exc
-        return kernel_from_spec(obj), f"file:{path.name}"
+        return kernel_from_spec(read_json(self.chain_path, "chain file")), f"file:{Path(self.chain_path).name}"
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON value in the file at ``path``; a file that cannot be read or holds no JSON raises
+    ValidationError, naming it ``what``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def applicable_tasks(kernel: TransitionKernel, requested: tuple[str, ...]) -> list[str]:
@@ -363,6 +378,11 @@ def _verify_conditions(kernel: TransitionKernel, classes, laws, parsed, cond: di
         if w["k"] > MAX_ORDER:  # refused before any product is formed; the checkers refuse a k below 1
             record(f"{key} witness", False, f"order {w['k']!r} is past the cap {MAX_ORDER}")
             continue
+        try:
+            json_number(w["k"], int)  # True would read as the order 1
+        except TypeError as exc:
+            record(f"{key} witness", False, f"order {exc}")
+            continue
         phi = measure_from_json(space, w["phi"])
         if strict:
             out = check_doeblin_tilde(kernel, phi, w["eps"], w["k"])
@@ -571,15 +591,17 @@ def _time_factor(kernel: TransitionKernel, times: dict[int, float]) -> float:
     so max t* = ‖(I − Q)⁻¹‖∞.  With δ = max |t − Q·t − 1|, t = (I − Q)⁻¹(1 + e)
     with |e| <= δ, and as (I − Q)⁻¹ >= 0 this gives t / (1 + δ) <= t* <= t / (1 − δ):
     each stored time is certified to relative δ.  The factor is 1 / (1 − δ),
-    infinite when δ > TIME_TOL or a time is not finite.
+    infinite when δ > max(TIME_TOL, TIME_ROUNDING · max t), when δ >= 1, or
+    when a time is not finite.
     """
+    tol = max(TIME_TOL, TIME_ROUNDING * max(times.values(), default=0.0))
     delta = 0.0
     for x, t in times.items():
         row = {y: p for y, p in kernel.row(x).items() if y != x}
         res = math.fsum(row.values()) * t - 1.0
         for y, p in row.items():
             res -= p * times.get(y, 0.0)
-        if not abs(res) <= TIME_TOL:
+        if not abs(res) <= tol or abs(res) >= 1.0:
             return math.inf
         delta = max(delta, abs(res))
     return 1.0 / (1.0 - delta)
@@ -615,7 +637,7 @@ def _stationary_error(kernel: TransitionKernel, states: list[int], pi, times: di
 def _verify_rate(run, mode: str, record) -> None:
     """Re-fit the rate from the stored distances and compare it with the stored fit."""
     try:
-        refit = fitted_rate(run["distances"])
+        refit = rate_fit(run["distances"])
         stored = run["rate"]
         same = set(stored) == set(refit) and all(
             math.isclose(stored[k], v, rel_tol=RATE_TOL, abs_tol=0.0) if k == "ratio" else stored[k] == v

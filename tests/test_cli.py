@@ -93,7 +93,7 @@ def test_malformed_chain_exits_2(tmp_path: Path):
 
 @pytest.mark.parametrize(
     "matrix, problem",
-    [([[1.0], [0.5, 0.5]], "inhomogeneous shape"), ([["x", 1.0], [0.5, 0.5]], "could not convert string to float: 'x'")],
+    [([[1.0], [0.5, 0.5]], "inhomogeneous shape"), ([["x", 1.0], [0.5, 0.5]], "matrix[0][0] = 'x' is not a number")],
     ids=["ragged rows", "entry not a number"],
 )
 def test_malformed_dense_matrix_exits_2_with_a_named_error(tmp_path: Path, capsys, matrix, problem):
@@ -274,6 +274,46 @@ def test_walk_spec_keys_spelled_two_ways_exit_2(tmp_path: Path, capsys, spec, na
     bad.write_text(json.dumps({"kind": "walk", "support": "N", **spec}))
     assert run_cli(["analyze", "--chain", str(bad), "--out", str(tmp_path / "x.json")]) == 2
     assert f"error: {named} is not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ({"kind": "finite", "matrix": [["0.5", "0.5"], [True, False]]}, "matrix[0][0] = '0.5'"),
+        ({"kind": "finite", "matrix": [[0.5, 0.5], [True, False]]}, "matrix[1][0] = True"),
+        ({"kind": "finite", "matrix": [[10**400]]}, "int too large to convert to float"),
+        (
+            {"kind": "walk", "support": "N", "exceptions": {"0": {"1": True}}, "tail_+inf": WALK_TAIL},
+            "bad exceptions table: row 0: target 1 = True",
+        ),
+        (
+            {"kind": "walk", "support": "N", "exceptions": {"0": {"1": 1.0}}, "tail_+inf": {"relative": {"1": "1"}}},
+            "bad tail row 'tail_+inf': relative[1] = '1'",
+        ),
+        (
+            {"kind": "walk", "support": "N", "tail_+inf": {"relative": {"1": 0.5}, "to_finite": {"0": "0.5"}}},
+            "bad tail row 'tail_+inf': to_finite[0] = '0.5'",
+        ),
+        (
+            {
+                "kind": "walk",
+                "support": "Z",
+                "tail_+inf": {"relative": {"1": 0.5}, "to_other_end": {"-inf": "0.5"}},
+                "tail_-inf": {"relative": {"-1": 1.0}},
+            },
+            "bad tail row 'tail_+inf': to_other_end['-inf'] = '0.5'",
+        ),
+    ],
+    ids=["matrix string", "matrix bool", "matrix past floats", "exception bool", "offset string", "to_finite string",
+         "to_other_end string"],
+)
+def test_spec_entries_that_are_no_json_number_exit_2(tmp_path: Path, capsys, spec, named):
+    # float() reads True as 1.0 and "0.5" as 0.5, so each of these chains analyzed, with exit 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    assert run_cli(["analyze", "--chain", str(bad), "--out", str(tmp_path / "x.json")]) == 2
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 

@@ -5,7 +5,8 @@ A seeded sample of four families under the ``invariants`` and ``conditions`` tas
 chains, chains of several closed blocks fed by transient states, and steep birth-death chains of 300-420
 states whose laws underflow to exact zeros at one end.  The small chains stay at 12 states or fewer, as the
 exact small-set search dominates their analysis.  A fifth family, under the ``ergodic`` task, draws chains of one
-closed class with a slow exit, whose projector's expected times run to millions of steps.
+closed class with a slow exit, whose projector's expected times run to millions of steps, and, held longer, to
+about 10^10-10^12 steps, where rounding the stored times alone leaves residuals past ``TIME_TOL``.
 """
 
 import json
@@ -74,25 +75,40 @@ def test_every_report_verifies_and_each_alpha_closed_set_is_its_class(tmp_path: 
         assert [(a["index"], a["k_mu"], a["closed_set"]) for a in alpha] == [(i, c, c) for i, c in enumerate(classes)]
 
 
-def slow_exit(rng) -> TransitionKernel:
+def slow_exit(rng, digits=(6.0, 7.0)) -> TransitionKernel:
     """3-11 states: state 0 absorbing, every other state with an edge to a lower one, and one of them held with
-    probability between 1 - 10^-6 and 1 - 10^-7."""
+    probability 1 - 10^-d, d drawn from the interval ``digits`` (exactly d when both ends are d)."""
     n = int(rng.integers(3, 12))
     m = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
     m[np.arange(1, n), rng.integers(0, np.arange(1, n))] += rng.random(n - 1) + 1e-3
     m[0] = np.eye(n)[0]
     m /= m.sum(axis=1, keepdims=True)
-    x, leak = int(rng.integers(1, n)), 10.0 ** -rng.uniform(6.0, 7.0)
+    x, leak = int(rng.integers(1, n)), 10.0 ** -rng.uniform(*digits)
     m[x] *= leak
     m[x, x] += 1.0 - leak
     return TransitionKernel.finite(m)
 
 
-def test_every_one_class_projector_with_a_slow_exit_verifies(tmp_path: Path):
-    rng = np.random.default_rng(SLOW_EXIT_SEED)
-    for i in range(40):
+def assert_slow_exits_verify(tmp_path: Path, rng, count: int, digits=(6.0, 7.0)) -> list[float]:
+    """Analyze ``count`` slow-exit chains under ``ergodic``; each report must verify.  Returns the largest times."""
+    longest = []
+    for i in range(count):
         spec = tmp_path / f"slow_exit{i}.json"
-        spec.write_text(json.dumps(kernel_to_spec(slow_exit(rng))))
+        spec.write_text(json.dumps(kernel_to_spec(slow_exit(rng, digits))))
         rep = json.loads(report_json(run_analysis(AnalysisRequest(chain_path=str(spec), tasks=("ergodic",)))))
         assert rep["ergodic"]["projector"]["rank"] == 1, spec.name
         assert [item for item in verify_report(rep) if not item["ok"]] == [], spec.name
+        longest.append(max(rep["ergodic"]["projector"]["absorption_times"].values()))
+    return longest
+
+
+def test_every_one_class_projector_with_a_slow_exit_verifies(tmp_path: Path):
+    assert_slow_exits_verify(tmp_path, np.random.default_rng(SLOW_EXIT_SEED), 40)
+
+
+@pytest.mark.parametrize("digits", [10, 11, 12])
+def test_expected_times_past_1e10_verify(tmp_path: Path, digits):
+    # the slow state held with probability exactly 1 - 10^-digits: times of about 10^digits, whose rounding
+    # alone leaves a residual max |t - Q·t - 1| of about 2^-53 max t, past TIME_TOL from about 1e10 on
+    longest = assert_slow_exits_verify(tmp_path, np.random.default_rng([SLOW_EXIT_SEED, digits]), 20, (digits,) * 2)
+    assert max(longest) > 10.0**digits

@@ -13,7 +13,6 @@ from chargechain import (
     AnalysisRequest,
     CapacityError,
     NumericalError,
-    PreconditionError,
     TransitionKernel,
     birth_death,
     cesaro_kernel,
@@ -23,8 +22,10 @@ from chargechain import (
     finite_uniform,
     invariant_basis_finite,
     kernel_power,
+    kernel_to_spec,
     projector_finite,
     rate_fit,
+    report_json,
     run_analysis,
     swap2,
     two_absorbing,
@@ -42,41 +43,45 @@ def random_kernel(rng, n):
 
 def series(kernel, n_max):
     """(cesaro, raw) distance series against the kernel's own projector."""
-    return distance_series(kernel, n_max, projector_finite(kernel, invariant_basis_finite(kernel)))
+    return distance_series(kernel, n_max, limit(kernel))
+
+
+def limit(kernel):
+    """The kernel's dense limit projector P."""
+    return projector_finite(kernel, invariant_basis_finite(kernel))[1]
 
 
 def test_projector_absorption_example():
     k = two_absorbing()
-    pj = projector_finite(k, invariant_basis_finite(k))
-    assert pj.rank == 2
-    assert from_vector(k.space, pj.matrix[1]).atoms == pytest.approx({0: 0.5, 2: 0.5}, abs=RES_TOL)
-    assert from_vector(k.space, pj.matrix[0]).atoms == {0: 1.0}
-    assert from_vector(k.space, pj.matrix[2]).atoms == {2: 1.0}
+    section, p = projector_finite(k, invariant_basis_finite(k))
+    assert section["rank"] == 2
+    assert from_vector(k.space, p[1]).atoms == pytest.approx({0: 0.5, 2: 0.5}, abs=RES_TOL)
+    assert from_vector(k.space, p[0]).atoms == {0: 1.0}
+    assert from_vector(k.space, p[2]).atoms == {2: 1.0}
 
 
 def test_projector_irreducible_rows_equal_stationary():
     k = birth_death(4, 0.4, 0.3)
     pi = invariant_basis_finite(k).measures[0]
-    pj = projector_finite(k, invariant_basis_finite(k))
-    assert pj.rank == 1
+    section, p = projector_finite(k, invariant_basis_finite(k))
+    assert section["rank"] == 1
     for x in range(4):
-        assert (from_vector(k.space, pj.matrix[x]) - pi).total_variation() <= RES_TOL
+        assert (from_vector(k.space, p[x]) - pi).total_variation() <= RES_TOL
 
 
 def test_projector_identity():
     k = TransitionKernel.finite(np.eye(3))
-    pj = projector_finite(k, invariant_basis_finite(k))
-    assert pj.rank == 3
+    section, p = projector_finite(k, invariant_basis_finite(k))
+    assert section["rank"] == 3
     for x in range(3):
-        assert from_vector(k.space, pj.matrix[x]).atoms == {x: 1.0}
+        assert from_vector(k.space, p[x]).atoms == {x: 1.0}
 
 
 def test_projector_idempotent_and_intertwining():
     rng = np.random.default_rng(12)
     for _ in range(20):
         k = random_kernel(rng, int(rng.integers(2, 7)))
-        pj = projector_finite(k, invariant_basis_finite(k))
-        m, p = pj.matrix, k.matrix
+        m, p = limit(k), k.matrix
         for other in (m @ m, m @ p, p @ m):
             assert np.abs(other - m).sum(axis=1).max() <= RES_TOL
 
@@ -114,7 +119,7 @@ def test_raw_distance_examples():
 def test_single_point_distances_match_series():
     # the last element of each series is the n-step distance, computed apart
     k = TransitionKernel.finite([[0.9, 0.1], [0.2, 0.8]])
-    pi = projector_finite(k, invariant_basis_finite(k)).matrix
+    pi = limit(k)
     cesaro, raw = series(k, 7)
     assert len(cesaro) == len(raw) == 7
     assert cesaro[-1] == pytest.approx(np.abs(cesaro_kernel(k, 7).matrix - pi).sum(axis=1).max(), abs=TOL)
@@ -148,8 +153,8 @@ def test_rate_fit_trailing_zeros():
 
 
 def test_rate_fit_needs_enough_positives():
-    with pytest.raises(PreconditionError):
-        rate_fit([0.5, 0.4, 0.3, 0.2])
+    assert rate_fit([0.5, 0.4, 0.3, 0.2]) == {"kind": "undetermined"}
+    assert rate_fit([]) == {"kind": "undetermined"}
 
 
 def test_rate_fit_leaves_the_roundoff_floor_out():
@@ -159,8 +164,7 @@ def test_rate_fit_leaves_the_roundoff_floor_out():
     fit = rate_fit(seq)
     assert fit["kind"] == "geometric" and fit["ratio"] == pytest.approx(0.15, rel=1e-9)
     assert rate_fit(seq[:14] + [0.0] * 186)["kind"] == "finite_exact"  # exact zeros still end a decay
-    with pytest.raises(PreconditionError):
-        rate_fit(seq[:7] + seq[14:])  # 7 entries above the floor are too few
+    assert rate_fit(seq[:7] + seq[14:]) == {"kind": "undetermined"}  # 7 entries above the floor are too few
 
 
 def test_rate_fit_has_no_rate_for_a_tail_that_has_not_moved():
@@ -168,9 +172,7 @@ def test_rate_fit_has_no_rate_for_a_tail_that_has_not_moved():
     flat = [2.0 - 1e-12 * n + 1e-10 * (n % 2) for n in range(1, 201)]
     # constant at 2, as an irreducible periodic chain's raw distances: no decay at all
     for seq in (flat, [2.0] * 40):
-        with pytest.raises(PreconditionError, match="has not moved"):
-            rate_fit(seq)
-        assert ergodic.fitted_rate(seq)["kind"] == "undetermined"
+        assert rate_fit(seq) == {"kind": "undetermined"}
 
 
 def test_rate_fit_keeps_a_slow_clean_decay():
@@ -208,17 +210,17 @@ def test_char_poly_oracle_values():
 def test_ergodic_run_series_shape():
     sw = swap2()
     section = ergodic_run(sw, 20, invariant_basis_finite(sw))
-    assert section["projector"]["rank"] == projector_finite(sw, invariant_basis_finite(sw)).rank
+    assert section["projector"] == projector_finite(sw, invariant_basis_finite(sw))[0]
     assert len(section["cesaro"]["distances"]) == len(section["raw"]["distances"]) == 20
 
 
 def test_projector_rank_equals_basis_dimension():
     # the projector's classes are the chain's closed classes, one rank per class
     for k in (two_absorbing(), TransitionKernel.finite(np.eye(3)), birth_death(4, 0.3, 0.3)):
-        proj = projector_finite(k, invariant_basis_finite(k))
+        section, _ = projector_finite(k, invariant_basis_finite(k))
         classes = invariants.recurrent_classes(k)
-        assert proj.classes == classes
-        assert proj.rank == len(classes)
+        assert section["classes"] == [list(c) for c in classes]
+        assert section["rank"] == len(classes)
 
 
 def test_analysis_builds_one_projector_and_two_class_decompositions(monkeypatch):
@@ -266,7 +268,8 @@ def test_projector_rejects_non_finite_absorption():
         projector_finite(k, invariant_basis_finite(k))
 
 
-def test_projector_factors_rebuild_the_matrix():
+def test_projector_factors_rebuild_the_matrix(tmp_path):
+    # the section is the report's ergodic.projector, byte for byte, and H·Π rebuilt from it is P
     chains = (two_absorbing(), swap2(), birth_death(6, 0.3, 0.2), TransitionKernel.finite(np.eye(3)))
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -275,11 +278,15 @@ def test_projector_factors_rebuild_the_matrix():
         m[0, 0] = m[3, 3] = 1.0  # two absorbing states; the rest may be transient
         m[m.sum(axis=1) == 0.0, 0] = 1.0
         chains += (TransitionKernel.finite(m / m.sum(axis=1, keepdims=True)),)
-    for k in chains:
-        pj = projector_finite(k, invariant_basis_finite(k))
-        data = json.loads(json.dumps(pj.to_json()))
-        h = np.zeros((k.size, pj.rank))
-        pi = np.zeros((pj.rank, k.size))
+    for idx, k in enumerate(chains):
+        section, p = projector_finite(k, invariant_basis_finite(k))
+        spec = tmp_path / f"chain{idx}.json"
+        spec.write_text(json.dumps(kernel_to_spec(k)), encoding="utf-8")
+        report = report_json(run_analysis(AnalysisRequest(chain_path=str(spec), tasks=("ergodic",), n_max=8)))
+        data = json.loads(report)["ergodic"]["projector"]
+        assert json.dumps(section, sort_keys=True) == json.dumps(data, sort_keys=True)
+        h = np.zeros((k.size, data["rank"]))
+        pi = np.zeros((data["rank"], k.size))
         for i, (states, law) in enumerate(zip(data["classes"], data["stationary"])):
             h[states, i] = 1.0
             for x, w in law["atoms"].items():
@@ -287,7 +294,7 @@ def test_projector_factors_rebuild_the_matrix():
         for x, row in data["absorption"].items():
             h[int(x)] = row
         assert sorted(int(x) for x in data["absorption"]) == list(invariants.transient_states(k))
-        assert np.abs(h @ pi - pj.matrix).max() <= 1e-15
+        assert np.abs(h @ pi - p).max() <= 1e-15
 
 
 def test_projector_times_solve_their_equations():
@@ -299,15 +306,17 @@ def test_projector_times_solve_their_equations():
         m[m.sum(axis=1) == 0.0, 0] = 1.0
         chains.append(TransitionKernel.finite(m / m.sum(axis=1, keepdims=True)))
     for k in chains:
-        pj = projector_finite(k, invariant_basis_finite(k))
+        section, _ = projector_finite(k, invariant_basis_finite(k))
         p = k.matrix
-        trans = sorted(pj.absorption_times)
-        assert trans == sorted(pj.absorption) == list(invariants.transient_states(k))
-        t = np.array([pj.absorption_times[x] for x in trans])
+        absorption_times = {int(x): t for x, t in section["absorption_times"].items()}
+        trans = sorted(absorption_times)
+        assert trans == sorted(map(int, section["absorption"])) == list(invariants.transient_states(k))
+        t = np.array([absorption_times[x] for x in trans])
         assert np.abs(t - p[np.ix_(trans, trans)] @ t - 1.0).max(initial=0.0) <= 1e-12 * t.max(initial=1.0)
-        for c, pi, times in zip(pj.classes, pj.stationary, pj.hitting_times):
+        for c, law, hitting in zip(section["classes"], section["stationary"], section["hitting_times"]):
+            times = {int(x): t for x, t in hitting.items()}
             (anchor,) = set(c) - set(times)
-            assert pi.atoms[anchor] == max(pi.atoms.values())
+            assert law["atoms"][str(anchor)] == max(law["atoms"].values())
             rest = sorted(times)
             h = np.array([times[x] for x in rest])
             assert np.abs(h - p[np.ix_(rest, rest)] @ h - 1.0).max(initial=0.0) <= 1e-12 * h.max(initial=1.0)
@@ -319,11 +328,11 @@ def test_distance_series_is_the_sequential_loop():
     chains = [two_absorbing(), swap2(), birth_death(30, 0.3, 0.2)]
     chains += [TransitionKernel.finite(m) for m in table_matrices(29, 8, subnormals=False)]
     for k in chains:
-        pj = projector_finite(k, invariant_basis_finite(k))
-        cesaro, raw = distance_series(k, 40, pj)
+        p = limit(k)
+        cesaro, raw = distance_series(k, 40, p)
         ref = sequential_powers(k.matrix, 40)
-        assert raw == [float(np.abs(cur - pj.matrix).sum(axis=1).max()) for cur, _ in ref]
-        assert cesaro == [float(np.abs(acc / n - pj.matrix).sum(axis=1).max()) for n, (_, acc) in enumerate(ref, 1)]
+        assert raw == [float(np.abs(cur - p).sum(axis=1).max()) for cur, _ in ref]
+        assert cesaro == [float(np.abs(acc / n - p).sum(axis=1).max()) for n, (_, acc) in enumerate(ref, 1)]
 
 
 def test_distance_series_keeps_the_bits_of_the_textbook_reduction():
@@ -340,12 +349,12 @@ def test_distance_series_keeps_the_bits_of_the_textbook_reduction():
     cases += [(random_kernel(rng, 181), 5), (random_kernel(rng, 182), 3), (random_kernel(rng, 257), 2)]
     cases += [(random_kernel(rng, n), 1) for n in (1, 12, 182)]
     for k, n_max in cases:
-        pj = projector_finite(k, invariant_basis_finite(k))
-        cesaro, raw = distance_series(k, n_max, pj)
+        p = limit(k)
+        cesaro, raw = distance_series(k, n_max, p)
         ref = sequential_powers(k.matrix, n_max)
-        assert [d.hex() for d in raw] == [float(np.abs(cur - pj.matrix).sum(axis=1).max()).hex() for cur, _ in ref]
+        assert [d.hex() for d in raw] == [float(np.abs(cur - p).sum(axis=1).max()).hex() for cur, _ in ref]
         assert [d.hex() for d in cesaro] == [
-            float(np.abs(acc / n - pj.matrix).sum(axis=1).max()).hex() for n, (_, acc) in enumerate(ref, 1)
+            float(np.abs(acc / n - p).sum(axis=1).max()).hex() for n, (_, acc) in enumerate(ref, 1)
         ]
 
 
@@ -359,21 +368,21 @@ def test_distance_series_keeps_the_bits_of_the_textbook_reduction_on_paneled_cha
     cases += [(TransitionKernel.finite(banded_matrix(rng, 182, 3)), 3)]
     for k, n_max in cases:
         assert kernels._panels(k.matrix) is not None
-        pj = projector_finite(k, invariant_basis_finite(k))
-        cesaro, raw = distance_series(k, n_max, pj)
+        p = limit(k)
+        cesaro, raw = distance_series(k, n_max, p)
         ref = [(cur, acc.copy()) for cur, acc in itertools.islice(kernels.powers(k), n_max)]
-        assert [d.hex() for d in raw] == [float(np.abs(cur - pj.matrix).sum(axis=1).max()).hex() for cur, _ in ref]
+        assert [d.hex() for d in raw] == [float(np.abs(cur - p).sum(axis=1).max()).hex() for cur, _ in ref]
         assert [d.hex() for d in cesaro] == [
-            float(np.abs(acc / n - pj.matrix).sum(axis=1).max()).hex() for n, (_, acc) in enumerate(ref, 1)
+            float(np.abs(acc / n - p).sum(axis=1).max()).hex() for n, (_, acc) in enumerate(ref, 1)
         ]
 
 
 @pytest.mark.parametrize("n_max", [1, 7, 200])
 def test_distance_series_reads_n_max_steps_of_the_powers(power_steps, n_max):
     k = birth_death(15, 0.3, 0.2)
-    pj = projector_finite(k, invariant_basis_finite(k))
+    p = limit(k)
     power_steps.clear()
-    cesaro, raw = distance_series(k, n_max, pj)
+    cesaro, raw = distance_series(k, n_max, p)
     assert power_steps == [15] * n_max
     assert len(cesaro) == len(raw) == n_max
 

@@ -475,6 +475,9 @@ def test_matrix_and_rows_specs_give_the_same_kernel():
         ([{"0": float("nan")}, {"1": 1.0}], r"row 0: non-finite probability at column 0"),
         ([{"0": 1.2, "1": -0.2}, {"1": 1.0}], r"row 0: negative probability at column 1"),
         ([], r"finite space needs size >= 1, got 0"),
+        ([{"0": True}, {"1": 1.0}], r"rows\[0\]: column '0' = True is not a number"),  # a JSON number, never a bool
+        ([{"0": 1.0}, {"1": "1"}], r"rows\[1\]: column '1' = '1' is not a number"),  # nor a numeric string
+        ([{"0": 10**400}, {"1": 1.0}], r"rows\[0\]: column '0' = 10+ is not a number"),  # past the float range
     ],
 )
 def test_malformed_rows_are_rejected_by_name(rows, message):
@@ -724,7 +727,7 @@ def test_A_of_projector_rows_adds_weighted_rows_in_order():
     # a subnormal exit from a transient set makes the absorption solve singular
     kernels += [TransitionKernel.finite(m) for m in table_matrices(29, 8, subnormals=False)]
     for k in kernels:
-        for mu in (from_vector(k.space, row) for row in projector_finite(k, invariant_basis_finite(k)).matrix):
+        for mu in (from_vector(k.space, row) for row in projector_finite(k, invariant_basis_finite(k))[1]):
             atoms = {}
             for x, w in sorted(mu.atoms.items()):
                 for y in np.flatnonzero(k.matrix[x]).tolist():

@@ -141,6 +141,18 @@ MALFORMED = {
         "conditions format",
     ),
     "ergodic section not an object": (lambda rep: rep.update(ergodic=[1]), "ergodic format"),
+    # JSON booleans and numeric strings are no numbers: float(True) and float("1.0") would read as 1.0
+    "measure weight a bool": (
+        lambda rep: rep["invariants"]["measures"][0]["atoms"].update({"0": True}),
+        "invariants format",
+    ),
+    "measure weight a string": (
+        lambda rep: rep["invariants"]["measures"][0]["atoms"].update({"0": "1.0"}),
+        "invariants format",
+    ),
+    "set atom a bool": (set_beta_pair(d1={"atoms": [False], "complement": False, "tails": []}), "conditions format"),
+    "set atom a string": (set_beta_pair(d1={"atoms": ["0"], "complement": False, "tails": []}), "conditions format"),
+    "D order a bool": (lambda rep: rep["conditions"]["D"]["witness"].update(k=True), "D witness"),
     "invariant residuals missing": (lambda rep: rep["invariants"].pop("residuals"), "invariants format"),
     "invariant residual dropped": (lambda rep: rep["invariants"]["residuals"].pop(), "invariants format"),
 }

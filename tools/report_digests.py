@@ -4,16 +4,17 @@
 
 SRC is a ``src/`` directory holding the ``chargechain`` package.  For every
 catalog entry (default tasks and horizons, then each task that applies to
-it on its own), seven edge chains under the default tasks (``EDGE_CHAINS``:
+it on its own), eight edge chains under the default tasks (``EDGE_CHAINS``:
 one over the small-set cap, one whose states swap with probability 2^-40,
 a walk on Z with an exception row whose tail rows send mass across the
 ends both ways, drift_walk_N(0.45), positive recurrent with a slow
 geometric law, a walk on N whose tail sends mass to a fixed state past
 the largest escape window, and a walk on Z whose rows of 1 and -1 jump 2
 toward 0, onto their mirror target, which ``row`` merges with the jump,
-and a 5-state chain whose one closed class is the absorbing state 0 and
-whose state 4 stays put with probability 1 - 10^-7, so that the projector
-check meets expected times of about 10^7 steps),
+and two 5-state chains whose one closed class is the absorbing state 0 and
+whose state 4 stays put with probability 1 - 10^-7 or 1 - 10^-11, so that
+the projector check meets expected times of about 10^7 and 10^11 steps;
+rounding the latter alone leaves residuals past ``TIME_TOL``),
 and every case of the three benchmark workloads at each
 seed (the workload's own tasks and horizons), the script analyzes the chain, and
 writes to OUT, as sorted JSON, the sha256 of the
@@ -66,17 +67,23 @@ EDGE_CHAINS = {
         "tail_+inf": {"relative": {"-2": 0.35, "-1": 0.25, "1": 0.1, "2": 0.1}, "to_other_end": {"-inf": 0.2}},
         "tail_-inf": {"relative": {"2": 0.35, "1": 0.25, "-1": 0.1, "-2": 0.1}, "to_other_end": {"+inf": 0.2}},
     },
-    "slow_exit_one_class": lambda cc: {
+    "slow_exit_one_class": lambda cc: slow_exit_one_class(1e-7),
+    "slow_exit_one_class_1e-11": lambda cc: slow_exit_one_class(1e-11),
+}
+
+
+def slow_exit_one_class(leak: float) -> dict:
+    """5 states whose one closed class is the absorbing state 0; state 4 stays put with probability 1 - leak."""
+    return {
         "kind": "finite",
         "matrix": [
             [1.0, 0.0, 0.0, 0.0, 0.0],
             [0.5, 0.0, 0.25, 0.25, 0.0],
             [0.0, 0.0, 0.0, 0.6, 0.4],
-            [0.3333333333333333, 0.2222222222222222, 0.2222222222222222, 0.0, 0.2222222222222222],
-            [2.222222222222222e-08, 2.222222222222222e-08, 2.222222222222222e-08, 3.333333333333333e-08, 0.9999999],
+            [1 / 3, 2 / 9, 2 / 9, 0.0, 2 / 9],
+            [leak * (2 / 9)] * 3 + [leak * (1 / 3), 1.0 - leak],
         ],
-    },
-}
+    }
 
 
 def digest(cc, request) -> dict:
