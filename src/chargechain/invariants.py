@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, StructureError, ValidationError
 from .kernels import TransitionKernel, apply_A, edges, successors, truncate, truncate_reflecting
-from .measures import FAMeasure, end_direction
+from .measures import FAMeasure, end_direction, tv_distance
 
 INVARIANCE_TOL = 1e-10
 #: the largest escape window: its matrix on Z is (2·1024 + 3)² floats, 33.6 MB
@@ -47,7 +47,7 @@ def measure_kind(mu: FAMeasure) -> str | None:
 
 def invariance_residual(kernel: TransitionKernel, mu: FAMeasure) -> float:
     """Total variation of A(mu) - mu."""
-    return (apply_A(kernel, mu) - mu).total_variation()
+    return tv_distance(apply_A(kernel, mu), mu)
 
 
 # -- finite-chain structure -----------------------------------------------------

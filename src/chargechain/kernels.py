@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StructureError, ValidationError
-from .measures import END_NEG, END_POS, FAMeasure, StateSpace, json_number
+from .measures import END_NEG, END_POS, FAMeasure, StateSpace, int_keyed, json_number
 
 ROW_SUM_TOL = 1e-9
 MAX_OFFSET = 64
@@ -65,7 +65,7 @@ class TailRow:
     to_other_end: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        tables = {name: _int_keyed(getattr(self, name), f"{name}: key") for name in ("relative", "to_finite")}
+        tables = {name: int_keyed(getattr(self, name), f"{name}: key") for name in ("relative", "to_finite")}
         tables["to_other_end"] = {str(k): v for k, v in self.to_other_end.items()}
         for name, table in tables.items():
             object.__setattr__(self, name, {k: _probability(v, f"{name}[{k!r}]") for k, v in table.items()})
@@ -116,8 +116,8 @@ class TransitionKernel:
             raise ValidationError(f"support must be 'N' or 'Z', got {support!r}")
         try:
             exceptions = {
-                x: {y: _probability(p, f"row {x}: target {y}") for y, p in _int_keyed(row, f"row {x}: target").items()}
-                for x, row in _int_keyed(exceptions or {}, "state").items()
+                x: {y: _probability(p, f"row {x}: target {y}") for y, p in int_keyed(row, f"row {x}: target").items()}
+                for x, row in int_keyed(exceptions or {}, "state").items()
             }
         except (TypeError, ValueError, AttributeError, ValidationError) as exc:
             raise ValidationError(f"bad exceptions table: {exc}") from exc
@@ -453,7 +453,7 @@ def _matrix_from_rows(rows) -> np.ndarray:
         for key, p in row.items():
             y = columns.get(key)
             if y is None:  # spelled another way, or outside the columns
-                (y,) = _int_keyed({key: p}, f"rows[{x}]: column")
+                (y,) = int_keyed({key: p}, f"rows[{x}]: column")
                 if not 0 <= y < n:
                     raise ValidationError(f"rows[{x}]: column {str(y)!r} outside 0..{n - 1}")
             try:
@@ -482,21 +482,6 @@ def _probability(p, what: str) -> float:
         return float(json_number(p))
     except (TypeError, OverflowError):  # OverflowError: an int past the float range
         raise ValidationError(f"{what} = {p!r} is not a number") from None
-
-
-def _int_keyed(table: dict, what: str) -> dict:
-    """``table`` keyed by ints, each spelled one way (an int or its decimal string): "07", "+7" or " 7" would
-    alias "7", and the last would win silently, so each raises, named by ``what``."""
-    out = {}
-    for key, value in table.items():
-        try:
-            y = int(key)
-        except (TypeError, ValueError):
-            y = None
-        if y is None or str(y) != str(key):
-            raise ValidationError(f"{what} {key!r} is not an integer")
-        out[y] = value
-    return out
 
 
 def kernel_to_spec(kernel: TransitionKernel) -> dict:

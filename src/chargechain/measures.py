@@ -21,6 +21,8 @@ the program only runs measures.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,14 +92,12 @@ def end_direction(ident: str) -> int:
 
 
 def _check_states(space: StateSpace, states, what: str) -> None:
-    if space.is_finite:  # the bounds test of contains_state, without a call per state
-        n = space.size
-        for x in states:
-            if not 0 <= int(x) < n:
-                raise DomainError(f"{what}: state {x} not in space")
+    """The bounds test of ``contains_state``, without a call per state."""
+    if space.support == "Z":
         return
+    n = space.size if space.is_finite else math.inf
     for x in states:
-        if not space.contains_state(int(x)):
+        if not 0 <= int(x) < n:
             raise DomainError(f"{what}: state {x} not in space")
 
 
@@ -161,37 +161,6 @@ def measurable(space: StateSpace, atoms=(), tails=(), complement: bool = False) 
     return MeasurableSet(space, frozenset(atoms), kept, complement)
 
 
-def set_from_json(space: StateSpace, obj: dict) -> MeasurableSet:
-    """Read a set literal; a field or entry of the wrong shape raises ValidationError naming it."""
-    atoms = _entries("set literal", obj, "atoms", list, lambda i, a: json_number(a, int))
-    tails = _entries("set literal", obj, "tails", list, lambda i, t: (t["end"], json_number(t["after"], int)))
-    return measurable(space, atoms, tails, bool(obj.get("complement", False)))
-
-
-def json_number(value, kind: type | tuple[type, ...] = (int, float)):
-    """``value`` when JSON wrote it as a number of ``kind``, an int or a float by default; else TypeError.
-
-    A bool, which Python counts as an int, and a numeric string are no numbers.
-    """
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{value!r} is not {'an integer' if kind is int else 'a number'}")
-    return value
-
-
-def _entries(what: str, obj: dict, name: str, kind: type, read) -> list:
-    """``read(key, entry)`` of each entry of the JSON array or object ``obj[name]``; a wrong shape raises, named."""
-    value = obj.get(name, kind())
-    if not isinstance(value, kind):
-        raise ValidationError(f"{what}: {name} = {value!r} is not a JSON {'array' if kind is list else 'object'}")
-    out = []
-    for key, entry in value.items() if kind is dict else enumerate(value):
-        try:
-            out.append(read(key, entry))
-        except (TypeError, ValueError, KeyError, OverflowError) as exc:  # OverflowError: int() of inf, read from 1e309
-            raise ValidationError(f"{what}: bad entry {name}[{key!r}] = {entry!r}") from exc
-    return out
-
-
 @dataclass(frozen=True)
 class FAMeasure:
     """Signed finitely additive measure: sparse atoms + per-end charge weights.
@@ -222,11 +191,6 @@ class FAMeasure:
         """Value on the whole space."""
         return math.fsum(self.atoms.values()) + math.fsum(self.ends.values())
 
-    def total_variation(self) -> float:
-        return math.fsum(abs(v) for v in self.atoms.values()) + math.fsum(
-            abs(v) for v in self.ends.values()
-        )
-
     def is_nonnegative(self, tol: float = 0.0) -> bool:
         return all(v >= -tol for v in self.atoms.values()) and all(
             v >= -tol for v in self.ends.values()
@@ -246,9 +210,6 @@ class FAMeasure:
         for k, v in other.ends.items():
             ends[k] = ends.get(k, 0.0) + v
         return FAMeasure(self.space, atoms, ends)
-
-    def __sub__(self, other: "FAMeasure") -> "FAMeasure":
-        return self + (other * -1.0)
 
     def __mul__(self, c: float) -> "FAMeasure":
         return FAMeasure(
@@ -277,6 +238,17 @@ def _same_space(a, b) -> None:
         raise DomainError("objects live on different state spaces")
 
 
+def tv_distance(mu: FAMeasure, nu: FAMeasure) -> float:
+    """The total variation of mu - nu, without forming the difference; inf past the float range."""
+    _same_space(mu, nu)
+    try:
+        return math.fsum(
+            abs(mu.atoms.get(x, 0.0) - nu.atoms.get(x, 0.0)) for x in mu.atoms.keys() | nu.atoms.keys()
+        ) + math.fsum(abs(mu.ends.get(e, 0.0) - nu.ends.get(e, 0.0)) for e in mu.ends.keys() | nu.ends.keys())
+    except OverflowError:
+        return math.inf
+
+
 def to_vector(mu: FAMeasure) -> np.ndarray:
     if not mu.space.is_finite:
         raise DomainError("to_vector needs a finite space")
@@ -284,17 +256,6 @@ def to_vector(mu: FAMeasure) -> np.ndarray:
     for k, w in mu.atoms.items():
         v[k] = w
     return v
-
-
-def measure_from_json(space: StateSpace, obj: dict) -> FAMeasure:
-    """Read a measure literal; a wrong shape or a non-finite weight raises ValidationError naming the entry."""
-    atoms = dict(_entries("measure literal", obj, "atoms", dict, lambda k, w: (int(k), float(json_number(w)))))
-    ends = dict(_entries("measure literal", obj, "ends", dict, lambda k, w: (str(k), float(json_number(w)))))
-    for field_name, weights in (("atoms", atoms), ("ends", ends)):
-        for k, v in weights.items():
-            if not math.isfinite(v):
-                raise ValidationError(f"measure literal: non-finite weight {v!r} at {field_name}[{k!r}]")
-    return FAMeasure(space, atoms, ends)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -365,3 +326,166 @@ def singularity_witness(mu1: FAMeasure, mu2: FAMeasure) -> tuple[MeasurableSet, 
         return measurable(space, atoms=set(mu.atoms), tails=tails)
 
     return support(mu1), support(mu2)
+
+
+# -- JSON reading ---------------------------------------------------------------
+
+def json_number(value, kind: type | tuple[type, ...] = (int, float)):
+    """``value`` when JSON wrote it as a number of ``kind``, an int or a float by default; else TypeError.
+
+    A bool, which Python counts as an int, and a numeric string are no numbers.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{value!r} is not {'an integer' if kind is int else 'a number'}")
+    return value
+
+
+def int_keyed(table: dict, what: str) -> dict:
+    """``table`` keyed by ints, each spelled one way (an int or its decimal string): "07", "+7" or " 7" would
+    alias "7", and the last would win silently, so each raises, named by ``what``."""
+    out = {}
+    for key, value in table.items():
+        try:
+            y = int(key)
+        except (TypeError, ValueError):
+            y = None
+        if y is None or str(y) != str(key):
+            raise ValidationError(f"{what} {key!r} is not an integer")
+        out[y] = value
+    return out
+
+
+class ShapeError(ValidationError):
+    """A JSON value that does not read by its shape (``reader``); the message names the path to it."""
+
+    def __init__(self, what: str):
+        super().__init__(what)
+        self.what, self.keys = what, []  # the keys from the value outward
+
+    def __str__(self) -> str:
+        path = "".join(f".{k}" if str(k).isidentifier() else f"[{k!r}]" for k in reversed(self.keys))
+        return f"{path.lstrip('.')}: {self.what}" if path else self.what
+
+
+#: the leaf shapes whose values, when JSON wrote them as that type, read as they are
+_LEAVES = (int, float, bool, str)
+
+
+def reader(shape):
+    """The function of (value, space) that reads a JSON value by ``shape`` into plain typed values.
+
+    A shape is a leaf: ``int``, a JSON integer (``json_number``); ``float``, a finite JSON number, read as a
+    float; ``bool``, a JSON boolean; ``str``; ``FAMeasure`` or ``MeasurableSet``, a measure or set literal on
+    ``space``.  Or ``[shape]``, a JSON array of entries of that shape; a tuple of shapes, an array of one entry
+    per shape; ``{int: shape}``, a JSON object keyed by states (``int_keyed``), read with int keys;
+    ``{str: shape}``, an object of any keys; or a dict of fields, an object read into a dict of those fields,
+    where a field named with a trailing "?" may be absent or null.  Fields not named are not read.  A value
+    that does not read raises ShapeError naming its path; a literal's DomainError, such as an atom outside
+    ``space``, passes as it is.  A value that reads as it is (a leaf of its own JSON type, or a container of
+    such values) is returned as it is, without a call or a copy.
+    """
+    if type(shape) is type:
+        return lambda value, space: _leaf(shape, value, space)
+    if type(shape) is list or len(shape) == 1 and next(iter(shape)) in (int, str):
+        return _entries_reader(shape)
+    return _fields_reader(shape)
+
+
+def _entries_reader(shape):
+    """The reader of an array of any length, or of a table of any keys: every entry has one shape."""
+    keys, entry_shape = (None, shape[0]) if type(shape) is list else next(iter(shape.items()))
+    entry, exact = reader(entry_shape), entry_shape if entry_shape in _LEAVES else None
+
+    def read(value, space):
+        if type(value) is not (list if keys is None else dict):
+            raise ShapeError(f"{reprlib.repr(value)} is not a JSON {'array' if keys is None else 'object'}")
+        out = int_keyed(value, "key") if keys is int else value
+        for key, item in enumerate(out) if keys is None else out.items():
+            if type(item) is exact and (exact is not float or math.isfinite(item)):
+                continue  # a leaf, read as it is
+            try:
+                typed = entry(item, space)
+            except (TypeError, ValidationError) as exc:
+                raise _at(exc, key) from None
+            if typed is not item:  # copied once, on the first entry that reads as another value
+                out = (list(out) if keys is None else dict(out)) if out is value else out
+                out[key] = typed
+        return out
+
+    return read
+
+
+def _fields_reader(shape):
+    """The reader of an object of named fields (a dict shape), or of an array of one entry per shape (a tuple)."""
+    named = type(shape) is dict
+    fields = [
+        (name.rstrip("?") if named else name, named and name.endswith("?"), s if s in _LEAVES else None, reader(s))
+        for name, s in (shape.items() if named else enumerate(shape))
+    ]
+
+    def read(value, space):
+        if type(value) is not (dict if named else list) or not named and len(value) != len(fields):
+            what = "object" if named else f"array of {len(fields)} entries"
+            raise ShapeError(f"{reprlib.repr(value)} is not a JSON {what}")
+        out = value
+        for key, optional, exact, read_field in fields:
+            item = value.get(key) if named else value[key]
+            if type(item) is exact and (exact is not float or math.isfinite(item)) or item is None and optional:
+                continue  # a leaf read as it is, or an optional field that is absent or null
+            try:
+                if named and item is None and key not in value:
+                    raise ShapeError("missing")
+                typed = read_field(item, space)
+            except (TypeError, ValidationError) as exc:
+                raise _at(exc, key) from None
+            if typed is not item:  # copied once, on the first field that reads as another value
+                out = (dict(out) if named else list(out)) if out is value else out
+                out[key] = typed
+        return out
+
+    return read
+
+
+def _at(exc: Exception, key) -> ShapeError:
+    """``exc``, raised reading the entry ``key``, as a ShapeError whose path ends there."""
+    exc = exc if isinstance(exc, ShapeError) else ShapeError(str(exc))
+    exc.keys.append(key)
+    return exc
+
+
+def _leaf(shape: type, value, space: StateSpace | None):
+    """``value`` read by the leaf ``shape``; a value of another JSON type raises TypeError."""
+    if shape is FAMeasure or shape is MeasurableSet:
+        return (measure_from_json if shape is FAMeasure else set_from_json)(space, value)
+    if shape in (bool, str):
+        if type(value) is not shape:  # 0 and 1 are no booleans
+            raise TypeError(f"{value!r} is not a {'boolean' if shape is bool else 'string'}")
+        return value
+    if shape is int or abs(json_number(value)) <= sys.float_info.max:  # not nan or inf, nor an int past the floats
+        return json_number(value, int) if shape is int else float(value)
+    raise TypeError(f"{value!r} is not a finite number")
+
+
+#: the JSON shape of a measure literal and of a set literal
+MEASURE_LITERAL = {"atoms?": {int: float}, "ends?": {str: float}}
+SET_LITERAL = {"atoms?": [int], "tails?": [{"end": str, "after": int}], "complement?": bool}
+_READ_MEASURE, _READ_SET = reader(MEASURE_LITERAL), reader(SET_LITERAL)
+
+
+def measure_from_json(space: StateSpace, obj: dict) -> FAMeasure:
+    """Read a measure literal (``MEASURE_LITERAL``); what does not read raises ShapeError naming its path, and
+    so do weights whose absolute values sum past the float range: every sum of the measure stays in range."""
+    literal = _READ_MEASURE(obj, space)
+    atoms, ends = literal.get("atoms") or {}, literal.get("ends") or {}
+    try:
+        math.fsum(map(abs, [*atoms.values(), *ends.values()]))
+    except OverflowError:
+        raise ShapeError("its weights sum past the float range") from None
+    return FAMeasure(space, atoms, ends)
+
+
+def set_from_json(space: StateSpace, obj: dict) -> MeasurableSet:
+    """Read a set literal (``SET_LITERAL``); what does not read raises ShapeError naming its path."""
+    literal = _READ_SET(obj, space)
+    tails = [(t["end"], t["after"]) for t in literal.get("tails") or ()]
+    return measurable(space, literal.get("atoms") or (), tails, bool(literal.get("complement")))

@@ -119,6 +119,15 @@ def end_charge(space: StateSpace, ident: str, weight: float = 1.0) -> FAMeasure:
     return FAMeasure(space, ends={ident: float(weight)})
 
 
+def norm(mu: FAMeasure) -> float:
+    """The total variation of mu: the absolute weights of its atoms summed, plus those of its ends."""
+    return math.fsum(abs(v) for v in mu.atoms.values()) + math.fsum(abs(v) for v in mu.ends.values())
+
+
+def minus(mu: FAMeasure, nu: FAMeasure) -> FAMeasure:
+    return mu + nu * -1.0
+
+
 def from_vector(space: StateSpace, vec) -> FAMeasure:
     if not space.is_finite:
         raise DomainError("from_vector needs a finite space")

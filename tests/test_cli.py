@@ -339,6 +339,28 @@ def test_verify_report_on_a_report_that_is_no_object_exits_2(tmp_path: Path, cap
     assert capsys.readouterr().err == f"error: report must be a JSON object, got {kind}\n"
 
 
+# each subcommand that reads a JSON file, with the name its errors give the file
+FILE_READERS = [(["analyze", "--chain"], "chain file"), (["verify-report", "--report"], "report")]
+
+
+@pytest.mark.parametrize("argv, what", FILE_READERS, ids=["chain", "report"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path: Path, capsys, argv, what):
+    # the bytes of a UTF-16 byte order mark and "{}": reading them as UTF-8 raised UnicodeDecodeError, with exit 1
+    path = tmp_path / "utf16.json"
+    path.write_bytes(bytes.fromhex("fffe7b7d"))
+    assert run_cli([*argv, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {what} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("argv, what", FILE_READERS, ids=["chain", "report"])
+def test_a_file_with_an_integer_past_the_conversion_limit_exits_2(tmp_path: Path, capsys, argv, what):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on an integer literal of more than 4300 digits
+    path = tmp_path / "long.json"
+    path.write_text("[" + "1" * 5000 + "]")
+    assert run_cli([*argv, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {what} is not valid JSON: ")
+
+
 def test_capacity_exits_3(tmp_path: Path):
     big = tmp_path / "big.json"
     m = [[1.0 if i == j else 0.0 for j in range(25)] for i in range(25)]

@@ -30,6 +30,7 @@ from chargechain import (
     swap2,
     two_absorbing,
 )
+from chargechain.measures import tv_distance
 from oracles import char_poly_second_modulus, from_vector
 
 TOL = 1e-12
@@ -66,7 +67,7 @@ def test_projector_irreducible_rows_equal_stationary():
     section, p = projector_finite(k, invariant_basis_finite(k))
     assert section["rank"] == 1
     for x in range(4):
-        assert (from_vector(k.space, p[x]) - pi).total_variation() <= RES_TOL
+        assert tv_distance(from_vector(k.space, p[x]), pi) <= RES_TOL
 
 
 def test_projector_identity():

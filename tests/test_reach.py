@@ -5,7 +5,9 @@ Under ``sys.setprofile`` the test runs what the command line runs:
 entry and every edge chain of ``tools/report_digests.py``; ``cli.main`` on
 ``analyze --out``, ``--format csv`` on a finite chain and on a walk,
 ``verify-report`` and ``catalog list``; and ``verify_report`` on a report
-whose (beta) set is complemented.  It fails on any function or method
+whose (beta) set is complemented, and on one whose (beta) index is a
+boolean.  Importing the package, as the command line does, counts too: it
+builds the readers of the report shapes.  It fails on any function or method
 defined in ``src/chargechain`` that none of them enters, apart from those
 in ``UNREACHED``, which a file outside the package reads.
 """
@@ -13,6 +15,7 @@ in ``UNREACHED``, which a file outside the package reads.
 import importlib.util
 import inspect
 import json
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -63,6 +66,20 @@ def _entered(run) -> set[tuple[str, int, str]]:
     return {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name) for c in codes}
 
 
+def _entered_on_import() -> set[tuple[str, int, str]]:
+    """The functions that importing the package enters, in a fresh interpreter."""
+    script = (
+        "import json, sys\n"
+        "codes = set()\n"
+        "sys.setprofile(lambda frame, event, arg: event == 'call' and codes.add(frame.f_code))\n"
+        "import chargechain\n"
+        "sys.setprofile(None)\n"
+        "print(json.dumps([[c.co_filename, c.co_firstlineno, c.co_name] for c in codes]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout
+    return {(str(Path(path).resolve()), line, name) for path, line, name in json.loads(out)}
+
+
 def _edge_chains() -> dict:
     spec = importlib.util.spec_from_file_location("report_digests", ROOT / "tools" / "report_digests.py")
     module = importlib.util.module_from_spec(spec)
@@ -95,10 +112,15 @@ def _run_the_program(tmp: Path) -> None:
     failed = [item["check"] for item in verify_report(tampered) if not item["ok"]]
     assert failed == ["beta witness (0,1)"]
 
+    # a value of another JSON type: the section does not read, and its path is named
+    tampered["conditions"]["beta"]["witnesses"][0]["i"] = False
+    failed = [(item["check"], item["detail"]) for item in verify_report(tampered) if not item["ok"]]
+    assert failed == [("conditions format", "ValidationError: conditions.beta.witnesses[0].i: False is not an integer")]
+
 
 def test_every_function_is_entered(tmp_path, capsys):
     defined = _defined()
-    entered = _entered(lambda: _run_the_program(tmp_path))
+    entered = _entered(lambda: _run_the_program(tmp_path)) | _entered_on_import()
     capsys.readouterr()  # what the command line printed
     unreached = sorted(name for key, name in defined.items() if key not in entered)
     assert unreached == sorted(UNREACHED)

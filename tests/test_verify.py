@@ -85,7 +85,7 @@ TAMPERED = {
     "rank edited": (lambda rep: rep["ergodic"]["projector"].update(rank=3), "projector classes"),
     "class state not an integer": (
         lambda rep: rep["ergodic"]["projector"].update(classes=[[0.5], [2]]),
-        "projector classes",
+        "ergodic format",
     ),
     "class dropped": (drop_second_class, "projector classes"),
     "class not closed": (open_class, "projector classes"),
@@ -106,7 +106,7 @@ TAMPERED = {
     "kind edited": (edit_key("cesaro", "kind", "subgeometric"), "cesaro rate fit"),
     "dense rows relabelled as schema 3": (
         lambda rep: rep["ergodic"].update(projector={"rank": 2, "rows": {}}),
-        "projector format",
+        "ergodic format",
     ),
 }
 
@@ -119,6 +119,12 @@ def test_tampered_projector_or_rate_fails(tmp_path: Path, capsys, case):
     code, out = verify(tmp_path, rep, capsys)
     assert code == 1
     assert f"FAILED: {failed}" in out
+
+
+def distances_as_strings(rep):
+    for mode in ("cesaro", "raw"):
+        run = rep["ergodic"][mode]
+        run["distances"] = [repr(d) for d in run["distances"]]
 
 
 def set_beta_pair(**values):
@@ -152,9 +158,36 @@ MALFORMED = {
     ),
     "set atom a bool": (set_beta_pair(d1={"atoms": [False], "complement": False, "tails": []}), "conditions format"),
     "set atom a string": (set_beta_pair(d1={"atoms": ["0"], "complement": False, "tails": []}), "conditions format"),
-    "D order a bool": (lambda rep: rep["conditions"]["D"]["witness"].update(k=True), "D witness"),
+    "D order a bool": (lambda rep: rep["conditions"]["D"]["witness"].update(k=True), "conditions format"),
     "invariant residuals missing": (lambda rep: rep["invariants"].pop("residuals"), "invariants format"),
     "invariant residual dropped": (lambda rep: rep["invariants"]["residuals"].pop(), "invariants format"),
+    # a value of another JSON type, which float(), int() or == would read as a number or a boolean
+    "beta pair indices booleans": (set_beta_pair(i=False, j=True), "conditions format"),
+    "alpha index a bool": (lambda rep: rep["conditions"]["alpha"][1].update(index=True), "conditions format"),
+    "D vacuous 0": (lambda rep: rep["conditions"]["D"]["witness"].update(vacuous=0), "conditions format"),
+    "star holds 1": (lambda rep: rep["conditions"]["star"].update(holds=1), "conditions format"),
+    "tilde_star holds 1": (lambda rep: rep["conditions"]["tilde_star"].update(holds=1), "conditions format"),
+    "beta holds 1": (lambda rep: rep["conditions"]["beta"].update(holds=1), "conditions format"),
+    "distances numeric strings": (distances_as_strings, "ergodic format"),
+    "absorption entries strings": (set_row(["0.5", "0.5"]), "ergodic format"),
+    "absorption times strings": (
+        lambda rep: rep["ergodic"]["projector"].update(absorption_times={"1": "1.0"}),
+        "ergodic format",
+    ),
+    "horizons k_max a string": (lambda rep: rep["horizons"].update(k_max="5"), "horizons format"),
+    # a state key spelled two ways: int() reads each as the same state, and the last entry would win
+    "absorption row under 01": (
+        lambda rep: rep["ergodic"]["projector"].update(absorption={"1": [0.0, 1.0], "01": [0.5, 0.5]}),
+        "ergodic format",
+    ),
+    "invariant atoms 0 and +0": (
+        lambda rep: rep["invariants"]["measures"][0].update(atoms={"0": 0.0, "+0": 1.0}),
+        "invariants format",
+    ),
+    "state keys with spaces": (
+        lambda rep: rep["ergodic"]["projector"].update(absorption={" 1": [0.5, 0.5]}, absorption_times={"1 ": 1.0}),
+        "ergodic format",
+    ),
 }
 
 
@@ -230,12 +263,12 @@ OUT_OF_DOMAIN = {
     "projector law off the chain": (
         "two_absorbing",
         lambda rep: rep["ergodic"]["projector"]["stationary"].__setitem__(0, {"atoms": {"7": 1.0}, "ends": {}}),
-        "projector format (DomainError: measure atoms: state 7 not in space)",
+        "ergodic format (DomainError: measure atoms: state 7 not in space)",
     ),
     "projector law not finite": (
         "two_absorbing",
         lambda rep: rep["ergodic"]["projector"]["stationary"][0]["atoms"].update({"0": float("nan")}),
-        "projector format (ValidationError: measure literal: non-finite weight nan at atoms[0])",
+        "ergodic format (ValidationError: ergodic.projector.stationary[0].atoms[0]: nan is not a finite number)",
     ),
     "invariant off the chain": (
         "two_absorbing",
@@ -245,7 +278,7 @@ OUT_OF_DOMAIN = {
     "invariant weight not finite": (
         "two_absorbing",
         lambda rep: rep["invariants"]["measures"][0]["atoms"].update({"0": float("nan")}),
-        "invariants format (ValidationError: measure literal: non-finite weight nan at atoms[0])",
+        "invariants format (ValidationError: invariants.measures[0].atoms[0]: nan is not a finite number)",
     ),
     "beta set off the chain": (
         "two_absorbing",
@@ -260,17 +293,39 @@ OUT_OF_DOMAIN = {
     "alpha closed set with a tail pair": (
         "two_absorbing",
         lambda rep: rep["conditions"]["alpha"][0].update(closed_set={"tails": [["+inf", 3]]}),
-        "conditions format (ValidationError: set literal: bad entry tails[0] = ['+inf', 3])",
+        "conditions format (ValidationError: conditions.alpha[0].closed_set.tails[0]: ['+inf', 3] is not a JSON "
+        "object)",
     ),
     "beta set with string atoms": (
         "two_absorbing",
         lambda rep: rep["conditions"]["beta"]["witnesses"][0].update(d1={"atoms": "ab"}),
-        "conditions format (ValidationError: set literal: atoms = 'ab' is not a JSON array)",
+        "conditions format (ValidationError: conditions.beta.witnesses[0].d1.atoms: 'ab' is not a JSON array)",
     ),
     "invariant with listed atoms": (
         "two_absorbing",
         lambda rep: rep["invariants"]["measures"].__setitem__(0, {"atoms": [[1, 0.5]], "ends": {}}),
-        "invariants format (ValidationError: measure literal: atoms = [[1, 0.5]] is not a JSON object)",
+        "invariants format (ValidationError: invariants.measures[0].atoms: [[1, 0.5]] is not a JSON object)",
+    ),
+    # a boolean where an integer belongs: True == 1
+    "invariant dimension a bool": (
+        "birth_death",
+        lambda rep: rep["invariants"].update(dimension=True),
+        "invariants format (ValidationError: invariants.dimension: True is not an integer)",
+    ),
+    "projector rank a bool": (
+        "birth_death",
+        lambda rep: rep["ergodic"]["projector"].update(rank=True),
+        "ergodic format (ValidationError: ergodic.projector.rank: True is not an integer)",
+    ),
+    "double_star dimension a bool": (
+        "birth_death",
+        lambda rep: rep["conditions"]["double_star"]["evidence"].update(dimension=True),
+        "conditions format (ValidationError: conditions.double_star.evidence.dimension: True is not an integer)",
+    ),
+    "escape checkpoint a bool": (
+        "drift_walk_N",
+        lambda rep: rep["escape"]["checkpoints"].__setitem__(0, True),
+        "escape format (ValidationError: escape.checkpoints[0]: True is not an integer)",
     ),
 }
 
@@ -867,8 +922,20 @@ def test_walk_doeblin_finding_that_contradicts_its_charge_fails(tmp_path: Path, 
     ]
 
 
-@pytest.mark.parametrize("k", [10**7, MAX_ORDER + 1, 1e300], ids=["1e7", "cap+1", "1e300"])
-def test_witness_order_outside_the_cap_fails_before_any_product(tmp_path: Path, capsys, power_steps, k):
+PAST_THE_CAP = [f"FAILED: {key} witness (order {{k!r}} is past the cap {MAX_ORDER})" for key in ("D", "D_tilde")]
+
+
+@pytest.mark.parametrize(
+    "k, failed",
+    [
+        (10**7, PAST_THE_CAP),
+        (MAX_ORDER + 1, PAST_THE_CAP),
+        # a float is no order: the section does not read
+        (1e300, ["FAILED: conditions format (ValidationError: conditions.D.witness.k: 1e+300 is not an integer)"]),
+    ],
+    ids=["1e7", "cap+1", "1e300"],
+)
+def test_witness_order_outside_the_cap_fails_before_any_product(tmp_path: Path, capsys, power_steps, k, failed):
     # p^k is k sequential products, so a k of 10^7 took about 30 s to re-check
     rep = analyze(tmp_path, "analyze", "--catalog", "birth_death", "--tasks", "conditions")
     for key in ("D", "D_tilde"):
@@ -876,32 +943,37 @@ def test_witness_order_outside_the_cap_fails_before_any_product(tmp_path: Path, 
     power_steps.clear()
     code, out = verify(tmp_path, rep, capsys)
     assert code == 1
-    assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
-        f"FAILED: {key} witness (order {k!r} is past the cap {MAX_ORDER})" for key in ("D", "D_tilde")
-    ]
+    assert [line for line in out.splitlines() if line.startswith("FAILED")] == [line.format(k=k) for line in failed]
     assert power_steps == []
 
 
 @pytest.mark.parametrize("name", ["finite_uniform", "swap2", "cycle3", "birth_death"])
 def test_invariant_measure_past_the_float_range_fails_an_item(tmp_path: Path, capsys, name):
-    # its invariance residual sums past the float range inside the section
+    # its weights sum past the float range, so its total and its residual would too: the literal does not read
     rep = analyze(tmp_path, "analyze", "--catalog", name)
     mu = rep["invariants"]["measures"][0]
     mu["atoms"] = dict.fromkeys(mu["atoms"], 1e308)
     code, out = verify(tmp_path, rep, capsys)  # an OverflowError would end the test here
     assert code == 1
-    assert "FAILED: invariants format (OverflowError: intermediate overflow in fsum)" in out.splitlines()
+    assert (
+        "FAILED: invariants format (ValidationError: invariants.measures[0]: its weights sum past the float range)"
+        in out.splitlines()
+    )
 
 
 @pytest.mark.parametrize("name", ["finite_uniform", "swap2", "cycle3", "birth_death"])
 def test_projector_law_past_the_float_range_fails_its_item(tmp_path: Path, capsys, name):
-    # its error bound is summed before the sections are checked, outside their guard
+    # the section is read before any section is checked, and a law whose weights sum past the float range
+    # does not read
     rep = analyze(tmp_path, "analyze", "--catalog", name)
     law = rep["ergodic"]["projector"]["stationary"][0]
     law["atoms"] = dict.fromkeys(law["atoms"], 1e308)
     code, out = verify(tmp_path, rep, capsys)  # an OverflowError would end the test here
     assert code == 1
-    assert "FAILED: projector stationary[0] (l1 distance to the exact law <= inf)" in out.splitlines()
+    assert (
+        "FAILED: ergodic format (ValidationError: ergodic.projector.stationary[0]: its weights sum past the float "
+        "range)" in out.splitlines()
+    )
 
 
 # two_absorbing: its class laws δ_0 and δ_2 have the closed sets {0} and {2}
@@ -979,10 +1051,7 @@ INF = json.loads("1e309")  # JSON reads a number past the float range as inf
 
 @pytest.mark.parametrize(
     "d1, entry",
-    [
-        ({"atoms": [INF]}, "atoms[0] = inf"),
-        ({"tails": [{"end": "+inf", "after": INF}]}, "tails[0] = {'end': '+inf', 'after': inf}"),
-    ],
+    [({"atoms": [INF]}, "atoms[0]"), ({"tails": [{"end": "+inf", "after": INF}]}, "tails[0].after")],
     ids=["atom", "tail after"],
 )
 def test_set_literal_past_the_float_range_fails_the_format_item(tmp_path: Path, capsys, d1, entry):
@@ -991,7 +1060,7 @@ def test_set_literal_past_the_float_range_fails_the_format_item(tmp_path: Path, 
     code, out = verify(tmp_path, rep, capsys)  # an OverflowError would end the test here
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAILED")] == [
-        f"FAILED: conditions format (ValidationError: set literal: bad entry {entry})"
+        f"FAILED: conditions format (ValidationError: conditions.beta.witnesses[0].d1.{entry}: inf is not an integer)"
     ]
 
 
