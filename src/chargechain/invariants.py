@@ -124,17 +124,40 @@ def states_outside(classes: list[tuple[int, ...]], size: int) -> tuple[int, ...]
     return tuple(x for x in range(size) if x not in covered)
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a zero pivot shows as inf or nan
+#: Rows of fewer entries than this are summed left to right by numpy's ``add.reduce``: its pairwise
+#: summation splits a row only from 8 entries on.  So a Python loop gives a row box this narrow the
+#: same sum, which is what lets ``eliminate`` run a band on Python floats; it is not a tuning knob.
+BAND_LIMIT = 8
+
+
 def eliminate(a: np.ndarray, leave: np.ndarray, rhs: np.ndarray | None, last: int) -> np.ndarray:
     """Grassmann–Taksar–Heyman reduction of states n-1 down to ``last``, in place; returns the pivots.
 
     A pivot is the state's mass to the states below it plus its ``leave`` mass, never 1 − a_kk.  Column
-    k over it times row k updates the box that can hold their nonzeros, ``leave`` and ``rhs``.
+    k over it times row k updates the box that can hold their nonzeros, ``leave`` and ``rhs``.  When
+    every row's box a[k, c0[k]:k] spans fewer than ``BAND_LIMIT`` columns, and every column's box
+    a[r0[k]:k, k] fewer rows, as in a walk's window or a birth-death chain, the pivots run on Python
+    floats over the band, with the same bits: numpy's ``add.reduce`` sums rows that short left to
+    right, as the band's loop does.  Every other matrix (dense blocks, windows with a dense
+    ``to_finite`` column) takes the numpy path, chosen from the box starts before any band is built.
     """
-    nz = (a != 0.0) | np.eye(len(a), dtype=bool)  # r0[k], c0[k]: where column and row k can start, fill-in included
-    r0, c0 = (np.minimum.accumulate(m.argmax(axis=0)[::-1])[::-1].tolist() for m in (nz, nz.T))
-    pivots = np.zeros(len(a))
-    for k in range(len(a) - 1, last - 1, -1):
+    return _eliminate(a, leave, rhs, last)[0]
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a zero pivot shows as inf or nan
+def _eliminate(a: np.ndarray, leave: np.ndarray, rhs: np.ndarray | None, last: int) -> tuple[np.ndarray, tuple | None]:
+    """``eliminate``'s pivots, and the reduced band of ``_eliminate_band`` when it ran every pivot."""
+    n = len(a)
+    nz = (a != 0.0) | np.eye(n, dtype=bool)  # r0[k], c0[k]: where column and row k can start, fill-in included
+    r0, c0 = (np.minimum.accumulate(m.argmax(axis=0)[::-1])[::-1] for m in (nz, nz.T))
+    pivots = np.zeros(n)
+    first, band = n - 1, None
+    # row boxes under BAND_LIMIT columns keep the band's sums numpy's; column boxes as short keep its loops
+    # at under BAND_LIMIT² products a pivot, where one state reaching every later state would make them n²
+    if (np.arange(n) - np.minimum(r0, c0)).max() < BAND_LIMIT:
+        first, band = _eliminate_band(a, leave, rhs, last, r0, c0, pivots)
+    r0, c0 = r0.tolist(), c0.tolist()
+    for k in range(first, last - 1, -1):
         r, c = r0[k], c0[k]
         row, col = a[k, c:k], a[r:k, k]
         s = leave[k] + np.add.reduce(row)  # row.sum() without its wrapper
@@ -142,7 +165,7 @@ def eliminate(a: np.ndarray, leave: np.ndarray, rhs: np.ndarray | None, last: in
         if s < 1e-200 and not (col <= 1e100).all():
             break  # the states below weigh under 1e-100 of k: they drop out, and every weight stays finite
         pivots[k] = s
-        if r == k - 1:  # one entry over the pivot, as in a walk's band: the same products, one row
+        if r == k - 1:  # one entry over the pivot: the same products, one row
             a[r, c:k] += col[0] * row
         else:
             a[r:k, c:k] += col[:, None] * row
@@ -150,24 +173,106 @@ def eliminate(a: np.ndarray, leave: np.ndarray, rhs: np.ndarray | None, last: in
             leave[r:k] += col * leave[k]
         if rhs is not None:
             rhs[r:k] += col[:, None] * rhs[k]
-    return pivots
+    return pivots, band
+
+
+def _eliminate_band(
+    a: np.ndarray,
+    leave: np.ndarray,
+    rhs: np.ndarray | None,
+    last: int,
+    r0: np.ndarray,
+    c0: np.ndarray,
+    pivots: np.ndarray,
+) -> tuple[int, tuple | None]:
+    """``eliminate``'s pivots on Python floats over the band, row i's columns c0[i] up to the last column
+    whose box reaches row i.  Returns the pivot numpy goes on from (last - 1 when there is none) and,
+    when there is none, the reduced band.
+
+    The band is one list ``values`` with a[i, j] at values[base[i] + j] and row i ending at cuts[i].  A
+    product with a zero factor is skipped, where numpy adds it as +0.0, so a negative entry or -0.0
+    leaves every pivot to numpy.  A pivot under 1e-200, or a non-finite ``rhs`` row, is handed to numpy
+    with the pivots after it, for its nan, inf and break.  ``a``, ``leave``, ``rhs`` and ``pivots`` are
+    written back either way.
+    """
+    n = len(a)
+    width = np.searchsorted(r0, np.arange(n), side="right") - c0  # row i is zero past its box's columns
+    cuts = np.cumsum(width)
+    base = cuts - width - c0
+    index = np.repeat(np.arange(0, n * n, n) - base, width) + np.arange(cuts[-1])
+    flat = a.take(index)
+    if np.signbit(flat).any() or np.signbit(leave).any() or (rhs is not None and np.signbit(rhs).any()):
+        return n - 1, None
+    values, base, r0, c0 = flat.tolist(), base.tolist(), r0.tolist(), c0.tolist()
+    lv, pv, x = leave.tolist(), pivots.tolist(), None if rhs is None else rhs.tolist()
+    for k in range(n - 1, last - 1, -1):
+        bk = base[k]
+        row = values[bk + c0[k] : bk + k]
+        s = 0.0
+        for v in row:  # left to right, as numpy's add.reduce sums fewer than BAND_LIMIT entries
+            s += v
+        lk = lv[k]
+        s = lk + s
+        if s < 1e-200 or (x is not None and not all(map(math.isfinite, x[k]))):
+            break
+        pv[k] = s
+        for i in range(r0[k], k):
+            bi = base[i]
+            w = values[bi + k]
+            if w:
+                w /= s
+                values[bi + k] = w
+                for t, v in enumerate(row, bi + c0[k]):
+                    values[t] += w * v
+                if lk:
+                    lv[i] += w * lk
+                if x is not None:
+                    xi = x[i]
+                    for m, v in enumerate(x[k]):
+                        xi[m] += w * v
+    else:
+        k = last - 1
+    a.put(index, values)
+    leave[:] = lv
+    if x is not None:
+        rhs[:] = x
+    pivots[:] = pv
+    return k, (values, base, cuts.tolist()) if k == last - 1 else None
 
 
 def stationary_of_class(kernel: TransitionKernel, members: tuple[int, ...]) -> FAMeasure:
-    """Extreme invariant distribution of one recurrent class: GTH, so no weight is negative."""
+    """Extreme invariant distribution of one recurrent class: GTH, so no weight is negative.
+
+    After ``eliminate``, each state's weight passes its flow on to the later states.  A band that
+    ``eliminate`` reduced on Python floats is read as such, over its nonzero columns only: the rest of
+    a row adds +0.0 on the numpy path, so the weights keep their bits.
+    """
     idx = list(members)
     # a class of every state, as a walk's window mostly is, is the matrix itself: copied, not gathered
     a = kernel.matrix.copy() if len(idx) == kernel.size else kernel.matrix[np.ix_(idx, idx)]
-    pivots = eliminate(a, np.zeros(len(idx)), None, 1)
-    pi = np.zeros(len(idx))
+    pivots, band = _eliminate(a, np.zeros(len(idx)), None, 1)
     start = int(np.flatnonzero(pivots == 0.0)[-1])  # a state that never moves down outweighs those below
-    pi[start] = 1.0
-    for k in range(start, len(idx)):  # pi[k] is complete: pass its flow on to the later states
-        if pi[k] > 1e100:  # keep the unnormalized weights finite
-            pi /= pi[k]
-        pi[k + 1 :] += pi[k] * a[k, k + 1 :]
-    pi /= math.fsum(pi.tolist())
-    return FAMeasure(kernel.space, atoms=dict(zip(idx, pi.tolist())))
+    if band is None:
+        pi = np.zeros(len(idx))
+        pi[start] = 1.0
+        for k in range(start, len(idx)):  # pi[k] is complete: pass its flow on to the later states
+            if pi[k] > 1e100:  # keep the unnormalized weights finite
+                pi /= pi[k]
+            pi[k + 1 :] += pi[k] * a[k, k + 1 :]
+        weights = pi.tolist()
+    else:
+        values, base, cuts = band
+        weights = [0.0] * len(idx)
+        weights[start] = 1.0
+        for k in range(start, len(idx)):
+            w = weights[k]
+            if w > 1e100:
+                weights = [v / w for v in weights]
+                w = 1.0
+            for j, v in enumerate(values[base[k] + k + 1 : cuts[k]], k + 1):
+                weights[j] += w * v
+    total = math.fsum(weights)
+    return FAMeasure(kernel.space, atoms={x: w / total for x, w in zip(idx, weights)})
 
 
 def invariant_basis_finite(kernel: TransitionKernel) -> InvariantBasis:

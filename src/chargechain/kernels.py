@@ -97,7 +97,8 @@ class TransitionKernel:
             i, j = (int(v) for v in np.argwhere(~np.isfinite(m))[0])
             raise ValidationError(f"row {i}: non-finite probability at column {j}")
         negative = (m < -ROW_SUM_TOL).any(axis=1)
-        sums = np.ascontiguousarray(m).sum(axis=1)  # each row summed along its contiguous axis, as m[i].sum()
+        with np.errstate(over="ignore"):  # a row past the float range sums to inf, refused below
+            sums = np.ascontiguousarray(m).sum(axis=1)  # each row summed along its contiguous axis, as m[i].sum()
         bad = np.flatnonzero(negative | (np.abs(sums - 1.0) > ROW_SUM_TOL))
         if bad.size:  # the first bad row; within it, a negative entry before the sum
             i = int(bad[0])

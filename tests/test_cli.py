@@ -112,6 +112,14 @@ def test_malformed_dense_matrix_exits_2_with_a_named_error(tmp_path: Path, capsy
     assert problem in capsys.readouterr().err
 
 
+def test_a_row_summing_past_the_float_range_exits_2(tmp_path: Path, capsys):
+    # 1e308 + 1e308 overflows: the row is refused by its sum, with no overflow warning on the way
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "finite", "matrix": [[1e308, 1e308], [0.5, 0.5]]}))
+    assert run_cli(["analyze", "--chain", str(bad), "--out", str(tmp_path / "x.json")]) == 2
+    assert "row 0 sums to inf, expected 1" in capsys.readouterr().err
+
+
 def test_non_finite_chain_exits_2(tmp_path: Path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "finite", "matrix": [[float("nan"), 1.0], [0.5, 0.5]]}))

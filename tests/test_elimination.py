@@ -23,11 +23,13 @@ from chargechain import (
     invariant_basis,
     invariant_basis_finite,
     kernel_to_spec,
+    recurrent_classes,
     stationary_of_class,
     truncate_reflecting,
 )
+from chargechain import invariants
 from chargechain.ergodic import _solve_transient
-from chargechain.invariants import eliminate
+from chargechain.invariants import BAND_LIMIT, eliminate
 from oracles import eliminate_by_loop
 from test_classes import seeded_matrices
 from test_window import fuzz_walk
@@ -136,9 +138,45 @@ def test_eliminate_pivots_are_the_mass_below_and_leaving():
     assert a[1, 0] == 0.25 and rhs.tolist() == [[1.0], [1.0]]  # column 1 above 1 is zero: nothing spreads
 
 
+def band_walk(rng, offsets):
+    """A walk on N whose rows jump by ``offsets``, seeded weights, each jump below 0 landing on 0."""
+    weights = rng.random(len(offsets)) + 0.1
+    relative = dict(zip(offsets, (weights / weights.sum()).tolist()))
+    exceptions = {}
+    for x in range(-min(offsets)):
+        exceptions[x] = {}
+        for o, p in relative.items():
+            exceptions[x][max(x + o, 0)] = exceptions[x].get(max(x + o, 0), 0.0) + p
+    return TransitionKernel.walk("N", exceptions=exceptions, tails={END_POS: TailRow(relative=relative)})
+
+
+# state 3 never moves down: its pivot is 0, inside the band
+ZERO_PIVOT = [[0.5, 0.5, 0, 0, 0], [0.5, 0, 0.5, 0, 0], [0, 0.5, 0, 0.5, 0], [0, 0, 0, 0, 1.0], [0, 0, 0, 1.0, 0]]
+# state 3 moves down with 1e-250, and 2 moves up with 0.5: the weight of 3 over 2 passes 1e100, a break
+TINY_PIVOT = [[0.5, 0.5, 0, 0, 0], [0.5, 0, 0.5, 0, 0], [0, 0.5, 0, 0.5, 0], [0, 0, 1e-250, 0, 1.0], [0, 0, 0, 1.0, 0]]
+# the same pivot, and 2 moves up with 1e-260 only: the weight is 1e-10, and the reduction goes on
+TINY_PIVOT_KEPT = [
+    [0.5, 0.5, 0, 0, 0], [0.5, 0, 0.5, 0, 0], [0, 0.5, 0.5, 1e-260, 0], [0, 0, 1e-250, 0, 1.0], [0, 0, 0, 1.0, 0]
+]
+
+
+def band_kernels(rng):
+    """Finite kernels whose row boxes span 1 to ``BAND_LIMIT`` columns, the last one past the band path: walk
+    windows of reach 1 to 8, one whose band has an interior zero that fill-in fills, birth-death chains whose
+    weights pass 1e100, and pivots that are zero or under 1e-200 inside a band."""
+    for reach in range(1, BAND_LIMIT + 1):
+        yield truncate_reflecting(band_walk(rng, list(range(-reach, reach + 1))), 0, 60)
+    yield truncate_reflecting(band_walk(rng, [-2, 1, 2]), 0, 60)  # row k has no k - 1 until k + 1 goes
+    for n in (2, 3, 40, 400):  # weights of 22.5^x: past 1e100 from x = 74 on, rescaled
+        yield birth_death(n, 0.45, 0.02)
+    for m in (ZERO_PIVOT, TINY_PIVOT, TINY_PIVOT_KEPT):
+        yield TransitionKernel.finite(m)
+
+
 def elimination_cases():
     """(a, leave, rhs, last): stationary reductions of finite chains and walk windows, banded or not, and
-    transient solves with leaks on some states only, one with a pivot that underflows."""
+    transient solves with leaks on some states only, one with a pivot that underflows; then the band
+    kernels, reduced as stationary laws and as transient solves off their last state."""
     rng = np.random.default_rng(26)
     for m in seeded_matrices():
         yield np.array(m), np.zeros(len(m)), None, 1
@@ -155,6 +193,13 @@ def elimination_cases():
         yield k.matrix[:n, :n].copy(), leave, rng.random((n, int(rng.integers(1, 4)))), 0
     yield np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 1e-200], [1e-200, 1.0, 0.0]]), np.zeros(3), None, 1
     yield np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 5e-324], [5e-324, 1.0, 0.0]]), np.full(3, 0.25), np.ones((3, 1)), 0
+    # numpy adds +0.0 to the -0.0 of rhs[1], under the zero a[1, 2]: a band would keep it, so numpy reduces
+    signed = np.array([[-0.0], [-0.0], [1.0]])
+    yield np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]), np.zeros(3), signed, 0
+    for kernel in band_kernels(rng):
+        n = kernel.size
+        yield kernel.matrix.copy(), np.zeros(n), None, 1
+        yield kernel.matrix[:-1, :-1].copy(), kernel.matrix[:-1, -1].copy(), rng.random((n - 1, 2)), 0
 
 
 def test_eliminate_matches_the_per_pivot_loop_bit_for_bit():
@@ -168,6 +213,54 @@ def test_eliminate_matches_the_per_pivot_loop_bit_for_bit():
             assert (x is None and y is None) or x.tobytes() == y.tobytes()
         single += int((np.diag(a, 1) != 0.0).sum())  # reduced walk windows and birth-death chains: a band
     assert single > 1000
+
+
+def solved(kernel):
+    """The laws of all of ``kernel``'s states taken as one class and of each recurrent class, and three
+    (I − Q) solves, as ``float.hex`` strings; a solve that raises gives its message."""
+    n = kernel.size
+    out = [sorted((x, w.hex()) for x, w in stationary_of_class(kernel, c).atoms.items())
+           for c in [tuple(range(n)), *recurrent_classes(kernel)]]
+    for states in (list(range(n - 1)), list(range(n // 2, n)), [x for x in range(n) if x != n // 2]):
+        try:
+            x = _solve_transient(kernel, states, [np.ones(len(states)), kernel.matrix[states, 0]], "rows")
+            out.append([v.hex() for v in x.ravel().tolist()])
+        except NumericalError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_the_band_path_and_the_numpy_path_give_the_same_bits(monkeypatch):
+    kernels = list(band_kernels(np.random.default_rng(32)))
+    bands = []  # what each band reduction returned: the pivot numpy goes on from, and the band if it ran every pivot
+    band_path = invariants._eliminate_band
+    monkeypatch.setattr(invariants, "_eliminate_band", lambda *args: bands.append(band_path(*args)) or bands[-1])
+    on_band = [solved(k) for k in kernels]
+    ran, handed = sum(band is not None for _, band in bands), sum(band is None for _, band in bands)
+    assert ran >= 50 and handed >= 6
+    monkeypatch.setattr(invariants, "BAND_LIMIT", 0)  # no row box spans fewer than 0 columns: numpy's path
+    on_numpy = [solved(k) for k in kernels]
+    assert len(bands) == ran + handed  # numpy's path reads no band
+    assert on_band == on_numpy
+
+
+def test_a_band_of_reach_7_takes_the_band_path_and_one_of_reach_8_does_not():
+    rng = np.random.default_rng(7)
+    for reach, banded in ((BAND_LIMIT - 1, True), (BAND_LIMIT, False)):
+        a = truncate_reflecting(band_walk(rng, list(range(-reach, reach + 1))), 0, 60).matrix.copy()
+        pivots, band = invariants._eliminate(a, np.zeros(len(a)), None, 1)
+        assert (band is not None) == banded and (pivots[1:] > 0.0).all()
+
+
+def test_a_column_box_of_band_limit_rows_takes_the_numpy_path():
+    # up by 8 and down by 1: every row box is 1 column wide, but each column's box is 8 rows tall
+    rng = np.random.default_rng(8)
+    tall = truncate_reflecting(band_walk(rng, [-1, 1, BAND_LIMIT]), 0, 60).matrix.copy()
+    spread = truncate_reflecting(band_walk(rng, [-1, 1]), 0, 60).matrix.copy()
+    spread[0] = 1.0 / len(spread)  # state 0 reaches every state: every column's box starts at row 0
+    for a in (tall, spread):
+        pivots, band = invariants._eliminate(a, np.zeros(len(a)), None, 1)
+        assert band is None and (pivots[1:] > 0.0).all()
 
 
 @pytest.mark.parametrize("n", [100, 150, 400])

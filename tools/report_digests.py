@@ -4,17 +4,18 @@
 
 SRC is a ``src/`` directory holding the ``chargechain`` package.  For every
 catalog entry (default tasks and horizons, then each task that applies to
-it on its own), eight edge chains under the default tasks (``EDGE_CHAINS``:
+it on its own), ten edge chains under the default tasks (``EDGE_CHAINS``:
 one over the small-set cap, one whose states swap with probability 2^-40,
 a walk on Z with an exception row whose tail rows send mass across the
 ends both ways, drift_walk_N(0.45), positive recurrent with a slow
 geometric law, a walk on N whose tail sends mass to a fixed state past
 the largest escape window, and a walk on Z whose rows of 1 and -1 jump 2
 toward 0, onto their mirror target, which ``row`` merges with the jump,
-and two 5-state chains whose one closed class is the absorbing state 0 and
+two 5-state chains whose one closed class is the absorbing state 0 and
 whose state 4 stays put with probability 1 - 10^-7 or 1 - 10^-11, so that
 the projector check meets expected times of about 10^7 and 10^11 steps;
-rounding the latter alone leaves residuals past ``TIME_TOL``),
+rounding the latter alone leaves residuals past ``TIME_TOL``, and two walks
+on N of reach 7 and 8, one on each side of ``eliminate``'s band limit),
 and every case of the three benchmark workloads at each
 seed (the workload's own tasks and horizons), the script analyzes the chain, and
 writes to OUT, as sorted JSON, the sha256 of the
@@ -69,7 +70,28 @@ EDGE_CHAINS = {
     },
     "slow_exit_one_class": lambda cc: slow_exit_one_class(1e-7),
     "slow_exit_one_class_1e-11": lambda cc: slow_exit_one_class(1e-11),
+    "reach_7_walk_N": lambda cc: reach_walk(7),
+    "reach_8_walk_N": lambda cc: reach_walk(8),
 }
+
+
+def reach_walk(reach: int) -> dict:
+    """A walk on N jumping by -reach..reach, more often down than up, each jump below 0 landing on 0.
+
+    Its reflecting window's rows span reach columns below the diagonal: reach 7 is reduced on the band
+    of ``eliminate``, reach 8 on numpy's path.
+    """
+    weights = {o: (reach + 1 - abs(o)) * (2 if o < 0 else 1) for o in range(-reach, reach + 1)}
+    total = sum(weights.values())
+    relative = {o: w / total for o, w in weights.items()}
+    exceptions = {}
+    for x in range(reach):
+        row: dict[str, float] = {}
+        for o, p in relative.items():
+            row[str(max(x + o, 0))] = row.get(str(max(x + o, 0)), 0.0) + p
+        exceptions[str(x)] = row
+    return {"kind": "walk", "support": "N", "exceptions": exceptions,
+            "tail_+inf": {"relative": {str(o): p for o, p in relative.items()}}}
 
 
 def slow_exit_one_class(leak: float) -> dict:
