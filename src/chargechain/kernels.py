@@ -26,6 +26,10 @@ symmetric window closed under it.
 choice: mass leaving the window is clipped onto its edges, or sent to one
 bucket per end that acts as that end's charge.  It reads ``row`` only within
 a walk's ``radius + reach`` of 0, and writes each end's farther rows at once.
+
+A chain spec is read by its kind's shape (``SPEC_SHAPES``) with
+``measures.reader``, the one reader of every JSON input, and its kernel is
+built from the typed values; the checks here are those no shape states.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StructureError, ValidationError
-from .measures import END_NEG, END_POS, FAMeasure, StateSpace, int_keyed, json_number
+from .measures import END_NEG, END_POS, FAMeasure, StateSpace, reader
 
 ROW_SUM_TOL = 1e-9
 MAX_OFFSET = 64
@@ -63,12 +67,6 @@ class TailRow:
     relative: dict[int, float] = field(default_factory=dict)
     to_finite: dict[int, float] = field(default_factory=dict)
     to_other_end: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        tables = {name: int_keyed(getattr(self, name), f"{name}: key") for name in ("relative", "to_finite")}
-        tables["to_other_end"] = {str(k): v for k, v in self.to_other_end.items()}
-        for name, table in tables.items():
-            object.__setattr__(self, name, {k: _probability(v, f"{name}[{k!r}]") for k, v in table.items()})
 
     def preserved_mass(self) -> float:
         return math.fsum(self.relative.values())
@@ -115,13 +113,7 @@ class TransitionKernel:
             space = StateSpace.integer_line()
         else:
             raise ValidationError(f"support must be 'N' or 'Z', got {support!r}")
-        try:
-            exceptions = {
-                x: {y: _probability(p, f"row {x}: target {y}") for y, p in int_keyed(row, f"row {x}: target").items()}
-                for x, row in int_keyed(exceptions or {}, "state").items()
-            }
-        except (TypeError, ValueError, AttributeError, ValidationError) as exc:
-            raise ValidationError(f"bad exceptions table: {exc}") from exc
+        exceptions = {x: dict(row) for x, row in (exceptions or {}).items()}
         tails = dict(tails or {})
         for e in space.end_ids():
             if e not in tails:
@@ -411,78 +403,58 @@ def cesaro_kernel(kernel: TransitionKernel, m: int) -> TransitionKernel:
 
 # -- chain-spec JSON ------------------------------------------------------------
 
+#: the JSON shape (``measures.reader``) of a walk's tail row, and of a chain spec of each kind
+TAIL = {"relative?": {int: float}, "to_finite?": {int: float}, "to_other_end?": {str: float}}
+SPEC_SHAPES = {
+    "finite": {"kind": str, "rows?": [{int: float}], "matrix?": [[float]], "labels?": [str]},
+    "walk": {"kind": str, "support": str, "exceptions?": {int: {int: float}}, "tail_+inf?": TAIL, "tail_-inf?": TAIL},
+}
+_READ_SPEC = {kind: reader(shape) for kind, shape in SPEC_SHAPES.items()}
+
+
 def kernel_from_spec(obj: dict) -> TransitionKernel:
-    """Parse the chain-spec JSON format (kinds: "finite", "walk")."""
+    """The kernel of a chain spec (kinds: "finite", "walk"), read by its kind's shape in ``SPEC_SHAPES``; a value
+    of another JSON type raises ValidationError naming its JSON path, e.g. ``rows[1]: key '01' is not an integer``."""
     if not isinstance(obj, dict):
         raise ValidationError("chain spec must be a JSON object")
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in SPEC_SHAPES:
+        raise ValidationError(f"unknown chain kind {kind!r}")
+    shape = SPEC_SHAPES[kind]
     if kind == "finite":
         if ("rows" in obj) == ("matrix" in obj):
             raise ValidationError("finite chain spec needs exactly one of a 'rows' and a 'matrix' field")
         name = "rows" if "rows" in obj else "matrix"
         if isinstance(obj[name], list) and len(obj[name]) > MAX_STATES:  # before any n×n array is formed
             raise ValidationError(f"'{name}' must hold at most {MAX_STATES} rows (states), got {len(obj[name])}")
-        labels = obj.get("labels")
-        if "labels" in obj and not (isinstance(labels, list) and all(isinstance(v, str) for v in labels)):
-            raise ValidationError(f"'labels' must be an array of strings, one per state, got {labels!r}")
-        matrix = _matrix_from_rows(obj["rows"]) if name == "rows" else _matrix_of_numbers(obj["matrix"])
-        return TransitionKernel.finite(matrix, labels=labels)
-    if kind == "walk":
-        tails = {}
-        for key, val in obj.items():
-            if key.startswith("tail_"):
-                try:
-                    tails[key[len("tail_"):]] = TailRow(
-                        val.get("relative", {}), val.get("to_finite", {}), val.get("to_other_end", {})
-                    )
-                except (TypeError, ValueError, AttributeError, ValidationError) as exc:
-                    raise ValidationError(f"bad tail row {key!r}: {exc}") from exc
-        return TransitionKernel.walk(obj.get("support"), obj.get("exceptions", {}), tails)
-    raise ValidationError(f"unknown chain kind {kind!r}")
+    tails = [key for key in obj if key.startswith("tail_")] if kind == "walk" else []
+    for key in tails:  # a shape reads its fields alone: a tail row for no end of the support would go unseen
+        if f"{key}?" not in shape:
+            raise ValidationError(f"tail row for unknown end {key[len('tail_'):]!r}")
+    for where, fields, declared in [("chain spec", obj, shape), *((key, obj[key], TAIL) for key in tails)]:
+        nulls = [f.rstrip("?") for f in declared if isinstance(fields, dict) and fields.get(f.rstrip("?"), ...) is None]
+        if nulls:  # the reader would read a null field as an absent one
+            raise ValidationError(f"{where}: field {nulls[0]!r} is null")
+    spec = _READ_SPEC[kind](obj, None)
+    if kind == "finite":
+        matrix = _matrix_from_rows(spec["rows"]) if name == "rows" else spec["matrix"]
+        return TransitionKernel.finite(matrix, labels=spec.get("labels"))
+    parts = ("relative", "to_finite", "to_other_end")
+    tail_rows = {key[len("tail_"):]: TailRow(*(dict(spec[key].get(part, {})) for part in parts)) for key in tails}
+    return TransitionKernel.walk(spec["support"], spec.get("exceptions"), tail_rows)
 
 
-def _matrix_from_rows(rows) -> np.ndarray:
-    """The dense matrix of a "rows" spec: row x maps each column "y" to p(x, y); absent entries are 0."""
-    if not isinstance(rows, list):
-        raise ValidationError(f"rows = {rows!r} is not a JSON array")
+def _matrix_from_rows(rows: list[dict[int, float]]) -> np.ndarray:
+    """The dense matrix of read "rows": row x maps each column y in 0..n-1 to p(x, y); absent entries are 0."""
     n = len(rows)
+    ys = list(itertools.chain.from_iterable(rows))
+    if ys and not (0 <= min(ys) and max(ys) < n):
+        x, y = next((x, y) for x, row in enumerate(rows) for y in row if not 0 <= y < n)
+        raise ValidationError(f"rows[{x}]: column {str(y)!r} outside 0..{n - 1}")
     m = np.zeros((n, n))
-    columns = {str(y): y for y in range(n)}  # each column's one spelling: one lookup, not int() and str() per entry
-    for x, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValidationError(f"rows[{x}] = {row!r} is not a JSON object")
-        for key, p in row.items():
-            y = columns.get(key)
-            if y is None:  # spelled another way, or outside the columns
-                (y,) = int_keyed({key: p}, f"rows[{x}]: column")
-                if not 0 <= y < n:
-                    raise ValidationError(f"rows[{x}]: column {str(y)!r} outside 0..{n - 1}")
-            try:
-                m[x, y] = json_number(p)
-            except (TypeError, OverflowError):  # OverflowError: an int past the float range
-                raise ValidationError(f"rows[{x}]: column {str(y)!r} = {p!r} is not a number") from None
+    ps = np.fromiter(itertools.chain.from_iterable(map(dict.values, rows)), float, len(ys))
+    m[np.repeat(np.arange(n), list(map(len, rows))), np.array(ys, dtype=int)] = ps  # from lists: a tenth slower
     return m
-
-
-def _matrix_of_numbers(matrix):
-    """A "matrix" spec, once each entry of each row that is an array is a JSON number; ``TransitionKernel.finite``
-    refuses any other shape."""
-    for x, row in enumerate(matrix if isinstance(matrix, list) else ()):
-        for y, p in enumerate(row if isinstance(row, list) else ()):
-            try:
-                json_number(p)
-            except TypeError:
-                what = "transition matrix is not a square array of numbers"
-                raise ValidationError(f"{what}: matrix[{x}][{y}] = {p!r} is not a number") from None
-    return matrix
-
-
-def _probability(p, what: str) -> float:
-    """A spec's entry ``p`` as a float when it is a JSON number; else ValidationError naming it by ``what``."""
-    try:
-        return float(json_number(p))
-    except (TypeError, OverflowError):  # OverflowError: an int past the float range
-        raise ValidationError(f"{what} = {p!r} is not a number") from None
 
 
 def kernel_to_spec(kernel: TransitionKernel) -> dict:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from chargechain import (
     ergodic,
     invariant_basis,
     invariants,
+    kernel_from_spec,
     kernel_to_spec,
     kernels,
     report,
@@ -93,15 +95,17 @@ def test_malformed_chain_exits_2(tmp_path: Path):
 
 @pytest.mark.parametrize(
     "matrix, problem",
-    [([[1.0], [0.5, 0.5]], "inhomogeneous shape"), ([["x", 1.0], [0.5, 0.5]], "matrix[0][0] = 'x' is not a number")],
+    [
+        ([[1.0], [0.5, 0.5]], "error: transition matrix is not a square array of numbers: .*inhomogeneous shape"),
+        ([["x", 1.0], [0.5, 0.5]], r"error: matrix\[0\]\[0\]: 'x' is not a number$"),
+    ],
     ids=["ragged rows", "entry not a number"],
 )
 def test_malformed_dense_matrix_exits_2_with_a_named_error(tmp_path: Path, capsys, matrix, problem):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "finite", "matrix": matrix}))
     assert run_cli(["analyze", "--chain", str(bad), "--out", str(tmp_path / "x.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: transition matrix is not a square array of numbers: ") and problem in err
+    assert re.match(problem, capsys.readouterr().err.strip())
     out = tmp_path / "r.json"
     assert run_cli(["analyze", "--catalog", "swap2", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
@@ -109,7 +113,7 @@ def test_malformed_dense_matrix_exits_2_with_a_named_error(tmp_path: Path, capsy
     out.write_text(json.dumps(rep))
     capsys.readouterr()
     assert run_cli(["verify-report", "--report", str(out)]) == 2
-    assert problem in capsys.readouterr().err
+    assert re.match(problem, capsys.readouterr().err.strip())
 
 
 def test_a_row_summing_past_the_float_range_exits_2(tmp_path: Path, capsys):
@@ -124,7 +128,7 @@ def test_non_finite_chain_exits_2(tmp_path: Path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "finite", "matrix": [[float("nan"), 1.0], [0.5, 0.5]]}))
     assert run_cli(["analyze", "--chain", str(bad), "--out", str(tmp_path / "x.json")]) == 2
-    assert "row 0: non-finite" in capsys.readouterr().err
+    assert "matrix[0][0]: nan is not a finite number" in capsys.readouterr().err
     walk = tmp_path / "walk.json"
     walk.write_text(json.dumps({
         "kind": "walk", "support": "N",
@@ -132,7 +136,7 @@ def test_non_finite_chain_exits_2(tmp_path: Path, capsys):
         "tail_+inf": {"relative": {"-1": 0.5, "1": 0.5}},
     }))
     assert run_cli(["analyze", "--chain", str(walk), "--out", str(tmp_path / "y.json")]) == 2
-    assert "exception row 0: non-finite" in capsys.readouterr().err
+    assert "exceptions[0][1]: inf is not a finite number" in capsys.readouterr().err
 
 
 def test_eps_grid_outside_unit_interval_exits_2(tmp_path: Path, capsys):
@@ -265,14 +269,11 @@ WALK_TAIL = {"relative": {"1": 1.0}}
 @pytest.mark.parametrize(
     "spec, named",
     [
-        ({"tail_+inf": {"relative": {"1": 0.5, "01": 0.5, "2": 0.5}}}, "bad tail row 'tail_+inf': relative: key '01'"),
-        ({"tail_+inf": {"relative": {"+1": 1.0}}}, "bad tail row 'tail_+inf': relative: key '+1'"),
-        (
-            {"tail_+inf": {"relative": {"1": 0.5}, "to_finite": {" 0": 0.5}}},
-            "bad tail row 'tail_+inf': to_finite: key ' 0'",
-        ),
-        ({"exceptions": {"0": {"1": 1.0}, "00": {"0": 1.0}}, "tail_+inf": WALK_TAIL}, "bad exceptions table: state '00'"),
-        ({"exceptions": {"0": {"1": 0.5, "01": 0.5}}, "tail_+inf": WALK_TAIL}, "bad exceptions table: row 0: target '01'"),
+        ({"tail_+inf": {"relative": {"1": 0.5, "01": 0.5, "2": 0.5}}}, "['tail_+inf'].relative: key '01'"),
+        ({"tail_+inf": {"relative": {"+1": 1.0}}}, "['tail_+inf'].relative: key '+1'"),
+        ({"tail_+inf": {"relative": {"1": 0.5}, "to_finite": {" 0": 0.5}}}, "['tail_+inf'].to_finite: key ' 0'"),
+        ({"exceptions": {"0": {"1": 1.0}, "00": {"0": 1.0}}, "tail_+inf": WALK_TAIL}, "exceptions: key '00'"),
+        ({"exceptions": {"0": {"1": 0.5, "01": 0.5}}, "tail_+inf": WALK_TAIL}, "exceptions[0]: key '01'"),
     ],
     ids=["offset 01", "offset +1", "to_finite target", "exception state", "exception target"],
 )
@@ -286,22 +287,44 @@ def test_walk_spec_keys_spelled_two_ways_exit_2(tmp_path: Path, capsys, spec, na
 
 
 @pytest.mark.parametrize(
+    "spec, end",
+    [
+        ({"support": "N", "tail_+inf": WALK_TAIL, "tail_x": WALK_TAIL}, "x"),
+        ({"support": "Z", "tail_+inf": WALK_TAIL, "tail_-inf": {"relative": {"-1": 1.0}}, "tail_x": {}}, "x"),
+        ({"support": "N", "tail_+inf": WALK_TAIL, "tail_-inf": {"relative": {"-1": 1.0}}}, "-inf"),
+        ({"support": "N", "tail_+inf": WALK_TAIL, "tail_x": 5}, "x"),  # refused before anything reads it
+    ],
+    ids=["tail_x on N", "tail_x on Z", "tail_-inf on N", "tail_x of no object"],
+)
+def test_walk_spec_tail_row_for_no_end_of_its_support_exits_2(tmp_path: Path, capsys, spec, end):
+    # the spec's shape names only the tail rows of the two ends, and a shape does not read the fields it does not name
+    spec = {"kind": "walk", **spec}
+    with pytest.raises(ValidationError, match=f"^tail row for unknown end {re.escape(repr(end))}$"):
+        kernel_from_spec(spec)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    assert run_cli(["analyze", "--chain", str(bad), "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == f"error: tail row for unknown end {end!r}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
     "spec, named",
     [
-        ({"kind": "finite", "matrix": [["0.5", "0.5"], [True, False]]}, "matrix[0][0] = '0.5'"),
-        ({"kind": "finite", "matrix": [[0.5, 0.5], [True, False]]}, "matrix[1][0] = True"),
-        ({"kind": "finite", "matrix": [[10**400]]}, "int too large to convert to float"),
+        ({"kind": "finite", "matrix": [["0.5", "0.5"], [True, False]]}, "matrix[0][0]: '0.5' is not a number"),
+        ({"kind": "finite", "matrix": [[0.5, 0.5], [True, False]]}, "matrix[1][0]: True is not a number"),
+        ({"kind": "finite", "matrix": [[10**400]]}, f"matrix[0][0]: {10**400} is not a finite number"),
         (
             {"kind": "walk", "support": "N", "exceptions": {"0": {"1": True}}, "tail_+inf": WALK_TAIL},
-            "bad exceptions table: row 0: target 1 = True",
+            "exceptions[0][1]: True is not a number",
         ),
         (
             {"kind": "walk", "support": "N", "exceptions": {"0": {"1": 1.0}}, "tail_+inf": {"relative": {"1": "1"}}},
-            "bad tail row 'tail_+inf': relative[1] = '1'",
+            "['tail_+inf'].relative[1]: '1' is not a number",
         ),
         (
             {"kind": "walk", "support": "N", "tail_+inf": {"relative": {"1": 0.5}, "to_finite": {"0": "0.5"}}},
-            "bad tail row 'tail_+inf': to_finite[0] = '0.5'",
+            "['tail_+inf'].to_finite[0]: '0.5' is not a number",
         ),
         (
             {
@@ -310,7 +333,7 @@ def test_walk_spec_keys_spelled_two_ways_exit_2(tmp_path: Path, capsys, spec, na
                 "tail_+inf": {"relative": {"1": 0.5}, "to_other_end": {"-inf": "0.5"}},
                 "tail_-inf": {"relative": {"-1": 1.0}},
             },
-            "bad tail row 'tail_+inf': to_other_end['-inf'] = '0.5'",
+            "['tail_+inf'].to_other_end['-inf']: '0.5' is not a number",
         ),
     ],
     ids=["matrix string", "matrix bool", "matrix past floats", "exception bool", "offset string", "to_finite string",

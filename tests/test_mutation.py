@@ -1,12 +1,12 @@
 """verify-report is total and bounded on the mutation corpus, and refuses every type mutant.
 
 ``tools/mutate_reports.py`` builds the corpus: every node of the catalog
-reports, set to an odd value or deleted, and every boolean or number outside
-the chain spec written in another JSON type.  Each mutant must yield verify
-items or raise ``ValidationError``, within the tool's time limit, and each
-type mutant must fail an item or raise ``ValidationError``.  Every type mutant
-runs here, and a seeded sample of the others; the full corpus runs from the
-command line.
+reports, set to an odd value or deleted, and every boolean or number, those of
+the chain spec included, written in another JSON type.  Each mutant must
+yield verify items or raise ``ValidationError``, within the tool's time
+limit, and each type mutant must fail an item or raise ``ValidationError``.
+Every type mutant runs here, and a seeded sample of the others; the full
+corpus runs from the command line.
 """
 
 import importlib.util
@@ -42,7 +42,7 @@ def test_sampled_mutants_yield_items_or_a_validation_error_in_time(tool, texts):
 
 def test_every_type_mutant_fails_an_item_or_raises_a_validation_error(tool, texts):
     mutants = [mutant for mutant in tool.corpus(texts) if mutant[2] == tool.RETYPE]
-    assert len(mutants) > 1_500
+    assert len(mutants) > 1_900
     assert tool.failures(cc, texts, mutants) == []
 
 
@@ -51,7 +51,9 @@ def test_corpus_reaches_every_report_and_every_odd_value(tool, texts):
     assert {name for name, _, _ in mutants} == set(texts) and len(texts) == 36
     assert {value for _, _, value in mutants} == set(range(tool.RETYPE, len(tool.ODD_VALUES)))
     assert len(mutants) > 60_000
-    assert not [path for _, path, value in mutants if value == tool.RETYPE and path[:1] == ("chain",)]
+    in_chain = [(name, path) for name, path, value in mutants if value == tool.RETYPE and path[:1] == ("chain",)]
+    assert {name for name, _ in in_chain} == set(texts)  # every report's chain spec has numbers to retype
+    assert all(path[:2] == ("chain", "spec") for _, path in in_chain)
 
 
 def test_retyped_leaves_keep_their_value_in_another_json_type(tool):

@@ -8,9 +8,9 @@ report (the root, or any value of an object or a list, reading only the first
 ``LIST_CUT`` entries of each list) to one of ``ODD_VALUES``, or deletes it.
 Each such mutant must yield verify items, or raise ``ValidationError``, within
 ``LIMIT_S`` seconds.  A type mutant (``RETYPE``) writes one boolean or number
-outside ``chain`` as the same value in another JSON type (``retyped``): a 0 or
-1 as a boolean, a boolean as 0 or 1, any other int as its decimal string and a
-float as its ``repr`` string.  Each type mutant must also fail at least one
+of the report, its chain spec included, as the same value in another JSON type
+(``retyped``): a 0 or 1 as a boolean, a boolean as 0 or 1, any other int as its
+decimal string and a float as its ``repr`` string.  Each type mutant must also fail at least one
 verify item, or raise ``ValidationError``.  The script prints one line per
 mutant that does not, then a summary line, and exits 1 if any mutant failed.
 The package is imported from the ``src/`` next to this script;
@@ -93,7 +93,7 @@ def corpus(texts: dict[str, str]) -> list[tuple[str, tuple, int]]:
         for path, node in nodes(json.loads(text)):
             # the root can be replaced but not deleted
             out += [(name, path, value) for value in range(DELETE if path else 0, len(ODD_VALUES))]
-            if isinstance(node, (bool, int, float)) and path[:1] != ("chain",):
+            if isinstance(node, (bool, int, float)):
                 out.append((name, path, RETYPE))
     return out
 
