@@ -345,18 +345,10 @@ def json_number(value, kind: type | tuple[type, ...] = (int, float)):
     return value
 
 
-#: the int of each key spelling that ``int_keyed`` has read, up to 2¹⁴ of them: a memo, which changes no result
-_SPELLED: dict[str, int] = {}
-
-
 def int_keyed(table: dict) -> dict:
     """``table`` keyed by ints, each spelled one way (an int or its decimal string): "07", "+7" or " 7" would
-    alias "7", and the last would win silently, so each raises.  A table of keys read before takes one lookup
-    per key (``_SPELLED``), where int() and str() per key took most of the time of reading a chain spec's rows."""
-    try:
-        return {_SPELLED[key]: value for key, value in table.items()}
-    except KeyError:  # a key not read before, or spelled another way
-        out = {}
+    alias "7", and the last would win silently, so each raises."""
+    out = {}
     for key, value in table.items():
         try:
             y = int(key)
@@ -364,8 +356,6 @@ def int_keyed(table: dict) -> dict:
             y = None
         if y is None or str(y) != str(key):
             raise ValidationError(f"key {key!r} is not an integer")
-        if type(key) is str and len(_SPELLED) < 1 << 14:
-            _SPELLED[key] = y
         out[y] = value
     return out
 
@@ -410,16 +400,14 @@ def _entries_reader(shape):
     """The reader of an array of any length, or of a table of any keys: every entry has one shape."""
     keys, entry_shape = (None, shape[0]) if type(shape) is list else next(iter(shape.items()))
     entry, exact = reader(entry_shape), entry_shape if entry_shape in _LEAVES else None
-    leaves = {exact}
 
     def read(value, space):
         if type(value) is not (list if keys is None else dict):
             raise ShapeError(f"{reprlib.repr(value)} is not a JSON {'array' if keys is None else 'object'}")
         out = int_keyed(value) if keys is int else value
-        items = out if keys is None else out.values()
-        if exact and set(map(type, items)) <= leaves and (exact is not float or all(map(math.isfinite, items))):
-            return out  # leaves that each read as they are, found in C: the loop below took most of a read
         for key, item in enumerate(out) if keys is None else out.items():
+            if type(item) is exact and (exact is not float or math.isfinite(item)):
+                continue  # a leaf, read as it is
             try:
                 typed = entry(item, space)
             except (TypeError, ValidationError) as exc:

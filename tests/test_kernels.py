@@ -482,7 +482,8 @@ def test_matrix_and_rows_specs_give_the_same_kernel():
     assert a.matrix.tobytes() == b.matrix.tobytes() and a.space == b.space
 
 
-# a case whose message changed when the spec came to be read by its shape keeps the id its old message gave it
+# An explicit id is the case's established test name, kept so that a run that selects tests by name still finds
+# the case. It quotes an older wording of the message and is a name only: the message asserted is the second field.
 @pytest.mark.parametrize(
     "rows, message",
     [
